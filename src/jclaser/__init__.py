@@ -14,6 +14,7 @@ from .errors import (
     NoPhysicalRootError,
     NoSteadyStateError,
     NotResolvableError,
+    SolverMemoryError,
     TruncationNotConvergedError,
 )
 from .lineshape import SpectralLine, SpectrumResult
@@ -42,6 +43,7 @@ __all__ = [
     "NoPhysicalRootError",
     "NoSteadyStateError",
     "NotResolvableError",
+    "SolverMemoryError",
     "SpectralLine",
     "SpectrumResult",
     "SystemParams",

@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     JclaserError,
     NoSteadyStateError,
+    SolverMemoryError,
     TruncationNotConvergedError,
 )
 from .output import write_csv, write_json
@@ -394,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (NoSteadyStateError, TruncationNotConvergedError) as exc:
+    except (NoSteadyStateError, SolverMemoryError, TruncationNotConvergedError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_NOCONV
     except ValueError as exc:

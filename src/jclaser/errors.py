@@ -13,6 +13,10 @@ class NoSteadyStateError(JclaserError):
     """The requested parameter set admits no steady state."""
 
 
+class SolverMemoryError(JclaserError):
+    """A solver ran out of memory (MemoryError or a failed SuperLU allocation)."""
+
+
 class TruncationNotConvergedError(JclaserError):
     """Automatic Fock-space growth hit its cap before converging."""
 

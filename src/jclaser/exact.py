@@ -1,11 +1,20 @@
-"""Numerically exact engine on a truncated Fock space.
+"""Numerically exact engine on a truncated Fock space, one excitation sector at a time.
 
-Builds the full sparse Liouvillian of the pumped emitter-cavity system,
-extracts the steady state by a trace-replacement linear solve, and obtains
-emission spectra from the quantum regression theorem.  The two-time
-correlators live in a closed coherence sector of dimension ~4 n_max (the
-ladder elements one excitation apart), so spectral lines come from a dense
-eigendecomposition of that block rather than of the full superoperator.
+The Hamiltonian and every jump operator shift the excitation number
+N = a'a + sigma'sigma by a fixed amount, so the generator never mixes
+density-matrix elements rho_{r;s} of different k = N(r) - N(s).  The engine
+assembles the block of one k directly from the ladder operators, ordered by
+excitation number (dimension ~4 n_max instead of the 4 (n_max + 1)^2 of the
+full Liouvillian):
+
+- k = 0 holds the steady state: populations and the coherences between
+  |n,0> and |n-1,1>.  It is found by a sparse LU solve with one photon-number
+  population pinned, then divided by its trace.
+- k = 1 holds the two-time correlators of the quantum regression theorem, so
+  spectral lines come from a dense eigendecomposition of that block.
+
+``build_liouvillian`` assembles the full superoperator; only the tests use it,
+as the oracle the sector blocks are checked against.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import scipy.sparse.linalg as spla
 from .errors import (
     NonDiagonalizableError,
     NoSteadyStateError,
+    SolverMemoryError,
     TruncationNotConvergedError,
 )
 from .lineshape import SpectralLine, SpectrumResult, evaluate_lines, lines_from_eigenpairs
@@ -47,17 +57,36 @@ class FockSpace:
 
 def operators(space: FockSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Annihilation operators (a, sigma) on the truncated product space."""
-    npho = space.n_max + 1
-    a_ph = sp.diags(np.sqrt(np.arange(1.0, npho)), 1, format="csr")
-    lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    a = sp.kron(a_ph, sp.identity(2, format="csr"), format="csr")
-    sig = sp.kron(sp.identity(npho, format="csr"), lower, format="csr")
-    return a.astype(complex), sig.astype(complex)
+    dim = space.dim
+    n = np.repeat(np.arange(1, space.n_max + 1), 2)
+    i = np.tile([0, 1], space.n_max)
+    a = sp.csr_matrix((np.sqrt(n).astype(complex), (2 * (n - 1) + i, 2 * n + i)), shape=(dim, dim))
+    m = np.arange(space.n_max + 1)
+    sig = sp.csr_matrix((np.ones(len(m), dtype=complex), (2 * m, 2 * m + 1)), shape=(dim, dim))
+    return a, sig
+
+
+def _model(params: SystemParams, space: FockSpace) -> tuple[sp.csr_matrix, list]:
+    """Hamiltonian and (jump operator, rate) pairs.
+
+    The cavity frequency is the zero of energy, so the emitter sits at -delta.
+    """
+    a, sig = operators(space)
+    ad, sd = a.conj().T.tocsr(), sig.conj().T.tocsr()
+    H = (-params.delta * (sd @ sig) + params.g * (ad @ sig + a @ sd)).tocsr()
+    jumps = [
+        (a, params.gamma_a),
+        (sig, params.gamma_sigma),
+        (ad, params.P_a),
+        (sd, params.P_sigma),
+        ((sd @ sig).tocsr(), params.gamma_phi),
+    ]
+    return H, [(c, rate) for c, rate in jumps if rate]
 
 
 def _dissipator(c: sp.spmatrix, rate: float, ident: sp.spmatrix) -> sp.spmatrix:
     """rate/2 (2 c . c' - c'c . - . c'c) as a superoperator (row-major vec)."""
-    cd = c.getH()
+    cd = c.conj().T
     cdc = (cd @ c).tocsr()
     return (rate / 2.0) * (
         2.0 * sp.kron(c, cd.T, format="csr")
@@ -67,53 +96,131 @@ def _dissipator(c: sp.spmatrix, rate: float, ident: sp.spmatrix) -> sp.spmatrix:
 
 
 def build_liouvillian(params: SystemParams, n_max: int) -> sp.csr_matrix:
-    """Sparse generator of d(rho)/dt = L rho over the dim^2 coefficients.
+    """Sparse generator of d(rho)/dt = L rho over all dim^2 coefficients.
 
-    Supports cavity pumping P_a > 0, unlike the moment recurrence.  The
-    cavity frequency is the zero of energy, so the emitter sits at -delta.
+    The test oracle for the sector blocks: it costs O(n_max^2) memory.
     """
     space = FockSpace(n_max)
-    a, sig = operators(space)
+    H, jumps = _model(params, space)
     ident = sp.identity(space.dim, format="csr", dtype=complex)
-    H = -params.delta * (sig.getH() @ sig) + params.g * (a.getH() @ sig + a @ sig.getH())
-    H = H.tocsr()
     # i[rho, H] -> i (1 x H^T - H x 1) on row-major vec(rho)
     L = 1j * (sp.kron(ident, H.T, format="csr") - sp.kron(H, ident, format="csr"))
-    L = L + _dissipator(a, params.gamma_a, ident)
-    L = L + _dissipator(sig, params.gamma_sigma, ident)
-    if params.P_a:
-        L = L + _dissipator(a.getH(), params.P_a, ident)
-    if params.P_sigma:
-        L = L + _dissipator(sig.getH(), params.P_sigma, ident)
-    if params.gamma_phi:
-        L = L + _dissipator(sig.getH() @ sig, params.gamma_phi, ident)
+    for c, rate in jumps:
+        L = L + _dissipator(c, rate, ident)
     return L.tocsr()
+
+
+def _sector_pairs(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (r, s) of the elements rho_{r;s} with N(r) - N(s) = k.
+
+    Ordered by excitation number N(s), so the generator block is banded.
+    Given r, the emitter state s % 2 picks s, so ``_sector_position`` is an
+    O(n_max) table.
+    """
+    dim = 2 * (n_max + 1)
+    r = np.repeat(np.arange(dim), 2)
+    j = np.tile([0, 1], dim)
+    ns = r // 2 + r % 2 - k - j  # photon number of s
+    ok = (ns >= 0) & (ns <= n_max)
+    r, s = r[ok], 2 * ns[ok] + j[ok]
+    order = np.argsort(s // 2 + s % 2, kind="stable")
+    return r[order], s[order]
+
+
+def _sector_position(r: np.ndarray, s: np.ndarray, dim: int) -> np.ndarray:
+    pos = np.full((dim, 2), -1, dtype=np.intp)
+    pos[r, s % 2] = np.arange(len(r))
+    return pos
+
+
+def _column_entries(op: sp.csc_matrix, cols: np.ndarray):
+    """Entries of ``op`` in the given columns: (index into cols, row, value)."""
+    start = op.indptr[cols]
+    counts = op.indptr[cols + 1] - start
+    e = np.repeat(np.arange(len(cols)), counts)
+    idx = np.repeat(start - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    return e, op.indices[idx], op.data[idx]
+
+
+def sector_generator(
+    params: SystemParams, n_max: int, k: int
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Block of the Liouvillian on the excitation sector k, and its (r, s) pairs.
+
+    Writes L rho = A rho + rho A' + sum_c rate c rho c' with
+    A = -iH - sum_c rate c'c / 2 and collects each term's entries by joining
+    the sector elements with the operator columns; nothing of size dim^2 is
+    formed.
+    """
+    space = FockSpace(n_max)
+    r, s = _sector_pairs(n_max, k)
+    pos = _sector_position(r, s, space.dim)
+    H, jumps = _model(params, space)
+    A = -1j * H
+    for c, rate in jumps:
+        A = A - (rate / 2.0) * (c.conj().T @ c)
+    A = A.tocsc()
+    terms = []  # (row, column, value) of the block, one triple of arrays per term
+    # (A rho)_{u;s} gets A_{u;t} rho_{t;s}
+    e, u, v = _column_entries(A, r)
+    terms.append((pos[u, s[e] % 2], e, v))
+    # (rho A')_{r;u} gets rho_{r;t} conj(A_{u;t})
+    e, u, v = _column_entries(A, s)
+    terms.append((pos[r[e], u % 2], e, v.conj()))
+    # (c rho c')_{u;w} gets c_{u;t} rho_{t;x} conj(c_{w;x})
+    for c, rate in jumps:
+        c = c.tocsc()
+        e1, u, v1 = _column_entries(c, r)
+        e2, w, v2 = _column_entries(c, s[e1])
+        terms.append((pos[u[e2], w % 2], e1[e2], rate * v1[e2] * v2.conj()))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(r), len(r))), r, s
 
 
 @dataclass
 class SteadyState:
-    """Solved steady state with its observables."""
+    """Solved steady state: the k = 0 sector as per-rung arrays.
+
+    ``p0[n]`` and ``p1[n]`` are the populations of |n,0> and |n,1>, and
+    ``q_r[n] + i q_i[n]`` is the coherence rho_{n,0; n-1,1} (zero at n = 0),
+    as in ``spectra.DensityMatrixSlices``; every other element vanishes by
+    the excitation-number symmetry.
+    ``herm_defect`` is max |x_{r;s} - conj(x_{s;r})| of the solved sector
+    vector, taken before it was stored as Hermitian arrays.
+    """
 
     params: SystemParams
     space: FockSpace
-    rho: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    q_r: np.ndarray
+    q_i: np.ndarray
+    herm_defect: float = 0.0
 
     @property
     def photon_distribution(self) -> np.ndarray:
-        diag = self.rho.diagonal().real
-        return diag[0::2] + diag[1::2]
+        return self.p0 + self.p1
+
+    def element(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """rho_{r;s} for flat indices of equal excitation number."""
+        pops = np.empty(self.space.dim)
+        pops[0::2], pops[1::2] = self.p0, self.p1
+        n = np.maximum(r, s) // 2  # photon number of the |n,0> member
+        q = self.q_r[n] + 1j * np.where(r < s, -self.q_i[n], self.q_i[n])
+        return np.where(r == s, pops[r], q)
 
     @property
-    def p0(self) -> np.ndarray:
-        return self.rho.diagonal().real[0::2]
-
-    @property
-    def p1(self) -> np.ndarray:
-        return self.rho.diagonal().real[1::2]
+    def rho(self) -> np.ndarray:
+        """Dense density matrix (built on each access)."""
+        r, s = _sector_pairs(self.space.n_max, 0)
+        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        out[r, s] = self.element(r, s)
+        return out
 
     def q(self, n: int) -> complex:
         """Coherence rho_{n,0; n-1,1}, n >= 1."""
-        return self.rho[self.space.index(n, 0), self.space.index(n - 1, 1)]
+        self.space.index(n, 0)
+        return complex(self.q_r[n], self.q_i[n])
 
     @property
     def n_a(self) -> float:
@@ -131,51 +238,89 @@ class SteadyState:
         return na2 / na**2 if na > 0.0 else 0.0
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+        return self.herm_defect
 
     def trace_defect(self) -> float:
-        return abs(self.rho.trace() - 1.0)
+        return abs(float(self.photon_distribution.sum()) - 1.0)
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2.0)[0])
-
-    def off_pattern_max(self) -> float:
-        """Largest element outside the steady-state sparsity pattern."""
-        mask = np.ones_like(self.rho, dtype=bool)
-        dim = self.space.dim
-        idx = np.arange(dim)
-        mask[idx, idx] = False
-        for n in range(1, self.space.n_max + 1):
-            k, l = self.space.index(n, 0), self.space.index(n - 1, 1)
-            mask[k, l] = False
-            mask[l, k] = False
-        return float(np.max(np.abs(self.rho[mask]))) if mask.any() else 0.0
+        return float(np.linalg.eigvalsh(self.rho)[0])
 
 
-def _steady_state_fixed(params: SystemParams, n_max: int) -> SteadyState:
-    space = FockSpace(n_max)
-    L = build_liouvillian(params, n_max).tocoo()
-    dim = space.dim
-    N = dim * dim
-    # drop the redundant d(rho_00)/dt row, insert the trace functional
-    keep = L.row != 0
-    rows = np.concatenate([L.row[keep], np.zeros(dim, dtype=L.row.dtype)])
-    cols = np.concatenate([L.col[keep], np.arange(dim) * (dim + 1)])
-    data = np.concatenate([L.data[keep], np.ones(dim, dtype=complex)])
-    A = sp.csc_matrix((data, (rows, cols)), shape=(N, N))
-    b = np.zeros(N, dtype=complex)
-    b[0] = 1.0
+def _peak_guess(params: SystemParams) -> float:
+    """Photon number near the peak of the distribution: the semiclassical n_a.
+
+    It is 0 below threshold, where the distribution peaks at n = 0.
+    """
+    from .approximations import semiclassical
+
     try:
-        with np.errstate(invalid="ignore"):
+        return semiclassical(params).n_a
+    except (ValueError, ZeroDivisionError):
+        return 0.0
+
+
+def _pinned_solve(G: sp.coo_matrix, pos: np.ndarray, m: int) -> np.ndarray:
+    """Null vector of the k = 0 block with the population T[m] set to one.
+
+    One population equation is redundant, since the trace is conserved; it
+    gives way to the pin.  A dense trace row instead would make the LU fill
+    grow quadratically with n_max.
+    """
+    M = G.shape[0]
+    d, d1 = pos[2 * m, 0], pos[2 * m + 1, 1]
+    keep = G.row != d
+    A = sp.csc_matrix(
+        (
+            np.concatenate([G.data[keep], [1.0, 1.0]]),
+            (np.concatenate([G.row[keep], [d, d]]), np.concatenate([G.col[keep], [d, d1]])),
+        ),
+        shape=(M, M),
+    )
+    b = np.zeros(M, dtype=complex)
+    b[d] = 1.0
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
             lu = spla.splu(A)
             x = lu.solve(b)
             for _ in range(2):  # refinement recovers the tiny tail components
                 x += lu.solve(b - A @ x)
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        raise NoSteadyStateError(f"singular Liouvillian: {exc}") from exc
+    except (MemoryError, RuntimeError) as exc:  # SuperLU raises RuntimeError for both causes
+        msg = str(exc)
+        if isinstance(exc, MemoryError) or "malloc" in msg.lower() or "memory" in msg.lower():
+            raise SolverMemoryError(f"out of memory in the sector LU (size {M}): {msg}") from exc
+        raise NoSteadyStateError(f"singular Liouvillian: {msg}") from exc
+    return x
+
+
+def _steady_state_fixed(params: SystemParams, n_max: int) -> SteadyState:
+    space = FockSpace(n_max)
+    G, r, s = sector_generator(params, n_max, 0)
+    G = G.tocoo()
+    pos = _sector_position(r, s, space.dim)
+    n = np.arange(n_max + 1)
+    m = min(int(round(_peak_guess(params))), n_max)
+    x = _pinned_solve(G, pos, m)
+    T = np.nan_to_num(np.abs(x[pos[2 * n, 0]] + x[pos[2 * n + 1, 1]]))
+    if T.max() > 1e8:  # the guess sat far below the peak: pin the peak itself
+        x = _pinned_solve(G, pos, int(np.argmax(T)))
     if not np.all(np.isfinite(x)):
         raise NoSteadyStateError("singular Liouvillian beyond the trace deficiency")
-    return SteadyState(params=params, space=space, rho=x.reshape(dim, dim))
+    diag = r == s
+    x /= x[diag].sum()
+    pops = np.zeros(space.dim)
+    pops[r[diag]] = x[diag].real
+    coh = s == r - 1  # rho_{n,0; n-1,1}
+    q = np.zeros(n_max + 1, dtype=complex)
+    q[r[coh] // 2] = x[coh]
+    herm = max(
+        float(np.max(np.abs(x[diag].imag))),
+        float(np.max(np.abs(x[pos[s[coh], 0]] - np.conj(x[coh])), initial=0.0)),
+    )
+    return SteadyState(
+        params=params, space=space, p0=pops[0::2], p1=pops[1::2], q_r=q.real, q_i=q.imag,
+        herm_defect=herm,
+    )
 
 
 def _has_steady_state(params: SystemParams) -> bool:
@@ -244,34 +389,6 @@ def steady_state(
 # ---------------------------------------------------------------------------
 
 
-def _sector_indices(space: FockSpace) -> np.ndarray:
-    """Flat vec indices of the one-excitation coherence sector.
-
-    Elements rho_{m,i; n,j} with (m + i) - (n + j) = 1: the ladder operators'
-    matrix elements.  The Liouvillian maps this set onto itself exactly.
-    """
-    dim = space.dim
-    pairs = []
-    for n in range(1, space.n_max + 1):  # <n,0| . |n-1,0>
-        pairs.append((space.index(n, 0), space.index(n - 1, 0)))
-    for n in range(1, space.n_max + 1):  # <n,1| . |n-1,1>
-        pairs.append((space.index(n, 1), space.index(n - 1, 1)))
-    for n in range(0, space.n_max + 1):  # <n,1| . |n,0>
-        pairs.append((space.index(n, 1), space.index(n, 0)))
-    for n in range(2, space.n_max + 1):  # <n,0| . |n-2,1>
-        pairs.append((space.index(n, 0), space.index(n - 2, 1)))
-    return np.array([k * dim + l for k, l in pairs], dtype=np.intp)
-
-
-def _channel_operator(space: FockSpace, channel: str) -> np.ndarray:
-    a, sig = operators(space)
-    if channel == "cavity":
-        return np.asarray(a.todense())
-    if channel == "emitter":
-        return np.asarray(sig.todense())
-    raise ValueError(f"unknown channel {channel!r}")
-
-
 @dataclass
 class RegressionSector:
     """Generator block, initial condition and readout for one channel."""
@@ -282,21 +399,27 @@ class RegressionSector:
     n_c: float
 
 
-def regression_sector(
-    params: SystemParams, ss: SteadyState, channel: str, L: sp.spmatrix | None = None
-) -> RegressionSector:
-    space = ss.space
-    if L is None:
-        L = build_liouvillian(params, space.n_max)
-    idx = _sector_indices(space)
-    block = L.tocsr()[idx][:, idx].toarray()
-    c = _channel_operator(space, channel)
-    rho_cdag = ss.rho @ c.conj().T
-    dim = space.dim
-    u0 = rho_cdag.reshape(-1)[idx]
-    readout = c.T.reshape(-1)[idx]  # readout[e] = <l| c |k> for e = (k, l)
+def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> RegressionSector:
+    """The k = 1 sector, which holds <c'(0) c(t)> for c = a or sigma.
+
+    Its elements are the ladder operators' matrix elements; the initial
+    condition is rho c' on the sector and the readout takes Tr(c .).
+    """
+    a, sig = operators(ss.space)
+    if channel == "cavity":
+        c = a
+    elif channel == "emitter":
+        c = sig
+    else:
+        raise ValueError(f"unknown channel {channel!r}")
+    G, r, s = sector_generator(params, ss.space.n_max, 1)
+    # (rho c')_{r;s} = sum_t rho_{r;t} (c')_{t;s}
+    e, t, v = _column_entries(c.conj().T.tocsc(), s)
+    u0 = np.zeros(len(r), dtype=complex)
+    np.add.at(u0, e, ss.element(r[e], t) * v)
+    readout = np.asarray(c.tocsr()[s, r]).ravel()  # readout[e] = <s| c |r>
     n_c = float(np.real(np.dot(readout, u0)))
-    return RegressionSector(generator=block, u0=u0, readout=readout, n_c=n_c)
+    return RegressionSector(generator=G.toarray(), u0=u0, readout=readout, n_c=n_c)
 
 
 def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
@@ -308,8 +431,10 @@ def truncate_steady_state(ss: SteadyState, n_eff: int) -> SteadyState:
     """View of the steady state on a smaller photon ladder (no renorm)."""
     if n_eff >= ss.space.n_max:
         return ss
-    space = FockSpace(n_eff)
-    return SteadyState(params=ss.params, space=space, rho=ss.rho[: space.dim, : space.dim])
+    k = n_eff + 1
+    return replace(
+        ss, space=FockSpace(n_eff), p0=ss.p0[:k], p1=ss.p1[:k], q_r=ss.q_r[:k], q_i=ss.q_i[:k]
+    )
 
 
 def spectral_lines(
@@ -324,7 +449,9 @@ def spectral_lines(
 
     Eigen-decomposes the coherence-sector block of the Liouvillian and
     projects the steady-state initial condition onto its eigenbasis; weights
-    are normalized by the channel population so they sum to one.
+    are normalized by the channel population so they sum to one.  A table
+    whose weights miss one by more than 1e-6 is refused: the eigenbasis is
+    then too ill-conditioned to trust the individual lines either.
 
     Unpopulated tail rungs carry no weight but their inner transitions pile
     up at the origin and wreck the eigenbasis conditioning, so the sector is
@@ -345,6 +472,9 @@ def spectral_lines(
     if resid > 1e-8:
         raise NonDiagonalizableError(f"eigenbasis residual {resid:.2e}")
     coeffs = (sec.readout @ V) * proj / sec.n_c
+    closure = abs(float(np.sum(coeffs.real)) - 1.0)
+    if closure > 1e-6:
+        raise NonDiagonalizableError(f"line weights miss one by {closure:.2e}")
     lines = lines_from_eigenpairs(lams, coeffs)
     if weight_floor > 0.0:
         lines = [ln for ln in lines if abs(ln.L) + abs(ln.K) >= weight_floor]

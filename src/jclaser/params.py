@@ -8,7 +8,7 @@ here is a pure function of the inputs; records are frozen and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def _require_finite_nonnegative(name: str, value: float) -> None:
@@ -61,9 +61,6 @@ class SystemParams:
     def Gamma_sigma(self) -> float:
         """Effective emitter broadening ``gamma_sigma + P_sigma``."""
         return self.gamma_sigma + self.P_sigma
-
-    def with_pump(self, P_sigma: float) -> "SystemParams":
-        return replace(self, P_sigma=P_sigma)
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,21 @@ def test_steady_solver_failure_exit_code(tmp_path):
     assert "NoSteadyStateError" in out.read_text()
 
 
+def test_solver_memory_exit_code(tmp_path, monkeypatch, capsys):
+    from jclaser import exact
+
+    def oom(*a, **k):
+        raise MemoryError()
+
+    monkeypatch.setattr(exact.spla, "splu", oom)
+    code = run(
+        ["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "1.0",
+         "--method", "exact", "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 3
+    assert "out of memory" in capsys.readouterr().err
+
+
 def test_steady_zero_pump_row(tmp_path):
     out = tmp_path / "zero.csv"
     code = run(

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jclaser import approximations as ap
 from jclaser import exact, moments
-from jclaser.errors import NoSteadyStateError
+from jclaser.errors import NonDiagonalizableError, NoSteadyStateError, SolverMemoryError
 from jclaser.lineshape import evaluate_lines
 from jclaser.params import SystemParams
+from liouvillian_oracle import full_steady_rho, off_pattern_max
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
 LASING = SystemParams(P_sigma=7.0, **BASE)
@@ -69,7 +72,70 @@ def test_steady_state_invariants(p):
     assert ss.hermiticity_defect() < 1e-10
     assert ss.trace_defect() < 1e-10
     assert ss.min_eigenvalue() >= -1e-8
-    assert ss.off_pattern_max() < 1e-12
+    # the sector engine has no elements off the pattern; the full solve does
+    rho = full_steady_rho(p, ss.space.n_max)
+    assert off_pattern_max(rho) < 1e-12
+    assert np.max(np.abs(ss.rho - rho)) <= 1e-12
+
+
+@st.composite
+def _system(draw):
+    gamma_a = draw(st.floats(0.01, 5.0))
+    return SystemParams(
+        g=1.0,
+        gamma_a=gamma_a,
+        gamma_sigma=draw(st.floats(0.0, 2.0)),
+        P_sigma=draw(st.floats(0.0, 20.0)),
+        P_a=draw(st.floats(0.0, 0.9)) * gamma_a,
+        gamma_phi=draw(st.floats(0.0, 2.0)),
+        delta=draw(st.floats(-3.0, 3.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_system(), n_max=st.integers(1, 8))
+def test_sector_blocks_match_full_liouvillian(p, n_max):
+    L = exact.build_liouvillian(p, n_max).tocsr()
+    dim = exact.FockSpace(n_max).dim
+    for k in (0, 1):
+        G, r, s = exact.sector_generator(p, n_max, k)
+        assert np.all(np.abs(np.abs(r // 2 + r % 2 - s // 2 - s % 2) - k) == 0)
+        idx = r * dim + s
+        ref = L[idx][:, idx].toarray()
+        # same terms summed in another order: equal to a few ulps of the scale
+        assert np.max(np.abs(G.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ss = exact.steady_state(p, n_max=n_max)
+    # roundoff of the LU solve is the only source of negative values here
+    assert np.trace(ss.rho).real == pytest.approx(1.0, abs=1e-12)
+    assert ss.n_a >= -1e-12
+    assert -1e-12 <= ss.n_sigma <= 1.0 + 1e-12
+
+
+def test_good_cavity_reach():
+    # n_a ~ 344 needs n_max ~ 2000: 3e10 coefficients for the full
+    # Liouvillian, ~8e3 for the sector; reference from a 200-digit moment sweep
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
+    ss = exact.steady_state(p, n_max=2084)
+    assert ss.n_a == pytest.approx(343.7109077806, rel=1e-10)
+    auto = exact.steady_state(p, n_max_cap=4096)
+    assert auto.n_a == pytest.approx(343.7109077806, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (MemoryError(), SolverMemoryError),
+        (RuntimeError("Malloc fails for local work[]."), SolverMemoryError),
+        (RuntimeError("Factor is exactly singular"), NoSteadyStateError),
+    ],
+)
+def test_solver_failures_named(monkeypatch, exc, expected):
+    def fail(*a, **k):
+        raise exc
+
+    monkeypatch.setattr(exact.spla, "splu", fail)
+    with pytest.raises(expected):
+        exact.steady_state(LASING, n_max=20)
 
 
 def test_rate_balance_identity():
@@ -127,6 +193,8 @@ def test_linear_regime_rabi_doublet():
     lines = sorted(
         exact.spectral_lines(p, channel="cavity", ss=ss), key=lambda l: -abs(l.L)
     )
+    # the doublet's weights are equal to roundoff: order the pair by frequency
+    lines[:2] = sorted(lines[:2], key=lambda l: -l.omega)
     R0 = np.sqrt(p.g**2 - ((p.gamma_a - p.gamma_sigma) / 4.0) ** 2)
     assert lines[0].omega == pytest.approx(R0, abs=2e-3)
     assert lines[1].omega == pytest.approx(-R0, abs=2e-3)
@@ -220,6 +288,17 @@ def test_transition_map_records_failures():
     rows, failures = exact.transition_map(p, np.array([0.1, 0.9]), n_max=30)
     assert len(failures) == 1 and failures[0][0] == 0.9
     assert any(r.P_sigma == 0.1 for r in rows)
+
+
+def test_unclosed_line_weights_refused():
+    # at P = 40 the cavity eigenbasis is too ill-conditioned for the line
+    # weights to close to one within 1e-6 (they miss by ~1e-4)
+    p = SystemParams(P_sigma=40.0, **BASE)
+    with pytest.raises(NonDiagonalizableError, match="line weights"):
+        exact.spectral_lines(p, channel="cavity")
+    rows, failures = exact.transition_map(SystemParams(**BASE), np.array([1.0, 40.0]))
+    assert [P for P, _ in failures] == [40.0]
+    assert rows and all(r.P_sigma == 1.0 for r in rows)
 
 
 def test_spectrum_resolvent_fallback(monkeypatch):
