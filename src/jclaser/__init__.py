@@ -16,6 +16,7 @@ from .errors import (
     NotResolvableError,
     SolverMemoryError,
     TruncationNotConvergedError,
+    UnphysicalResultError,
 )
 from .lineshape import SpectralLine, SpectrumResult
 from .params import (
@@ -48,6 +49,7 @@ __all__ = [
     "SpectrumResult",
     "SystemParams",
     "TruncationNotConvergedError",
+    "UnphysicalResultError",
     "effective_rates",
     "kappa_a",
     "kappa_rates",

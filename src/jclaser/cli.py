@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approximations as ap
-from . import coherent, exact, moments, spectra
+from . import coherent, exact, spectra
 from .errors import (
     ConfigError,
     JclaserError,
@@ -158,18 +158,8 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
     row = [P]
     err = ""
     try:
-        if params.P_a == 0.0:
-            mom = moments.solve_moments(params, n_max=n_max, n_max_cap=max(cap, 64))
-            obs = moments.precise_observables(params, mom.n_max)
-        else:
-            ss = exact.steady_state(params, n_max=n_max, n_max_cap=cap, rtol=tol)
-            obs = moments.Observables(
-                n_a=ss.n_a,
-                n_sigma=ss.n_sigma,
-                g2=ss.g2,
-                mandel_Q=ss.n_a * (ss.g2 - 1.0),
-            )
-        row += [obs.n_a, obs.n_sigma, obs.g2, obs.mandel_Q]
+        ss = exact.steady_state(params, n_max=n_max, n_max_cap=cap, rtol=tol)
+        row += [ss.n_a, ss.n_sigma, ss.g2, ss.n_a * (ss.g2 - 1.0)]
     except JclaserError as exc:
         row += [float("nan")] * 4
         err = f"{type(exc).__name__}: {exc}"
@@ -231,17 +221,12 @@ def cmd_sweep(args) -> int:
 
 def _spectrum_result(params: SystemParams, args):
     omega = np.linspace(args.omega_min, args.omega_max, args.points)
+    if args.method == "semiclassical":
+        return spectra.semiclassical_mollow(params, omega, channel=args.channel)
+    ss = exact.steady_state(params, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol)
     if args.method == "exact":
-        ss = exact.steady_state(params, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol)
         return exact.spectrum(params, channel=args.channel, ss=ss, omega=omega)
-    if args.method == "approx":
-        if params.P_a == 0.0 and params.gamma_a > 0.0:
-            mom = moments.solve_moments(params, n_max=args.n_max)
-            ss = exact.steady_state(params, n_max=mom.n_max)
-        else:
-            ss = exact.steady_state(params, n_max=args.n_max)
-        return spectra.approx_spectrum(params, ss.photon_distribution, args.channel, omega)
-    return spectra.semiclassical_mollow(params, omega, channel=args.channel)
+    return spectra.approx_spectrum(params, ss.photon_distribution, args.channel, omega)
 
 
 def cmd_spectrum(args) -> int:

@@ -14,7 +14,7 @@ class NoSteadyStateError(JclaserError):
 
 
 class SolverMemoryError(JclaserError):
-    """A solver ran out of memory (MemoryError or a failed SuperLU allocation)."""
+    """A solver ran out of memory while allocating its factor or workspace."""
 
 
 class TruncationNotConvergedError(JclaserError):
@@ -31,6 +31,10 @@ class NotResolvableError(JclaserError):
 
 class NonDiagonalizableError(JclaserError):
     """The regression generator could not be diagonalized reliably."""
+
+
+class UnphysicalResultError(JclaserError):
+    """A route produced n_a < 0 or an emitter population outside [0, 1]."""
 
 
 class InternalConsistencyError(JclaserError):

@@ -26,6 +26,7 @@ from .errors import (
     InternalConsistencyError,
     NoSteadyStateError,
     TruncationNotConvergedError,
+    UnphysicalResultError,
 )
 from .params import SystemParams, inv_C_eff
 
@@ -97,6 +98,19 @@ def _check_steady_state(params: SystemParams) -> None:
             "gamma_a = 0 with P_sigma >= gamma_sigma: the photon number grows "
             "without bounds"
         )
+
+
+def _physical_n_sigma(params: SystemParams, n_a: float) -> float:
+    """Emitter population from the rate balance, once n_a is physical.
+
+    Raises when n_a < 0 or the population leaves [0, 1]: the route has too
+    few digits or too low a cutoff (gamma_a = 0.01, P_sigma = 7 gives
+    n_a = -1.0168 at 40 digits, against 343.71).
+    """
+    n_sigma = (params.P_sigma - params.gamma_a * n_a) / params.Gamma_sigma
+    if not (n_a >= 0.0 and 0.0 <= n_sigma <= 1.0):
+        raise UnphysicalResultError(f"moment route gave n_a = {n_a!r}, n_sigma = {n_sigma!r}")
+    return n_sigma
 
 
 def _guess_scale(params: SystemParams) -> float:
@@ -173,25 +187,30 @@ def solve_moments(
     _check_steady_state(params)
     scale = _guess_scale(params)
     if n_max is not None:
-        return _solve_fixed(params, n_max, scale)
+        mom = _solve_fixed(params, n_max, scale)
+        _physical_n_sigma(params, mom.n_a)
+        return mom
 
     n = max(16, int(math.ceil(3.0 * scale)) + 10)
     prev_na = None
     while n <= n_max_cap:
         mom = _solve_fixed(params, n, scale)
         if params.gamma_a == 0.0:
-            return mom
+            break
         logm = _log_abs_moments(mom)
         tail_ok = logm[-1] < np.max(logm) + math.log(1e-15)
         na = _ratio_sweep_mp(params, n, depth=1, dps=30)[0]
         if prev_na is not None:
             if tail_ok and abs(na - prev_na) <= rtol * max(abs(na), 1e-300):
-                return mom
+                break
         prev_na = na
         n *= 2
-    raise TruncationNotConvergedError(
-        f"moment solve not converged below n_max cap {n_max_cap}"
-    )
+    else:
+        raise TruncationNotConvergedError(
+            f"moment solve not converged below n_max cap {n_max_cap}"
+        )
+    _physical_n_sigma(params, mom.n_a)
+    return mom
 
 
 def solve_moments_backward_ratio(params: SystemParams, n_max: int) -> float:
@@ -254,8 +273,8 @@ def precise_observables(params: SystemParams, n_max: int, dps: int = 40) -> "Obs
     _check_steady_state(params)
     f0, f1 = _ratio_sweep_mp(params, n_max, depth=2, dps=dps)
     n_a = f0
+    n_sigma = _physical_n_sigma(params, n_a)
     g2 = f1 / f0 if f0 > 0.0 else 0.0
-    n_sigma = (params.P_sigma - params.gamma_a * n_a) / params.Gamma_sigma
     return Observables(
         n_a=n_a, n_sigma=n_sigma, g2=g2, mandel_Q=n_a * (g2 - 1.0), g2_defined=f0 > 0.0
     )
@@ -280,8 +299,8 @@ def observables_from_moments(
     guards the solve itself.
     """
     n_a = moments.n_a
-    n_sigma = (params.P_sigma - params.gamma_a * n_a) / params.Gamma_sigma
-    if n_a <= 0.0:
+    n_sigma = _physical_n_sigma(params, n_a)
+    if n_a == 0.0:
         return Observables(n_a=n_a, n_sigma=n_sigma, g2=0.0, mandel_Q=0.0, g2_defined=False)
     g2_direct = moments.N_a2 / n_a**2
     if params.gamma_a > 0.0:

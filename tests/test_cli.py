@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jclaser.cli import main
 from jclaser.output import parse_config_header
@@ -212,7 +214,7 @@ def test_solver_memory_exit_code(tmp_path, monkeypatch, capsys):
     def oom(*a, **k):
         raise MemoryError()
 
-    monkeypatch.setattr(exact.spla, "splu", oom)
+    monkeypatch.setattr(exact, "zgbtrf", oom)
     code = run(
         ["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "1.0",
          "--method", "exact", "--out", str(tmp_path / "s.csv")]
@@ -247,3 +249,104 @@ def test_spectrum_method_approx(tmp_path):
     doc = json.loads((tmp_path / "ap.lines.json").read_text())
     total = sum(ln["L"] for ln in doc["lines"]) + doc["elastic_weight"]
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def _table(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
+
+def test_steady_vacuum_starts_at_small_cutoff(tmp_path):
+    # the thermal estimate reads 3.3e6 photons here; the true state is the vacuum
+    out = tmp_path / "vac.csv"
+    code = run(
+        ["steady", "--g", "1e-12", "--gamma-a", "0.4", "--gamma-sigma", "0.9",
+         "--pump-sigma", "0", "--out", str(out)]
+    )
+    assert code == 0
+    (row,) = _table(out)
+    assert float(row["n_a_exact"]) == 0.0
+    assert row["error"] == ""
+
+
+@pytest.mark.parametrize("pumps", [("1.6", "1.84"), ("1.96", "3.0")])
+def test_good_cavity_sweep_matches_reference(tmp_path, pumps):
+    # n_a ~ 60-200: a 40-digit ratio sweep is wrong here, the sector engine is not
+    from moment_reference import moment_reference
+
+    from jclaser.params import SystemParams
+
+    out = tmp_path / "gc.csv"
+    code = run(
+        ["sweep", "--gamma-a", "0.01", "--gamma-sigma", "0.00334", "--sweep-scale", "linear",
+         "--sweep-min", pumps[0], "--sweep-max", pumps[1], "--sweep-points", "2", "--out", str(out)]
+    )
+    assert code == 0
+    for row, P in zip(_table(out), pumps):
+        assert float(row["P_sigma"]) == float(P)
+        ref = moment_reference(SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=float(P)))
+        assert float(row["n_a_exact"]) == pytest.approx(ref.n_a, rel=1e-8)
+        assert float(row["g2_exact"]) == pytest.approx(ref.g2, rel=1e-8)
+
+
+def test_steady_good_cavity_needs_a_higher_cap(tmp_path):
+    args = ["steady", "--gamma-a", "0.01", "--gamma-sigma", "0.00334", "--pump-sigma", "7"]
+    out = tmp_path / "gc.csv"
+    assert run(args + ["--auto-nmax-cap", "4096", "--out", str(out)]) == 0
+    (row,) = _table(out)
+    assert float(row["n_a_exact"]) == pytest.approx(343.7109077806, rel=1e-10)
+    assert run(args + ["--out", str(tmp_path / "capped.csv")]) == 3
+    (row,) = _table(tmp_path / "capped.csv")
+    assert row["error"].startswith("TruncationNotConvergedError")
+
+
+def test_commands_do_not_load_mpmath(tmp_path):
+    # mpmath serves the moment route's tests only; a fresh interpreter shows
+    # whether any command imports it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import jclaser
+
+    rates = ["--gamma-a", "0.1", "--gamma-sigma", "0.00334"]
+    runs = [
+        ["steady", *rates, "--pump-sigma", "7", "--out", str(tmp_path / "st.csv")],
+        ["sweep", *rates, "--sweep-points", "5", "--out", str(tmp_path / "sw.csv")],
+        ["spectrum", *rates, "--pump-sigma", "7", "--method", "approx", "--points", "11",
+         "--out", str(tmp_path / "ap.csv")],
+    ]
+    script = (
+        "import sys\n"
+        "from jclaser.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    src = str(Path(jclaser.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma_a=st.floats(0.05, 1.0), log_P=st.floats(-4.0, 3.0))
+def test_sweep_row_matches_moment_route(tmp_path_factory, gamma_a, log_P):
+    from moment_reference import moment_reference
+
+    from jclaser.params import SystemParams
+
+    P = 10.0**log_P
+    out = tmp_path_factory.mktemp("sweep") / "s.csv"
+    code = run(
+        ["sweep", "--gamma-a", repr(gamma_a), "--gamma-sigma", "0.00334", "--sweep-min", repr(P),
+         "--sweep-max", repr(2.0 * P), "--sweep-points", "2", "--out", str(out)]
+    )
+    assert code == 0
+    row = _table(out)[0]
+    ref = moment_reference(SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=0.00334, P_sigma=P))
+    assert float(row["n_a_exact"]) == pytest.approx(ref.n_a, rel=1e-8)
+    assert float(row["g2_exact"]) == pytest.approx(ref.g2, rel=1e-8)

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from jclaser import approximations as ap
 from jclaser import exact, moments
-from jclaser.errors import NonDiagonalizableError, NoSteadyStateError, SolverMemoryError
+from jclaser.errors import (
+    NonDiagonalizableError,
+    NoSteadyStateError,
+    SolverMemoryError,
+    TruncationNotConvergedError,
+)
 from jclaser.lineshape import evaluate_lines
 from jclaser.params import SystemParams
 from liouvillian_oracle import full_steady_rho, off_pattern_max
@@ -124,18 +129,51 @@ def test_good_cavity_reach():
 @pytest.mark.parametrize(
     "exc, expected",
     [
-        (MemoryError(), SolverMemoryError),
-        (RuntimeError("Malloc fails for local work[]."), SolverMemoryError),
-        (RuntimeError("Factor is exactly singular"), NoSteadyStateError),
+        # (banded LAPACK call, what it does): raise an exception, or report
+        # a zero pivot through its info code
+        (("zgbtrf", MemoryError()), SolverMemoryError),
+        (("zgbtrs", MemoryError()), SolverMemoryError),
+        (("zgbtrf", 3), NoSteadyStateError),
     ],
 )
 def test_solver_failures_named(monkeypatch, exc, expected):
-    def fail(*a, **k):
-        raise exc
+    call, outcome = exc
+    real = getattr(exact, call)
 
-    monkeypatch.setattr(exact.spla, "splu", fail)
+    def fail(*a, **k):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return *real(*a, **k)[:2], outcome
+
+    monkeypatch.setattr(exact, call, fail)
     with pytest.raises(expected):
         exact.steady_state(LASING, n_max=20)
+
+
+def test_vacuum_cutoff_bounded():
+    # closed-form estimates may diverge (the thermal one reads 3.3e6 photons
+    # here); the rate balance caps n_a at (P_a + P_sigma) / (gamma_a - P_a) = 0
+    p = SystemParams(g=1e-12, gamma_a=0.4, gamma_sigma=0.9, P_sigma=0.0)
+    assert ap.thermal_na(p).n_a > 1e6
+    assert exact.suggest_n_max(p) < 20
+    ss = exact.steady_state(p)
+    assert ss.n_a == 0.0 and ss.space.n_max < 64
+
+
+def test_auto_cutoff_starts_at_most_at_cap(monkeypatch):
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
+    assert exact.suggest_n_max(p) > 500
+    tried = []
+    fixed = exact._steady_state_fixed
+
+    def spy(params, n_max):
+        tried.append(n_max)
+        return fixed(params, n_max)
+
+    monkeypatch.setattr(exact, "_steady_state_fixed", spy)
+    with pytest.raises(TruncationNotConvergedError):
+        exact.steady_state(p, n_max_cap=500)
+    assert tried == [500]
 
 
 def test_rate_balance_identity():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jclaser import moments
-from jclaser.errors import NoSteadyStateError
+from jclaser.errors import NoSteadyStateError, UnphysicalResultError
 from jclaser.params import SystemParams
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
@@ -194,3 +194,19 @@ def test_moment_positivity_across_regimes():
         assert np.all(mom.M >= -1e-300)
         for n in range(1, 6):
             assert mom.N_sigma(n) >= 0.0
+
+
+@pytest.mark.parametrize("P, n_max", [(3.0, 914), (7.0, 2084)])
+def test_unphysical_moments_refused(P, n_max):
+    # 40 digits and a float64 banded solve both give n_a ~ -1.01 here,
+    # against 343.71 at P = 7
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=P)
+    with pytest.raises(UnphysicalResultError):
+        moments.solve_moments(p)
+    with pytest.raises(UnphysicalResultError):
+        moments.solve_moments(p, n_max=n_max)
+    with pytest.raises(UnphysicalResultError):
+        moments.precise_observables(p, n_max)
+    mom = moments._solve_fixed(p, n_max, moments._guess_scale(p))
+    with pytest.raises(UnphysicalResultError):
+        moments.observables_from_moments(p, mom)
