@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,9 +243,7 @@ def cmd_spectrum(args) -> int:
             "method": res.method,
             "elastic_weight": res.elastic_weight,
             "validity": {k: v for k, v in res.meta.items() if isinstance(v, (bool, int, float, str))},
-            "lines": [
-                {"omega": ln.omega, "gamma": ln.gamma, "L": ln.L, "K": ln.K} for ln in res.lines
-            ],
+            "lines": [asdict(ln) for ln in res.lines],
         },
         cfg,
     )
@@ -256,7 +254,9 @@ def cmd_spectrum(args) -> int:
 def cmd_transitions(args) -> int:
     params = system_params(args)
     pumps = sweep_values(args)
-    rows, failures = exact.transition_map(params, pumps, channel=args.channel, n_max=args.n_max)
+    rows, failures = exact.transition_map(
+        params, pumps, channel=args.channel, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol
+    )
     out = args.out or "transitions.csv"
     _write_table(
         out,
@@ -287,21 +287,18 @@ def cmd_mollow_coherent(args) -> int:
         {
             "elastic_weight": dec.coherent_weight,
             "n_sigma": dec.n_sigma,
-            "lines": [
-                {"omega": ln.omega, "gamma": ln.gamma, "L": ln.L, "K": ln.K} for ln in dec.lines
-            ],
+            "lines": [asdict(ln) for ln in dec.lines],
         },
         cfg,
     )
     # visibility map over (delta, gamma_phi)
     deltas = np.linspace(0.0, args.map_delta_max * gs, args.map_points)
     phis = np.linspace(0.0, args.map_phi_max * gs, args.map_points)
-    rows = []
-    for d in deltas:
-        for f in phis:
-            dr = LaserDriveParams(omega_L=drive.omega_L, delta=float(d), gamma_sigma=gs, gamma_phi=float(f))
-            V, defined = coherent.asymmetry_visibility(dr)
-            rows.append([float(d), float(f), V, defined])
+    grid = [(float(d), float(f)) for d in deltas for f in phis]
+    V, defined = coherent.asymmetry_visibility_map(
+        [LaserDriveParams(omega_L=drive.omega_L, delta=d, gamma_sigma=gs, gamma_phi=f) for d, f in grid]
+    )
+    rows = [[d, f, float(v), bool(ok)] for (d, f), v, ok in zip(grid, V, defined)]
     vis_path = out.with_name(out.stem + "_visibility.csv")
     _write_table(vis_path, ["delta", "gamma_phi", "visibility", "defined"], rows, cfg, args.format)
     print(f"wrote {out}, {out.with_suffix('.lines.json')} and {vis_path}")

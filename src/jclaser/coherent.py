@@ -3,9 +3,9 @@
 Everything is worked out in the frame rotating with the laser, so spectra
 are functions of ``omega - omega_L`` and the elastic peak sits at zero.
 Dephasing and detuning are included throughout.  The resonant triplet has a
-closed form; away from resonance the lines come from numerically
-diagonalizing the 3x3 regression matrix of the (sigma, sigma', sigma'sigma)
-operator set.
+closed form; away from resonance the lines come from ``lineshape.decompose``
+of the 3x3 regression matrix of the (sigma, sigma', sigma'sigma) operator
+set, stacked over as many drives as a caller asks for at once.
 """
 
 from __future__ import annotations
@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineshape import SpectralLine, evaluate_lines
+from .lineshape import (
+    Decomposition,
+    SpectralLine,
+    decompose,
+    evaluate_lines,
+    lines_from_eigenpairs,
+    merge_degenerate,
+)
 from .params import LaserDriveParams
-
-# Relative eigenvalue gap below which two correlator lines are merged into
-# one (exceptional points of the regression matrix).
-_DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,65 +94,32 @@ class CoherentLines:
     n_sigma: float
 
 
-def _merge_degenerate(lams: np.ndarray, coeffs: np.ndarray) -> tuple[list, list]:
-    """Merge eigenvalues closer than the degeneracy tolerance.
+def _correlator_decomposition(drives: list[LaserDriveParams]) -> Decomposition:
+    """Stacked decomposition of <sigma'(0)sigma(tau)>, one block per drive.
 
-    Jordan-block (t * exp(lam t)) corrections are not modeled; combining the
-    weights keeps the spectral integral correct through the crossing.
+    The vector v of ``regression_matrix`` obeys dv/dtau = -M v + A <s'>,
+    A = i omega_L (-1, 1, 0), from v(0) = (n_sigma, 0, 0); so n_c is n_sigma
+    and the elastic part is the stationary v_0.
     """
-    scale = max(abs(l) for l in lams)
-    tol = _DEGENERACY_RTOL * max(scale, 1e-300)
-    used = [False] * len(lams)
-    out_l, out_c = [], []
-    for i in range(len(lams)):
-        if used[i]:
-            continue
-        lam, c = lams[i], coeffs[i]
-        group = [i]
-        for j in range(i + 1, len(lams)):
-            if not used[j] and abs(lams[j] - lams[i]) < tol:
-                group.append(j)
-        if len(group) > 1:
-            c = sum(coeffs[j] for j in group)
-            lam = sum(lams[j] for j in group) / len(group)
-            for j in group:
-                used[j] = True
-        out_l.append(lam)
-        out_c.append(c)
-    return out_l, out_c
+    states = [coherent_steady_state(d) for d in drives]
+    M = np.stack([regression_matrix(d) for d in drives])
+    drive_coh = np.array([1j * d.omega_L * ss.sigma_coherence for d, ss in zip(drives, states)])
+    u0 = np.array([[ss.n_sigma, 0.0, 0.0] for ss in states], dtype=complex)
+    return decompose(-M, u0, np.array([1.0, 0.0, 0.0]), drive_coh[:, None] * np.array([-1.0, 1.0, 0.0]))
 
 
 def coherent_correlator_lines(drive: LaserDriveParams) -> CoherentLines:
     """Line decomposition of <sigma'(0)sigma(tau)> at arbitrary detuning.
 
-    Works by eigendecomposition of the regression matrix with initial
-    condition (n_sigma, 0, 0); weights are normalized so that they sum to
-    one together with the elastic weight.
+    Weights are normalized so that they sum to one together with the elastic
+    weight.
     """
-    ss = coherent_steady_state(drive)
-    if ss.n_sigma == 0.0:
+    dec = _correlator_decomposition([drive])
+    n_sigma = float(dec.n_c[0])
+    if n_sigma == 0.0:
         return CoherentLines((), 0.0, 0.0)
-    M = regression_matrix(drive)
-    # v(tau) = expm(-M tau) (v0 - u <s'>) + u <s'>, u = steady vector
-    A = 1j * drive.omega_L * np.array([-1.0, 1.0, 0.0], dtype=complex)
-    u = np.linalg.solve(M, A)
-    v0 = np.array([ss.n_sigma, 0.0, 0.0], dtype=complex)
-    x0 = v0 - u * ss.sigma_coherence
-    lams, V = np.linalg.eig(M)
-    proj = np.linalg.solve(V, x0)
-    coeffs = V[0, :] * proj / ss.n_sigma
-    lams, coeffs = _merge_degenerate(list(lams), list(coeffs))
-    lines = tuple(
-        SpectralLine(
-            omega=float(lam.imag),
-            gamma=float(2.0 * lam.real),
-            L=float(c.real),
-            K=float(c.imag),
-        )
-        for lam, c in zip(lams, coeffs)
-    )
-    l_coh = float((u[0] * ss.sigma_coherence).real / ss.n_sigma)
-    return CoherentLines(lines, l_coh, ss.n_sigma)
+    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_sigma)
+    return CoherentLines(tuple(lines), float(dec.elastic[0].real / n_sigma), n_sigma)
 
 
 def coherent_weight(drive: LaserDriveParams) -> float:
@@ -229,15 +199,26 @@ def asymmetry_visibility(drive: LaserDriveParams) -> tuple[float, bool]:
     Returns (V, defined); ``defined`` is False when both side weights vanish,
     in which case V is reported as 0.
     """
-    dec = coherent_correlator_lines(drive)
-    if len(dec.lines) < 3:
-        return 0.0, False
-    side = sorted(dec.lines, key=lambda ln: abs(ln.omega))[-2:]
-    lp, lm = side[0].L, side[1].L
-    tot = abs(lp) + abs(lm)
-    if tot < 1e-300:
-        return 0.0, False
-    return abs(lp - lm) / tot, True
+    V, defined = asymmetry_visibility_map([drive])
+    return float(V[0]), bool(defined[0])
+
+
+def asymmetry_visibility_map(drives: list[LaserDriveParams]) -> tuple[np.ndarray, np.ndarray]:
+    """``asymmetry_visibility`` of many drives from one stacked decomposition.
+
+    The side peaks are the two lines farthest from the laser frequency; a
+    drive with fewer than three lines (no drive, or merged lines) has none.
+    """
+    dec = _correlator_decomposition(drives)
+    driven = dec.n_c > 0.0
+    lams, weights, keep = merge_degenerate(dec.lams, dec.weights / np.where(driven, dec.n_c, 1.0)[:, None])
+    keep &= driven[:, None]
+    order = np.argsort(np.where(keep, np.abs(lams.imag), -1.0), axis=-1, kind="stable")
+    side = np.take_along_axis(weights.real, order[:, -2:], axis=-1)
+    tot = np.sum(np.abs(side), axis=-1)
+    defined = (np.sum(keep, axis=-1) >= 3) & (tot >= 1e-300)
+    V = np.where(defined, np.abs(side[:, 0] - side[:, 1]) / np.where(defined, tot, 1.0), 0.0)
+    return V, defined
 
 
 def spectrum_by_propagation(

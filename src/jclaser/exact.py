@@ -36,7 +36,13 @@ from .errors import (
     SolverMemoryError,
     TruncationNotConvergedError,
 )
-from .lineshape import SpectralLine, SpectrumResult, evaluate_lines, lines_from_eigenpairs
+from .lineshape import (
+    SpectralLine,
+    SpectrumResult,
+    decompose,
+    evaluate_lines,
+    lines_from_eigenpairs,
+)
 from .params import SystemParams
 
 
@@ -511,42 +517,25 @@ def spectral_lines(
     channel: str = "cavity",
     ss: SteadyState | None = None,
     weight_floor: float = 0.0,
-    reduce_ladder: bool = True,
 ) -> list[SpectralLine]:
     """Line decomposition of the emission spectrum for one channel.
 
-    Eigen-decomposes the coherence-sector block of the Liouvillian and
-    projects the steady-state initial condition onto its eigenbasis; weights
-    are normalized by the channel population so they sum to one.  A table
-    whose weights miss one by more than 1e-6 is refused: the eigenbasis is
-    then too ill-conditioned to trust the individual lines either.
+    ``lineshape.decompose`` projects the steady-state initial condition on
+    the eigenbasis of the coherence-sector block; weights are normalized by
+    the channel population so they sum to one, and a table whose weights
+    miss one by more than 1e-6 is refused.
 
     Unpopulated tail rungs carry no weight but their inner transitions pile
     up at the origin and wreck the eigenbasis conditioning, so the sector is
     first restricted to the populated ladder (occupation above 1e-12 of the
-    peak, plus padding).
+    peak, plus padding; restricting twice changes nothing).
     """
     if ss is None:
         ss = steady_state(params, n_max)
-    if reduce_ladder:
-        ss = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
+    ss = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
     sec = regression_sector(params, ss, channel)
-    lams, V = np.linalg.eig(sec.generator)
-    try:
-        proj = np.linalg.solve(V, sec.u0)
-    except np.linalg.LinAlgError as exc:
-        raise NonDiagonalizableError(str(exc)) from exc
-    resid = np.max(np.abs(sec.generator @ V - V * lams)) / max(np.max(np.abs(lams)), 1e-300)
-    if resid > 1e-8:
-        raise NonDiagonalizableError(f"eigenbasis residual {resid:.2e}")
-    coeffs = (sec.readout @ V) * proj / sec.n_c
-    closure = abs(float(np.sum(coeffs.real)) - 1.0)
-    if closure > 1e-6:
-        raise NonDiagonalizableError(f"line weights miss one by {closure:.2e}")
-    lines = lines_from_eigenpairs(lams, coeffs)
-    if weight_floor > 0.0:
-        lines = [ln for ln in lines if abs(ln.L) + abs(ln.K) >= weight_floor]
-    return lines
+    dec = decompose(sec.generator, sec.u0, sec.readout)
+    return lines_from_eigenpairs(dec.lams, dec.weights / sec.n_c, weight_floor)
 
 
 def elastic_weight_estimate(lines: list[SpectralLine], gamma_a: float) -> float:
@@ -574,7 +563,7 @@ def spectrum(
         omega = np.linspace(-span, span, 2001)
     ss_l = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
     try:
-        lines = spectral_lines(params, channel=channel, ss=ss_l, reduce_ladder=False)
+        lines = spectral_lines(params, channel=channel, ss=ss_l)
         values = evaluate_lines(lines, omega)
     except NonDiagonalizableError:
         values = resolvent_spectrum(params, ss_l, channel, omega)
@@ -619,18 +608,21 @@ def transition_map(
     channel: str = "cavity",
     n_max: int | None = None,
     weight_floor: float = 1e-10,
+    n_max_cap: int = 2048,
+    rtol: float = 1e-7,
 ) -> tuple[list[TransitionRow], list[tuple[float, str]]]:
     """Spectral-line table across a pump sweep (dressed-state map).
 
-    Weights keep their sign.  Per-point failures are recorded and the sweep
-    continues; the second return value lists (pump, message) failures.
+    ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state``.  Weights keep
+    their sign.  Per-point failures are recorded and the sweep continues; the
+    second return value lists (pump, message) failures.
     """
     rows: list[TransitionRow] = []
     failures: list[tuple[float, str]] = []
     for P in np.asarray(pumps, dtype=float):
         p = replace(params, P_sigma=float(P))
         try:
-            ss = steady_state(p, n_max)
+            ss = steady_state(p, n_max, n_max_cap=n_max_cap, rtol=rtol)
             for ln in spectral_lines(p, channel=channel, ss=ss, weight_floor=weight_floor):
                 rows.append(TransitionRow(float(P), ln.omega, ln.gamma, ln.L, ln.K))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract

@@ -1,11 +1,15 @@
-"""Spectral line records and Lorentzian line-sum evaluation.
+"""Spectral lines: the one eigen-projection, the line records, Lorentzian sums.
 
-A two-time correlator decomposed into complex damped exponentials
+Each engine writes its two-time correlator as du/dtau = G u + f from
+u(0) = u0, read out as <c'(0)c(tau)> = readout . u(tau).  One convention: G
+is the generator, so u(tau) = B + e^{G tau} (u0 - B) with G B = -f, and an
+eigenvalue lam gives a line at omega = -Im lam of FWHM gamma = -2 Re lam.
+The exact, approximate (per-rung) and coherent-drive engines all call
+``decompose`` and ``lines_from_eigenpairs``, giving
 
-    <c'(0)c(t)> = n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
+    <c'(0)c(t)> = readout . B + n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
 
-transforms into a sum of Lorentzians with dispersive admixtures.  These
-helpers are shared by the coherent-drive, exact and approximate engines.
+which transforms into a sum of Lorentzians with dispersive admixtures.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import NonDiagonalizableError
 
 
 @dataclass(frozen=True)
@@ -25,24 +31,98 @@ class SpectralLine:
     K: float = 0.0
 
 
-def lines_from_eigenpairs(lams: np.ndarray, coeffs: np.ndarray) -> list[SpectralLine]:
-    """Convert generator eigenvalues and normalized projections into lines.
+# Relative eigenvalue gap below which two lines merge into one (exceptional
+# points of the generator, where the eigenbasis degenerates).
+_DEGENERACY_RTOL = 1e-9
 
-    ``lams`` are eigenvalues of the regression generator acting as
-    exp(lam * t), so ``omega = -Im(lam)`` and ``gamma = -2 Re(lam)``;
-    ``coeffs`` are the (L + iK) complex weights.
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Per block: eigenvalues, weights readout . V_p (V^-1 (u0 - B))_p (not
+    normalized), the elastic part readout . B and n_c = Re readout . u0."""
+
+    lams: np.ndarray
+    weights: np.ndarray
+    elastic: np.ndarray
+    n_c: np.ndarray
+
+
+def decompose(
+    G: np.ndarray, u0: np.ndarray, readout: np.ndarray, inhom: np.ndarray | None = None
+) -> Decomposition:
+    """Project u0 - B on the eigenbasis of G, with G B = -inhom.
+
+    ``G`` has shape (..., n, n) and the vectors (..., n); every leading axis
+    is a batch of independent blocks.  Refuses with
+    ``NonDiagonalizableError`` when the eigenbasis residual
+    max |G V - V lam| / max |lam| of a block exceeds 1e-8, or when the real
+    part of its weights plus its elastic part misses n_c by more than 1e-6
+    of n_c: the eigenbasis is then too ill-conditioned to trust single lines.
     """
-    out = []
-    for lam, c in zip(lams, coeffs):
-        out.append(
-            SpectralLine(
-                omega=float(-lam.imag),
-                gamma=float(-2.0 * lam.real),
-                L=float(c.real),
-                K=float(c.imag),
-            )
+    B = np.zeros_like(u0)
+    if inhom is not None:
+        rhs = -inhom[..., None]
+        try:
+            B = np.linalg.solve(G, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # a singular block: least-squares part
+            B = (np.linalg.pinv(G) @ rhs)[..., 0]
+    lams, V = np.linalg.eig(G)
+    try:
+        proj = np.linalg.solve(V, (u0 - B)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableError(str(exc)) from exc
+    scale = np.maximum(np.max(np.abs(lams), axis=-1), 1e-300)
+    resid = np.max(np.abs(G @ V - V * lams[..., None, :]), axis=(-2, -1)) / scale
+    if not np.all(resid <= 1e-8):
+        raise NonDiagonalizableError(f"eigenbasis residual {np.max(resid):.2e}")
+    weights = (readout[..., None, :] @ V)[..., 0, :] * proj
+    elastic = np.sum(readout * B, axis=-1)
+    total = np.sum(readout * u0, axis=-1)
+    miss = np.abs((np.sum(weights, axis=-1) + elastic - total).real)
+    if not np.all(miss <= 1e-6 * np.abs(total.real)):
+        raise NonDiagonalizableError(
+            f"line weights miss one by {np.max(miss / np.abs(total.real)):.2e}"
         )
-    return out
+    return Decomposition(lams=lams, weights=weights, elastic=elastic, n_c=total.real)
+
+
+def merge_degenerate(lams: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge eigenvalues closer than 1e-9 of max |lam| along the last axis.
+
+    A group keeps its mean eigenvalue and summed weight at its first position,
+    which ``keep`` marks.  Jordan-block (t exp(lam t)) terms are not modeled;
+    the summed weight keeps the spectral integral right through the crossing.
+    """
+    n = lams.shape[-1]
+    tol = _DEGENERACY_RTOL * np.max(np.abs(lams), axis=-1, initial=1e-300)
+    close = np.abs(lams[..., :, None] - lams[..., None, :]) < tol[..., None, None]
+    first = np.argmax(close, axis=-1)  # the earliest eigenvalue within the gap
+    up = np.take_along_axis(first, first, axis=-1)
+    while np.any(up != first):  # a chain joins the group of its earliest member
+        first, up = up, np.take_along_axis(up, up, axis=-1)
+    keep = first == np.arange(n)
+    member = first[..., None, :] == np.arange(n)[:, None]  # [..., group, index]
+    size = np.maximum(np.sum(member, axis=-1), 1)
+    lams = np.where(keep, np.sum(member * lams[..., None, :], axis=-1) / size, lams)
+    weights = np.where(keep, np.sum(member * weights[..., None, :], axis=-1), weights)
+    return lams, weights, keep
+
+
+def lines_from_eigenpairs(
+    lams: np.ndarray, weights: np.ndarray, floor: float = 0.0
+) -> list[SpectralLine]:
+    """Lines from generator eigenvalues and normalized (L + iK) weights.
+
+    The arrays are flattened, degenerate eigenvalues merged, and lines with
+    |L| + |K| below ``floor`` dropped.  ``omega = -Im(lam)`` and
+    ``gamma = -2 Re(lam)``.
+    """
+    lams, weights, keep = merge_degenerate(np.ravel(lams), np.ravel(weights))
+    keep &= np.abs(weights.real) + np.abs(weights.imag) >= floor
+    return [
+        SpectralLine(omega=float(-lam.imag), gamma=float(-2.0 * lam.real), L=float(c.real), K=float(c.imag))
+        for lam, c in zip(lams[keep], weights[keep])
+    ]
 
 
 def evaluate_lines(lines: list[SpectralLine], omega: np.ndarray) -> np.ndarray:
@@ -92,7 +172,3 @@ class SpectrumResult:
     lines: list[SpectralLine] = field(default_factory=list)
     method: str = ""
     meta: dict = field(default_factory=dict)
-
-    def weight_sum(self) -> float:
-        """Total Lorentzian weight including the elastic part."""
-        return self.elastic_weight + sum(ln.L for ln in self.lines)

@@ -31,22 +31,23 @@ from .errors import (
 from .params import SystemParams, inv_C_eff
 
 
-def recurrence_coefficients(params: SystemParams, n: int) -> tuple[float, float, float]:
+def recurrence_coefficients(params: SystemParams, n: int, num=float) -> tuple:
     """Coefficients (A_n, B_n, C_n) of the moment recurrence at index n.
 
     The steady-state equation reads  C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0.
-    Requires P_a = 0.
+    Requires P_a = 0.  The rates are converted with ``num`` first, so
+    ``num=mpmath.mpf`` evaluates the same formulas at the working precision;
+    1/C_eff is ``params.inv_C_eff`` written out for any number type.
     """
-    gs_tot = params.Gamma_sigma
-    ga = params.gamma_a
-    A = 2.0 * ga / (gs_tot + n * ga)
-    B = (
-        inv_C_eff(params, n)
-        + n * ga / (gs_tot + (n - 1) * ga)
-        - 2.0 * params.P_sigma / (gs_tot + n * ga)
-        + 1.0
-    )
-    C = n * params.P_sigma / (gs_tot + (n - 1) * ga)
+    rates = (params.g, params.gamma_a, params.gamma_sigma, params.gamma_phi, params.P_sigma, params.delta)
+    g, ga, gs, gp, P, dl = (num(x) for x in rates)
+    G = gs + P
+    gam_t = G + gp + (2 * n - 1) * ga
+    ge2 = g**2 / (1 + (2 * dl / gam_t) ** 2) if dl != 0 else g**2
+    invC = ga * gam_t / (4 * ge2) if ge2 != 0 else num("inf")
+    A = 2 * ga / (G + n * ga)
+    B = invC + n * ga / (G + (n - 1) * ga) - 2 * P / (G + n * ga) + 1
+    C = n * P / (G + (n - 1) * ga)
     return A, B, C
 
 
@@ -242,22 +243,10 @@ def _ratio_sweep_mp(params: SystemParams, n_max: int, depth: int = 2, dps: int =
     from mpmath import mp, mpf
 
     with mp.workdps(dps):
-        g = mpf(params.g)
-        ga = mpf(params.gamma_a)
-        gs = mpf(params.gamma_sigma)
-        gp = mpf(params.gamma_phi)
-        P = mpf(params.P_sigma)
-        dl = mpf(params.delta)
-        G = gs + P
         F = mpf(0)
         tail = []
         for n in range(n_max, 0, -1):
-            gam_t = G + gp + (2 * n - 1) * ga
-            ge2 = g**2 / (1 + (2 * dl / gam_t) ** 2) if dl != 0 else g**2
-            invC = ga * gam_t / (4 * ge2)
-            A = 2 * ga / (G + n * ga)
-            B = invC + n * ga / (G + (n - 1) * ga) - 2 * P / (G + n * ga) + 1
-            C = n * P / (G + (n - 1) * ga)
+            A, B, C = recurrence_coefficients(params, n, mpf)
             F = C / (B + A * F)
             if n <= depth:
                 tail.append(F)
@@ -376,6 +365,10 @@ def perturbative_series(params: SystemParams, n_max: int, t_max: int) -> SeriesC
     P_sigma = 0 and matched order by order; the resulting convolution
     recurrence determines f_t[n] from lower orders.  Needs gamma_a > 0 and
     gamma_sigma > 0 (poles of the coefficients sit at -gamma_sigma).
+
+    The coefficients here are Taylor series in the pump, a different object
+    from the values ``recurrence_coefficients`` returns at one pump, so they
+    are expanded term by term below.
     """
     if params.gamma_a <= 0.0 or params.gamma_sigma <= 0.0:
         raise ValueError("pump series requires gamma_a > 0 and gamma_sigma > 0")

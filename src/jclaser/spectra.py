@@ -17,10 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotResolvableError
-from .lineshape import SpectralLine, SpectrumResult, evaluate_lines
+from .lineshape import (
+    Decomposition,
+    SpectralLine,
+    SpectrumResult,
+    decompose,
+    evaluate_lines,
+    lines_from_eigenpairs,
+)
 from .params import SystemParams, kappa_a, kappa_sigma
 
 _TAIL = 1e-12  # rungs with both statistics weights below this (relative) are dropped
+_LINE_FLOOR = 1e-14  # rung lines with |L| + |K| below this are dropped
 
 
 def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
@@ -129,17 +137,6 @@ def linear_rabi(params: SystemParams) -> complex:
     return rabi_frequencies(params, 0.0).outer
 
 
-@dataclass
-class RungDecomposition:
-    """Raw eigen-data of the 4x4 rung blocks for one emission channel."""
-
-    rungs: np.ndarray  # rung indices (may be fractional)
-    lams: np.ndarray  # shape (N, 4), generator eigenvalues (decay as exp(-lam tau))
-    coeffs: np.ndarray  # shape (N, 4), unnormalized complex weights
-    elastic: complex  # readout-summed tau-independent part
-    n_c: float  # channel population used for normalization
-
-
 def _xi(params: SystemParams) -> tuple[complex, complex]:
     width = params.Gamma_sigma + params.gamma_phi
     tilt = 2.0 * params.delta / width if width > 0.0 else 0.0
@@ -153,13 +150,14 @@ def rung_decomposition(
     slices: DensityMatrixSlices | None = None,
     rungs: np.ndarray | None = None,
     slice_override: dict | None = None,
-) -> RungDecomposition:
+) -> Decomposition:
     """Eigen-decompose the per-rung correlator blocks and project them.
 
-    Each rung n couples (S0[n+1], S1[n], Q[n], V[n+1]); the inhomogeneous
-    part is removed first (it carries the elastic weight), the rest is
-    projected onto the block eigenbasis.  ``rungs`` may be fractional (used
-    by the single-rung semiclassical substitution, with ``slice_override``
+    Each rung n couples (S0[n+1], S1[n], Q[n], V[n+1]) as du/dtau = -M u + A,
+    so the stacked blocks go to ``lineshape.decompose`` as G = -M with the
+    inhomogeneity A, whose stationary part carries the elastic weight.  The
+    result has one block per rung.  ``rungs`` may be fractional (used by the
+    single-rung semiclassical substitution, with ``slice_override``
     supplying the continuum slice values).
     """
     T = np.asarray(T, dtype=float)
@@ -227,19 +225,7 @@ def rung_decomposition(
     else:
         raise ValueError(f"unknown channel {channel!r}")
 
-    B = np.zeros_like(A)
-    for i in range(N):  # per-rung inhomogeneous part, with singular fallback
-        try:
-            B[i] = np.linalg.solve(M[i], A[i])
-        except np.linalg.LinAlgError:
-            B[i] = np.linalg.lstsq(M[i], A[i], rcond=None)[0]
-
-    lams, V = np.linalg.eig(M)
-    proj = np.linalg.solve(V, (u0 - B)[..., None])[..., 0]
-    coeffs = np.einsum("ni,nij->nj", read, V) * proj
-    elastic = complex(np.einsum("ni,ni->", read, B))
-    n_c = float(np.real(np.einsum("ni,ni->", read, u0)))
-    return RungDecomposition(rungs=n, lams=lams, coeffs=coeffs, elastic=elastic, n_c=n_c)
+    return decompose(-M, u0, read, A)
 
 
 def approx_spectrum(
@@ -255,39 +241,25 @@ def approx_spectrum(
     integrates to 1 - Re(E)/n_c with E the elastic component.
     """
     dec = rung_decomposition(params, T, channel, slices=slices)
-    lines = _lines_from_rungs(dec)
-    values = evaluate_lines(lines, omega)
+    meta = {"validity_window": _window_ok(params), "rungs": len(dec.n_c)}
+    return _rung_spectrum(dec, channel, omega, "approx", meta)
+
+
+def _rung_spectrum(
+    dec: Decomposition, channel: str, omega: np.ndarray, method: str, meta: dict
+) -> SpectrumResult:
+    """Lines of all rung blocks, normalized by their summed population."""
+    n_c = float(np.sum(dec.n_c))
+    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, _LINE_FLOOR)
     return SpectrumResult(
         channel=channel,
         omega=np.asarray(omega, dtype=float),
-        values=values,
-        elastic_weight=float(dec.elastic.real / dec.n_c),
+        values=evaluate_lines(lines, omega),
+        elastic_weight=float(np.sum(dec.elastic).real / n_c),
         lines=lines,
-        method="approx",
-        meta={
-            "n_c": dec.n_c,
-            "validity_window": _window_ok(params),
-            "rungs": len(dec.rungs),
-        },
+        method=method,
+        meta={"n_c": n_c, **meta},
     )
-
-
-def _lines_from_rungs(dec: RungDecomposition, floor: float = 1e-14) -> list[SpectralLine]:
-    lines = []
-    for lam_row, c_row in zip(dec.lams, dec.coeffs):
-        for lam, c in zip(lam_row, c_row):
-            c = c / dec.n_c
-            if abs(c) < floor:
-                continue
-            lines.append(
-                SpectralLine(
-                    omega=float(lam.imag),
-                    gamma=float(2.0 * lam.real),
-                    L=float(c.real),
-                    K=float(c.imag),
-                )
-            )
-    return lines
 
 
 def _window_ok(params: SystemParams) -> bool:
@@ -348,9 +320,6 @@ def correlator_coefficients(
         slices = density_slices_from_statistics(params, T)
     n_c = channel_population(params, T, channel, slices)
     dec = rung_decomposition(params, T, channel, slices=slices, rungs=np.array([n]))
-    dec = RungDecomposition(
-        rungs=dec.rungs, lams=dec.lams, coeffs=dec.coeffs, elastic=dec.elastic, n_c=n_c
-    )
     rf = rabi_frequencies(params, n)
     mean = (3.0 * params.Gamma_sigma + params.gamma_phi) / 4.0
     targets = {
@@ -359,14 +328,13 @@ def correlator_coefficients(
         "outer": mean + 1j * rf.outer,
         "outer_mirror": mean - 1j * rf.outer,
     }
-    lams = dec.lams[0]
-    coeffs = dec.coeffs[0] / dec.n_c
+    lams = -dec.lams[0]  # eigenvalues of the decay matrix M, as the targets
+    coeffs = dec.weights[0] / n_c
     assigned: dict[str, complex] = {}
-    taken = [False] * 4
+    free = np.ones(4, dtype=bool)
     for name, tgt in targets.items():
-        dists = [abs(lams[i] - tgt) if not taken[i] else math.inf for i in range(4)]
-        i = int(np.argmin(dists))
-        taken[i] = True
+        i = int(np.argmin(np.where(free, np.abs(lams - tgt), np.inf)))
+        free[i] = False
         assigned[name] = coeffs[i]
     return CorrelatorCoefficients(
         n=float(n),
@@ -511,16 +479,7 @@ def approx_spectrum_single_rung(
         rungs=np.array([float(n_value)]),
         slice_override=_single_rung_override(params, n_value),
     )
-    lines = _lines_from_rungs(dec)
-    return SpectrumResult(
-        channel=channel,
-        omega=np.asarray(omega, dtype=float),
-        values=evaluate_lines(lines, omega),
-        elastic_weight=float(dec.elastic.real / dec.n_c),
-        lines=lines,
-        method="semiclassical",
-        meta={"n_value": float(n_value), "n_c": dec.n_c},
-    )
+    return _rung_spectrum(dec, channel, omega, "semiclassical", {"n_value": float(n_value)})
 
 
 def semiclassical_mollow(

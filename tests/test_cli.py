@@ -300,6 +300,16 @@ def test_steady_good_cavity_needs_a_higher_cap(tmp_path):
     assert row["error"].startswith("TruncationNotConvergedError")
 
 
+def test_transitions_honours_cutoff_cap(tmp_path, capsys):
+    # the lasing points need cutoffs of ~300 photons, so a cap of 10 fails each
+    args = ["transitions", "--sweep-min", "5", "--sweep-max", "7", "--sweep-points", "3",
+            "--auto-nmax-cap", "10", "--out", str(tmp_path / "t.csv")]
+    assert run(args) == 4
+    captured = capsys.readouterr()
+    assert "(0 lines, 3 failed points)" in captured.out
+    assert captured.err.count("TruncationNotConvergedError") == 3
+
+
 def test_commands_do_not_load_mpmath(tmp_path):
     # mpmath serves the moment route's tests only; a fresh interpreter shows
     # whether any command imports it

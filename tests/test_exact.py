@@ -256,7 +256,7 @@ def test_eigen_vs_resolvent_spectra():
     ss = exact.steady_state(p)
     ss_l = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
     for channel in ("cavity", "emitter"):
-        lines = exact.spectral_lines(p, channel=channel, ss=ss_l, reduce_ladder=False)
+        lines = exact.spectral_lines(p, channel=channel, ss=ss_l)
         w = rng.uniform(-6.0, 6.0, size=32)
         from_lines = evaluate_lines(lines, w)
         from_resolvent = exact.resolvent_spectrum(p, ss_l, channel, w)
