@@ -286,8 +286,11 @@ class CothermalState:
         if nth < 1e-12:  # Poissonian limit (and the analytic n_th < 0 branch)
             return poissonian_statistics(max(self.n_a, nc), n_cut)
         if n_cut is None:
-            width = math.sqrt(max(self.n_a, 1.0))
-            n_cut = int(self.n_a + 12.0 * width) + 25
+            # T[n] / T[0] = r^n L_n(-x) <= exp(2 sqrt(n x) - n / (1 + n_th)), with
+            # r = n_th / (1 + n_th); this passes ``tail`` at n = (1 + n_th) s^2
+            c = nc / nth
+            s = math.sqrt(c) + math.sqrt(c - math.log(tail))
+            n_cut = int((1.0 + nth) * s * s) + 25
         n_cut = max(n_cut, 8)
         x = nc / (nth * (1.0 + nth))
         ratio_base = nth / (1.0 + nth)

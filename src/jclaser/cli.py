@@ -24,6 +24,7 @@ from .errors import (
     SolverMemoryError,
     TruncationNotConvergedError,
 )
+from .lineshape import evaluate_lines
 from .output import write_csv, write_json
 from .params import LaserDriveParams, SystemParams
 
@@ -280,7 +281,7 @@ def cmd_mollow_coherent(args) -> int:
     cfg = config_dict(args)
     out = Path(args.out or "mollow_coherent.csv")
     dec = coherent.coherent_correlator_lines(drive)
-    values = coherent.spectrum_from_lines(drive, omega)
+    values = evaluate_lines(list(dec.lines), omega)
     _write_table(out, ["omega", "S"], [[w, v] for w, v in zip(omega, values)], cfg, args.format)
     write_json(
         out.with_suffix(".lines.json"),

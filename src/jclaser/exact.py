@@ -246,14 +246,14 @@ def sector_generator(
 
 @dataclass
 class SteadyState:
-    """Solved steady state: the k = 0 sector as per-rung arrays.
+    """Steady state as per-rung arrays: the one density-matrix record.
 
     ``p0[n]`` and ``p1[n]`` are the populations of |n,0> and |n,1>, and
-    ``q_r[n] + i q_i[n]`` is the coherence rho_{n,0; n-1,1} (zero at n = 0),
-    as in ``spectra.DensityMatrixSlices``; every other element vanishes by
-    the excitation-number symmetry.
+    ``q_r[n] + i q_i[n]`` is the coherence rho_{n,0; n-1,1} (zero at n = 0);
+    every other element vanishes by the excitation-number symmetry.  The
+    sector solve fills it, or ``spectra.density_slices_from_statistics``.
     ``herm_defect`` is max |x_{r;s} - conj(x_{s;r})| of the solved sector
-    vector, taken before it was stored as Hermitian arrays.
+    vector before it was stored as Hermitian arrays (0 if reconstructed).
     """
 
     params: SystemParams
@@ -468,7 +468,6 @@ class RegressionSector:
     generator: np.ndarray
     u0: np.ndarray
     readout: np.ndarray
-    n_c: float
 
 
 def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> RegressionSector:
@@ -476,7 +475,13 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
 
     Its elements are the ladder operators' matrix elements; the initial
     condition is rho c' on the sector and the readout takes Tr(c .).
+
+    Unpopulated tail rungs carry no weight but their inner transitions pile
+    up at the origin and wreck the eigenbasis conditioning, so the sector is
+    built on the populated ladder only (occupation above 1e-12 of the peak,
+    plus padding; restricting twice changes nothing).
     """
+    ss = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
     a, sig = _ladders(ss.space.n_max)
     if channel == "cavity":
         c = a
@@ -492,8 +497,7 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     u0 = np.zeros(len(r), dtype=complex)
     u0[ok] = ss.element(r[ok], t[s[ok]]) * v[s[ok]]
     readout = np.where(dst[r] == s, amp[r], 0.0)  # readout[e] = <s| c |r>
-    n_c = float(np.real(np.dot(readout, u0)))
-    return RegressionSector(generator=G.toarray(), u0=u0, readout=readout, n_c=n_c)
+    return RegressionSector(generator=G.toarray(), u0=u0, readout=readout)
 
 
 def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
@@ -522,20 +526,14 @@ def spectral_lines(
 
     ``lineshape.decompose`` projects the steady-state initial condition on
     the eigenbasis of the coherence-sector block; weights are normalized by
-    the channel population so they sum to one, and a table whose weights
+    the channel population n_c so they sum to one, and a table whose weights
     miss one by more than 1e-6 is refused.
-
-    Unpopulated tail rungs carry no weight but their inner transitions pile
-    up at the origin and wreck the eigenbasis conditioning, so the sector is
-    first restricted to the populated ladder (occupation above 1e-12 of the
-    peak, plus padding; restricting twice changes nothing).
     """
     if ss is None:
         ss = steady_state(params, n_max)
-    ss = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
     sec = regression_sector(params, ss, channel)
     dec = decompose(sec.generator, sec.u0, sec.readout)
-    return lines_from_eigenpairs(dec.lams, dec.weights / sec.n_c, weight_floor)
+    return lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c, weight_floor)
 
 
 def elastic_weight_estimate(lines: list[SpectralLine], gamma_a: float) -> float:
@@ -561,12 +559,11 @@ def spectrum(
     if omega is None:
         span = 3.0 * params.g * max(1.0, math.sqrt(max(ss.n_a, 1.0)))
         omega = np.linspace(-span, span, 2001)
-    ss_l = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
     try:
-        lines = spectral_lines(params, channel=channel, ss=ss_l)
+        lines = spectral_lines(params, channel=channel, ss=ss)
         values = evaluate_lines(lines, omega)
     except NonDiagonalizableError:
-        values = resolvent_spectrum(params, ss_l, channel, omega)
+        values = resolvent_spectrum(params, ss, channel, omega)
         lines = []
     return SpectrumResult(
         channel=channel,
@@ -584,12 +581,12 @@ def resolvent_spectrum(
 ) -> np.ndarray:
     """S(w) from direct resolvent solves; no eigendecomposition involved."""
     sec = regression_sector(params, ss, channel)
-    n = sec.generator.shape[0]
+    n_c = float(np.real(np.dot(sec.readout, sec.u0)))
     out = np.empty(len(omega))
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(len(sec.u0), dtype=complex)
     for i, w in enumerate(np.asarray(omega, dtype=float)):
         sol = np.linalg.solve(sec.generator + 1j * w * eye, sec.u0)
-        out[i] = -np.real(np.dot(sec.readout, sol)) / (math.pi * sec.n_c)
+        out[i] = -np.real(np.dot(sec.readout, sol)) / (math.pi * n_c)
     return out
 
 

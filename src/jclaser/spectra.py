@@ -4,7 +4,8 @@ Valid deep in strong coupling, where the photon dynamics is slow against the
 emitter and coupling dynamics: the steady density matrix follows from the
 photon statistics T[n] alone, and each ladder rung contributes four lines at
 the inner/outer Rabi frequencies, solved rung by rung from 4x4 blocks.  The
-photon statistics is pluggable (exact, Poissonian, thermal, cothermal).
+photon statistics is pluggable (exact, Poissonian, or thermal and cothermal
+from ``approximations.CothermalState``).
 
 Frequencies are measured from the cavity; the emitter sits at -delta.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotResolvableError
+from .exact import FockSpace, SteadyState
 from .lineshape import (
     Decomposition,
     SpectralLine,
@@ -42,67 +44,49 @@ def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
     return np.exp(np.clip(logT, math.log(1e-300), 0.0))
 
 
-def thermal_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
-    if n_cut is None:
-        n_cut = int(25.0 * (n_a + 1.0)) + 25
-    n = np.arange(n_cut + 1)
-    return n_a**n / (n_a + 1.0) ** (n + 1)
-
-
 # ---------------------------------------------------------------------------
 # Density-matrix slices from the photon statistics
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DensityMatrixSlices:
-    """Steady density-matrix elements reconstructed from T[n].
+def _rung_slices(
+    params: SystemParams, n: np.ndarray, Tn: np.ndarray, Tn1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p0[n+1], p1[n] and q_i[n+1] of rung n from T[n] and T[n+1].
 
-    Arrays are indexed by photon number; ``q_i[0] = 0`` by construction and
-    ``p0[0]`` closes the distribution as T[0] - p1[0].  ``closure_residual``
-    reports max |p0[n] + p1[n] - T[n]|, which vanishes only for a lossless
-    cavity.
+    Vectorised over the rung index, which may be fractional (the single-rung
+    substitution reads it at n = n_a with unit statistics).
     """
-
-    p0: np.ndarray
-    p1: np.ndarray
-    q_r: np.ndarray
-    q_i: np.ndarray
-    closure_residual: float
-    in_validity_window: bool
-
-
-def density_slices_from_statistics(
-    params: SystemParams, T: np.ndarray
-) -> DensityMatrixSlices:
-    """Populations and coherences per rung from the photon statistics."""
     if params.P_a != 0.0:
         raise ValueError("slice reconstruction assumes P_a = 0")
-    T = np.asarray(T, dtype=float)
-    N = len(T) - 1
     G = params.Gamma_sigma
     if G == 0.0:
         raise ValueError("slice reconstruction needs gamma_sigma + P_sigma > 0")
     ka = kappa_a(params)
     gs, P, g = params.gamma_sigma, params.P_sigma, params.g
-    n = np.arange(N)  # rung index: relations give p0[n+1], p1[n], q_i[n+1]
-    Tn, Tn1 = T[:-1], T[1:]
     denom = 2.0 * ka * (n + 1) + G
     common = ka * (n + 1) * (P / G * Tn + gs / G * Tn1)
-    p0 = np.zeros(N + 1)
-    p1 = np.zeros(N + 1)
-    q_i = np.zeros(N + 1)
-    p0[1:] = (common + gs * Tn1) / denom
-    p1[:-1] = (common + P * Tn) / denom
-    q_i[1:] = -ka * np.sqrt(n + 1.0) / (2.0 * g) * (P * Tn - gs * Tn1) / denom
+    p0_n1 = (common + gs * Tn1) / denom
+    p1_n = (common + P * Tn) / denom
+    qi_n1 = -ka * np.sqrt(n + 1.0) / (2.0 * g) * (P * Tn - gs * Tn1) / denom
+    return p0_n1, p1_n, qi_n1
+
+
+def density_slices_from_statistics(params: SystemParams, T: np.ndarray) -> SteadyState:
+    """Populations and coherences per rung from the photon statistics.
+
+    Returns the steady-state record of the exact engine on the ladder of T,
+    with ``herm_defect = 0``; ``q_i[0] = 0`` by construction and ``p0[0]``
+    closes the distribution as T[0] - p1[0].  Its ``photon_distribution``
+    equals T only for a lossless cavity.
+    """
+    T = np.asarray(T, dtype=float)
+    N = len(T) - 1
+    p0, p1, q_i = np.zeros((3, N + 1))
+    p0[1:], p1[:-1], q_i[1:] = _rung_slices(params, np.arange(N), T[:-1], T[1:])
     p0[0] = T[0] - p1[0]
-    tilt = 2.0 * params.delta / (G + params.gamma_phi) if G + params.gamma_phi > 0 else 0.0
-    q_r = tilt * q_i
-    resid = float(np.max(np.abs(p0 + p1 - T)))
-    small = 5.0 * max(params.gamma_a, params.P_a)
-    ok = small <= G and small <= params.g
-    return DensityMatrixSlices(
-        p0=p0, p1=p1, q_r=q_r, q_i=q_i, closure_residual=resid, in_validity_window=ok
+    return SteadyState(
+        params=params, space=FockSpace(N), p0=p0, p1=p1, q_r=_tilt(params) * q_i, q_i=q_i
     )
 
 
@@ -120,16 +104,11 @@ class RabiFrequencies:
 
 def rabi_frequencies(params: SystemParams, n: float) -> RabiFrequencies:
     """Inner/outer half Rabi frequencies of rung ``n`` (branch Re >= 0)."""
-    inner, outer = _rabi_arrays(params, np.array([float(n)]))
-    return RabiFrequencies(n=n, inner=complex(inner[0]), outer=complex(outer[0]))
-
-
-def _rabi_arrays(params: SystemParams, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     decoh = (params.Gamma_sigma - params.gamma_phi) / 4.0
-    root_n, root_n1 = np.sqrt(n), np.sqrt(n + 1.0)
+    root_n, root_n1 = np.sqrt(float(n)), np.sqrt(n + 1.0)
     inner = np.sqrt((params.g * (root_n1 - root_n)) ** 2 - decoh**2 + 0j)
     outer = np.sqrt((params.g * (root_n1 + root_n)) ** 2 - decoh**2 + 0j)
-    return inner, outer
+    return RabiFrequencies(n=n, inner=complex(inner), outer=complex(outer))
 
 
 def linear_rabi(params: SystemParams) -> complex:
@@ -137,32 +116,27 @@ def linear_rabi(params: SystemParams) -> complex:
     return rabi_frequencies(params, 0.0).outer
 
 
-def _xi(params: SystemParams) -> tuple[complex, complex]:
+def _tilt(params: SystemParams) -> float:
+    """q_r / q_i = 2 delta / (Gamma_sigma + gamma_phi)."""
     width = params.Gamma_sigma + params.gamma_phi
-    tilt = 2.0 * params.delta / width if width > 0.0 else 0.0
-    return tilt + 1j, tilt - 1j
+    return 2.0 * params.delta / width if width > 0.0 else 0.0
 
 
 def rung_decomposition(
     params: SystemParams,
     T: np.ndarray,
     channel: str,
-    slices: DensityMatrixSlices | None = None,
     rungs: np.ndarray | None = None,
-    slice_override: dict | None = None,
 ) -> Decomposition:
     """Eigen-decompose the per-rung correlator blocks and project them.
 
     Each rung n couples (S0[n+1], S1[n], Q[n], V[n+1]) as du/dtau = -M u + A,
     so the stacked blocks go to ``lineshape.decompose`` as G = -M with the
     inhomogeneity A, whose stationary part carries the elastic weight.  The
-    result has one block per rung.  ``rungs`` may be fractional (used by the
-    single-rung semiclassical substitution, with ``slice_override``
-    supplying the continuum slice values).
+    result has one block per rung.  ``rungs`` may be fractional (the
+    single-rung semiclassical substitution); T is read at their integer part.
     """
     T = np.asarray(T, dtype=float)
-    if slices is None and slice_override is None:
-        slices = density_slices_from_statistics(params, T)
     if rungs is None:
         keep = (T[:-1] >= _TAIL * T.max()) | (T[1:] >= _TAIL * T.max())
         rungs = np.nonzero(keep)[0].astype(float)
@@ -172,23 +146,12 @@ def rung_decomposition(
     gs, P = params.gamma_sigma, params.P_sigma
     half = (G + params.gamma_phi) / 2.0
     sqn, sqn1 = np.sqrt(n), np.sqrt(n + 1.0)
-    xi_p, xi_m = _xi(params)
-
-    if slice_override is not None:
-        p0_n1 = np.asarray(slice_override["p0_n1"], dtype=float)
-        p1_n = np.asarray(slice_override["p1_n"], dtype=float)
-        qi_n = np.asarray(slice_override["qi_n"], dtype=float)
-        qi_n1 = np.asarray(slice_override["qi_n1"], dtype=float)
-        T_n = np.asarray(slice_override["T_n"], dtype=float)
-        T_n1 = np.asarray(slice_override["T_n1"], dtype=float)
-    else:
-        ni = n.astype(int)
-        p0_n1 = slices.p0[ni + 1]
-        p1_n = slices.p1[ni]
-        qi_n = slices.q_i[ni]
-        qi_n1 = slices.q_i[ni + 1]
-        T_n = T[ni]
-        T_n1 = T[ni + 1]
+    tilt = _tilt(params)
+    xi_p, xi_m = tilt + 1j, tilt - 1j
+    ni = n.astype(int)
+    T_n, T_n1 = T[ni], T[ni + 1]
+    p0_n1, p1_n, qi_n1 = _rung_slices(params, n, T_n, T_n1)
+    qi_n = np.where(n > 0.0, _rung_slices(params, n - 1.0, T[ni - 1], T_n)[2], 0.0)  # q_i[0] = 0
 
     M = np.zeros((N, 4, 4), dtype=complex)
     M[:, 0, 0] = G
@@ -233,14 +196,13 @@ def approx_spectrum(
     T: np.ndarray,
     channel: str,
     omega: np.ndarray,
-    slices: DensityMatrixSlices | None = None,
 ) -> SpectrumResult:
     """Line-sum spectrum over all populated rungs plus the separated delta.
 
     Weights are normalized by the channel population, so the incoherent part
     integrates to 1 - Re(E)/n_c with E the elastic component.
     """
-    dec = rung_decomposition(params, T, channel, slices=slices)
+    dec = rung_decomposition(params, T, channel)
     meta = {"validity_window": _window_ok(params), "rungs": len(dec.n_c)}
     return _rung_spectrum(dec, channel, omega, "approx", meta)
 
@@ -290,36 +252,21 @@ class CorrelatorCoefficients:
     R_outer: complex
 
 
-def channel_population(
-    params: SystemParams, T: np.ndarray, channel: str, slices: DensityMatrixSlices | None = None
-) -> float:
-    """Normalization n_c consistent with the rung readout over all rungs."""
-    if slices is None:
-        slices = density_slices_from_statistics(params, T)
-    if channel == "emitter":
-        return float(np.sum(slices.p1))
-    if channel == "cavity":
-        n = np.arange(len(slices.p0))
-        return float(np.sum(n * slices.p0) + np.sum(n * slices.p1))
-    raise ValueError(f"unknown channel {channel!r}")
-
-
 def correlator_coefficients(
     params: SystemParams,
     T: np.ndarray,
     n: int | float,
     channel: str,
-    slices: DensityMatrixSlices | None = None,
 ) -> CorrelatorCoefficients:
     """Match the rung's four eigen-lines to the +-R_inner/outer pattern.
 
-    Weights are normalized by the full channel population, so they are the
-    per-rung contributions entering the total line sum.
+    Weights are normalized by the full channel population (n_sigma or n_a of
+    the slices), so they are the per-rung contributions entering the total
+    line sum.
     """
-    if slices is None:
-        slices = density_slices_from_statistics(params, T)
-    n_c = channel_population(params, T, channel, slices)
-    dec = rung_decomposition(params, T, channel, slices=slices, rungs=np.array([n]))
+    dec = rung_decomposition(params, T, channel, rungs=np.array([n]))
+    sl = density_slices_from_statistics(params, T)
+    n_c = sl.n_sigma if channel == "emitter" else sl.n_a
     rf = rabi_frequencies(params, n)
     mean = (3.0 * params.Gamma_sigma + params.gamma_phi) / 4.0
     targets = {
@@ -360,7 +307,7 @@ def emitter_coefficients_closed_form(
         raise ValueError("closed form holds for delta = gamma_sigma = gamma_phi = 0")
     g, P = params.g, params.P_sigma
     rf = rabi_frequencies(params, n)
-    n_sigma = channel_population(params, T, "emitter")
+    n_sigma = density_slices_from_statistics(params, T).n_sigma
     Tn = T[n] if n < len(T) else 0.0
     Tn_1 = T[n - 1] if 1 <= n <= len(T) else 0.0
     out = []
@@ -441,29 +388,6 @@ def lasing_linewidth(params: SystemParams) -> float:
     return 2.0 * params.g**2 * params.gamma_a / params.P_sigma**2
 
 
-def _single_rung_override(params: SystemParams, n_value: float) -> dict:
-    G = params.Gamma_sigma
-    ka = kappa_a(params)
-    gs, P, g = params.gamma_sigma, params.P_sigma, params.g
-    n = float(n_value)
-
-    def qi(m: float) -> float:
-        if m <= 0.0:
-            return 0.0
-        return -ka * math.sqrt(m) / (2.0 * g) * (P - gs) / (2.0 * ka * m + G)
-
-    denom = 2.0 * ka * (n + 1.0) + G
-    common = ka * (n + 1.0) * (P + gs) / G
-    return {
-        "p0_n1": [(common + gs) / denom],
-        "p1_n": [(common + P) / denom],
-        "qi_n": [qi(n)],
-        "qi_n1": [qi(n + 1.0)],
-        "T_n": [1.0],
-        "T_n1": [1.0],
-    }
-
-
 def approx_spectrum_single_rung(
     params: SystemParams, n_value: float, channel: str, omega: np.ndarray
 ) -> SpectrumResult:
@@ -472,13 +396,8 @@ def approx_spectrum_single_rung(
     In deep lasing the Poissonian statistics is sharply peaked, so the rung
     sum collapses onto the mean rung with unit statistical weight.
     """
-    dec = rung_decomposition(
-        params,
-        np.array([1.0]),
-        channel,
-        rungs=np.array([float(n_value)]),
-        slice_override=_single_rung_override(params, n_value),
-    )
+    n = float(n_value)
+    dec = rung_decomposition(params, np.ones(int(n) + 2), channel, rungs=np.array([n]))
     return _rung_spectrum(dec, channel, omega, "semiclassical", {"n_value": float(n_value)})
 
 

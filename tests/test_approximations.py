@@ -182,6 +182,16 @@ def test_cothermal_moment_identities():
     assert g2_T == pytest.approx(st.g2, rel=1e-10)
 
 
+@pytest.mark.parametrize("n_a", [0.5, 5.0, 40.0, 200.0])
+def test_cothermal_distribution_default_cutoff(n_a):
+    # the default cutoff keeps the thermal tail: unit sum and mean n_a, from
+    # the thermal field (n_coh = 0) to the Poissonian one (n_coh = n_a)
+    for n_coh in (0.0, n_a / 2.0, n_a):
+        T = ap.CothermalState(n_a=n_a, n_coh=n_coh).photon_distribution()
+        assert T.sum() == pytest.approx(1.0, abs=1e-10)
+        assert float(np.arange(len(T)) @ T) == pytest.approx(n_a, rel=1e-9)
+
+
 def test_cothermal_tracks_exact_g2():
     for ga in (0.1, 1.0, 10.0):
         for P in np.logspace(-2, 2, 7):

@@ -342,6 +342,32 @@ def test_commands_do_not_load_mpmath(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sweep_workers_match_serial(tmp_path):
+    # two worker processes write the same file as the serial loop; run in a
+    # fresh interpreter so the pool does not fork the test process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import jclaser
+
+    argv = ["sweep", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--sweep-points", "12"]
+    runs = [[*argv, "--workers", w, "--out", str(tmp_path / f"w{w}.csv")] for w in ("1", "2")]
+    script = (
+        "from jclaser.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(jclaser.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "w2.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(gamma_a=st.floats(0.05, 1.0), log_P=st.floats(-4.0, 3.0))
 def test_sweep_row_matches_moment_route(tmp_path_factory, gamma_a, log_P):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from jclaser import approximations as ap
-from jclaser import exact, spectra
+from jclaser import exact, lineshape, spectra
 from jclaser.errors import NotResolvableError
 from jclaser.lineshape import SpectrumResult, integrate_lines
 from jclaser.params import SystemParams, kappa_a
@@ -39,7 +40,7 @@ def test_slices_exact_for_lossless_cavity():
     ss = exact.steady_state(p, n_max=50)
     T = ss.photon_distribution
     sl = spectra.density_slices_from_statistics(p, T)
-    assert sl.closure_residual < 1e-10
+    assert np.max(np.abs(sl.photon_distribution - T)) < 1e-10
     assert np.max(np.abs(sl.p1[:30] - ss.p1[:30])) < 1e-8
     assert np.max(np.abs(sl.p0[:30] - ss.p0[:30])) < 1e-8
     qi_exact = np.array([ss.q(n).imag for n in range(1, 30)])
@@ -117,13 +118,12 @@ def test_closed_form_coefficients_identity():
     # defined there
     p = SystemParams(g=1.0, gamma_a=0.05, gamma_sigma=0.0, P_sigma=3.7)
     T = spectra.poissonian_statistics(20.0)
-    sl = spectra.density_slices_from_statistics(p, T)
     for n in range(1, 51):
-        cc = spectra.correlator_coefficients(p, T, n, "emitter", slices=sl)
+        cc = spectra.correlator_coefficients(p, T, n, "emitter")
         ci, co = spectra.emitter_coefficients_closed_form(p, T, n)
         assert abs(cc.C_inner - ci) < 1e-10
         assert abs(cc.C_outer - co) < 1e-10
-    cc0 = spectra.correlator_coefficients(p, T, 0, "emitter", slices=sl)
+    cc0 = spectra.correlator_coefficients(p, T, 0, "emitter")
     ci0, co0 = spectra.emitter_coefficients_closed_form(p, T, 0)
     assert abs((cc0.C_inner + cc0.C_outer) - (ci0 + co0)) < 1e-10
 
@@ -144,6 +144,46 @@ def test_weight_normalization_identity():
         n_c = np.sum(dec.n_c)
         total = float(np.sum(dec.weights.real)) / n_c + np.sum(dec.elastic).real / n_c
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tuning", [{}, {"delta": 0.7, "gamma_phi": 0.3}])
+def test_rung_populations_sum_to_slice_record(tuning):
+    # the rung readouts sum to n_sigma (emitter) and n_a (cavity) of the
+    # reconstructed record, which is what the line weights are divided by
+    p = SystemParams(P_sigma=6.1, **BASE, **tuning)
+    for T in (spectra.poissonian_statistics(28.0), ap.CothermalState(28.0, 14.0).photon_distribution()):
+        sl = spectra.density_slices_from_statistics(p, T)
+        for channel, n_c in (("emitter", sl.n_sigma), ("cavity", sl.n_a)):
+            dec = spectra.rung_decomposition(p, T, channel)
+            assert np.sum(dec.n_c) == pytest.approx(n_c, rel=1e-10)
+
+
+@pytest.mark.parametrize("tuning", [{}, {"delta": 0.7, "gamma_phi": 0.3}])
+def test_single_rung_is_the_rung_of_unit_statistics(tuning):
+    p = SystemParams(P_sigma=6.1, **BASE, **tuning)
+    w = np.linspace(-20.0, 20.0, 5)
+    for channel in ("emitter", "cavity"):
+        for k in (0, 1, 7, 30):
+            dec = spectra.rung_decomposition(p, np.ones(k + 2), channel, rungs=[k])
+            ref = lineshape.lines_from_eigenpairs(dec.lams, dec.weights / np.sum(dec.n_c), 1e-14)
+            got = spectra.approx_spectrum_single_rung(p, k, channel, w).lines
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert np.allclose(astuple(a), astuple(b), rtol=0.0, atol=1e-13)
+
+
+def test_single_rung_slices_at_fractional_rung():
+    # unit statistics at a continuous rung n: the closed-form slices of the
+    # semiclassical substitution
+    p = SystemParams(P_sigma=3.0, g=1.0, gamma_a=0.05, gamma_sigma=0.2)
+    ka, G, P, gs = kappa_a(p), p.Gamma_sigma, p.P_sigma, p.gamma_sigma
+    n = np.array([0.3, 1.0, 17.25])
+    p0_n1, p1_n, qi_n1 = spectra._rung_slices(p, n, np.ones(3), np.ones(3))
+    denom = 2.0 * ka * (n + 1.0) + G
+    common = ka * (n + 1.0) * (P + gs) / G
+    assert np.allclose(p0_n1, (common + gs) / denom, rtol=1e-15, atol=0.0)
+    assert np.allclose(p1_n, (common + P) / denom, rtol=1e-15, atol=0.0)
+    assert np.allclose(qi_n1, -ka * np.sqrt(n + 1.0) / 2.0 * (P - gs) / denom, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +231,7 @@ def test_lasing_elastic_weight_matches_semiclassical_delta():
     T = spectra.poissonian_statistics(28.85)
     sl = spectra.density_slices_from_statistics(LASING, T)
     e_sigma = spectra.elastic_weight(LASING, T, "emitter")
-    n_sigma = spectra.channel_population(LASING, T, "emitter", sl)
+    n_sigma = sl.n_sigma
     delta_sc = spectra.semiclassical_mollow(LASING, np.array([0.0])).elastic_weight
     assert e_sigma / n_sigma == pytest.approx(delta_sc, rel=0.10)
 
