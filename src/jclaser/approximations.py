@@ -278,29 +278,33 @@ class CothermalState:
         """T[n] of the displaced thermal field, evaluated stably in log space.
 
         Only defined as a distribution for n_th >= 0; the analytic n_th < 0
-        branch falls back to the Poissonian at n_a.
+        branch falls back to the Poissonian at n_a.  Without ``n_cut`` the
+        ladder runs past the mode until T falls ``tail`` below its peak.
         """
         from .spectra import poissonian_statistics
 
         nth, nc = self.n_th, max(self.n_coh, 0.0)
         if nth < 1e-12:  # Poissonian limit (and the analytic n_th < 0 branch)
             return poissonian_statistics(max(self.n_a, nc), n_cut)
-        if n_cut is None:
-            # T[n] / T[0] = r^n L_n(-x) <= exp(2 sqrt(n x) - n / (1 + n_th)), with
-            # r = n_th / (1 + n_th); this passes ``tail`` at n = (1 + n_th) s^2
-            c = nc / nth
-            s = math.sqrt(c) + math.sqrt(c - math.log(tail))
-            n_cut = int((1.0 + nth) * s * s) + 25
-        n_cut = max(n_cut, 8)
         x = nc / (nth * (1.0 + nth))
-        ratio_base = nth / (1.0 + nth)
-        logT = np.empty(n_cut + 1)
-        logT[0] = -nc / (1.0 + nth) - math.log(1.0 + nth)
+        log_base = math.log(nth / (1.0 + nth))
+        logT = [-nc / (1.0 + nth) - math.log(1.0 + nth)]
+        top = logT[0]
         # ratio recurrence for L_{n+1}(-x)/L_n(-x); positive, no cancellation
         r = 1.0 + x  # L_1/L_0
-        for n in range(n_cut):
-            logT[n + 1] = logT[n] + math.log(ratio_base) + math.log(r)
-            r = ((2 * (n + 1) + 1 + x) - (n + 1) / r) / (n + 2)
+        n = 0
+        while True:
+            step = log_base + math.log(r)
+            if n_cut is None:
+                # past the mode and ``tail`` below the peak
+                if step < 0.0 and logT[-1] < top + math.log(tail):
+                    break
+            elif n >= max(n_cut, 8):
+                break
+            logT.append(logT[-1] + step)
+            top = max(top, logT[-1])
+            n += 1
+            r = ((2 * n + 1 + x) - n / r) / (n + 1)
         T = np.exp(np.clip(logT, _LOG_FLOOR, 50.0))
         return self._trim(T, tail)
 

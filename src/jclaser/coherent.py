@@ -20,7 +20,6 @@ from .lineshape import (
     Decomposition,
     SpectralLine,
     decompose,
-    evaluate_lines,
     lines_from_eigenpairs,
     merge_degenerate,
 )
@@ -186,11 +185,6 @@ def mollow_spectrum_resonant(
     side = np.zeros_like(w)
     np.divide(num, den, out=side, where=den != 0.0)
     return central + side / np.pi, coherent_weight(drive)
-
-
-def spectrum_from_lines(drive: LaserDriveParams, omega: np.ndarray) -> np.ndarray:
-    """Incoherent spectrum from the general line decomposition."""
-    return evaluate_lines(list(coherent_correlator_lines(drive).lines), omega)
 
 
 def asymmetry_visibility(drive: LaserDriveParams) -> tuple[float, bool]:

@@ -134,7 +134,8 @@ def rung_decomposition(
     so the stacked blocks go to ``lineshape.decompose`` as G = -M with the
     inhomogeneity A, whose stationary part carries the elastic weight.  The
     result has one block per rung.  ``rungs`` may be fractional (the
-    single-rung semiclassical substitution); T is read at their integer part.
+    single-rung semiclassical substitution); T is read at their integer part,
+    and at 0 for the rung below a rung in (0, 1).
     """
     T = np.asarray(T, dtype=float)
     if rungs is None:
@@ -151,7 +152,7 @@ def rung_decomposition(
     ni = n.astype(int)
     T_n, T_n1 = T[ni], T[ni + 1]
     p0_n1, p1_n, qi_n1 = _rung_slices(params, n, T_n, T_n1)
-    qi_n = np.where(n > 0.0, _rung_slices(params, n - 1.0, T[ni - 1], T_n)[2], 0.0)  # q_i[0] = 0
+    qi_n = np.where(n > 0.0, _rung_slices(params, n - 1.0, T[np.maximum(ni - 1, 0)], T_n)[2], 0.0)  # q_i[0] = 0
 
     M = np.zeros((N, 4, 4), dtype=complex)
     M[:, 0, 0] = G
@@ -397,7 +398,8 @@ def approx_spectrum_single_rung(
     sum collapses onto the mean rung with unit statistical weight.
     """
     n = float(n_value)
-    dec = rung_decomposition(params, np.ones(int(n) + 2), channel, rungs=np.array([n]))
+    T = np.broadcast_to(1.0, (int(n) + 2,))  # a view: n may be huge
+    dec = rung_decomposition(params, T, channel, rungs=np.array([n]))
     return _rung_spectrum(dec, channel, omega, "semiclassical", {"n_value": float(n_value)})
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jclaser import approximations as ap
-from jclaser import moments
+from jclaser import moments, spectra
 from jclaser.params import SystemParams, kappa_sigma
 
 BASE = dict(g=1.0, gamma_sigma=0.00334)
@@ -186,10 +186,14 @@ def test_cothermal_moment_identities():
 def test_cothermal_distribution_default_cutoff(n_a):
     # the default cutoff keeps the thermal tail: unit sum and mean n_a, from
     # the thermal field (n_coh = 0) to the Poissonian one (n_coh = n_a)
-    for n_coh in (0.0, n_a / 2.0, n_a):
+    for n_coh in (0.0, n_a / 2.0, n_a - 1e-6, n_a):
         T = ap.CothermalState(n_a=n_a, n_coh=n_coh).photon_distribution()
         assert T.sum() == pytest.approx(1.0, abs=1e-10)
         assert float(np.arange(len(T)) @ T) == pytest.approx(n_a, rel=1e-9)
+    # a nearly Poissonian field (n_th = 1e-6) needs no longer ladder than the
+    # Poissonian one
+    T = ap.CothermalState(n_a=n_a, n_coh=n_a - 1e-6).photon_distribution()
+    assert len(T) <= len(spectra.poissonian_statistics(n_a))
 
 
 def test_cothermal_tracks_exact_g2():

@@ -251,6 +251,16 @@ def test_spectrum_method_approx(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def test_spectrum_semiclassical_refuses_cavity_pump(tmp_path):
+    # off resonance the single-rung slices assume P_a = 0
+    code = run(
+        ["spectrum", "--method", "semiclassical", "--delta", "0.5", "--pump-a", "0.01",
+         "--gamma-sigma", "0.2", "--pump-sigma", "3", "--points", "11",
+         "--out", str(tmp_path / "sc.csv")]
+    )
+    assert code == 2
+
+
 def _table(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]

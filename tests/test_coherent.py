@@ -121,7 +121,7 @@ def test_closed_form_equals_line_sum():
     d = LaserDriveParams(omega_L=1.5, gamma_sigma=1.0)
     w = np.linspace(-20.0, 20.0, 801)
     closed, _ = coherent.mollow_spectrum_resonant(d, w)
-    from_lines = coherent.spectrum_from_lines(d, w)
+    from_lines = evaluate_lines(list(coherent.coherent_correlator_lines(d).lines), w)
     assert np.max(np.abs(closed - from_lines)) <= 1e-12 * np.max(closed)
 
 
@@ -152,7 +152,7 @@ def test_normalization_of_incoherent_part():
 def test_spectrum_nonnegative(om, gp, dl):
     d = LaserDriveParams(omega_L=om, gamma_sigma=1.0, gamma_phi=gp, delta=dl)
     w = np.linspace(-30.0, 30.0, 601)
-    vals = coherent.spectrum_from_lines(d, w)
+    vals = evaluate_lines(list(coherent.coherent_correlator_lines(d).lines), w)
     assert np.min(vals) >= -1e-9
 
 

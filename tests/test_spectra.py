@@ -186,6 +186,35 @@ def test_single_rung_slices_at_fractional_rung():
     assert np.allclose(qi_n1, -ka * np.sqrt(n + 1.0) / 2.0 * (P - gs) / denom, rtol=1e-15, atol=0.0)
 
 
+def test_fractional_rung_below_one_reads_the_ground_rung():
+    # for a rung in (0, 1) the rung below is read at T[0], never at the tail of T
+    p = SystemParams(P_sigma=3.0, g=1.0, gamma_a=0.05, gamma_sigma=0.2, delta=0.7, gamma_phi=0.3)
+    T = spectra.poissonian_statistics(3.0)
+    for channel in ("emitter", "cavity"):
+        full = spectra.rung_decomposition(p, T, channel, rungs=[0.4])
+        head = spectra.rung_decomposition(p, T[:2], channel, rungs=[0.4])
+        assert np.array_equal(full.lams, head.lams)
+        assert np.array_equal(full.weights, head.weights)
+
+
+def test_single_rung_at_a_huge_rung():
+    # gamma_a = 1e-9 puts the semiclassical rung at n_a = 1.4e9
+    p = SystemParams(g=1.0, gamma_a=1e-9, gamma_sigma=0.2, P_sigma=3.0, delta=0.5)
+    assert ap.semiclassical(p).n_a > 1e9
+    res = spectra.semiclassical_mollow(p, np.linspace(-5.0, 5.0, 11))
+    assert sum(ln.L for ln in res.lines) + res.elastic_weight == pytest.approx(1.0, abs=1e-6)
+
+
+def test_single_rung_refuses_what_the_slices_cannot_describe():
+    w = np.linspace(-5.0, 5.0, 11)
+    pumped = SystemParams(g=1.0, gamma_a=0.05, gamma_sigma=0.2, P_sigma=3.0, P_a=0.01, delta=0.5)
+    with pytest.raises(ValueError, match="P_a = 0"):
+        spectra.semiclassical_mollow(pumped, w)
+    undamped = SystemParams(g=1.0, gamma_a=0.05)
+    with pytest.raises(ValueError, match="gamma_sigma"):
+        spectra.approx_spectrum_single_rung(undamped, 5.0, "emitter", w)
+
+
 # ---------------------------------------------------------------------------
 # elastic weights
 # ---------------------------------------------------------------------------
