@@ -174,8 +174,8 @@ def lasing_window_ok(params: SystemParams, margin: float = 5.0) -> bool:
 
 def semiclassical(params: SystemParams) -> SemiclassicalResult:
     """Lasing-regime populations, feeding efficiencies and pump scales."""
-    if params.gamma_a <= 0.0:
-        raise ValueError("semiclassical solution needs gamma_a > 0")
+    if params.gamma_a <= 0.0 or params.Gamma_sigma <= 0.0:
+        raise ValueError("semiclassical solution needs gamma_a > 0 and Gamma_sigma > 0")
     ks = kappa_sigma(params)
     gs_tot = params.Gamma_sigma
     ga, gs, gp = params.gamma_a, params.gamma_sigma, params.gamma_phi

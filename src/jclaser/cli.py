@@ -2,7 +2,7 @@
 
 Configuration comes from an optional flat ``key = value`` file plus
 command-line flags (flags win).  All rates are in units of g.  Exit codes:
-0 success, 2 config error, 3 solver non-convergence, 4 partial sweep.
+0 success, 2 config error, 3 named solver failure, 4 partial sweep.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import numpy as np
 
 from . import approximations as ap
 from . import coherent, exact, spectra
-from .errors import (
-    ConfigError,
-    JclaserError,
-    NoSteadyStateError,
-    SolverMemoryError,
-    TruncationNotConvergedError,
-)
+from .errors import ConfigError, JclaserError
 from .lineshape import evaluate_lines
 from .output import write_csv, write_json
 from .params import LaserDriveParams, SystemParams
@@ -357,28 +351,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown arguments: {remaining}", file=sys.stderr)
         return _EXIT_CONFIG
     try:
-        if getattr(args, "config", None):
+        if args.config:
+            # string defaults pass through each argument's own type; flags win
             file_cfg = read_config_file(args.config)
-            argv_list = list(argv) if argv is not None else sys.argv[1:]
-            explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv_list if a.startswith("--")}
-            for k, v in file_cfg.items():
-                if k == "command" or k in explicit or not hasattr(args, k):
-                    continue
-                cur = getattr(args, k)
-                caster = type(cur) if cur is not None else str
-                if caster is bool:
-                    setattr(args, k, v.lower() in ("1", "true", "yes"))
-                elif caster is int:
-                    setattr(args, k, int(v))
-                elif caster is float:
-                    setattr(args, k, float(v))
-                else:
-                    setattr(args, k, v)
+            (commands,) = (a for a in parser._actions if a.dest == "command")
+            commands.choices[args.command].set_defaults(
+                **{k: v for k, v in file_cfg.items() if k in vars(args) and k not in ("command", "config")}
+            )
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (NoSteadyStateError, SolverMemoryError, TruncationNotConvergedError) as exc:
+    except JclaserError as exc:  # every named solver failure
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_NOCONV
     except ValueError as exc:

@@ -17,6 +17,10 @@ class SolverMemoryError(JclaserError):
     """A solver ran out of memory while allocating its factor or workspace."""
 
 
+class ZeroPivotError(JclaserError):
+    """A banded LU met an exactly singular (possibly frequency-shifted) block."""
+
+
 class TruncationNotConvergedError(JclaserError):
     """Automatic Fock-space growth hit its cap before converging."""
 

@@ -13,12 +13,10 @@ full Liouvillian):
   4 super-diagonals), so a LAPACK banded LU solves it in O(n_max) with one
   photon-number population pinned; the result is divided by its trace.  This
   is the exact route behind every command.
-- k = 1 holds the two-time correlators of the quantum regression theorem, so
-  spectral lines come from a dense eigendecomposition of that block.
-
-``build_liouvillian`` (with ``operators``, ``_model`` and ``_dissipator``)
-assembles the full superoperator; only the tests use it, as the oracle the
-sector blocks are checked against.
+- k = 1 holds the two-time correlators of the quantum regression theorem and
+  has the same band.  Lines come from its dense eigendecomposition; where
+  ``decompose`` refuses them, the spectrum grid comes from ``_band_solves``
+  of the block shifted by i w, one banded LU per frequency.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import (
@@ -35,6 +32,7 @@ from .errors import (
     NoSteadyStateError,
     SolverMemoryError,
     TruncationNotConvergedError,
+    ZeroPivotError,
 )
 from .lineshape import (
     SpectralLine,
@@ -63,61 +61,6 @@ class FockSpace:
 
     def state(self, k: int) -> tuple[int, int]:
         return divmod(k, 2)
-
-
-def operators(space: FockSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Annihilation operators (a, sigma) on the truncated product space."""
-    dim = space.dim
-    n = np.repeat(np.arange(1, space.n_max + 1), 2)
-    i = np.tile([0, 1], space.n_max)
-    a = sp.csr_matrix((np.sqrt(n).astype(complex), (2 * (n - 1) + i, 2 * n + i)), shape=(dim, dim))
-    m = np.arange(space.n_max + 1)
-    sig = sp.csr_matrix((np.ones(len(m), dtype=complex), (2 * m, 2 * m + 1)), shape=(dim, dim))
-    return a, sig
-
-
-def _model(params: SystemParams, space: FockSpace) -> tuple[sp.csr_matrix, list]:
-    """Hamiltonian and (jump operator, rate) pairs.
-
-    The cavity frequency is the zero of energy, so the emitter sits at -delta.
-    """
-    a, sig = operators(space)
-    ad, sd = a.conj().T.tocsr(), sig.conj().T.tocsr()
-    H = (-params.delta * (sd @ sig) + params.g * (ad @ sig + a @ sd)).tocsr()
-    jumps = [
-        (a, params.gamma_a),
-        (sig, params.gamma_sigma),
-        (ad, params.P_a),
-        (sd, params.P_sigma),
-        ((sd @ sig).tocsr(), params.gamma_phi),
-    ]
-    return H, [(c, rate) for c, rate in jumps if rate]
-
-
-def _dissipator(c: sp.spmatrix, rate: float, ident: sp.spmatrix) -> sp.spmatrix:
-    """rate/2 (2 c . c' - c'c . - . c'c) as a superoperator (row-major vec)."""
-    cd = c.conj().T
-    cdc = (cd @ c).tocsr()
-    return (rate / 2.0) * (
-        2.0 * sp.kron(c, cd.T, format="csr")
-        - sp.kron(cdc, ident, format="csr")
-        - sp.kron(ident, cdc.T, format="csr")
-    )
-
-
-def build_liouvillian(params: SystemParams, n_max: int) -> sp.csr_matrix:
-    """Sparse generator of d(rho)/dt = L rho over all dim^2 coefficients.
-
-    The test oracle for the sector blocks: it costs O(n_max^2) memory.
-    """
-    space = FockSpace(n_max)
-    H, jumps = _model(params, space)
-    ident = sp.identity(space.dim, format="csr", dtype=complex)
-    # i[rho, H] -> i (1 x H^T - H x 1) on row-major vec(rho)
-    L = 1j * (sp.kron(ident, H.T, format="csr") - sp.kron(H, ident, format="csr"))
-    for c, rate in jumps:
-        L = L + _dissipator(c, rate, ident)
-    return L.tocsr()
 
 
 def _sector_pairs(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,6 +149,10 @@ class SectorBlock:
     col: np.ndarray
     data: np.ndarray
     size: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.size
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.size, self.size), dtype=complex)
@@ -327,39 +274,54 @@ def _peak_guess(params: SystemParams) -> float:
         return 0.0
 
 
+def _band_solves(A: SectorBlock, b: np.ndarray, shifts=(0.0,), refine: int = 0):
+    """Solutions of (A + i w) x = b, one per shift w, by LAPACK banded LU.
+
+    A sector block couples excitation numbers N and N +- 1 only, so in
+    excitation order it is banded: each shift is one O(size) factor of the
+    band with its main diagonal moved, plus ``refine`` refinement steps.
+    """
+    M = A.size
+    kl, ku = int(np.max(A.row - A.col)), int(np.max(A.col - A.row))
+    try:
+        ab = np.zeros((2 * kl + ku + 1, M), dtype=complex)  # LAPACK band storage, kl rows of fill
+        np.add.at(ab, (kl + ku + A.row - A.col, A.col), A.data)
+        diag = ab[kl + ku].copy()
+        for w in shifts:
+            ab[kl + ku] = diag + 1j * w
+            with np.errstate(invalid="ignore", over="ignore"):
+                lu, piv, info = zgbtrf(ab, kl, ku)
+                if info > 0:
+                    raise ZeroPivotError(f"zero pivot {info} in the banded LU (size {M}, shift {w:g}i)")
+                x = zgbtrs(lu, kl, ku, b, piv)[0]
+                for _ in range(refine):
+                    x += zgbtrs(lu, kl, ku, b - A @ x - 1j * w * x, piv)[0]
+            yield x
+    except MemoryError as exc:
+        raise SolverMemoryError(f"out of memory in the banded LU (size {M}): {exc}") from exc
+
+
 def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
     """Null vector of the k = 0 block with the population T[m] set to one.
 
     One population equation is redundant, since the trace is conserved; it
     gives way to the pin.  A dense trace row instead would fill the band.
-    The block couples excitation numbers N and N +- 1 only, so in excitation
-    order it is banded and a banded LU solves it in O(n_max).
+    Two refinement steps recover the tiny tail components.
     """
-    M = G.size
     d, d1 = pos[2 * m, 0], pos[2 * m + 1, 1]
     keep = G.row != d
     A = SectorBlock(
         np.concatenate([G.row[keep], [d, d]]),
         np.concatenate([G.col[keep], [d, d1]]),
         np.concatenate([G.data[keep], [1.0, 1.0]]),
-        M,
+        G.size,
     )
-    kl, ku = int(np.max(A.row - A.col)), int(np.max(A.col - A.row))
-    ab = np.zeros((2 * kl + ku + 1, M), dtype=complex)  # LAPACK band storage, kl rows of fill
-    np.add.at(ab, (kl + ku + A.row - A.col, A.col), A.data)
-    b = np.zeros(M, dtype=complex)
+    b = np.zeros(G.size, dtype=complex)
     b[d] = 1.0
     try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            lu, piv, info = zgbtrf(ab, kl, ku)
-            if info > 0:
-                raise NoSteadyStateError(f"singular Liouvillian: zero pivot {info} in the sector LU")
-            x = zgbtrs(lu, kl, ku, b, piv)[0]
-            for _ in range(2):  # refinement recovers the tiny tail components
-                x += zgbtrs(lu, kl, ku, b - A @ x, piv)[0]
-    except MemoryError as exc:
-        raise SolverMemoryError(f"out of memory in the sector LU (size {M}): {exc}") from exc
-    return x
+        return next(_band_solves(A, b, refine=2))
+    except ZeroPivotError as exc:
+        raise NoSteadyStateError(f"singular Liouvillian: {exc}") from exc
 
 
 def _steady_state_fixed(params: SystemParams, n_max: int) -> SteadyState:
@@ -465,9 +427,14 @@ def steady_state(
 class RegressionSector:
     """Generator block, initial condition and readout for one channel."""
 
-    generator: np.ndarray
+    generator: SectorBlock
     u0: np.ndarray
     readout: np.ndarray
+
+    def lines(self, weight_floor: float = 0.0) -> list[SpectralLine]:
+        """Lines from ``decompose`` of the densified block, weights over n_c."""
+        dec = decompose(self.generator.toarray(), self.u0, self.readout)
+        return lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c, weight_floor)
 
 
 def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> RegressionSector:
@@ -497,7 +464,7 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     u0 = np.zeros(len(r), dtype=complex)
     u0[ok] = ss.element(r[ok], t[s[ok]]) * v[s[ok]]
     readout = np.where(dst[r] == s, amp[r], 0.0)  # readout[e] = <s| c |r>
-    return RegressionSector(generator=G.toarray(), u0=u0, readout=readout)
+    return RegressionSector(generator=G, u0=u0, readout=readout)
 
 
 def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
@@ -531,9 +498,7 @@ def spectral_lines(
     """
     if ss is None:
         ss = steady_state(params, n_max)
-    sec = regression_sector(params, ss, channel)
-    dec = decompose(sec.generator, sec.u0, sec.readout)
-    return lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c, weight_floor)
+    return regression_sector(params, ss, channel).lines(weight_floor)
 
 
 def elastic_weight_estimate(lines: list[SpectralLine], gamma_a: float) -> float:
@@ -553,18 +518,22 @@ def spectrum(
     omega: np.ndarray | None = None,
     ss: SteadyState | None = None,
 ) -> SpectrumResult:
-    """Normalized emission spectrum on a grid, with its line table."""
+    """Normalized emission spectrum on a grid, with its line table; after a
+    refused table the grid is the banded resolvent and ``meta`` says why."""
     if ss is None:
         ss = steady_state(params, n_max)
     if omega is None:
         span = 3.0 * params.g * max(1.0, math.sqrt(max(ss.n_a, 1.0)))
         omega = np.linspace(-span, span, 2001)
+    sec = regression_sector(params, ss, channel)
+    meta = {"n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, "grid_source": "line_table"}
     try:
-        lines = spectral_lines(params, channel=channel, ss=ss)
+        lines = sec.lines()
         values = evaluate_lines(lines, omega)
-    except NonDiagonalizableError:
-        values = resolvent_spectrum(params, ss, channel, omega)
+    except NonDiagonalizableError as exc:
         lines = []
+        values = resolvent_spectrum(sec, omega)
+        meta.update(grid_source="banded_resolvent", refusal=str(exc))
     return SpectrumResult(
         channel=channel,
         omega=np.asarray(omega, dtype=float),
@@ -572,22 +541,18 @@ def spectrum(
         elastic_weight=elastic_weight_estimate(lines, params.gamma_a),
         lines=lines,
         method="exact",
-        meta={"n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma},
+        meta=meta,
     )
 
 
-def resolvent_spectrum(
-    params: SystemParams, ss: SteadyState, channel: str, omega: np.ndarray
-) -> np.ndarray:
-    """S(w) from direct resolvent solves; no eigendecomposition involved."""
-    sec = regression_sector(params, ss, channel)
+def resolvent_spectrum(sec: RegressionSector, omega: np.ndarray) -> np.ndarray:
+    """S(w) = -Re readout . (G + i w)^-1 u0 / (pi n_c), one banded LU per w.
+
+    Exact for any conditioning of the eigenbasis; no eigendecomposition.
+    """
     n_c = float(np.real(np.dot(sec.readout, sec.u0)))
-    out = np.empty(len(omega))
-    eye = np.eye(len(sec.u0), dtype=complex)
-    for i, w in enumerate(np.asarray(omega, dtype=float)):
-        sol = np.linalg.solve(sec.generator + 1j * w * eye, sec.u0)
-        out[i] = -np.real(np.dot(sec.readout, sol)) / (math.pi * n_c)
-    return out
+    sols = _band_solves(sec.generator, sec.u0, np.asarray(omega, dtype=float))
+    return np.array([-np.real(np.dot(sec.readout, x)) for x in sols]) / (math.pi * n_c)
 
 
 @dataclass

@@ -72,6 +72,16 @@ def test_config_file_and_override(tmp_path):
     assert header_cfg["pump_sigma"] == "2.0"  # flag wins over file
 
 
+def test_config_file_values_take_the_argument_type(tmp_path):
+    # --n-max defaults to None, so only the argument's own type reads "40"
+    rates = ["--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "2"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 40\n")
+    assert run(["steady", *rates, "--n-max", "40", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert run(["steady", *rates, "--config", str(cfg), "--out", str(tmp_path / "file.csv")]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
 def test_config_error_exit_code(tmp_path):
     code = run(["sweep", "--sweep-min", "5", "--sweep-max", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -261,6 +271,15 @@ def test_spectrum_semiclassical_refuses_cavity_pump(tmp_path):
     assert code == 2
 
 
+def test_spectrum_semiclassical_refuses_zero_emitter_broadening(tmp_path):
+    # the default rates give Gamma_sigma = gamma_sigma + P_sigma = 0
+    code = run(
+        ["spectrum", "--method", "semiclassical", "--delta", "0.5", "--points", "11",
+         "--out", str(tmp_path / "sc.csv")]
+    )
+    assert code == 2
+
+
 def _table(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
@@ -336,6 +355,12 @@ def test_commands_do_not_load_mpmath(tmp_path):
         ["sweep", *rates, "--sweep-points", "5", "--out", str(tmp_path / "sw.csv")],
         ["spectrum", *rates, "--pump-sigma", "7", "--method", "approx", "--points", "11",
          "--out", str(tmp_path / "ap.csv")],
+        ["spectrum", *rates, "--pump-sigma", "7", "--method", "exact", "--points", "11",
+         "--out", str(tmp_path / "ex.csv")],
+        ["transitions", *rates, "--sweep-min", "0.01", "--sweep-max", "7", "--sweep-points", "3",
+         "--out", str(tmp_path / "tr.csv")],
+        ["mollow-coherent", "--points", "11", "--map-points", "5", "--out", str(tmp_path / "mc.csv")],
+        ["regimes", *rates, "--sweep-points", "5", "--out", str(tmp_path / "rg.csv")],
     ]
     script = (
         "import sys\n"

@@ -10,10 +10,11 @@ from jclaser.errors import (
     NoSteadyStateError,
     SolverMemoryError,
     TruncationNotConvergedError,
+    ZeroPivotError,
 )
 from jclaser.lineshape import evaluate_lines
 from jclaser.params import SystemParams
-from liouvillian_oracle import full_steady_rho, off_pattern_max
+from liouvillian_oracle import build_liouvillian, full_steady_rho, off_pattern_max
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
 LASING = SystemParams(P_sigma=7.0, **BASE)
@@ -43,7 +44,7 @@ def test_vacuum_steady_state_without_coupling_or_pump():
 def test_liouvillian_preserves_trace():
     rng = np.random.default_rng(7)
     p = SystemParams(P_sigma=0.8, P_a=0.03, gamma_phi=0.2, delta=0.4, **BASE)
-    L = exact.build_liouvillian(p, 5)
+    L = build_liouvillian(p, 5)
     dim = exact.FockSpace(5).dim
     for _ in range(4):
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -100,7 +101,7 @@ def _system(draw):
 @settings(max_examples=60, deadline=None)
 @given(p=_system(), n_max=st.integers(1, 8))
 def test_sector_blocks_match_full_liouvillian(p, n_max):
-    L = exact.build_liouvillian(p, n_max).tocsr()
+    L = build_liouvillian(p, n_max).tocsr()
     dim = exact.FockSpace(n_max).dim
     for k in (0, 1):
         G, r, s = exact.sector_generator(p, n_max, k)
@@ -259,7 +260,7 @@ def test_eigen_vs_resolvent_spectra():
         lines = exact.spectral_lines(p, channel=channel, ss=ss_l)
         w = rng.uniform(-6.0, 6.0, size=32)
         from_lines = evaluate_lines(lines, w)
-        from_resolvent = exact.resolvent_spectrum(p, ss_l, channel, w)
+        from_resolvent = exact.resolvent_spectrum(exact.regression_sector(p, ss_l, channel), w)
         scale = np.max(np.abs(from_lines))
         assert np.max(np.abs(from_lines - from_resolvent)) < 1e-8 * scale
 
@@ -350,10 +351,84 @@ def test_spectrum_resolvent_fallback(monkeypatch):
     def boom(*a, **k):
         raise NonDiagonalizableError("forced")
 
-    monkeypatch.setattr(exact, "spectral_lines", boom)
+    monkeypatch.setattr(exact, "decompose", boom)
     res = exact.spectrum(p, channel="cavity", ss=ss, omega=w)
     assert res.lines == []
     assert np.allclose(res.values, reference.values, rtol=1e-8)
+
+
+def _dense_resolvent(sec, omega):
+    # the reference: one dense solve of G + i w per frequency
+    G = sec.generator.toarray()
+    eye = np.eye(sec.generator.size)
+    n_c = np.real(sec.readout @ sec.u0)
+    return np.array(
+        [-np.real(sec.readout @ np.linalg.solve(G + 1j * w * eye, sec.u0)) for w in omega]
+    ) / (np.pi * n_c)
+
+
+@pytest.mark.parametrize(
+    "gamma_a, P, channels, omega",
+    [
+        (0.1, 6.1, ("cavity", "emitter"), np.linspace(-12.0, 12.0, 49)),
+        (0.01, 3.0, ("cavity",), np.array([-2.0, -0.3, 0.0, 1e-3, 0.7])),
+    ],
+    ids=["spectra_point", "good_cavity"],
+)
+def test_banded_resolvent_matches_dense_solve(gamma_a, P, channels, omega):
+    p = SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=0.00334, P_sigma=P)
+    ss = exact.steady_state(p)
+    for channel in channels:
+        sec = exact.regression_sector(p, ss, channel)
+        ref = _dense_resolvent(sec, omega)
+        got = exact.resolvent_spectrum(sec, omega)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_spectrum_names_its_grid_source(monkeypatch):
+    p = SystemParams(P_sigma=0.05, **BASE)
+    ss = exact.steady_state(p, n_max=16)
+    w = np.linspace(-2.0, 2.0, 65)
+    res = exact.spectrum(p, channel="cavity", ss=ss, omega=w)
+    assert res.meta["grid_source"] == "line_table" and "refusal" not in res.meta
+
+    def boom(*a, **k):
+        raise NonDiagonalizableError("forced")
+
+    monkeypatch.setattr(exact, "decompose", boom)
+    res = exact.spectrum(p, channel="cavity", ss=ss, omega=w)
+    assert res.meta["grid_source"] == "banded_resolvent"
+    assert res.meta["refusal"] == "forced"
+
+
+def test_refused_spectrum_builds_its_sector_once(monkeypatch):
+    p = SystemParams(P_sigma=0.05, **BASE)
+    ss = exact.steady_state(p, n_max=16)
+    built = []
+    real = exact.sector_generator
+
+    def spy(params, n_max, k):
+        built.append(k)
+        return real(params, n_max, k)
+
+    def boom(*a, **k):
+        raise NonDiagonalizableError("forced")
+
+    monkeypatch.setattr(exact, "sector_generator", spy)
+    monkeypatch.setattr(exact, "decompose", boom)
+    exact.spectrum(p, channel="cavity", ss=ss, omega=np.linspace(-2.0, 2.0, 9))
+    assert built == [1]
+
+
+def test_resolvent_zero_pivot_named(monkeypatch):
+    p = SystemParams(P_sigma=0.05, **BASE)
+    sec = exact.regression_sector(p, exact.steady_state(p, n_max=16), "cavity")
+    real = exact.zgbtrf
+    monkeypatch.setattr(exact, "zgbtrf", lambda *a, **k: (*real(*a, **k)[:2], 3))
+    with pytest.raises(ZeroPivotError) as info:
+        exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))
+    assert not isinstance(info.value, NoSteadyStateError)
+    assert "singular Liouvillian" not in str(info.value)
 
 
 def test_cross_agreement_with_dephasing_and_detuning():

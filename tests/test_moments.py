@@ -167,12 +167,14 @@ def test_cross_correlators_against_liouvillian_traces():
     # the closed relations for N_sigma[n] and the cross correlator follow
     # from the moment equations; validate them against operator traces of
     # the full steady-state density matrix, including detuning and dephasing
+    from liouvillian_oracle import operators
+
     from jclaser import exact
 
     p = SystemParams(P_sigma=0.9, gamma_phi=0.25, delta=0.6, **BASE)
     mom = moments.solve_moments(p)
     ss = exact.steady_state(p, n_max=mom.n_max)
-    a, sig = exact.operators(ss.space)
+    a, sig = operators(ss.space)
     a, sig = np.asarray(a.todense()), np.asarray(sig.todense())
     rho = ss.rho
     for n in (1, 2, 3):
