@@ -172,6 +172,14 @@ def lasing_window_ok(params: SystemParams, margin: float = 5.0) -> bool:
     )
 
 
+def _pump_scales(params: SystemParams) -> tuple[float, float]:
+    """Semiclassical pumps of the largest n_a and of quenching, P_at_max and
+    P_max; unlike n_a they need only kappa_sigma, not Gamma_sigma > 0."""
+    ks = kappa_sigma(params)
+    gs, gp = params.gamma_sigma, params.gamma_phi
+    return ks / 2.0 * (1.0 - (2.0 * gs + gp) / ks), ks - 3.0 * gs - 2.0 * gp
+
+
 def semiclassical(params: SystemParams) -> SemiclassicalResult:
     """Lasing-regime populations, feeding efficiencies and pump scales."""
     if params.gamma_a <= 0.0 or params.Gamma_sigma <= 0.0:
@@ -183,6 +191,7 @@ def semiclassical(params: SystemParams) -> SemiclassicalResult:
     F_sigma = (gs_tot + gp) / ks
     n_a = F_a * (1.0 - 2.0 * gs / gs_tot - F_sigma)
     clamped = n_a < 0.0
+    P_at_max, P_max = _pump_scales(params)
     return SemiclassicalResult(
         n_a=max(n_a, 0.0),
         n_sigma=0.5 * (1.0 + F_sigma),
@@ -190,8 +199,8 @@ def semiclassical(params: SystemParams) -> SemiclassicalResult:
         F_sigma=F_sigma,
         C2=1.0 / (2.0 * ga),
         max_n_a=ks / (8.0 * ga) * (1.0 - (4.0 * gs + 2.0 * gp) / ks),
-        P_at_max=ks / 2.0 * (1.0 - (2.0 * gs + gp) / ks),
-        P_max=ks - 3.0 * gs - 2.0 * gp,
+        P_at_max=P_at_max,
+        P_max=P_max,
         clamped=clamped,
         in_validity_window=lasing_window_ok(params),
     )
@@ -213,6 +222,8 @@ def thermal_na(params: SystemParams) -> ThermalResult:
         nbar_a = P / (gs - P) if gs > P else math.inf
         nbar_s = P / (gs + P) if gs + P > 0.0 else 0.0
         return ThermalResult(n_a=nbar_a, n_sigma=nbar_s, exact_limit=(nbar_a, nbar_s))
+    if params.Gamma_sigma <= 0.0:
+        raise ValueError("thermal solution needs Gamma_sigma > 0 when gamma_a > 0")
     ks = kappa_sigma(params)
     gs_tot = params.Gamma_sigma
     ga, gs, gp, P = params.gamma_a, params.gamma_sigma, params.gamma_phi, params.P_sigma
@@ -396,8 +407,7 @@ def cothermal(params: SystemParams) -> CothermalState:
     point (coherent, n_coh = n_a), the thermal point (n_coh = 0) and the
     antibunched edge (n_coh = sqrt(2) n_a).  Among converged roots in the
     admissible wedge the one that best satisfies the next (n = 3) moment
-    equation wins; a scan of the reduced one-dimensional problem is the
-    fallback when no seed converges.
+    equation wins; no converged seed is a ``NoPhysicalRootError``.
     """
     if params.gamma_a <= 0.0 or params.P_a != 0.0:
         raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
@@ -417,26 +427,6 @@ def cothermal(params: SystemParams) -> CothermalState:
         x, y, res = _newton_polish(params, x0, max(y0, 0.0))
         if res <= 1e-10 and x > 0.0:
             roots.append(CothermalState(n_a=x, n_coh=y, residual=res))
-    if not roots:
-        # reduce via the first equation: y^2 = 2x^2 - m2(x); scan the second
-        A1, B1, C1 = recurrence_coefficients(params, 1)
-        x_hi = 3.0 * max(sc_na, th_na, lin_na, 1.0)
-        xs = np.geomspace(max(x_hi * 1e-12, 1e-15), x_hi, 6001)
-        prev = None
-        for x in xs:
-            m2 = (C1 - B1 * x) / A1 if A1 != 0.0 else math.nan
-            y2 = 2.0 * x * x - m2
-            if not (0.0 <= y2 <= 2.0 * x * x):
-                prev = None
-                continue
-            y = math.sqrt(y2)
-            r2 = _cothermal_equations(params, x, y)[0][1]
-            if prev is not None and prev[1] * r2 <= 0.0:
-                xr, yr, res = _newton_polish(params, (prev[0] + x) / 2.0, y)
-                if res <= 1e-9:
-                    roots.append(CothermalState(n_a=xr, n_coh=yr, residual=res))
-                    break
-            prev = (x, r2)
     if not roots:
         raise NoPhysicalRootError("no cothermal root with n_a, n_coh >= 0 found")
     # deduplicate and pick the root most consistent with the next moment equation
@@ -474,8 +464,7 @@ def regime_boundaries(params: SystemParams) -> dict[str, float]:
     gs = params.gamma_sigma
     ge1 = g_eff(replace(params, P_sigma=max(params.P_sigma, 0.0)), 1)
     if params.gamma_a > 0.0:
-        sc = semiclassical(params)
-        p_peak, p_quench = sc.P_at_max, sc.P_max
+        p_peak, p_quench = _pump_scales(params)
     else:
         p_peak = p_quench = math.inf
     b1 = gs

@@ -8,6 +8,7 @@ command-line flags (flags win).  All rates are in units of g.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -150,31 +151,42 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
     P = params.P_sigma
     label = ap.classify_regime(params).label
     lin = ap.linear_models(params)
+    nan = float("nan")
     row = [P]
     err = ""
     try:
         ss = exact.steady_state(params, n_max=n_max, n_max_cap=cap, rtol=tol)
         row += [ss.n_a, ss.n_sigma, ss.g2, ss.n_a * (ss.g2 - 1.0)]
     except JclaserError as exc:
-        row += [float("nan")] * 4
+        row += [nan] * 4
         err = f"{type(exc).__name__}: {exc}"
     row += [label]
-    row += [lin["bosonic"].n_a, lin["bosonic"].n_sigma]
-    row += [lin["truncated_jc"].n_a, lin["truncated_jc"].n_sigma]
+    # nan where a closed form leaves the physical range (up to roundoff); the
+    # rate balance bounds n_a by (P_a + P_sigma) / (gamma_a - P_a)
+    gain = params.gamma_a - params.P_a
+    n_top = (params.P_a + P) / gain if gain > 0.0 else math.inf
+
+    def cells(n_a: float, n_sigma: float, values: list) -> list:
+        ok = -1e-12 <= n_a <= n_top * (1.0 + 1e-12) + 1e-12 and -1e-12 <= n_sigma <= 1.0 + 1e-12
+        return values if ok else [nan] * len(values)
+
+    for model in (lin["bosonic"], lin["truncated_jc"]):
+        row += cells(model.n_a, model.n_sigma, [model.n_a, model.n_sigma])
     try:
         sc = ap.semiclassical(params)
-        row += [sc.n_a, sc.n_sigma]
+        row += cells(sc.n_a, sc.n_sigma, [sc.n_a, sc.n_sigma])
     except ValueError:
-        row += [float("nan")] * 2
+        row += [nan] * 2
     try:
-        row += [ap.thermal_na(params).n_a]
+        th = ap.thermal_na(params)
+        row += cells(th.n_a, th.n_sigma, [th.n_a])
     except ValueError:
-        row += [float("nan")]
+        row += [nan]
     try:
         ct = ap.cothermal(params)
-        row += [ct.n_a, ct.n_coh, ct.g2]
+        row += cells(ct.n_a, 0.0, [ct.n_a, ct.n_coh, ct.g2])
     except (ValueError, JclaserError):
-        row += [float("nan")] * 3
+        row += [nan] * 3
     row += [err]
     return row
 

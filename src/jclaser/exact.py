@@ -12,7 +12,8 @@ full Liouvillian):
   |n,0> and |n-1,1>.  In excitation order it is banded (at most 4 sub- and
   4 super-diagonals), so a LAPACK banded LU solves it in O(n_max) with one
   photon-number population pinned; the result is divided by its trace.  This
-  is the exact route behind every command.
+  is the exact route behind every command.  The automatic cutoff is judged
+  from the solution's own tail, with no closed-form estimate.
 - k = 1 holds the two-time correlators of the quantum regression theorem and
   has the same band.  Lines come from its dense eigendecomposition; where
   ``decompose`` refuses them, the spectrum grid comes from ``_band_solves``
@@ -249,7 +250,7 @@ class SteadyState:
         n = np.arange(self.space.n_max + 1)
         na2 = float(np.dot(n * (n - 1), self.photon_distribution))
         na = self.n_a
-        return na2 / na**2 if na > 0.0 else 0.0
+        return na2 / na / na if na > 0.0 else 0.0  # na**2 underflows below 1e-154
 
     def hermiticity_defect(self) -> float:
         return self.herm_defect
@@ -259,19 +260,6 @@ class SteadyState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.rho)[0])
-
-
-def _peak_guess(params: SystemParams) -> float:
-    """Photon number near the peak of the distribution: the semiclassical n_a.
-
-    It is 0 below threshold, where the distribution peaks at n = 0.
-    """
-    from .approximations import semiclassical
-
-    try:
-        return semiclassical(params).n_a
-    except (ValueError, ZeroDivisionError):
-        return 0.0
 
 
 def _band_solves(A: SectorBlock, b: np.ndarray, shifts=(0.0,), refine: int = 0):
@@ -324,15 +312,17 @@ def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
         raise NoSteadyStateError(f"singular Liouvillian: {exc}") from exc
 
 
-def _steady_state_fixed(params: SystemParams, n_max: int) -> SteadyState:
+def _steady_state_fixed(params: SystemParams, n_max: int, pin: int = 0) -> SteadyState:
     space = FockSpace(n_max)
     G, r, s = sector_generator(params, n_max, 0)
     pos = _sector_position(r, s, space.dim)
     n = np.arange(n_max + 1)
-    m = min(int(round(_peak_guess(params))), n_max)
-    x = _pinned_solve(G, pos, m)
+    try:
+        x = _pinned_solve(G, pos, pin)
+    except NoSteadyStateError:  # a zero pivot at the pin: pin the top rung once
+        x = _pinned_solve(G, pos, n_max)
     T = np.nan_to_num(np.abs(x[pos[2 * n, 0]] + x[pos[2 * n + 1, 1]]))
-    if T.max() > 1e8:  # the guess sat far below the peak: pin the peak itself
+    if T.max() > 1e8:  # the pin sat far below the peak: pin the peak itself
         x = _pinned_solve(G, pos, int(np.argmax(T)))
     if not np.all(np.isfinite(x)):
         raise NoSteadyStateError("singular Liouvillian beyond the trace deficiency")
@@ -361,27 +351,28 @@ def _has_steady_state(params: SystemParams) -> bool:
     return True
 
 
-def suggest_n_max(params: SystemParams) -> int:
-    """Starting photon cutoff: three times the expected occupation plus slack.
+def _tail_converged(T: np.ndarray, rtol: float, tail: float) -> bool:
+    """Whether the photon distribution beyond the cutoff N is negligible.
 
-    The occupation is the largest finite closed-form estimate, each held to
-    the rate-balance bound n_a <= (P_a + P_sigma) / (gamma_a - P_a): the
-    thermal form alone gives 3.3e6 photons for the vacuum at g = 1e-12.
+    T continues geometrically past N with its last decay ratio
+    r = T[N] / T[N-1]; the factorial moments n and n(n-1) it would add must
+    stay below ``rtol`` of those of T, and T[N] itself below ``tail``.
     """
-    from .approximations import semiclassical, statistics_root, thermal_na
+    N = len(T) - 1
+    t, prev = abs(float(T[N])), abs(float(T[N - 1]))
+    if t == 0.0:
+        return True
+    if not (t < tail and t < prev):
+        return False
+    r = t / prev
+    s0, s1, s2 = r / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3  # sum of k^j r^k, k >= 1
+    n = np.arange(N + 1)
+    m1, m2 = float(np.dot(n, T)), float(np.dot(n * (n - 1), T))
+    return t * (N * s0 + s1) <= rtol * m1 and t * (N * (N - 1) * s0 + (2 * N - 1) * s1 + s2) <= rtol * m2
 
-    n_est = 1.0
-    if params.gamma_a > 0.0:
-        try:
-            ests = [semiclassical(params).n_a, thermal_na(params).n_a, statistics_root(params, 2.0)]
-        except (ValueError, ZeroDivisionError):
-            ests = []
-        gain = params.gamma_a - params.P_a
-        bound = (params.P_a + params.P_sigma) / gain if gain > 0.0 else math.inf
-        n_est = max([n_est] + [min(x, bound) for x in ests if math.isfinite(x)])
-    elif params.gamma_sigma > params.P_sigma:
-        n_est = max(n_est, params.P_sigma / (params.gamma_sigma - params.P_sigma))
-    return int(math.ceil(3.0 * n_est)) + 10
+
+# First photon cutoff of auto mode; each refused round doubles it.
+_N_START = 32
 
 
 def steady_state(
@@ -391,12 +382,14 @@ def steady_state(
     rtol: float = 1e-7,
     tail: float = 1e-12,
 ) -> SteadyState:
-    """Steady state by banded LU; auto mode grows the cutoff until stable.
+    """Steady state by banded LU; auto mode grows the cutoff until the
+    solution's own tail shows it is wide enough.
 
-    Auto mode starts at ``suggest_n_max``, never above ``n_max_cap``, and
-    doubles the cutoff.  Convergence requires the mean photon number to move
-    less than ``rtol`` relative between successive cutoffs and the occupation
-    of the last Fock state to fall below ``tail``.
+    A fixed ``n_max`` is solved once with the vacuum population pinned.
+    Auto mode starts at 32 photons and accepts a solve when its top Fock
+    state holds under ``tail`` and the geometric continuation of its tail
+    adds less than ``rtol`` to n and n(n-1).  Otherwise the cutoff doubles,
+    up to and including ``n_max_cap``, pinned at the previous peak.
     """
     if not _has_steady_state(params):
         raise NoSteadyStateError(
@@ -404,18 +397,15 @@ def steady_state(
         )
     if n_max is not None:
         return _steady_state_fixed(params, n_max)
-    n = min(suggest_n_max(params), n_max_cap)
-    prev = None
-    while n <= n_max_cap:
-        ss = _steady_state_fixed(params, n)
-        if prev is not None:
-            ok_na = abs(ss.n_a - prev.n_a) <= rtol * max(abs(ss.n_a), 1e-300)
-            ok_tail = ss.photon_distribution[-1] < tail
-            if ok_na and ok_tail:
-                return ss
-        prev = ss
-        n *= 2
-    raise TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")
+    n, pin = min(_N_START, n_max_cap), 0
+    while True:
+        ss = _steady_state_fixed(params, n, pin)
+        T = ss.photon_distribution
+        if _tail_converged(T, rtol, tail):
+            return ss
+        if n >= n_max_cap:
+            raise TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")
+        n, pin = min(2 * n, n_max_cap), int(np.argmax(T))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +509,8 @@ def spectrum(
     ss: SteadyState | None = None,
 ) -> SpectrumResult:
     """Normalized emission spectrum on a grid, with its line table; after a
-    refused table the grid is the banded resolvent and ``meta`` says why."""
+    refused table the grid is the banded resolvent and ``meta`` says why.
+    ``meta["grid_integral"]`` is the trapezoid integral of the grid values."""
     if ss is None:
         ss = steady_state(params, n_max)
     if omega is None:
@@ -534,6 +525,8 @@ def spectrum(
         lines = []
         values = resolvent_spectrum(sec, omega)
         meta.update(grid_source="banded_resolvent", refusal=str(exc))
+    # far from one when the grid misses a line or steps over a narrow one
+    meta["grid_integral"] = float(np.trapezoid(values, omega))
     return SpectrumResult(
         channel=channel,
         omega=np.asarray(omega, dtype=float),

@@ -319,12 +319,13 @@ def test_good_cavity_sweep_matches_reference(tmp_path, pumps):
 
 
 def test_steady_good_cavity_needs_a_higher_cap(tmp_path):
+    # n_a ~ 344 is accepted at a cutoff of 512, under the default cap of 2048
     args = ["steady", "--gamma-a", "0.01", "--gamma-sigma", "0.00334", "--pump-sigma", "7"]
     out = tmp_path / "gc.csv"
-    assert run(args + ["--auto-nmax-cap", "4096", "--out", str(out)]) == 0
+    assert run(args + ["--out", str(out)]) == 0
     (row,) = _table(out)
     assert float(row["n_a_exact"]) == pytest.approx(343.7109077806, rel=1e-10)
-    assert run(args + ["--out", str(tmp_path / "capped.csv")]) == 3
+    assert run(args + ["--auto-nmax-cap", "256", "--out", str(tmp_path / "capped.csv")]) == 3
     (row,) = _table(tmp_path / "capped.csv")
     assert row["error"].startswith("TruncationNotConvergedError")
 
@@ -421,3 +422,39 @@ def test_sweep_row_matches_moment_route(tmp_path_factory, gamma_a, log_P):
     ref = moment_reference(SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=0.00334, P_sigma=P))
     assert float(row["n_a_exact"]) == pytest.approx(ref.n_a, rel=1e-8)
     assert float(row["g2_exact"]) == pytest.approx(ref.g2, rel=1e-8)
+
+
+def test_steady_default_rates(tmp_path):
+    # gamma_sigma = P_sigma = 0: the closed forms that need Gamma_sigma > 0
+    # are blank, the regime boundaries and the exact vacuum are not
+    out = tmp_path / "default.csv"
+    assert run(["steady", "--out", str(out)]) == 0
+    (row,) = _table(out)
+    assert float(row["n_a_exact"]) == 0.0
+    assert row["regime"] and row["error"] == ""
+    assert np.isnan(float(row["n_a_semiclassical"])) and np.isnan(float(row["n_a_thermal"]))
+
+
+def test_steady_vacuum_blanks_unphysical_approximations(tmp_path):
+    # semiclassical n_sigma reads 4.5e22 and thermal n_a 3.3e6 here, while the
+    # rate balance allows n_a <= (P_a + P_sigma) / (gamma_a - P_a) = 0
+    out = tmp_path / "vac.csv"
+    code = run(["steady", "--g", "1e-12", "--gamma-a", "0.4", "--gamma-sigma", "0.9",
+                "--pump-sigma", "0", "--out", str(out)])
+    assert code == 0
+    (row,) = _table(out)
+    for col in ("n_a_semiclassical", "n_sigma_semiclassical", "n_a_thermal"):
+        assert np.isnan(float(row[col])), col
+    for col in ("n_a_exact", "n_a_bosonic", "n_sigma_bosonic", "n_a_truncated_jc",
+                "n_sigma_truncated_jc", "n_a_cothermal", "n_coh_cothermal"):
+        assert float(row[col]) == 0.0, col
+
+
+def test_spectrum_sidecar_reports_the_grid_integral(tmp_path):
+    # the default grid steps over the cavity lines at P 6.1 (see test_exact)
+    out = tmp_path / "cav.csv"
+    code = run(["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "6.1",
+                "--channel", "cavity", "--out", str(out)])
+    assert code == 0
+    validity = json.loads((tmp_path / "cav.lines.json").read_text())["validity"]
+    assert validity["grid_integral"] == pytest.approx(1.896, abs=1e-3)

@@ -156,25 +156,99 @@ def test_vacuum_cutoff_bounded():
     # here); the rate balance caps n_a at (P_a + P_sigma) / (gamma_a - P_a) = 0
     p = SystemParams(g=1e-12, gamma_a=0.4, gamma_sigma=0.9, P_sigma=0.0)
     assert ap.thermal_na(p).n_a > 1e6
-    assert exact.suggest_n_max(p) < 20
     ss = exact.steady_state(p)
     assert ss.n_a == 0.0 and ss.space.n_max < 64
 
 
-def test_auto_cutoff_starts_at_most_at_cap(monkeypatch):
-    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
-    assert exact.suggest_n_max(p) > 500
+def _tried_cutoffs(monkeypatch) -> list:
+    """Cutoffs of the fixed solves that steady_state makes, in order."""
     tried = []
     fixed = exact._steady_state_fixed
 
-    def spy(params, n_max):
+    def spy(params, n_max, *args):
         tried.append(n_max)
-        return fixed(params, n_max)
+        return fixed(params, n_max, *args)
 
     monkeypatch.setattr(exact, "_steady_state_fixed", spy)
+    return tried
+
+
+def test_auto_cutoff_starts_at_most_at_cap(monkeypatch):
+    # n_a ~ 344 fits under a cutoff of 500 but not of 300; either cap is tried
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
+    tried = _tried_cutoffs(monkeypatch)
+    assert exact.steady_state(p, n_max_cap=500).n_a == pytest.approx(343.7109077806, rel=1e-10)
+    assert max(tried) <= 500 and tried[-1] == 500
+    tried.clear()
     with pytest.raises(TruncationNotConvergedError):
-        exact.steady_state(p, n_max_cap=500)
-    assert tried == [500]
+        exact.steady_state(p, n_max_cap=300)
+    assert max(tried) <= 300 and tried[-1] == 300
+
+
+def test_good_cavity_accepts_without_a_confirming_solve(monkeypatch):
+    # one solve per cutoff, none at twice the accepted one
+    tried = _tried_cutoffs(monkeypatch)
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
+    ss = exact.steady_state(p)
+    assert tried == [32, 64, 128, 256, 512] and ss.space.n_max == 512
+    assert ss.n_a == pytest.approx(343.7109077806, rel=1e-10)
+    tried.clear()
+    exact.steady_state(SystemParams(P_sigma=0.05, **BASE))
+    assert tried == [32]
+
+
+def test_tail_estimate_is_exact_on_a_geometric_tail():
+    # a geometric distribution continues exactly as the estimate assumes
+    r, N = 0.5, 40
+    n, far = np.arange(N + 1), np.arange(N + 1, N + 400)
+    T, T_far = (1 - r) * r**n, (1 - r) * r**far
+    miss1 = np.dot(far, T_far) / np.dot(n, T)
+    miss2 = np.dot(far * (far - 1), T_far) / np.dot(n * (n - 1), T)
+    assert miss2 > 1.01 * miss1
+    assert exact._tail_converged(T, 1.001 * miss2, tail=1.0)
+    assert not exact._tail_converged(T, 0.999 * miss2, tail=1.0)  # n passes, n(n-1) does not
+    assert not exact._tail_converged(T, 1.0, tail=0.999 * T[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma_a=st.floats(0.01, 2.0),
+    gamma_sigma=st.floats(0.0, 1.0),
+    P=st.floats(0.0, 20.0),
+    pump_a=st.floats(0.0, 0.9),
+    gamma_phi=st.floats(0.0, 2.0),
+    delta=st.floats(-3.0, 3.0),
+)
+def test_auto_cutoff_matches_twice_the_cutoff(gamma_a, gamma_sigma, P, pump_a, gamma_phi, delta):
+    # the tail estimate stands in for the old solve at twice the cutoff
+    p = SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=gamma_sigma, P_sigma=P,
+                     P_a=pump_a * gamma_a, gamma_phi=gamma_phi, delta=delta)
+    rtol = 1e-7
+    ss = exact.steady_state(p, rtol=rtol)
+    ref = exact.steady_state(p, n_max=2 * ss.space.n_max)
+    assert ss.n_a == pytest.approx(ref.n_a, rel=rtol)
+    assert ss.g2 == pytest.approx(ref.g2, rel=rtol)
+
+
+def test_zero_pivot_at_the_vacuum_pin_retries_at_the_top():
+    # here the pin at n = 0 meets a zero pivot of the banded LU
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_a=0.0095, P_sigma=1.0)
+    G, r, s = exact.sector_generator(p, 32, 0)
+    with pytest.raises(NoSteadyStateError, match="zero pivot"):
+        exact._pinned_solve(G, exact._sector_position(r, s, exact.FockSpace(32).dim), 0)
+    ss = exact.steady_state(p, n_max=32)
+    assert float(np.trace(ss.rho).real) == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(ss.n_a) and ss.n_a > 0.0
+
+
+def test_exact_needs_no_closed_form_guess():
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
+    imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    assert not [m for m in imported if m and "approximations" in m]
 
 
 def test_rate_balance_identity():
@@ -399,6 +473,27 @@ def test_spectrum_names_its_grid_source(monkeypatch):
     res = exact.spectrum(p, channel="cavity", ss=ss, omega=w)
     assert res.meta["grid_source"] == "banded_resolvent"
     assert res.meta["refusal"] == "forced"
+
+
+def test_spectrum_grid_integral_shows_a_missed_line():
+    # the CLI's default grid steps 0.02 over lines 0.0075 wide at P 6.1: the
+    # cavity spectrum integrates to 1.90 instead of one, the emitter to 0.91
+    p = SystemParams(P_sigma=6.1, **BASE)
+    ss = exact.steady_state(p)
+    w = np.linspace(-20.0, 20.0, 2001)
+    readings = {}
+    for channel in ("cavity", "emitter"):
+        res = exact.spectrum(p, channel=channel, ss=ss, omega=w)
+        assert res.meta["grid_integral"] == np.trapezoid(res.values, res.omega)
+        assert min(abs(ln.gamma) for ln in res.lines) < w[1] - w[0]
+        readings[channel] = res.meta["grid_integral"]
+    assert readings["cavity"] == pytest.approx(1.896, abs=1e-3)
+    assert readings["emitter"] == pytest.approx(0.915, abs=1e-3)
+    # a grid that resolves the cavity lines integrates to one; the emitter's
+    # broad lines leave ~0.19 of their weight outside [-20, 20]
+    fine = np.linspace(-20.0, 20.0, 40001)
+    res = exact.spectrum(p, channel="cavity", ss=ss, omega=fine)
+    assert res.meta["grid_integral"] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_refused_spectrum_builds_its_sector_once(monkeypatch):
