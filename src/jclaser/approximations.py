@@ -113,22 +113,25 @@ def g2_zero_pump(params: SystemParams) -> float:
     return 2.0 * num / den
 
 
-def statistics_root(params: SystemParams, g2: float) -> float:
+def statistics_root(params: SystemParams, g2: float | np.ndarray) -> float | np.ndarray:
     """Positive n_a root of the exact g2(n_a) relation at a fixed g2.
 
     g2 = 1 gives the semiclassical (Poissonian) branch, g2 = 2 the thermal
-    one.  Solved with the cancellation-free quadratic formula.
+    one.  Solved with the cancellation-free quadratic formula, elementwise
+    when ``g2`` is an array.  At g2 = 0 with b <= 0 the relation has no root
+    and the result is not finite.
     """
     if params.gamma_a <= 0.0:
         raise ValueError("statistics_root needs gamma_a > 0")
     gs_tot = params.Gamma_sigma
     ga, P = params.gamma_a, params.P_sigma
-    a = 2.0 * g2 * ga / (gs_tot + ga)
+    a = 2.0 * np.asarray(g2) * ga / (gs_tot + ga)
     b = inv_C_eff(params, 1) + (ga + gs_tot) / gs_tot - 2.0 * P / (gs_tot + ga)
     c = P / gs_tot
-    disc = math.sqrt(b * b + 4.0 * a * c)
+    disc = np.sqrt(b * b + 4.0 * a * c)
     if b <= 0.0:
-        return (-b + disc) / (2.0 * a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (-b + disc) / (2.0 * a)
     return 2.0 * c / (b + disc)
 
 
@@ -328,117 +331,68 @@ class CothermalState:
 _LOG_FLOOR = math.log(1e-300)
 
 
-def _cothermal_equations(params: SystemParams, x: float, y: float):
-    """Residuals of the n = 1, 2 moment equations and their magnitude scales."""
-    m1 = x
-    m2 = 2.0 * x * x - y * y
-    m3 = 6.0 * x**3 - 9.0 * x * y * y + 4.0 * y**3
-    A1, B1, C1 = recurrence_coefficients(params, 1)
-    A2, B2, C2 = recurrence_coefficients(params, 2)
-    r1 = C1 * 1.0 - B1 * m1 - A1 * m2
-    r2 = C2 * m1 - B2 * m2 - A2 * m3
-    s1 = abs(C1) + abs(B1 * m1) + abs(A1 * m2) + 1e-300
-    s2 = abs(C2 * m1) + abs(B2 * m2) + abs(A2 * m3) + 1e-300
-    return np.array([r1, r2]), np.array([s1, s2])
+# g2 nodes of the cothermal root scan
+_G2_GRID = np.linspace(0.0, 2.0, 65)
 
 
-def _cothermal_relative_residual(params: SystemParams, x: float, y: float) -> float:
-    r, s = _cothermal_equations(params, x, y)
-    return float(np.max(np.abs(r) / s))
+def _refine_bracket(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in the sign-change bracket [lo, hi], to the last bit.
+
+    Each pass rescans the bracket on ``_G2_GRID.size`` nodes and keeps its
+    first sign change, until the bracket stops shrinking.  The last bit
+    matters: n_coh = n_a sqrt(2 - g2) is steep near g2 = 2.
+    """
+    while True:
+        g = np.linspace(lo, hi, _G2_GRID.size)
+        f_g = f(g)
+        i = int(np.argmax((f_g[:-1] > 0.0) != (f_g[1:] > 0.0)))
+        if (g[i], g[i + 1]) == (lo, hi):
+            return lo if abs(f_g[i]) <= abs(f_g[i + 1]) else hi
+        lo, hi = g[i], g[i + 1]
 
 
-def _cothermal_jacobian(params: SystemParams, x: float, y: float) -> np.ndarray:
-    A1, B1, _ = recurrence_coefficients(params, 1)
-    A2, B2, C2 = recurrence_coefficients(params, 2)
-    dm2x, dm2y = 4.0 * x, -2.0 * y
-    dm3x, dm3y = 18.0 * x * x - 9.0 * y * y, -18.0 * x * y + 12.0 * y * y
-    return np.array(
-        [
-            [-B1 - A1 * dm2x, -A1 * dm2y],
-            [C2 - B2 * dm2x - A2 * dm3x, -B2 * dm2y - A2 * dm3y],
-        ]
-    )
-
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _newton_polish(
-    params: SystemParams, x: float, y: float, steps: int = 100
-) -> tuple[float, float, float]:
-    """Damped Newton with projection onto n_a >= 0, 0 <= n_coh <= sqrt(2) n_a."""
-    for _ in range(steps):
-        r, s = _cothermal_equations(params, x, y)
-        rel = float(np.max(np.abs(r) / s))
-        if rel < 1e-14:
-            break
-        try:
-            step = np.linalg.solve(_cothermal_jacobian(params, x, y), -r)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        improved = False
-        for _ in range(50):
-            xn = max(x + lam * step[0], 0.0)
-            yn = min(max(y + lam * step[1], 0.0), _SQRT2 * xn)
-            if _cothermal_relative_residual(params, xn, yn) < rel:
-                x, y = xn, yn
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    return x, y, _cothermal_relative_residual(params, x, y)
-
-
-def _third_moment_score(params: SystemParams, state: CothermalState) -> float:
-    """Relative residual of the n = 3 moment equation; root quality metric."""
-    A3, B3, C3 = recurrence_coefficients(params, 3)
-    m2, m3, m4 = (state.moment(k) for k in (2, 3, 4))
-    r = C3 * m2 - B3 * m3 - A3 * m4
-    s = abs(C3 * m2) + abs(B3 * m3) + abs(A3 * m4) + 1e-300
-    return abs(r) / s
+def _moment_residual(params: SystemParams, state: CothermalState, n: int) -> float:
+    """Relative residual of C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0 at ``state``."""
+    A, B, C = recurrence_coefficients(params, n)
+    terms = (C * state.moment(n - 1), -B * state.moment(n), -A * state.moment(n + 1))
+    return abs(sum(terms)) / (sum(map(abs, terms)) + 1e-300)
 
 
 def cothermal(params: SystemParams) -> CothermalState:
-    """Solve the coupled cothermal equations for (n_a, n_coh).
+    """Solve the n = 1, 2 moment equations of the cothermal field for (n_a, n_coh).
 
-    Damped Newton from three seeds spanning the branches: the semiclassical
-    point (coherent, n_coh = n_a), the thermal point (n_coh = 0) and the
-    antibunched edge (n_coh = sqrt(2) n_a).  Among converged roots in the
-    admissible wedge the one that best satisfies the next (n = 3) moment
-    equation wins; no converged seed is a ``NoPhysicalRootError``.
+    With N_a[2] = g2 n_a^2 the n = 1 equation is the quadratic of
+    ``statistics_root``, so every admissible state lies on the curve
+    n_a = statistics_root(g2), n_coh = n_a sqrt(2 - g2), g2 in [0, 2].  On
+    it the n = 2 equation divided by n_a reads
+    C2 - B2 g2 n_a - A2 n_a^2 (9 g2 - 12 + 4 (2 - g2)^1.5); each of its sign
+    changes on a fixed g2 grid is rescanned down to adjacent floats.  Among
+    roots with n_a > 0 that satisfy both equations, the one that best
+    satisfies the n = 3 equation wins; none is a ``NoPhysicalRootError``.
     """
     if params.gamma_a <= 0.0 or params.P_a != 0.0:
         raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
     if params.P_sigma == 0.0:
         return CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)
-    sc_na = semiclassical(params).n_a
-    th_na = thermal_na(params).n_a
-    lin_na = statistics_root(params, 2.0)
-    seeds = [(th_na, 0.0), (lin_na, 0.0), (lin_na, 1.3 * lin_na)]
-    if sc_na > 0.0:
-        seeds.append((sc_na, sc_na))
+    A2, B2, C2 = recurrence_coefficients(params, 2)
 
+    def second_moment_equation(g2):
+        n_a = statistics_root(params, g2)
+        return C2 - B2 * g2 * n_a - A2 * n_a * n_a * (9.0 * g2 - 12.0 + 4.0 * (2.0 - g2) ** 1.5)
+
+    g2s = _G2_GRID[np.isfinite(statistics_root(params, _G2_GRID))]  # g2 = 0 may have no root
+    f = second_moment_equation(g2s)
     roots: list[CothermalState] = []
-    for x0, y0 in seeds:
-        if not (x0 > 0.0 and math.isfinite(x0)):
-            continue
-        x, y, res = _newton_polish(params, x0, max(y0, 0.0))
-        if res <= 1e-10 and x > 0.0:
-            roots.append(CothermalState(n_a=x, n_coh=y, residual=res))
+    for i in np.nonzero((f[:-1] > 0.0) != (f[1:] > 0.0))[0]:
+        g2 = _refine_bracket(second_moment_equation, g2s[i], g2s[i + 1])
+        n_a = float(statistics_root(params, g2))
+        state = CothermalState(n_a=n_a, n_coh=n_a * math.sqrt(2.0 - g2))
+        residual = max(_moment_residual(params, state, 1), _moment_residual(params, state, 2))
+        if residual <= 1e-10 and n_a > 0.0:
+            roots.append(replace(state, residual=residual))
     if not roots:
         raise NoPhysicalRootError("no cothermal root with n_a, n_coh >= 0 found")
-    # deduplicate and pick the root most consistent with the next moment equation
-    uniq: list[CothermalState] = []
-    for r in roots:
-        if not any(
-            abs(r.n_a - u.n_a) <= 1e-6 * max(u.n_a, 1.0)
-            and abs(r.n_coh - u.n_coh) <= 1e-6 * max(u.n_a, 1.0)
-            for u in uniq
-        ):
-            uniq.append(r)
-    return min(uniq, key=lambda r: _third_moment_score(params, r))
+    return min(roots, key=lambda r: _moment_residual(params, r, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +434,10 @@ def regime_boundaries(params: SystemParams) -> dict[str, float]:
 
 
 def classify_regime(params: SystemParams) -> RegimeLabel:
-    """Assign the pump to one of the five operation regimes."""
+    """Assign the pump to one of the five operation regimes; zero pump is Linear."""
     b = regime_boundaries(params)
     P = params.P_sigma
-    if P < b["linear_quantum"]:
+    if P == 0.0 or P < b["linear_quantum"]:
         label = "Linear"
     elif P <= b["quantum_lasing"]:
         label = "Quantum"

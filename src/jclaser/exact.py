@@ -294,7 +294,9 @@ def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
 
     One population equation is redundant, since the trace is conserved; it
     gives way to the pin.  A dense trace row instead would fill the band.
-    Two refinement steps recover the tiny tail components.
+    Two refinement steps recover the tiny tail components.  A solution
+    that is not finite comes from a pivot too small to factor by, and
+    raises as a zero pivot does.
     """
     d, d1 = pos[2 * m, 0], pos[2 * m + 1, 1]
     keep = G.row != d
@@ -307,9 +309,12 @@ def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
     b = np.zeros(G.size, dtype=complex)
     b[d] = 1.0
     try:
-        return next(_band_solves(A, b, refine=2))
+        x = next(_band_solves(A, b, refine=2))
     except ZeroPivotError as exc:
         raise NoSteadyStateError(f"singular Liouvillian: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise NoSteadyStateError(f"singular Liouvillian: a near-zero pivot in the banded LU (size {G.size})")
+    return x
 
 
 def _steady_state_fixed(params: SystemParams, n_max: int, pin: int = 0) -> SteadyState:
@@ -321,11 +326,9 @@ def _steady_state_fixed(params: SystemParams, n_max: int, pin: int = 0) -> Stead
         x = _pinned_solve(G, pos, pin)
     except NoSteadyStateError:  # a zero pivot at the pin: pin the top rung once
         x = _pinned_solve(G, pos, n_max)
-    T = np.nan_to_num(np.abs(x[pos[2 * n, 0]] + x[pos[2 * n + 1, 1]]))
+    T = np.abs(x[pos[2 * n, 0]] + x[pos[2 * n + 1, 1]])
     if T.max() > 1e8:  # the pin sat far below the peak: pin the peak itself
         x = _pinned_solve(G, pos, int(np.argmax(T)))
-    if not np.all(np.isfinite(x)):
-        raise NoSteadyStateError("singular Liouvillian beyond the trace deficiency")
     diag = r == s
     x /= x[diag].sum()
     pops = np.zeros(space.dim)

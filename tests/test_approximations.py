@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jclaser import approximations as ap
 from jclaser import moments, spectra
+from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, kappa_sigma
 
 BASE = dict(g=1.0, gamma_sigma=0.00334)
@@ -123,6 +128,21 @@ def test_statistics_roots_cross_checks():
         assert ap.thermal_na(p).n_a == pytest.approx(ap.statistics_root(p, 2.0), rel=1e-10)
 
 
+
+def test_statistics_root_is_the_first_moment_curve():
+    # on an array it equals the scalar calls, and N2 = g2 n_a^2 solves the
+    # n = 1 moment equation; at g2 = 0 with b <= 0 (P 7) there is no root
+    g2 = np.linspace(0.0, 2.0, 9)
+    for P in (1e-3, 7.0):
+        p = SystemParams(gamma_a=0.1, P_sigma=P, **BASE)
+        n_a = ap.statistics_root(p, g2)
+        np.testing.assert_array_equal(n_a, [ap.statistics_root(p, x) for x in g2])
+        assert np.isfinite(n_a[0]) == (P < 1.0) and np.all(np.isfinite(n_a[1:]))
+        A1, B1, C1 = moments.recurrence_coefficients(p, 1)
+        x, n = g2[1:], n_a[1:]
+        scale = C1 + np.abs(B1 * n) + A1 * x * n**2
+        assert np.all(np.abs(C1 - B1 * n - A1 * x * n**2) <= 1e-14 * scale)
+
 def test_thermal_limits():
     # weak pump: agrees with the linear model to first order
     p = SystemParams(gamma_a=0.1, P_sigma=1e-6, **BASE)
@@ -213,6 +233,69 @@ def test_cothermal_out_of_numerical_reach():
         ct = ap.cothermal(p)
         assert ct.n_a >= 0.0 and ct.n_coh >= 0.0
         assert ct.residual < 1e-9
+
+
+
+# (gamma_a, P_sigma, delta, gamma_phi) -> (n_a, n_coh) from an independent
+# route: a damped Newton solve of the n = 1, 2 equations in (n_a, n_coh)
+COTHERMAL_PINS = [
+    ((0.1, 1e-3, 0.0, 0.0), (0.009585633181858922, 0.010990323004632428)),
+    ((0.1, 7.0, 0.0, 0.0), (28.941359298299382, 28.964234565610603)),  # b <= 0 at g2 = 0
+    ((0.1, 300.0, 0.0, 0.0), (0.15375431261805145, 0.00774923870211587)),  # g2 near 2
+    ((0.01, 300.0, 0.0, 0.0), (3749.961076985176, 3749.0251807193345)),
+    ((1.0, 0.5, 1.0, 0.5), (0.276557831841676, 0.31107833447930416)),
+    ((10.0, 1e-4, 0.0, 0.0), (9.91132386411818e-06, 1.3925819160040762e-05)),  # antibunched
+]
+
+
+@pytest.mark.parametrize("point, pinned", COTHERMAL_PINS)
+def test_cothermal_pinned_roots(point, pinned):
+    ga, P, delta, gamma_phi = point
+    p = SystemParams(gamma_a=ga, P_sigma=P, delta=delta, gamma_phi=gamma_phi, **BASE)
+    ct = ap.cothermal(p)
+    assert ct.n_a == pytest.approx(pinned[0], rel=1e-12)
+    assert abs(ct.n_coh - pinned[1]) <= 1e-10 * pinned[0]
+    assert ct.residual <= 1e-10
+
+
+def _cothermal_or_error(p):
+    try:
+        return ap.cothermal(p)
+    except NoPhysicalRootError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_gamma_a=st.floats(-3.0, 2.0),
+    gamma_sigma=st.floats(0.0, 1.0),
+    log_P=st.floats(-5.0, 4.0),
+    delta=st.floats(-3.0, 3.0),
+    gamma_phi=st.floats(0.0, 2.0),
+)
+def test_cothermal_scan_grid_finds_every_root(log_gamma_a, gamma_sigma, log_P, delta, gamma_phi):
+    # a 64 times finer g2 grid brackets no root that the shipped grid misses
+    p = SystemParams(g=1.0, gamma_a=10.0**log_gamma_a, gamma_sigma=gamma_sigma,
+                     P_sigma=10.0**log_P, delta=delta, gamma_phi=gamma_phi)
+    coarse = _cothermal_or_error(p)
+    with mock.patch.object(ap, "_G2_GRID", np.linspace(0.0, 2.0, 4097)):
+        fine = _cothermal_or_error(p)
+    if isinstance(coarse, type):
+        assert fine is coarse
+        return
+    assert fine.n_a == pytest.approx(coarse.n_a, rel=1e-12)
+    assert abs(fine.n_coh - coarse.n_coh) <= 1e-10 * coarse.n_a
+
+
+def test_cothermal_needs_no_other_rung(monkeypatch):
+    def refuse(params):
+        raise AssertionError("cothermal called another rung of the ladder")
+
+    monkeypatch.setattr(ap, "semiclassical", refuse)
+    monkeypatch.setattr(ap, "thermal_na", refuse)
+    for (ga, P, delta, gamma_phi), (n_a, _) in COTHERMAL_PINS:
+        p = SystemParams(gamma_a=ga, P_sigma=P, delta=delta, gamma_phi=gamma_phi, **BASE)
+        assert ap.cothermal(p).n_a == pytest.approx(n_a, rel=1e-12)
 
 
 def test_mandel_q_peaks_in_quench_window():

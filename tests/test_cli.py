@@ -431,7 +431,7 @@ def test_steady_default_rates(tmp_path):
     assert run(["steady", "--out", str(out)]) == 0
     (row,) = _table(out)
     assert float(row["n_a_exact"]) == 0.0
-    assert row["regime"] and row["error"] == ""
+    assert row["regime"] == "Linear" and row["error"] == ""
     assert np.isnan(float(row["n_a_semiclassical"])) and np.isnan(float(row["n_a_thermal"]))
 
 
