@@ -19,15 +19,7 @@ from .errors import (
     UnphysicalResultError,
 )
 from .lineshape import SpectralLine, SpectrumResult
-from .params import (
-    EffectiveRates,
-    LaserDriveParams,
-    SystemParams,
-    effective_rates,
-    kappa_a,
-    kappa_rates,
-    kappa_sigma,
-)
+from .params import LaserDriveParams, SystemParams, kappa_a, kappa_sigma
 
 __all__ = [
     "approximations",
@@ -36,7 +28,6 @@ __all__ = [
     "moments",
     "spectra",
     "ConfigError",
-    "EffectiveRates",
     "InternalConsistencyError",
     "JclaserError",
     "LaserDriveParams",
@@ -50,9 +41,7 @@ __all__ = [
     "SystemParams",
     "TruncationNotConvergedError",
     "UnphysicalResultError",
-    "effective_rates",
     "kappa_a",
-    "kappa_rates",
     "kappa_sigma",
 ]
 

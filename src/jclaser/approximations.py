@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NoPhysicalRootError
-from .moments import recurrence_coefficients
-from .params import SystemParams, g_eff, inv_C_eff, kappa_sigma
+from .params import SystemParams, g_eff, kappa_sigma, recurrence_coefficients
 
 
 @dataclass(frozen=True)
@@ -114,39 +113,24 @@ def g2_zero_pump(params: SystemParams) -> float:
 
 
 def statistics_root(params: SystemParams, g2: float | np.ndarray) -> float | np.ndarray:
-    """Positive n_a root of the exact g2(n_a) relation at a fixed g2.
+    """Positive n_a root of the n = 1 moment equation at a fixed g2.
 
-    g2 = 1 gives the semiclassical (Poissonian) branch, g2 = 2 the thermal
-    one.  Solved with the cancellation-free quadratic formula, elementwise
-    when ``g2`` is an array.  At g2 = 0 with b <= 0 the relation has no root
-    and the result is not finite.
+    With N_a[2] = g2 n_a^2 it reads C1 - B1 n_a - A1 g2 n_a^2 = 0, with the
+    coefficients of ``recurrence_coefficients(params, 1)``.  g2 = 1 gives the
+    semiclassical (Poissonian) branch, g2 = 2 the thermal one.  Solved with
+    the cancellation-free quadratic formula, elementwise when ``g2`` is an
+    array.  At g2 = 0 with B1 <= 0 the relation has no root and the result
+    is not finite.
     """
     if params.gamma_a <= 0.0:
         raise ValueError("statistics_root needs gamma_a > 0")
-    gs_tot = params.Gamma_sigma
-    ga, P = params.gamma_a, params.P_sigma
-    a = 2.0 * np.asarray(g2) * ga / (gs_tot + ga)
-    b = inv_C_eff(params, 1) + (ga + gs_tot) / gs_tot - 2.0 * P / (gs_tot + ga)
-    c = P / gs_tot
+    A1, b, c = recurrence_coefficients(params, 1)
+    a = A1 * np.asarray(g2)
     disc = np.sqrt(b * b + 4.0 * a * c)
     if b <= 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             return (-b + disc) / (2.0 * a)
     return 2.0 * c / (b + disc)
-
-
-def poissonian_ansatz_root(params: SystemParams) -> float:
-    """Semiclassical n_a from the n = 1 moment equation with N_a[n] = n_a^n.
-
-    Independent route to the same quadratic as ``statistics_root(params, 1)``.
-    """
-    A, B, C = recurrence_coefficients(params, 1)
-    if A == 0.0:
-        return C / B
-    disc = math.sqrt(B * B + 4.0 * A * C)
-    if B <= 0.0:
-        return (-B + disc) / (2.0 * A)
-    return 2.0 * C / (B + disc)
 
 
 @dataclass(frozen=True)
@@ -217,7 +201,8 @@ class ThermalResult:
 
 
 def thermal_na(params: SystemParams) -> ThermalResult:
-    """Cavity population assuming a thermal field (g2 = 2), literal form."""
+    """Cavity population assuming a thermal field: the g2 = 2 root of
+    ``statistics_root``, with n_sigma from the rate balance."""
     if params.gamma_a == 0.0:
         if params.P_a != 0.0:
             raise ValueError("thermal limit form expects P_a = 0")
@@ -227,19 +212,8 @@ def thermal_na(params: SystemParams) -> ThermalResult:
         return ThermalResult(n_a=nbar_a, n_sigma=nbar_s, exact_limit=(nbar_a, nbar_s))
     if params.Gamma_sigma <= 0.0:
         raise ValueError("thermal solution needs Gamma_sigma > 0 when gamma_a > 0")
-    ks = kappa_sigma(params)
-    gs_tot = params.Gamma_sigma
-    ga, gs, gp, P = params.gamma_a, params.gamma_sigma, params.gamma_phi, params.P_sigma
-    bracket = 1.0 + (gs_tot + ga + gp) / ks - 2.0 * P / (gs_tot + ga) + ga / gs_tot
-    root = math.sqrt(16.0 * P * ga / gs_tot / (gs_tot + ga) + bracket**2)
-    n_a = (
-        (gs_tot + ga) * root
-        - gs_tot * ((gs_tot + gp) / ks + 2.0 * gs / gs_tot - 1.0)
-        - ga * ((2.0 * gs_tot + gp) / ks + 2.0)
-        - ga**2 / gs_tot * (gs_tot / ks + 1.0)
-    ) / (8.0 * ga)
-    n_sigma = (P - ga * n_a) / gs_tot
-    return ThermalResult(n_a=n_a, n_sigma=n_sigma)
+    n_a = float(statistics_root(params, 2.0))
+    return ThermalResult(n_a=n_a, n_sigma=(params.P_sigma - params.gamma_a * n_a) / params.Gamma_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +390,7 @@ def regime_boundaries(params: SystemParams) -> dict[str, float]:
     edges come from the semiclassical pump scales.
     """
     gs = params.gamma_sigma
-    ge1 = g_eff(replace(params, P_sigma=max(params.P_sigma, 0.0)), 1)
+    ge1 = g_eff(params, 1)
     if params.gamma_a > 0.0:
         p_peak, p_quench = _pump_scales(params)
     else:

@@ -156,7 +156,8 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
     err = ""
     try:
         ss = exact.steady_state(params, n_max=n_max, n_max_cap=cap, rtol=tol)
-        row += [ss.n_a, ss.n_sigma, ss.g2, ss.n_a * (ss.g2 - 1.0)]
+        g2 = ss.g2 if ss.n_a > 0.0 else nan  # <a'a'aa>/n_a^2 is 0/0 in the vacuum
+        row += [ss.n_a, ss.n_sigma, g2, ss.n_a * (g2 - 1.0)]
     except JclaserError as exc:
         row += [nan] * 4
         err = f"{type(exc).__name__}: {exc}"
@@ -184,7 +185,7 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
         row += [nan]
     try:
         ct = ap.cothermal(params)
-        row += cells(ct.n_a, 0.0, [ct.n_a, ct.n_coh, ct.g2])
+        row += cells(ct.n_a, 0.0, [ct.n_a, ct.n_coh, ct.g2 if ct.n_a > 0.0 else nan])
     except (ValueError, JclaserError):
         row += [nan] * 3
     row += [err]

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import (
+    JclaserError,
     NonDiagonalizableError,
     NoSteadyStateError,
     SolverMemoryError,
@@ -426,7 +427,11 @@ class RegressionSector:
 
     def lines(self, weight_floor: float = 0.0) -> list[SpectralLine]:
         """Lines from ``decompose`` of the densified block, weights over n_c."""
-        dec = decompose(self.generator.toarray(), self.u0, self.readout)
+        try:
+            dec = decompose(self.generator.toarray(), self.u0, self.readout)
+        except MemoryError as exc:
+            M = len(self.u0)
+            raise SolverMemoryError(f"out of memory in the dense eig (size {M}): {exc}") from exc
         return lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c, weight_floor)
 
 
@@ -572,9 +577,12 @@ def transition_map(
     """Spectral-line table across a pump sweep (dressed-state map).
 
     ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state``.  Weights keep
-    their sign.  Per-point failures are recorded and the sweep continues; the
-    second return value lists (pump, message) failures.
+    their sign.  A ``JclaserError`` at one pump is recorded and the sweep
+    continues; the second return value lists (pump, message) failures.
+    Other exceptions are caller or program errors and propagate.
     """
+    if channel not in ("cavity", "emitter"):
+        raise ValueError(f"unknown channel {channel!r}")
     rows: list[TransitionRow] = []
     failures: list[tuple[float, str]] = []
     for P in np.asarray(pumps, dtype=float):
@@ -583,6 +591,6 @@ def transition_map(
             ss = steady_state(p, n_max, n_max_cap=n_max_cap, rtol=rtol)
             for ln in spectral_lines(p, channel=channel, ss=ss, weight_floor=weight_floor):
                 rows.append(TransitionRow(float(P), ln.omega, ln.gamma, ln.L, ln.K))
-        except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
+        except JclaserError as exc:
             failures.append((float(P), f"{type(exc).__name__}: {exc}"))
     return rows, failures

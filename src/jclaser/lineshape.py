@@ -58,6 +58,7 @@ def decompose(
     max |G V - V lam| / max |lam| of a block exceeds 1e-8, or when the real
     part of its weights plus its elastic part misses n_c by more than 1e-6
     of n_c: the eigenbasis is then too ill-conditioned to trust single lines.
+    An eig that does not converge or a singular eigenbasis refuses the same way.
     """
     B = np.zeros_like(u0)
     if inhom is not None:
@@ -66,8 +67,8 @@ def decompose(
             B = np.linalg.solve(G, rhs)[..., 0]
         except np.linalg.LinAlgError:  # a singular block: least-squares part
             B = (np.linalg.pinv(G) @ rhs)[..., 0]
-    lams, V = np.linalg.eig(G)
     try:
+        lams, V = np.linalg.eig(G)
         proj = np.linalg.solve(V, (u0 - B)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NonDiagonalizableError(str(exc)) from exc

@@ -28,27 +28,8 @@ from .errors import (
     TruncationNotConvergedError,
     UnphysicalResultError,
 )
-from .params import SystemParams, inv_C_eff
-
-
-def recurrence_coefficients(params: SystemParams, n: int, num=float) -> tuple:
-    """Coefficients (A_n, B_n, C_n) of the moment recurrence at index n.
-
-    The steady-state equation reads  C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0.
-    Requires P_a = 0.  The rates are converted with ``num`` first, so
-    ``num=mpmath.mpf`` evaluates the same formulas at the working precision;
-    1/C_eff is ``params.inv_C_eff`` written out for any number type.
-    """
-    rates = (params.g, params.gamma_a, params.gamma_sigma, params.gamma_phi, params.P_sigma, params.delta)
-    g, ga, gs, gp, P, dl = (num(x) for x in rates)
-    G = gs + P
-    gam_t = G + gp + (2 * n - 1) * ga
-    ge2 = g**2 / (1 + (2 * dl / gam_t) ** 2) if dl != 0 else g**2
-    invC = ga * gam_t / (4 * ge2) if ge2 != 0 else num("inf")
-    A = 2 * ga / (G + n * ga)
-    B = invC + n * ga / (G + (n - 1) * ga) - 2 * P / (G + n * ga) + 1
-    C = n * P / (G + (n - 1) * ga)
-    return A, B, C
+from .approximations import statistics_root
+from .params import SystemParams, inv_C_eff, recurrence_coefficients
 
 
 @dataclass
@@ -116,8 +97,6 @@ def _physical_n_sigma(params: SystemParams, n_a: float) -> float:
 
 def _guess_scale(params: SystemParams) -> float:
     """Rough photon-number scale used to precondition the moment solve."""
-    from .approximations import statistics_root  # local import, no cycle at runtime
-
     guesses = [1.0]
     if params.gamma_a > 0.0:
         for g2 in (1.0, 2.0):

@@ -1,4 +1,4 @@
-"""Parameter records and derived effective rates.
+"""Parameter records, derived manifold rates and the moment recurrence coefficients.
 
 All rates are expressed in units of the light-matter coupling ``g`` (which is
 stored explicitly so dimensional output remains possible).  Every quantity
@@ -8,7 +8,7 @@ here is a pure function of the inputs; records are frozen and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 def _require_finite_nonnegative(name: str, value: float) -> None:
@@ -83,53 +83,61 @@ class LaserDriveParams:
             raise ValueError("delta must be finite")
 
 
-def gamma_T(params: SystemParams, n: int) -> float:
-    """Total decoherence rate of the n-th photon manifold (n >= 1)."""
+def _manifold(params: SystemParams, n: int, num=float) -> tuple:
+    """(Gamma_T[n], g_eff[n]^2, 1/C_eff[n]) of photon manifold n >= 1.
+
+    The rates are converted with ``num`` first, so ``num=mpmath.mpf``
+    evaluates the same formulas at the working precision.
+    """
     if n < 1:
         raise ValueError("manifold index must be >= 1")
-    return params.Gamma_sigma + params.gamma_phi + (2 * n - 1) * params.gamma_a
+    g, ga, gs, gp, P, dl = (num(x) for x in (
+        params.g, params.gamma_a, params.gamma_sigma, params.gamma_phi, params.P_sigma, params.delta
+    ))
+    gam_t = gs + P + gp + (2 * n - 1) * ga
+    ge2 = g**2
+    if dl != 0:  # a detuned manifold of zero width does not couple
+        ge2 = ge2 / (1 + (2 * dl / gam_t) ** 2) if gam_t != 0 else num(0)
+    invC = ga * gam_t / (4 * ge2) if ge2 != 0 else num("inf")
+    return gam_t, ge2, invC
+
+
+def recurrence_coefficients(params: SystemParams, n: int, num=float) -> tuple:
+    """Coefficients (A_n, B_n, C_n) of the moment recurrence at index n.
+
+    The steady-state equation reads  C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0;
+    at n = 1 with N[2] = g2 n_a^2 it is the quadratic of
+    ``approximations.statistics_root``.  Requires P_a = 0.  The rates are
+    converted with ``num`` first, as in ``_manifold``.
+    """
+    invC = _manifold(params, n, num)[2]
+    ga, P = num(params.gamma_a), num(params.P_sigma)
+    G = num(params.gamma_sigma) + P
+    A = 2 * ga / (G + n * ga)
+    B = invC + n * ga / (G + (n - 1) * ga) - 2 * P / (G + n * ga) + 1
+    C = n * P / (G + (n - 1) * ga)
+    return A, B, C
+
+
+def gamma_T(params: SystemParams, n: int) -> float:
+    """Total decoherence rate of the n-th photon manifold (n >= 1)."""
+    return _manifold(params, n)[0]
 
 
 def g_eff(params: SystemParams, n: int) -> float:
     """Detuning-reduced coupling of manifold ``n``; equals g at resonance."""
-    if params.delta == 0.0:
-        return params.g
-    gt = gamma_T(params, n)
-    if gt == 0.0:
-        return 0.0
-    return params.g / math.sqrt(1.0 + (2.0 * params.delta / gt) ** 2)
+    return params.g if params.delta == 0.0 else math.sqrt(_manifold(params, n)[1])
 
 
 def inv_C_eff(params: SystemParams, n: int) -> float:
     """Reciprocal cooperativity of manifold ``n``; finite at gamma_a = 0."""
-    gt = gamma_T(params, n)
-    ge = g_eff(params, n)
-    if ge == 0.0:
-        return math.inf
-    return params.gamma_a * gt / (4.0 * ge**2)
+    return _manifold(params, n)[2]
 
 
 def C_eff(params: SystemParams, n: int) -> float:
     """Effective cooperativity; +inf sentinel when gamma_a = 0."""
     inv = inv_C_eff(params, n)
     return math.inf if inv == 0.0 else 1.0 / inv
-
-
-@dataclass(frozen=True)
-class EffectiveRates:
-    """Per-manifold derived rates for one photon index ``n``."""
-
-    n: int
-    Gamma_T: float
-    g_eff: float
-    C_eff: float
-
-
-def effective_rates(params: SystemParams, n: int) -> EffectiveRates:
-    """Bundle ``Gamma_T[n]``, ``g_eff[n]`` and ``C_eff[n]`` for manifold n."""
-    return EffectiveRates(
-        n=n, Gamma_T=gamma_T(params, n), g_eff=g_eff(params, n), C_eff=C_eff(params, n)
-    )
 
 
 def kappa_sigma(params: SystemParams) -> float:
@@ -139,7 +147,7 @@ def kappa_sigma(params: SystemParams) -> float:
     """
     if params.gamma_a == 0.0:
         return math.inf
-    return 4.0 * g_eff(params, 1) ** 2 / params.gamma_a
+    return 4.0 * _manifold(params, 1)[1] / params.gamma_a
 
 
 def kappa_a(params: SystemParams) -> float:
@@ -148,16 +156,5 @@ def kappa_a(params: SystemParams) -> float:
     Computed with the negligible-cavity-decay convention: the manifold width
     entering ``g_eff`` is ``Gamma_sigma + gamma_phi`` with no gamma_a term.
     """
-    width = params.Gamma_sigma + params.gamma_phi
-    if width == 0.0:
-        return math.inf
-    if params.delta == 0.0:
-        ge = params.g
-    else:
-        ge = params.g / math.sqrt(1.0 + (2.0 * params.delta / width) ** 2)
-    return 4.0 * ge**2 / width
-
-
-def kappa_rates(params: SystemParams) -> tuple[float, float]:
-    """Both Purcell transfer rates ``(kappa_sigma, kappa_a)``."""
-    return kappa_sigma(params), kappa_a(params)
+    width, ge2, _ = _manifold(replace(params, gamma_a=0.0), 1)
+    return math.inf if width == 0.0 else 4.0 * ge2 / width

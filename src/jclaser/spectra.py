@@ -350,10 +350,9 @@ def elastic_weight(params: SystemParams, T: np.ndarray, channel: str) -> float:
     ka = kappa_a(params)
     gs, P, g = params.gamma_sigma, params.P_sigma, params.g
     width = G + params.gamma_phi
-    tilt2 = (2.0 * params.delta / width) ** 2 if width > 0.0 else 0.0
     N = len(T) - 1
     n = np.arange(N + 1, dtype=float)
-    D = ka**2 * (1.0 + tilt2) + 4.0 * G**2 + 4.0 * G * ka * (2.0 * n + 1.0)
+    D = ka**2 * (1.0 + _tilt(params) ** 2) + 4.0 * G**2 + 4.0 * G * ka * (2.0 * n + 1.0)
     if channel == "emitter":
         q_i = density_slices_from_statistics(params, T).q_i
         qi_n1 = np.concatenate([q_i[1:], [0.0]])

@@ -118,15 +118,67 @@ def test_semiclassical_matches_exact_in_window():
 
 
 def test_statistics_roots_cross_checks():
-    # Poissonian-ansatz route and the g2 = 1 root are the same quadratic;
-    # the literal thermal closed form is the g2 = 2 root
+    # the thermal n_a is the g2 = 2 root
     for P in (0.01, 0.5, 4.0, 60.0):
         p = SystemParams(gamma_a=0.23, P_sigma=P, gamma_phi=0.05, **BASE)
-        assert ap.poissonian_ansatz_root(p) == pytest.approx(
-            ap.statistics_root(p, 1.0), rel=1e-10
-        )
         assert ap.thermal_na(p).n_a == pytest.approx(ap.statistics_root(p, 2.0), rel=1e-10)
 
+
+def _thermal_literal_mp(p: SystemParams, dps: int = 60):
+    """The paper's closed thermal form, evaluated literally at ``dps`` digits.
+
+    Its terms of order 1/kappa_sigma cancel, so in float64 it loses every
+    digit when kappa_sigma is small (3.3e6 photons for the vacuum below).
+    """
+    from mpmath import mp, mpf, sqrt
+
+    with mp.workdps(dps):
+        g, ga, gs, gp, P, dl = (
+            mpf(x) for x in (p.g, p.gamma_a, p.gamma_sigma, p.gamma_phi, p.P_sigma, p.delta)
+        )
+        G = gs + P
+        ks = 4 * g**2 / (1 + (2 * dl / (G + gp + ga)) ** 2) / ga
+        bracket = 1 + (G + ga + gp) / ks - 2 * P / (G + ga) + ga / G
+        root = sqrt(16 * P * ga / G / (G + ga) + bracket**2)
+        return (
+            (G + ga) * root
+            - G * ((G + gp) / ks + 2 * gs / G - 1)
+            - ga * ((2 * G + gp) / ks + 2)
+            - ga**2 / G * (G / ks + 1)
+        ) / (8 * ga)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        dict(gamma_a=0.1, gamma_sigma=0.00334, P_sigma=300.0),
+        dict(gamma_a=89.0, gamma_sigma=1e-4, P_sigma=1.83e-6),
+        dict(g=1e-12, gamma_a=0.4, gamma_sigma=0.9, P_sigma=0.0),
+    ],
+)
+def test_thermal_na_matches_the_literal_form_in_extended_precision(rates):
+    p = SystemParams(**rates)
+    n_a = ap.thermal_na(p).n_a
+    assert n_a == pytest.approx(float(_thermal_literal_mp(p)), rel=1e-12, abs=1e-30)
+    if p.P_sigma == 0.0:
+        assert n_a == 0.0
+
+
+def test_one_writing_of_the_recurrence_coefficients():
+    import ast
+    import inspect
+
+    from jclaser import params
+
+    assert moments.recurrence_coefficients is params.recurrence_coefficients
+    # approximations reads the coefficients from params, not from moments
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(ap))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not any("moments" in name for name in names), names
 
 
 def test_statistics_root_is_the_first_moment_curve():

@@ -242,10 +242,12 @@ def test_steady_zero_pump_row(tmp_path):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    for col in ("n_a_exact", "n_sigma_exact", "g2_exact", "Q_exact",
+    for col in ("n_a_exact", "n_sigma_exact",
                 "n_a_bosonic", "n_a_truncated_jc", "n_a_thermal",
                 "n_a_cothermal", "n_coh_cothermal"):
         assert abs(float(row[col])) < 1e-12
+    for col in ("g2_exact", "Q_exact", "g2_cothermal"):  # 0/0 in the vacuum
+        assert np.isnan(float(row[col])), col
 
 
 def test_spectrum_method_approx(tmp_path):
@@ -286,7 +288,7 @@ def _table(path):
 
 
 def test_steady_vacuum_starts_at_small_cutoff(tmp_path):
-    # the thermal estimate reads 3.3e6 photons here; the true state is the vacuum
+    # closed forms diverge here (semiclassical n_sigma 4.5e22); the true state is the vacuum
     out = tmp_path / "vac.csv"
     code = run(
         ["steady", "--g", "1e-12", "--gamma-a", "0.4", "--gamma-sigma", "0.9",
@@ -433,20 +435,23 @@ def test_steady_default_rates(tmp_path):
     assert float(row["n_a_exact"]) == 0.0
     assert row["regime"] == "Linear" and row["error"] == ""
     assert np.isnan(float(row["n_a_semiclassical"])) and np.isnan(float(row["n_a_thermal"]))
+    # g2 = <a'a'aa>/n_a^2 is 0/0 in the vacuum
+    for col in ("g2_exact", "Q_exact", "g2_cothermal"):
+        assert np.isnan(float(row[col])), col
 
 
 def test_steady_vacuum_blanks_unphysical_approximations(tmp_path):
-    # semiclassical n_sigma reads 4.5e22 and thermal n_a 3.3e6 here, while the
-    # rate balance allows n_a <= (P_a + P_sigma) / (gamma_a - P_a) = 0
+    # semiclassical n_sigma reads 4.5e22 here, while the rate balance allows
+    # n_a <= (P_a + P_sigma) / (gamma_a - P_a) = 0
     out = tmp_path / "vac.csv"
     code = run(["steady", "--g", "1e-12", "--gamma-a", "0.4", "--gamma-sigma", "0.9",
                 "--pump-sigma", "0", "--out", str(out)])
     assert code == 0
     (row,) = _table(out)
-    for col in ("n_a_semiclassical", "n_sigma_semiclassical", "n_a_thermal"):
+    for col in ("n_a_semiclassical", "n_sigma_semiclassical"):
         assert np.isnan(float(row[col])), col
     for col in ("n_a_exact", "n_a_bosonic", "n_sigma_bosonic", "n_a_truncated_jc",
-                "n_sigma_truncated_jc", "n_a_cothermal", "n_coh_cothermal"):
+                "n_sigma_truncated_jc", "n_a_thermal", "n_a_cothermal", "n_coh_cothermal"):
         assert float(row[col]) == 0.0, col
 
 

@@ -154,10 +154,10 @@ def test_solver_failures_named(monkeypatch, exc, expected):
 
 
 def test_vacuum_cutoff_bounded():
-    # closed-form estimates may diverge (the thermal one reads 3.3e6 photons
-    # here); the rate balance caps n_a at (P_a + P_sigma) / (gamma_a - P_a) = 0
+    # the rate balance caps n_a at (P_a + P_sigma) / (gamma_a - P_a) = 0; the
+    # thermal root stays exact although kappa_sigma is 1e-23 here
     p = SystemParams(g=1e-12, gamma_a=0.4, gamma_sigma=0.9, P_sigma=0.0)
-    assert ap.thermal_na(p).n_a > 1e6
+    assert ap.thermal_na(p).n_a == 0.0
     ss = exact.steady_state(p)
     assert ss.n_a == 0.0 and ss.space.n_max < 64
 
@@ -428,6 +428,36 @@ def test_transition_map_records_failures():
     rows, failures = exact.transition_map(p, np.array([0.1, 0.9]), n_max=30)
     assert len(failures) == 1 and failures[0][0] == 0.9
     assert any(r.P_sigma == 0.1 for r in rows)
+
+
+def test_transition_map_refuses_a_bad_channel_before_solving():
+    # neither pump has a steady state, so only an up-front check can raise
+    p = SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=0.5)
+    with pytest.raises(ValueError, match="unknown channel 'cavty'"):
+        exact.transition_map(p, np.array([0.9, 1.0]), channel="cavty")
+
+
+def test_transition_map_isolates_only_named_failures(monkeypatch):
+    # a program error propagates; running out of memory in the dense eig is a
+    # named SolverMemoryError and is recorded like any other failed point
+    pumps = np.array([0.5, 1.0])
+    p = SystemParams(**BASE)
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(exact, "decompose", broken)
+    with pytest.raises(TypeError, match="broken"):
+        exact.transition_map(p, pumps, n_max=20)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(exact, "decompose", out_of_memory)
+    rows, failures = exact.transition_map(p, pumps, n_max=20)
+    assert not rows
+    assert [P for P, _ in failures] == [0.5, 1.0]
+    assert all(msg.startswith("SolverMemoryError: out of memory in the dense eig") for _, msg in failures)
 
 
 def test_unclosed_line_weights_refused():

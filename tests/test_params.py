@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jclaser.params import (
+    C_eff,
     SystemParams,
-    effective_rates,
     g_eff,
     gamma_T,
     kappa_a,
-    kappa_rates,
     kappa_sigma,
 )
 
@@ -34,10 +33,9 @@ def test_signed_gamma_a_allowed():
 def test_effective_rates_example():
     # Gamma_T = 1 + 0 + (2*1-1)*0.1 = 1.1; C_eff = 4 / (0.1 * 1.1)
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.0, P_sigma=1.0)
-    er = effective_rates(p, 1)
-    assert er.Gamma_T == pytest.approx(1.1, abs=0.0)
-    assert er.g_eff == pytest.approx(1.0)
-    assert er.C_eff == pytest.approx(4.0 / (0.1 * 1.1), rel=1e-14)
+    assert gamma_T(p, 1) == pytest.approx(1.1, abs=0.0)
+    assert g_eff(p, 1) == pytest.approx(1.0)
+    assert C_eff(p, 1) == pytest.approx(4.0 / (0.1 * 1.1), rel=1e-14)
 
 
 def test_g_eff_resonance_and_detuned_limits():
@@ -50,7 +48,7 @@ def test_g_eff_resonance_and_detuned_limits():
 
 def test_c_eff_infinite_for_lossless_cavity():
     p = SystemParams(g=1.0, gamma_a=0.0, P_sigma=1.0)
-    assert math.isinf(effective_rates(p, 3).C_eff)
+    assert math.isinf(C_eff(p, 3))
 
 
 def test_kappa_examples():
@@ -59,12 +57,12 @@ def test_kappa_examples():
     # kappa_a = 4 g^2 / (Gamma_sigma + gamma_phi) with Gamma_sigma = 7
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.0, P_sigma=7.0)
     assert kappa_a(p) == pytest.approx(4.0 / 7.0, rel=1e-14)
-    assert kappa_rates(p) == (pytest.approx(40.0), pytest.approx(4.0 / 7.0))
+    assert (kappa_sigma(p), kappa_a(p)) == (pytest.approx(40.0), pytest.approx(4.0 / 7.0))
 
 
 def test_kappa_vanishes_at_infinite_detuning():
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=1.0, delta=1e12)
-    ks, ka = kappa_rates(p)
+    ks, ka = kappa_sigma(p), kappa_a(p)
     assert ks < 1e-10 and ka < 1e-10
 
 
@@ -90,9 +88,7 @@ def test_rescaling_invariance(ga, gs, P, gp, dl, s):
     )
     for n in (1, 3):
         assert g_eff(p2, n) / p2.g == pytest.approx(g_eff(p1, n) / p1.g, rel=1e-12)
-        assert effective_rates(p2, n).C_eff == pytest.approx(
-            effective_rates(p1, n).C_eff, rel=1e-12
-        )
+        assert C_eff(p2, n) == pytest.approx(C_eff(p1, n), rel=1e-12)
     assert kappa_sigma(p2) / p2.g == pytest.approx(kappa_sigma(p1) / p1.g, rel=1e-12)
 
 
