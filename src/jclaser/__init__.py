@@ -5,10 +5,9 @@ emitter coupled to a single cavity mode with incoherent pumping, detuning
 and pure dephasing, plus the coherently driven emitter for comparison.
 """
 
-from . import approximations, coherent, exact, moments, spectra
+from . import approximations, coherent, exact, spectra
 from .errors import (
     ConfigError,
-    InternalConsistencyError,
     JclaserError,
     NonDiagonalizableError,
     NoPhysicalRootError,
@@ -16,7 +15,6 @@ from .errors import (
     NotResolvableError,
     SolverMemoryError,
     TruncationNotConvergedError,
-    UnphysicalResultError,
 )
 from .lineshape import SpectralLine, SpectrumResult
 from .params import LaserDriveParams, SystemParams, kappa_a, kappa_sigma
@@ -25,10 +23,8 @@ __all__ = [
     "approximations",
     "coherent",
     "exact",
-    "moments",
     "spectra",
     "ConfigError",
-    "InternalConsistencyError",
     "JclaserError",
     "LaserDriveParams",
     "NonDiagonalizableError",
@@ -40,7 +36,6 @@ __all__ = [
     "SpectrumResult",
     "SystemParams",
     "TruncationNotConvergedError",
-    "UnphysicalResultError",
     "kappa_a",
     "kappa_sigma",
 ]

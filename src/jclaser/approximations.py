@@ -181,7 +181,8 @@ def semiclassical(params: SystemParams) -> SemiclassicalResult:
     P_at_max, P_max = _pump_scales(params)
     return SemiclassicalResult(
         n_a=max(n_a, 0.0),
-        n_sigma=0.5 * (1.0 + F_sigma),
+        # below threshold n_a = 0, and the rate balance gives n_sigma
+        n_sigma=params.P_sigma / gs_tot if clamped else 0.5 * (1.0 + F_sigma),
         F_a=F_a,
         F_sigma=F_sigma,
         C2=1.0 / (2.0 * ga),
@@ -242,9 +243,8 @@ class CothermalState:
 
     @property
     def g2(self) -> float:
-        if self.n_a == 0.0:
-            return 2.0
-        return 2.0 - (self.n_coh / self.n_a) ** 2
+        # <a'a'aa>/n_a^2 is 0/0 in the vacuum
+        return 2.0 - (self.n_coh / self.n_a) ** 2 if self.n_a > 0.0 else math.nan
 
     def moment(self, n: int) -> float:
         """Factorial moment N_a[n] = n! n_th^n L_n(-n_coh / n_th).

@@ -156,7 +156,7 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
     err = ""
     try:
         ss = exact.steady_state(params, n_max=n_max, n_max_cap=cap, rtol=tol)
-        g2 = ss.g2 if ss.n_a > 0.0 else nan  # <a'a'aa>/n_a^2 is 0/0 in the vacuum
+        g2 = ss.g2
         row += [ss.n_a, ss.n_sigma, g2, ss.n_a * (g2 - 1.0)]
     except JclaserError as exc:
         row += [nan] * 4
@@ -185,7 +185,7 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
         row += [nan]
     try:
         ct = ap.cothermal(params)
-        row += cells(ct.n_a, 0.0, [ct.n_a, ct.n_coh, ct.g2 if ct.n_a > 0.0 else nan])
+        row += cells(ct.n_a, 0.0, [ct.n_a, ct.n_coh, ct.g2])
     except (ValueError, JclaserError):
         row += [nan] * 3
     row += [err]

@@ -36,10 +36,3 @@ class NotResolvableError(JclaserError):
 class NonDiagonalizableError(JclaserError):
     """The regression generator could not be diagonalized reliably."""
 
-
-class UnphysicalResultError(JclaserError):
-    """A route produced n_a < 0 or an emitter population outside [0, 1]."""
-
-
-class InternalConsistencyError(JclaserError):
-    """Two redundant internal routes to the same quantity disagree."""

@@ -251,7 +251,8 @@ class SteadyState:
         n = np.arange(self.space.n_max + 1)
         na2 = float(np.dot(n * (n - 1), self.photon_distribution))
         na = self.n_a
-        return na2 / na / na if na > 0.0 else 0.0  # na**2 underflows below 1e-154
+        # na**2 underflows below 1e-154; the vacuum's <a'a'aa>/n_a^2 is 0/0
+        return na2 / na / na if na > 0.0 else math.nan
 
     def hermiticity_defect(self) -> float:
         return self.herm_defect

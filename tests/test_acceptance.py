@@ -12,9 +12,10 @@ import pytest
 from scipy.optimize import brentq
 
 from jclaser import approximations as ap
-from jclaser import coherent, exact, moments, spectra
+from jclaser import coherent, exact, spectra
 from jclaser.params import LaserDriveParams, SystemParams
 from liouvillian_oracle import full_steady_rho, off_pattern_max
+import moment_reference as moments
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
 LASING = SystemParams(P_sigma=7.0, **BASE)

