@@ -17,7 +17,11 @@ full Liouvillian):
 - k = 1 holds the two-time correlators of the quantum regression theorem and
   has the same band.  Lines come from its dense eigendecomposition; where
   ``decompose`` refuses them, the spectrum grid comes from ``_band_solves``
-  of the block shifted by i w, one banded LU per frequency.
+  of the block shifted by i w, one banded LU per frequency.  The block is
+  stored after a diagonal unit-phase similarity (the gauge sigma -> i sigma),
+  which makes every entry real except the detuning's: at delta = 0 it is a
+  float64 matrix, eigendecomposed in real arithmetic with its eigenvalues in
+  exact conjugate pairs, while detuned blocks stay complex.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ class SectorBlock:
         return self.size, self.size
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=complex)
+        out = np.zeros((self.size, self.size), dtype=self.data.dtype)
         np.add.at(out, (self.row, self.col), self.data)
         return out
 
@@ -420,7 +424,8 @@ def steady_state(
 
 @dataclass
 class RegressionSector:
-    """Generator block, initial condition and readout for one channel."""
+    """Generator block, initial condition and readout for one channel, in the
+    phase gauge of ``regression_sector``."""
 
     generator: SectorBlock
     u0: np.ndarray
@@ -436,6 +441,10 @@ class RegressionSector:
         return lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c, weight_floor)
 
 
+# i^e for e = i(r) - i(s) in {-1, 0, 1}, by lookup so that every phase is exact
+_PHASES = np.array([-1j, 1.0, 1j])
+
+
 def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> RegressionSector:
     """The k = 1 sector, which holds <c'(0) c(t)> for c = a or sigma.
 
@@ -446,6 +455,16 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     up at the origin and wreck the eigenbasis conditioning, so the sector is
     built on the populated ladder only (occupation above 1e-12 of the peak,
     plus padding; restricting twice changes nothing).
+
+    The block is returned as G' = D^-1 G D with d_e = i^(i(r) - i(s)), i(.)
+    the emitter state, with u0 / d and readout * d, so readout . x and every
+    eigenvalue are unchanged.  The similarity is exact: the coupling entries
+    of -iH, -i g sqrt(n), become real, each jump term moves the emitter of r
+    and s alike and keeps its phase, and only the detuning's -i delta
+    sigma'sigma leaves an imaginary diagonal.  Where no imaginary part is
+    left, at delta = 0, the block is stored as float64, so ``decompose``
+    runs a real eig about twice as fast, with its lines in exact mirror
+    pairs w, -w.
     """
     ss = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
     a, sig = _ladders(ss.space.n_max)
@@ -463,7 +482,12 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     u0 = np.zeros(len(r), dtype=complex)
     u0[ok] = ss.element(r[ok], t[s[ok]]) * v[s[ok]]
     readout = np.where(dst[r] == s, amp[r], 0.0)  # readout[e] = <s| c |r>
-    return RegressionSector(generator=G, u0=u0, readout=readout)
+    d = _PHASES[r % 2 - s % 2 + 1]  # 1 / d = conj(d) exactly
+    data = G.data * (d[G.col] * np.conj(d[G.row]))
+    if not np.any(data.imag):
+        data = data.real.copy()
+    G = replace(G, data=data)
+    return RegressionSector(generator=G, u0=u0 * np.conj(d), readout=readout * d)
 
 
 def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
@@ -519,14 +543,19 @@ def spectrum(
 ) -> SpectrumResult:
     """Normalized emission spectrum on a grid, with its line table; after a
     refused table the grid is the banded resolvent and ``meta`` says why.
-    ``meta["grid_integral"]`` is the trapezoid integral of the grid values."""
+    ``meta["grid_integral"]`` is the trapezoid integral of the grid values,
+    and ``meta["eig_form"]`` reads "real" or "complex", the arithmetic of the
+    block's eigendecomposition."""
     if ss is None:
         ss = steady_state(params, n_max)
     if omega is None:
         span = 3.0 * params.g * max(1.0, math.sqrt(max(ss.n_a, 1.0)))
         omega = np.linspace(-span, span, 2001)
     sec = regression_sector(params, ss, channel)
-    meta = {"n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, "grid_source": "line_table"}
+    meta = {
+        "n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, "grid_source": "line_table",
+        "eig_form": "real" if np.isrealobj(sec.generator.data) else "complex",
+    }
     try:
         lines = sec.lines()
         values = evaluate_lines(lines, omega)

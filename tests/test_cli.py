@@ -484,3 +484,4 @@ def test_spectrum_sidecar_reports_the_grid_integral(tmp_path):
     assert code == 0
     validity = json.loads((tmp_path / "cav.lines.json").read_text())["validity"]
     assert validity["grid_integral"] == pytest.approx(1.896, abs=1e-3)
+    assert validity["eig_form"] == "real"

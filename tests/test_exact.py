@@ -16,7 +16,7 @@ from jclaser.errors import (
 )
 from jclaser.lineshape import evaluate_lines
 from jclaser.params import SystemParams
-from liouvillian_oracle import build_liouvillian, full_steady_rho, off_pattern_max
+from liouvillian_oracle import build_liouvillian, full_steady_rho, off_pattern_max, operators
 import moment_reference as moments
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
@@ -363,17 +363,62 @@ def test_line_weights_sum_to_one(channel):
 
 
 def test_eigen_vs_resolvent_spectra():
+    # the detuned block is eigendecomposed in complex arithmetic, the resonant one in real
     rng = np.random.default_rng(11)
-    p = SystemParams(P_sigma=1.5, gamma_phi=0.1, delta=0.3, **BASE)
+    for delta in (0.3, 0.0):
+        p = SystemParams(P_sigma=1.5, gamma_phi=0.1, delta=delta, **BASE)
+        ss = exact.steady_state(p)
+        ss_l = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
+        for channel in ("cavity", "emitter"):
+            lines = exact.spectral_lines(p, channel=channel, ss=ss_l)
+            w = rng.uniform(-6.0, 6.0, size=32)
+            from_lines = evaluate_lines(lines, w)
+            from_resolvent = exact.resolvent_spectrum(exact.regression_sector(p, ss_l, channel), w)
+            scale = np.max(np.abs(from_lines))
+            assert np.max(np.abs(from_lines - from_resolvent)) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("channel", ["cavity", "emitter"])
+@pytest.mark.parametrize("P", [0.05, 6.1])
+def test_resonant_line_table_is_mirror_symmetric(P, channel):
+    # at delta = 0 the phase-similar block is real, so its eigenvalues come in
+    # exact conjugate pairs and every line at w has its mirror at -w
+    p = SystemParams(P_sigma=P, **BASE)
     ss = exact.steady_state(p)
-    ss_l = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
-    for channel in ("cavity", "emitter"):
-        lines = exact.spectral_lines(p, channel=channel, ss=ss_l)
-        w = rng.uniform(-6.0, 6.0, size=32)
-        from_lines = evaluate_lines(lines, w)
-        from_resolvent = exact.resolvent_spectrum(exact.regression_sector(p, ss_l, channel), w)
-        scale = np.max(np.abs(from_lines))
-        assert np.max(np.abs(from_lines - from_resolvent)) < 1e-8 * scale
+    lines = exact.spectral_lines(p, channel=channel, ss=ss)
+    table = {(ln.omega, ln.gamma) for ln in lines}
+    assert all((-ln.omega, ln.gamma) in table for ln in lines)
+    assert exact.regression_sector(p, ss, channel).generator.toarray().dtype == np.float64
+    detuned = replace(p, delta=0.3)
+    sec = exact.regression_sector(detuned, exact.steady_state(detuned), channel)
+    assert sec.generator.toarray().dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{}, {"P_a": 0.02, "gamma_phi": 0.3}, {"delta": 0.3}],
+    ids=["resonant", "thermal_pump_dephasing", "detuned"],
+)
+def test_phase_similarity_keeps_the_resolvent(extra):
+    # the lab-frame k = 1 block with u0 = (rho c')_{r;s} and readout <s|c|r>,
+    # taken from dense operators, reads the same correlator as the gauged block
+    p = SystemParams(P_sigma=6.1, **extra, **BASE)
+    ss = exact.steady_state(p)
+    ss = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
+    M = ss.space.n_max
+    G_lab, r, s = exact.sector_generator(p, M, 1)
+    G_lab = G_lab.toarray()
+    rho = ss.rho
+    eye = np.eye(len(r))
+    omega = np.linspace(-3.0, 3.0, 9)
+    for channel, c in zip(("cavity", "emitter"), operators(ss.space)):
+        c = c.toarray()
+        u0, readout = (rho @ c.conj().T)[r, s], c[s, r]
+        sec = exact.regression_sector(p, ss, channel)
+        G = sec.generator.toarray()
+        ref = np.array([readout @ np.linalg.solve(G_lab + 1j * w * eye, u0) for w in omega])
+        got = np.array([sec.readout @ np.linalg.solve(G + 1j * w * eye, sec.u0) for w in omega])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_spectrum_normalization_and_triplet():
@@ -532,6 +577,10 @@ def test_spectrum_names_its_grid_source(monkeypatch):
     w = np.linspace(-2.0, 2.0, 65)
     res = exact.spectrum(p, channel="cavity", ss=ss, omega=w)
     assert res.meta["grid_source"] == "line_table" and "refusal" not in res.meta
+    assert res.meta["eig_form"] == "real"
+    detuned = replace(p, delta=0.3)
+    res = exact.spectrum(detuned, channel="cavity", ss=exact.steady_state(detuned, n_max=16), omega=w)
+    assert res.meta["grid_source"] == "line_table" and res.meta["eig_form"] == "complex"
 
     def boom(*a, **k):
         raise NonDiagonalizableError("forced")
