@@ -147,15 +147,18 @@ class SemiclassicalResult:
     in_validity_window: bool = True
 
 
-def lasing_window_ok(params: SystemParams, margin: float = 5.0) -> bool:
+_WINDOW_MARGIN = 5.0  # how far "<<" reaches in the lasing validity window
+
+
+def lasing_window_ok(params: SystemParams) -> bool:
     """Validity window for the lasing spectra: decays << g_eff < P << kappa."""
     ge1 = g_eff(params, 1)
     ks = kappa_sigma(params)
     small = max(params.gamma_a, params.gamma_sigma, params.gamma_phi)
     return (
-        small * margin <= ge1
+        small * _WINDOW_MARGIN <= ge1
         and ge1 < params.P_sigma
-        and params.P_sigma * margin <= ks
+        and params.P_sigma * _WINDOW_MARGIN <= ks
     )
 
 
@@ -222,6 +225,17 @@ def thermal_na(params: SystemParams) -> ThermalResult:
 # ---------------------------------------------------------------------------
 
 
+def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
+    """Poissonian T[n], the lasing-regime field statistics."""
+    if n_cut is None:
+        n_cut = int(n_a + 12.0 * math.sqrt(max(n_a, 1.0))) + 25
+    n = np.arange(n_cut + 1)
+    if n_a <= 0.0:
+        return np.where(n == 0, 1.0, 0.0)
+    logT = n * math.log(n_a) - n_a - np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
+    return np.exp(np.clip(logT, math.log(1e-300), 0.0))
+
+
 @dataclass(frozen=True)
 class CothermalState:
     """Cavity field with a coherent fraction on a thermal background.
@@ -269,8 +283,6 @@ class CothermalState:
         branch falls back to the Poissonian at n_a.  Without ``n_cut`` the
         ladder runs past the mode until T falls ``tail`` below its peak.
         """
-        from .spectra import poissonian_statistics
-
         nth, nc = self.n_th, max(self.n_coh, 0.0)
         if nth < 1e-12:  # Poissonian limit (and the analytic n_th < 0 branch)
             return poissonian_statistics(max(self.n_a, nc), n_cut)
@@ -332,6 +344,17 @@ def _moment_residual(params: SystemParams, state: CothermalState, n: int) -> flo
     return abs(sum(terms)) / (sum(map(abs, terms)) + 1e-300)
 
 
+def _second_moment_equation(params: SystemParams):
+    """f(g2), the n = 2 moment equation on the n = 1 curve over n_a; it falls along g2."""
+    A2, B2, C2 = recurrence_coefficients(params, 2)
+
+    def f(g2):
+        n_a = statistics_root(params, g2)
+        return C2 - B2 * g2 * n_a - A2 * n_a * n_a * (9.0 * g2 - 12.0 + 4.0 * (2.0 - g2) ** 1.5)
+
+    return f
+
+
 def cothermal(params: SystemParams) -> CothermalState:
     """Solve the n = 1, 2 moment equations of the cothermal field for (n_a, n_coh).
 
@@ -339,41 +362,32 @@ def cothermal(params: SystemParams) -> CothermalState:
     ``statistics_root``, so every admissible state lies on the curve
     n_a = statistics_root(g2), n_coh = n_a sqrt(2 - g2), g2 in [0, 2].  On
     it the n = 2 equation divided by n_a reads
-    C2 - B2 g2 n_a - A2 n_a^2 (9 g2 - 12 + 4 (2 - g2)^1.5); each of its sign
-    changes on a fixed g2 grid is rescanned down to adjacent floats.  Among
-    roots with n_a > 0 that satisfy both equations, the one that best
-    satisfies the n = 3 equation wins; none is a ``NoPhysicalRootError``.
+    C2 - B2 g2 n_a - A2 n_a^2 (9 g2 - 12 + 4 (2 - g2)^1.5), which falls
+    along g2, so it has one root: its sign change on a fixed g2 grid is
+    rescanned down to adjacent floats.  Where it is still positive at
+    g2 = 2 the field would be superthermal, a ``NoPhysicalRootError``.
+    ``residual`` is that root's relative residual of the n = 1, 2 equations.
     """
     if params.gamma_a <= 0.0 or params.P_a != 0.0:
         raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
     if params.P_sigma == 0.0:
         return CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)
-    A2, B2, C2 = recurrence_coefficients(params, 2)
-
-    def second_moment_equation(g2):
-        n_a = statistics_root(params, g2)
-        return C2 - B2 * g2 * n_a - A2 * n_a * n_a * (9.0 * g2 - 12.0 + 4.0 * (2.0 - g2) ** 1.5)
-
+    f = _second_moment_equation(params)
     g2s = _G2_GRID[np.isfinite(statistics_root(params, _G2_GRID))]  # g2 = 0 may have no root
-    f = second_moment_equation(g2s)
-    roots: list[CothermalState] = []
-    for i in np.nonzero((f[:-1] > 0.0) != (f[1:] > 0.0))[0]:
-        g2 = _refine_bracket(second_moment_equation, g2s[i], g2s[i + 1])
-        n_a = float(statistics_root(params, g2))
-        state = CothermalState(n_a=n_a, n_coh=n_a * math.sqrt(2.0 - g2))
-        residual = max(_moment_residual(params, state, 1), _moment_residual(params, state, 2))
-        if residual <= 1e-10 and n_a > 0.0:
-            roots.append(replace(state, residual=residual))
-    if not roots:
-        raise NoPhysicalRootError("no cothermal root with n_a, n_coh >= 0 found")
-    return min(roots, key=lambda r: _moment_residual(params, r, 3))
+    f_g = f(g2s)
+    changes = (f_g[:-1] > 0.0) != (f_g[1:] > 0.0)
+    if not changes.any():
+        raise NoPhysicalRootError("the n = 2 moment equation has no root with g2 <= 2 (superthermal field)")
+    i = int(np.argmax(changes))
+    g2 = _refine_bracket(f, g2s[i], g2s[i + 1])
+    n_a = float(statistics_root(params, g2))
+    state = CothermalState(n_a=n_a, n_coh=n_a * math.sqrt(2.0 - g2))
+    return replace(state, residual=max(_moment_residual(params, state, n) for n in (1, 2)))
 
 
 # ---------------------------------------------------------------------------
 # Regime classification
 # ---------------------------------------------------------------------------
-
-_REGIME_ORDER = ("Linear", "Quantum", "Lasing", "Quenching", "Thermal")
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
 
     def add_sweep(p):
-        p.add_argument("--sweep-param", default="pump-sigma")
         p.add_argument("--sweep-min", type=float, default=1e-4)
         p.add_argument("--sweep-max", type=float, default=1e3)
         p.add_argument("--sweep-points", type=int, default=101)
@@ -210,8 +209,6 @@ def cmd_steady(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.sweep_param.replace("-", "_") != "pump_sigma":
-        raise ConfigError("only pump-sigma sweeps are supported")
     params = system_params(args)
     pumps = sweep_values(args)
     items = [(params, P, args.n_max, args.auto_nmax_cap, args.tol) for P in pumps]

@@ -10,7 +10,6 @@ set, stacked over as many drives as a caller asks for at once.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,12 +77,6 @@ def regression_matrix(drive: LaserDriveParams) -> np.ndarray:
     )
 
 
-def mollow_splitting(drive: LaserDriveParams) -> complex:
-    """Half splitting R_L; real in strong coupling, imaginary in weak."""
-    arg = (2.0 * drive.omega_L) ** 2 - ((drive.gamma_sigma - drive.gamma_phi) / 4.0) ** 2
-    return cmath.sqrt(complex(arg))
-
-
 @dataclass(frozen=True)
 class CoherentLines:
     """Triplet decomposition plus the elastic (delta) weight."""
@@ -129,40 +122,6 @@ def coherent_weight(drive: LaserDriveParams) -> float:
     if denom == 0.0:
         return 0.0
     return gs**2 / denom
-
-
-def resonant_lines(drive: LaserDriveParams) -> CoherentLines:
-    """Closed-form triplet at resonance (independent check of the 3x3 route).
-
-    The first bracket of the side-line weights carries an imaginary unit,
-    matching both the regression-matrix eigendecomposition and the final
-    closed-form spectrum; without it the side weights come out asymmetric at
-    resonance, which contradicts the symmetry of the lineshape.
-    """
-    if drive.delta != 0.0:
-        raise ValueError("resonant_lines requires delta = 0")
-    gs, gp, om = drive.gamma_sigma, drive.gamma_phi, drive.omega_L
-    R = mollow_splitting(drive)
-    central = SpectralLine(omega=0.0, gamma=gs + gp, L=0.5, K=0.0)
-    ratio = 8.0 * om**2 / (gs * (gs + gp)) if gs * (gs + gp) != 0.0 else math.inf
-    lines = [central]
-    for sign in (+1.0, -1.0):
-        if math.isinf(ratio):
-            c = (1.0 + sign * 1j * (5.0 * gs - gp) / (4.0 * R)) / 4.0
-        else:
-            c = (
-                ratio * (1.0 + sign * 1j * (5.0 * gs - gp) / (4.0 * R))
-                - (gs - gp) / (gs + gp) * (1.0 + sign * 1j * (gs - gp) / (4.0 * R))
-            ) / (4.0 * (1.0 + ratio))
-        lines.append(
-            SpectralLine(
-                omega=float(sign * R.real),
-                gamma=float((3.0 * gs + gp) / 2.0 - sign * 2.0 * R.imag),
-                L=float(c.real),
-                K=float(c.imag),
-            )
-        )
-    return CoherentLines(tuple(lines), coherent_weight(drive), coherent_steady_state(drive).n_sigma)
 
 
 def mollow_spectrum_resonant(

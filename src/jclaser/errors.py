@@ -26,7 +26,7 @@ class TruncationNotConvergedError(JclaserError):
 
 
 class NoPhysicalRootError(JclaserError):
-    """The cothermal root search found no root with n_a >= n_coh >= 0."""
+    """The cothermal n = 2 equation has no root with g2 <= 2 (superthermal field)."""
 
 
 class NotResolvableError(JclaserError):

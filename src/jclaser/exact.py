@@ -382,6 +382,7 @@ def _tail_converged(T: np.ndarray, rtol: float, tail: float) -> bool:
 
 # First photon cutoff of auto mode; each refused round doubles it.
 _N_START = 32
+_TAIL = 1e-12  # largest top-Fock-state population auto mode accepts
 
 
 def steady_state(
@@ -389,14 +390,13 @@ def steady_state(
     n_max: int | None = None,
     n_max_cap: int = 2048,
     rtol: float = 1e-7,
-    tail: float = 1e-12,
 ) -> SteadyState:
     """Steady state by banded LU; auto mode grows the cutoff until the
     solution's own tail shows it is wide enough.
 
     A fixed ``n_max`` is solved once with the vacuum population pinned.
     Auto mode starts at 32 photons and accepts a solve when its top Fock
-    state holds under ``tail`` and the geometric continuation of its tail
+    state holds under 1e-12 and the geometric continuation of its tail
     adds less than ``rtol`` to n and n(n-1).  Otherwise the cutoff doubles,
     up to and including ``n_max_cap``, pinned at the previous peak.
     """
@@ -410,7 +410,7 @@ def steady_state(
     while True:
         ss = _steady_state_fixed(params, n, pin)
         T = ss.photon_distribution
-        if _tail_converged(T, rtol, tail):
+        if _tail_converged(T, rtol, _TAIL):
             return ss
         if n >= n_max_cap:
             raise TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")

@@ -140,24 +140,6 @@ def evaluate_lines(lines: list[SpectralLine], omega: np.ndarray) -> np.ndarray:
     return total / np.pi
 
 
-def integrate_lines(lines: list[SpectralLine], lo: float, hi: float) -> float:
-    """Exact integral of the line sum over [lo, hi] (antiderivatives).
-
-    Lorentzian part: (L/pi) atan(2(w - w_p)/g_p); dispersive part:
-    -(K/2 pi) log((g_p/2)^2 + (w - w_p)^2).
-    """
-    total = 0.0
-    for ln in lines:
-        half = ln.gamma / 2.0
-        if half <= 0.0:
-            total += ln.L if lo <= ln.omega <= hi else 0.0
-            continue
-        a, b = lo - ln.omega, hi - ln.omega
-        total += ln.L / np.pi * (np.arctan(b / half) - np.arctan(a / half))
-        total -= ln.K / (2.0 * np.pi) * (np.log(half**2 + b**2) - np.log(half**2 + a**2))
-    return float(total)
-
-
 @dataclass
 class SpectrumResult:
     """Gridded spectrum plus its line decomposition.

@@ -34,23 +34,6 @@ def config_line(config: dict) -> str:
     return "# config: " + "; ".join(parts)
 
 
-def parse_config_header(path: str | Path) -> dict[str, str]:
-    """Recover the config mapping from a file's ``# config:`` line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# config: "):
-                body = line[len("# config: ") :].strip()
-                out = {}
-                for item in body.split("; "):
-                    if "=" in item:
-                        k, _, v = item.partition("=")
-                        out[k] = v
-                return out
-            if not line.startswith("#"):
-                break
-    raise ValueError(f"no config header in {path}")
-
-
 def write_csv(path: str | Path, columns: list[str], rows: list[list], config: dict) -> None:
     lines = [config_line(config), "# units: g=1", ",".join(columns)]
     for row in rows:

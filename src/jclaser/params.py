@@ -119,25 +119,9 @@ def recurrence_coefficients(params: SystemParams, n: int, num=float) -> tuple:
     return A, B, C
 
 
-def gamma_T(params: SystemParams, n: int) -> float:
-    """Total decoherence rate of the n-th photon manifold (n >= 1)."""
-    return _manifold(params, n)[0]
-
-
 def g_eff(params: SystemParams, n: int) -> float:
     """Detuning-reduced coupling of manifold ``n``; equals g at resonance."""
     return params.g if params.delta == 0.0 else math.sqrt(_manifold(params, n)[1])
-
-
-def inv_C_eff(params: SystemParams, n: int) -> float:
-    """Reciprocal cooperativity of manifold ``n``; finite at gamma_a = 0."""
-    return _manifold(params, n)[2]
-
-
-def C_eff(params: SystemParams, n: int) -> float:
-    """Effective cooperativity; +inf sentinel when gamma_a = 0."""
-    inv = inv_C_eff(params, n)
-    return math.inf if inv == 0.0 else 1.0 / inv
 
 
 def kappa_sigma(params: SystemParams) -> float:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# poissonian_statistics is re-exported for callers that feed it to these spectra
+from .approximations import lasing_window_ok, poissonian_statistics, semiclassical
 from .errors import NotResolvableError
 from .exact import FockSpace, SteadyState
 from .lineshape import (
@@ -31,17 +33,6 @@ from .params import SystemParams, kappa_a, kappa_sigma
 
 _TAIL = 1e-12  # rungs with both statistics weights below this (relative) are dropped
 _LINE_FLOOR = 1e-14  # rung lines with |L| + |K| below this are dropped
-
-
-def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
-    """Poissonian T[n], the lasing-regime field statistics."""
-    if n_cut is None:
-        n_cut = int(n_a + 12.0 * math.sqrt(max(n_a, 1.0))) + 25
-    n = np.arange(n_cut + 1)
-    if n_a <= 0.0:
-        return np.where(n == 0, 1.0, 0.0)
-    logT = n * math.log(n_a) - n_a - np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
-    return np.exp(np.clip(logT, math.log(1e-300), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -91,29 +82,8 @@ def density_slices_from_statistics(params: SystemParams, T: np.ndarray) -> Stead
 
 
 # ---------------------------------------------------------------------------
-# Rabi frequencies and rung lines
+# Rung lines
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RabiFrequencies:
-    n: float
-    inner: complex
-    outer: complex
-
-
-def rabi_frequencies(params: SystemParams, n: float) -> RabiFrequencies:
-    """Inner/outer half Rabi frequencies of rung ``n`` (branch Re >= 0)."""
-    decoh = (params.Gamma_sigma - params.gamma_phi) / 4.0
-    root_n, root_n1 = np.sqrt(float(n)), np.sqrt(n + 1.0)
-    inner = np.sqrt((params.g * (root_n1 - root_n)) ** 2 - decoh**2 + 0j)
-    outer = np.sqrt((params.g * (root_n1 + root_n)) ** 2 - decoh**2 + 0j)
-    return RabiFrequencies(n=n, inner=complex(inner), outer=complex(outer))
-
-
-def linear_rabi(params: SystemParams) -> complex:
-    """R0, the rung-0 (vacuum) Rabi frequency under pumping."""
-    return rabi_frequencies(params, 0.0).outer
 
 
 def _tilt(params: SystemParams) -> float:
@@ -204,7 +174,7 @@ def approx_spectrum(
     integrates to 1 - Re(E)/n_c with E the elastic component.
     """
     dec = rung_decomposition(params, T, channel)
-    meta = {"validity_window": _window_ok(params), "rungs": len(dec.n_c)}
+    meta = {"validity_window": lasing_window_ok(params), "rungs": len(dec.n_c)}
     return _rung_spectrum(dec, channel, omega, "approx", meta)
 
 
@@ -223,119 +193,6 @@ def _rung_spectrum(
         method=method,
         meta={"n_c": n_c, **meta},
     )
-
-
-def _window_ok(params: SystemParams) -> bool:
-    from .approximations import lasing_window_ok
-
-    return lasing_window_ok(params)
-
-
-# ---------------------------------------------------------------------------
-# Labeled per-rung coefficients and the closed-form special case
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CorrelatorCoefficients:
-    """Inner/outer line data of one rung, labeled against the Rabi targets."""
-
-    n: float
-    C_inner: complex
-    C_inner_mirror: complex
-    C_outer: complex
-    C_outer_mirror: complex
-    omega_inner: float
-    omega_outer: float
-    gamma_inner: float
-    gamma_outer: float
-    R_inner: complex
-    R_outer: complex
-
-
-def correlator_coefficients(
-    params: SystemParams,
-    T: np.ndarray,
-    n: int | float,
-    channel: str,
-) -> CorrelatorCoefficients:
-    """Match the rung's four eigen-lines to the +-R_inner/outer pattern.
-
-    Weights are normalized by the full channel population (n_sigma or n_a of
-    the slices), so they are the per-rung contributions entering the total
-    line sum.
-    """
-    dec = rung_decomposition(params, T, channel, rungs=np.array([n]))
-    sl = density_slices_from_statistics(params, T)
-    n_c = sl.n_sigma if channel == "emitter" else sl.n_a
-    rf = rabi_frequencies(params, n)
-    mean = (3.0 * params.Gamma_sigma + params.gamma_phi) / 4.0
-    targets = {
-        "inner": mean + 1j * rf.inner,
-        "inner_mirror": mean - 1j * rf.inner,
-        "outer": mean + 1j * rf.outer,
-        "outer_mirror": mean - 1j * rf.outer,
-    }
-    lams = -dec.lams[0]  # eigenvalues of the decay matrix M, as the targets
-    coeffs = dec.weights[0] / n_c
-    assigned: dict[str, complex] = {}
-    free = np.ones(4, dtype=bool)
-    for name, tgt in targets.items():
-        i = int(np.argmin(np.where(free, np.abs(lams - tgt), np.inf)))
-        free[i] = False
-        assigned[name] = coeffs[i]
-    return CorrelatorCoefficients(
-        n=float(n),
-        C_inner=assigned["inner"],
-        C_inner_mirror=assigned["inner_mirror"],
-        C_outer=assigned["outer"],
-        C_outer_mirror=assigned["outer_mirror"],
-        omega_inner=float(rf.inner.real),
-        omega_outer=float(rf.outer.real),
-        gamma_inner=float(2.0 * mean - 2.0 * rf.inner.imag),
-        gamma_outer=float(2.0 * mean - 2.0 * rf.outer.imag),
-        R_inner=rf.inner,
-        R_outer=rf.outer,
-    )
-
-
-def emitter_coefficients_closed_form(
-    params: SystemParams, T: np.ndarray, n: int
-) -> tuple[complex, complex]:
-    """(C_inner, C_outer) from the closed form valid at resonance with
-    gamma_sigma = gamma_phi = 0, emitter channel; cross-checks the 4x4 route."""
-    if params.delta != 0.0 or params.gamma_sigma != 0.0 or params.gamma_phi != 0.0:
-        raise ValueError("closed form holds for delta = gamma_sigma = gamma_phi = 0")
-    g, P = params.g, params.P_sigma
-    rf = rabi_frequencies(params, n)
-    n_sigma = density_slices_from_statistics(params, T).n_sigma
-    Tn = T[n] if n < len(T) else 0.0
-    Tn_1 = T[n - 1] if 1 <= n <= len(T) else 0.0
-    out = []
-    for R, upper in ((rf.inner, True), (rf.outer, False)):
-        s = 1.0 if upper else -1.0
-        sq = math.sqrt(n * (n + 1.0))
-        alpha = ((P / 2.0) ** 2 + g**2 * (1 + n)) / (P**2 + 8.0 * g**2 * (1 + n)) + (
-            1j * P / (4.0 * R)
-        ) * ((P / 2.0) ** 2 - g**2 * (1 + n - s * 2.0 * sq)) / (
-            P**2 + 8.0 * g**2 * (1 + n)
-        )
-        # the (4 + 3iP/R) bracket is 4(1 + 3iP/(4R)); checked against an
-        # extended-precision evaluation of the 4x4 block projection
-        beta = (
-            s
-            * g**2
-            * P**2
-            * (4.0 + 3j * P / R)
-            * (2.0 * g**2 * (sq + s * n) + P**2 * (sq - s * n))
-            / (
-                4.0
-                * (8.0 * g**2 * n + P**2)
-                * (4.0 * g**4 + 4.0 * g**2 * P**2 * (1 + 2 * n) + P**4)
-            )
-        )
-        out.append(alpha / n_sigma * Tn + beta / n_sigma * Tn_1)
-    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +285,6 @@ def semiclassical_mollow(
             meta={"gamma_L": gl},
         )
     if params.delta != 0.0:
-        from .approximations import semiclassical
-
         res = approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega)
         res.meta["R_outer"] = incoherent_mollow_splitting(params)
         return res
@@ -471,40 +326,8 @@ def semiclassical_mollow(
 
 
 # ---------------------------------------------------------------------------
-# Peak-position families and observed splitting
+# Observed splitting
 # ---------------------------------------------------------------------------
-
-
-def peak_positions_vs_decoherence(
-    n_list: list[int],
-    gamma_grid: np.ndarray,
-    g: float = 1.0,
-    family: str = "pumped",
-) -> list[dict]:
-    """Inner/outer transition energies against the relevant decoherence rate.
-
-    ``family='spontaneous'`` uses the undriven ladder (Gamma = gamma_a -
-    gamma_sigma); ``family='pumped'`` the pumped positions (Gamma read as
-    Gamma_sigma - gamma_phi; which abscissa to plot is the caller's choice).
-    """
-    rows = []
-    for n in n_list:
-        for G in np.asarray(gamma_grid, dtype=float):
-            q = (G / 4.0) ** 2
-            if family == "spontaneous":
-                up = np.sqrt(complex(g**2 * (n + 1) - q))
-                dn = np.sqrt(complex(g**2 * n - q))
-                inner, outer = (up - dn).real, (up + dn).real
-            elif family == "pumped":
-                inner = np.sqrt(complex(g**2 * (math.sqrt(n + 1) - math.sqrt(n)) ** 2 - q)).real
-                outer = np.sqrt(complex(g**2 * (math.sqrt(n + 1) + math.sqrt(n)) ** 2 - q)).real
-            else:
-                raise ValueError(f"unknown family {family!r}")
-            rows.append(
-                {"family": family, "n": n, "Gamma": float(G),
-                 "omega_inner": float(inner), "omega_outer": float(outer)}
-            )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -541,10 +364,3 @@ def observed_splitting(spec: SpectrumResult, min_contrast: float = 1e-3) -> Obse
         resolvable=bool(resolvable),
     )
 
-
-def side_weight_visibility(lines: list[SpectralLine], center_cut: float) -> float:
-    """Weight imbalance of the two side bands of a line set."""
-    wp = sum(ln.L for ln in lines if ln.omega > center_cut)
-    wm = sum(ln.L for ln in lines if ln.omega < -center_cut)
-    tot = abs(wp) + abs(wm)
-    return abs(wp - wm) / tot if tot > 0.0 else 0.0

@@ -37,7 +37,7 @@ from scipy.linalg import solve_banded
 
 from jclaser.approximations import statistics_root
 from jclaser.errors import JclaserError, NoSteadyStateError, TruncationNotConvergedError
-from jclaser.params import SystemParams, inv_C_eff, recurrence_coefficients
+from jclaser.params import SystemParams, _manifold, recurrence_coefficients
 
 LN10 = math.log(10.0)
 
@@ -290,7 +290,7 @@ def observables_from_moments(
     if params.gamma_a > 0.0:
         gs_tot = params.Gamma_sigma
         ga = params.gamma_a
-        invC = inv_C_eff(params, 1)
+        invC = _manifold(params, 1)[2]
         # the closed-form bracket P/(n_a G) + 2P/(G+ga) - invC - (ga+G)/G,
         # with the first and last terms combined through the rate balance:
         # P/(n_a G) - (ga+G)/G = (n_sigma - n_a)/n_a.  The raw form loses

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jclaser import approximations as ap
-from jclaser import spectra
+from jclaser import exact, spectra
 from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, kappa_sigma
 import moment_reference as moments
@@ -219,8 +219,6 @@ def test_thermal_limits():
 def test_thermal_exact_lossless_pair():
     # gamma_a = P_a = 0, P = gamma/2: nbar_a = 1, nbar_sigma = 1/3, verified
     # against the full Liouvillian at a deep cutoff
-    from jclaser import exact
-
     p = SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=1.0, P_sigma=0.5)
     th = ap.thermal_na(p)
     assert th.exact_limit is not None
@@ -331,23 +329,36 @@ def _cothermal_or_error(p):
 @settings(max_examples=60, deadline=None)
 @given(
     log_gamma_a=st.floats(-3.0, 2.0),
-    gamma_sigma=st.floats(0.0, 1.0),
+    gamma_sigma=st.floats(0.0, 10.0),
     log_P=st.floats(-5.0, 4.0),
-    delta=st.floats(-3.0, 3.0),
+    delta=st.floats(-5.0, 5.0),
     gamma_phi=st.floats(0.0, 2.0),
 )
 def test_cothermal_scan_grid_finds_every_root(log_gamma_a, gamma_sigma, log_P, delta, gamma_phi):
-    # a 64 times finer g2 grid brackets no root that the shipped grid misses
+    # the n = 2 equation falls along a 64 times finer g2 grid, so it has one
+    # root, none where f(2) > 0, and the finer grid brackets the same one
     p = SystemParams(g=1.0, gamma_a=10.0**log_gamma_a, gamma_sigma=gamma_sigma,
                      P_sigma=10.0**log_P, delta=delta, gamma_phi=gamma_phi)
+    g2 = np.linspace(0.0, 2.0, 4097)
+    f = ap._second_moment_equation(p)(g2[np.isfinite(ap.statistics_root(p, g2))])
+    assert f[0] > 0.0 and np.all(np.diff(f) < 0.0)
     coarse = _cothermal_or_error(p)
-    with mock.patch.object(ap, "_G2_GRID", np.linspace(0.0, 2.0, 4097)):
+    assert (coarse is NoPhysicalRootError) == (f[-1] > 0.0)
+    with mock.patch.object(ap, "_G2_GRID", g2):
         fine = _cothermal_or_error(p)
     if isinstance(coarse, type):
         assert fine is coarse
         return
     assert fine.n_a == pytest.approx(coarse.n_a, rel=1e-12)
     assert abs(fine.n_coh - coarse.n_coh) <= 1e-10 * coarse.n_a
+
+
+def test_cothermal_refuses_a_superthermal_field():
+    p = SystemParams(g=1.0, gamma_a=0.01576, gamma_sigma=1.916e-4, P_sigma=0.04793, delta=-4.9035)
+    assert ap._second_moment_equation(p)(2.0) > 0.0
+    with pytest.raises(NoPhysicalRootError, match="no root with g2 <= 2"):
+        ap.cothermal(p)
+    assert exact.steady_state(p).g2 > 2.0  # the exact field is superthermal there
 
 
 def test_cothermal_needs_no_other_rung(monkeypatch):

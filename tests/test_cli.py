@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jclaser.cli import main
-from jclaser.output import parse_config_header
 
 
 def run(argv):
     return main(argv)
+
+
+def parse_config_header(path) -> dict[str, str]:
+    """The mapping of the ``# config:`` line, which the writers put first."""
+    line = Path(path).read_text(encoding="utf-8").splitlines()[0]
+    assert line.startswith("# config: ")
+    return dict(item.split("=", 1) for item in line[len("# config: ") :].split("; "))
 
 
 def test_steady_single_point(tmp_path):
@@ -85,6 +92,7 @@ def test_config_file_values_take_the_argument_type(tmp_path):
 def test_config_error_exit_code(tmp_path):
     code = run(["sweep", "--sweep-min", "5", "--sweep-max", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    assert run(["sweep", "--sweep-param", "pump-sigma", "--out", str(tmp_path / "x.csv")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense line without equals\n")
     assert run(["steady", "--config", str(bad)]) == 2
@@ -348,7 +356,6 @@ def test_commands_do_not_load_mpmath(tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import jclaser
 
@@ -384,7 +391,6 @@ def test_runtime_package_carries_no_moment_oracle():
     # the moment route is the tests' oracle (tests/moment_reference.py)
     import ast
     import importlib.util
-    from pathlib import Path
 
     import jclaser
 
@@ -402,13 +408,33 @@ def test_runtime_package_carries_no_moment_oracle():
     assert not hasattr(jclaser, "UnphysicalResultError")
 
 
+def test_runtime_package_keeps_only_what_is_called():
+    # each public function and class is named in the package outside its own
+    # definition or read by the acceptance suite; see tests/spectra_reference.py
+    import ast
+
+    import jclaser
+
+    named, defs = set(), []
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    for path in [*Path(jclaser.__file__).parent.glob("*.py"), acceptance]:
+        for top in ast.parse(path.read_text()).body:
+            own = isinstance(top, (ast.FunctionDef, ast.ClassDef)) and path != acceptance
+            if own and not top.name.startswith("_"):
+                defs.append(f"{path.stem}.{top.name}")
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and not (own and name == top.name):
+                    named.add(name)
+    assert [d for d in defs if d.split(".")[1] not in named] == []
+
+
 def test_sweep_workers_match_serial(tmp_path):
     # two worker processes write the same file as the serial loop; run in a
     # fresh interpreter so the pool does not fork the test process
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import jclaser
 

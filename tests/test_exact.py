@@ -18,6 +18,7 @@ from jclaser.lineshape import evaluate_lines
 from jclaser.params import SystemParams
 from liouvillian_oracle import build_liouvillian, full_steady_rho, off_pattern_max, operators
 import moment_reference as moments
+from spectra_reference import integrate_lines
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
 LASING = SystemParams(P_sigma=7.0, **BASE)
@@ -422,8 +423,6 @@ def test_phase_similarity_keeps_the_resolvent(extra):
 
 
 def test_spectrum_normalization_and_triplet():
-    from jclaser.lineshape import integrate_lines
-
     ss = exact.steady_state(LASING, n_max=150)
     w = np.linspace(-60.0, 60.0, 8001)
     res = exact.spectrum(LASING, channel="emitter", ss=ss, omega=w)

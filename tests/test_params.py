@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jclaser.params import (
-    C_eff,
-    SystemParams,
-    g_eff,
-    gamma_T,
-    kappa_a,
-    kappa_sigma,
-)
+from jclaser.params import SystemParams, _manifold, g_eff, kappa_a, kappa_sigma
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
@@ -33,9 +26,9 @@ def test_signed_gamma_a_allowed():
 def test_effective_rates_example():
     # Gamma_T = 1 + 0 + (2*1-1)*0.1 = 1.1; C_eff = 4 / (0.1 * 1.1)
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.0, P_sigma=1.0)
-    assert gamma_T(p, 1) == pytest.approx(1.1, abs=0.0)
+    assert _manifold(p, 1)[0] == pytest.approx(1.1, abs=0.0)
     assert g_eff(p, 1) == pytest.approx(1.0)
-    assert C_eff(p, 1) == pytest.approx(4.0 / (0.1 * 1.1), rel=1e-14)
+    assert 1.0 / _manifold(p, 1)[2] == pytest.approx(4.0 / (0.1 * 1.1), rel=1e-14)
 
 
 def test_g_eff_resonance_and_detuned_limits():
@@ -48,7 +41,7 @@ def test_g_eff_resonance_and_detuned_limits():
 
 def test_c_eff_infinite_for_lossless_cavity():
     p = SystemParams(g=1.0, gamma_a=0.0, P_sigma=1.0)
-    assert math.isinf(C_eff(p, 3))
+    assert _manifold(p, 3)[2] == 0.0  # C_eff = 1/0
 
 
 def test_kappa_examples():
@@ -88,7 +81,7 @@ def test_rescaling_invariance(ga, gs, P, gp, dl, s):
     )
     for n in (1, 3):
         assert g_eff(p2, n) / p2.g == pytest.approx(g_eff(p1, n) / p1.g, rel=1e-12)
-        assert C_eff(p2, n) == pytest.approx(C_eff(p1, n), rel=1e-12)
+        assert 1.0 / _manifold(p2, n)[2] == pytest.approx(1.0 / _manifold(p1, n)[2], rel=1e-12)
     assert kappa_sigma(p2) / p2.g == pytest.approx(kappa_sigma(p1) / p1.g, rel=1e-12)
 
 
@@ -96,7 +89,7 @@ def test_rescaling_invariance(ga, gs, P, gp, dl, s):
 @settings(max_examples=60, deadline=None)
 def test_gamma_T_strictly_increasing(ga, gs, P, gp):
     p = SystemParams(g=1.0, gamma_a=ga, gamma_sigma=gs, P_sigma=P, gamma_phi=gp)
-    vals = [gamma_T(p, n) for n in range(1, 8)]
+    vals = [_manifold(p, n)[0] for n in range(1, 8)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
