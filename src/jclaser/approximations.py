@@ -124,13 +124,15 @@ def statistics_root(params: SystemParams, g2: float | np.ndarray) -> float | np.
     """
     if params.gamma_a <= 0.0:
         raise ValueError("statistics_root needs gamma_a > 0")
-    A1, b, c = recurrence_coefficients(params, 1)
+    return _first_moment_root(*recurrence_coefficients(params, 1), g2)
+
+
+def _first_moment_root(A1, b, c, g2):
+    """``statistics_root`` from its coefficients (A1, B1, C1), which may be arrays."""
     a = A1 * np.asarray(g2)
     disc = np.sqrt(b * b + 4.0 * a * c)
-    if b <= 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (-b + disc) / (2.0 * a)
-    return 2.0 * c / (b + disc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b <= 0.0, (-b + disc) / (2.0 * a), 2.0 * c / (b + disc))
 
 
 @dataclass(frozen=True)
@@ -321,22 +323,6 @@ _LOG_FLOOR = math.log(1e-300)
 _G2_GRID = np.linspace(0.0, 2.0, 65)
 
 
-def _refine_bracket(f, lo: float, hi: float) -> float:
-    """Root of ``f`` in the sign-change bracket [lo, hi], to the last bit.
-
-    Each pass rescans the bracket on ``_G2_GRID.size`` nodes and keeps its
-    first sign change, until the bracket stops shrinking.  The last bit
-    matters: n_coh = n_a sqrt(2 - g2) is steep near g2 = 2.
-    """
-    while True:
-        g = np.linspace(lo, hi, _G2_GRID.size)
-        f_g = f(g)
-        i = int(np.argmax((f_g[:-1] > 0.0) != (f_g[1:] > 0.0)))
-        if (g[i], g[i + 1]) == (lo, hi):
-            return lo if abs(f_g[i]) <= abs(f_g[i + 1]) else hi
-        lo, hi = g[i], g[i + 1]
-
-
 def _moment_residual(params: SystemParams, state: CothermalState, n: int) -> float:
     """Relative residual of C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0 at ``state``."""
     A, B, C = recurrence_coefficients(params, n)
@@ -344,15 +330,64 @@ def _moment_residual(params: SystemParams, state: CothermalState, n: int) -> flo
     return abs(sum(terms)) / (sum(map(abs, terms)) + 1e-300)
 
 
-def _second_moment_equation(params: SystemParams):
-    """f(g2), the n = 2 moment equation on the n = 1 curve over n_a; it falls along g2."""
-    A2, B2, C2 = recurrence_coefficients(params, 2)
+def _second_moment(coef: np.ndarray, g2):
+    """f(g2), the n = 2 moment equation on the n = 1 curve over n_a; it falls
+    along g2.  ``coef`` holds (A1, B1, C1, A2, B2, C2) along its first axis."""
+    A1, b, c, A2, B2, C2 = coef
+    n_a = _first_moment_root(A1, b, c, g2)
+    return C2 - B2 * g2 * n_a - A2 * n_a * n_a * (9.0 * g2 - 12.0 + 4.0 * (2.0 - g2) ** 1.5)
 
-    def f(g2):
-        n_a = statistics_root(params, g2)
-        return C2 - B2 * g2 * n_a - A2 * n_a * n_a * (9.0 * g2 - 12.0 + 4.0 * (2.0 - g2) ** 1.5)
 
-    return f
+def _moment_coefficients(params: SystemParams) -> list[float]:
+    """(A1, B1, C1, A2, B2, C2): ``recurrence_coefficients`` at n = 1 and 2."""
+    return [*recurrence_coefficients(params, 1), *recurrence_coefficients(params, 2)]
+
+
+def cothermal_sweep(params: SystemParams, pumps) -> list[CothermalState | NoPhysicalRootError]:
+    """``cothermal`` at each pump P_sigma of ``pumps``, all scanned at once.
+
+    Returns per pump its state, or the ``NoPhysicalRootError`` that
+    ``cothermal`` would raise there; a zero pump gives the zero state.  The
+    rescans run on the brackets of every pump together, and a pump drops
+    out once its bracket stops shrinking, so each pump takes the passes it
+    would take alone and its result is the one-pump result.
+    """
+    if params.gamma_a <= 0.0 or params.P_a != 0.0:
+        raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
+    states = [replace(params, P_sigma=float(P)) for P in pumps]
+    out: list = [CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)] * len(states)
+    live = np.array([j for j, p in enumerate(states) if p.P_sigma != 0.0], dtype=int)
+    coef = np.array([_moment_coefficients(states[j]) for j in live]).reshape(len(live), 6).T[:, :, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        f_g = _second_moment(coef, _G2_GRID)
+    changes = (f_g[:, :-1] > 0.0) != (f_g[:, 1:] > 0.0)
+    # a = A1 g2 vanishes only at g2 = 0, the one node that may have no root
+    changes[:, 0] &= np.isfinite(_first_moment_root(*coef[:3], _G2_GRID[0]))[:, 0]
+    found = changes.any(axis=1)
+    for j in live[~found]:
+        out[j] = NoPhysicalRootError("the n = 2 moment equation has no root with g2 <= 2 (superthermal field)")
+    i = np.argmax(changes[found], axis=1)
+    rows, coef = live[found], coef[:, found]
+    g2 = np.empty(len(rows))
+    lo, hi = _G2_GRID[i], _G2_GRID[i + 1]
+    todo = np.arange(len(rows))
+    # each pass rescans every open bracket on _G2_GRID.size nodes and keeps its
+    # first sign change, down to adjacent floats: n_coh = n_a sqrt(2 - g2) is
+    # steep near g2 = 2
+    while len(todo):
+        g = np.linspace(lo, hi, _G2_GRID.size, axis=-1)
+        f_g = _second_moment(coef[:, todo], g)
+        i = np.argmax((f_g[:, :-1] > 0.0) != (f_g[:, 1:] > 0.0), axis=1)
+        k = np.arange(len(todo))
+        g_lo, g_hi = g[k, i], g[k, i + 1]
+        done = (g_lo == lo) & (g_hi == hi)
+        g2[todo[done]] = np.where(np.abs(f_g[k, i]) <= np.abs(f_g[k, i + 1]), lo, hi)[done]
+        todo, lo, hi = todo[~done], g_lo[~done], g_hi[~done]
+    n_a = _first_moment_root(*coef[:3, :, 0], g2)
+    for j, x, na in zip(rows, g2, n_a.tolist()):
+        state = CothermalState(n_a=na, n_coh=na * math.sqrt(2.0 - x))
+        out[j] = replace(state, residual=max(_moment_residual(states[j], state, n) for n in (1, 2)))
+    return out
 
 
 def cothermal(params: SystemParams) -> CothermalState:
@@ -367,22 +402,12 @@ def cothermal(params: SystemParams) -> CothermalState:
     rescanned down to adjacent floats.  Where it is still positive at
     g2 = 2 the field would be superthermal, a ``NoPhysicalRootError``.
     ``residual`` is that root's relative residual of the n = 1, 2 equations.
+    This is the one-pump case of ``cothermal_sweep``.
     """
-    if params.gamma_a <= 0.0 or params.P_a != 0.0:
-        raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
-    if params.P_sigma == 0.0:
-        return CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)
-    f = _second_moment_equation(params)
-    g2s = _G2_GRID[np.isfinite(statistics_root(params, _G2_GRID))]  # g2 = 0 may have no root
-    f_g = f(g2s)
-    changes = (f_g[:-1] > 0.0) != (f_g[1:] > 0.0)
-    if not changes.any():
-        raise NoPhysicalRootError("the n = 2 moment equation has no root with g2 <= 2 (superthermal field)")
-    i = int(np.argmax(changes))
-    g2 = _refine_bracket(f, g2s[i], g2s[i + 1])
-    n_a = float(statistics_root(params, g2))
-    state = CothermalState(n_a=n_a, n_coh=n_a * math.sqrt(2.0 - g2))
-    return replace(state, residual=max(_moment_residual(params, state, n) for n in (1, 2)))
+    (state,) = cothermal_sweep(params, [params.P_sigma])
+    if isinstance(state, NoPhysicalRootError):
+        raise state
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +146,17 @@ _STEADY_COLUMNS = [
 ]
 
 
-def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
+def _steady_rows(params: SystemParams, pumps, n_max, cap, tol) -> list[list]:
+    """Table rows at each pump P_sigma of ``pumps``, with the cothermal roots
+    of the whole chunk found at once."""
+    try:
+        cothermal = ap.cothermal_sweep(params, pumps)
+    except ValueError:
+        cothermal = [None] * len(pumps)
+    return [_steady_row(replace(params, P_sigma=float(P)), ct, n_max, cap, tol) for P, ct in zip(pumps, cothermal)]
+
+
+def _steady_row(params: SystemParams, ct, n_max, cap, tol) -> list:
     P = params.P_sigma
     label = ap.classify_regime(params).label
     lin = ap.linear_models(params)
@@ -182,23 +192,17 @@ def _steady_row(params: SystemParams, n_max, cap, tol) -> list:
         row += cells(th.n_a, th.n_sigma, [th.n_a])
     except ValueError:
         row += [nan]
-    try:
-        ct = ap.cothermal(params)
+    if isinstance(ct, ap.CothermalState):
         row += cells(ct.n_a, 0.0, [ct.n_a, ct.n_coh, ct.g2])
-    except (ValueError, JclaserError):
+    else:  # no cothermal form at these rates, or no root at this pump
         row += [nan] * 3
     row += [err]
     return row
 
 
-def _steady_row_at(item) -> list:
-    params, P, n_max, cap, tol = item
-    return _steady_row(replace(params, P_sigma=float(P)), n_max, cap, tol)
-
-
 def cmd_steady(args) -> int:
     params = system_params(args)
-    row = _steady_row(params, args.n_max, args.auto_nmax_cap, args.tol)
+    (row,) = _steady_rows(params, [params.P_sigma], args.n_max, args.auto_nmax_cap, args.tol)
     out = args.out or "steady.csv"
     _write_table(out, _STEADY_COLUMNS, [row], config_dict(args), args.format)
     print(f"wrote {out}")
@@ -211,12 +215,17 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     params = system_params(args)
     pumps = sweep_values(args)
-    items = [(params, P, args.n_max, args.auto_nmax_cap, args.tol) for P in pumps]
+    rows_of = partial(_steady_rows, params, n_max=args.n_max, cap=args.auto_nmax_cap, tol=args.tol)
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_steady_row_at, items))
+        # imported only here: multiprocessing would add ~0.5 MB to every serial run
+        from concurrent.futures import ProcessPoolExecutor
+
+        # contiguous chunks, so the rows come back in pump order
+        chunks = [c for c in np.array_split(pumps, args.workers) if len(c)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            rows = [row for part in pool.map(rows_of, chunks) for row in part]
     else:
-        rows = [_steady_row_at(it) for it in items]
+        rows = rows_of(pumps)
     out = args.out or "sweep.csv"
     _write_table(out, _STEADY_COLUMNS, rows, config_dict(args), args.format)
     failed = sum(1 for r in rows if r[-1])
@@ -369,6 +378,8 @@ def main(argv: list[str] | None = None) -> int:
                 **{k: v for k, v in file_cfg.items() if k in vars(args) and k not in ("command", "config")}
             )
             args = parser.parse_args(argv)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,10 +22,20 @@ full Liouvillian):
   which makes every entry real except the detuning's: at delta = 0 it is a
   float64 matrix, eigendecomposed in real arithmetic with its eigenvalues in
   exact conjugate pairs, while detuned blocks stay complex.
+
+A block's values change with the rates, but nothing else does: its sparsity
+pattern, the ladder amplitudes each term gathers and its band layout depend
+only on the key (n_max, k, on), where ``on`` flags which of the five jump
+rates are nonzero.  ``_sector_index`` builds that index once per key and
+keeps a few in an LRU cache, with every array read-only, and
+``sector_generator`` fills the values from the rates in the arithmetic order
+of a fresh build, so a block from the cache is bit for bit a fresh one.  A
+pump sweep changes one rate, so all its solves at one cutoff share an index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -122,52 +132,111 @@ def _product(outer: Ladder, inner: Ladder) -> Ladder:
     return dst, np.where(dst >= 0, a1 * a2[mid], 0.0)
 
 
-def _sector_model(params: SystemParams, n_max: int) -> tuple[np.ndarray, Ladder, list]:
-    """A = -iH - sum_c rate c'c / 2 as a diagonal plus a coupling ladder, and
-    the (jump ladder, rate) pairs.
+def _jump_rates(params: SystemParams) -> tuple[float, ...]:
+    """Rates of the jumps a, sigma, a', sigma' and sigma'sigma, in that order."""
+    return params.gamma_a, params.gamma_sigma, params.P_a, params.P_sigma, params.gamma_phi
 
-    H = -delta sigma'sigma + g (a'sigma + a sigma') couples |n,1> with
-    |n+1,0> only, so its off-diagonal part is one ladder.
+
+@dataclass(frozen=True)
+class _SectorIndex:
+    """Everything of a sector block but its values: the sparsity pattern,
+    the ladder amplitudes each term gathers, and the widths of its band.
+
+    Entries are concatenated per term: the diagonal, the coupling of A rho
+    and of rho A', then one run per jump that is on.
     """
+
+    r: np.ndarray
+    s: np.ndarray
+    pos: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    emitter: np.ndarray  # sigma'sigma over the flat basis, for the detuning
+    occupation: tuple  # |amp|^2 of each jump that is on, over the flat basis
+    coupling: tuple  # (a'sigma + a sigma') amplitudes at the r, then the s, of its entries
+    jumps: tuple  # per jump that is on, its amplitudes at the r and the s of its entries
+    kl: int  # sub-diagonals
+    ku: int  # super-diagonals
+
+
+# a sweep whose cutoffs double from 32 up to 256 reuses an index per cutoff, and
+# a spectrum adds its k = 1 index
+@functools.lru_cache(maxsize=4)
+def _sector_index(n_max: int, k: int, on: tuple[bool, ...]) -> _SectorIndex:
+    """The index of sector k at cutoff n_max; ``on`` flags which rates of
+    ``_jump_rates`` are nonzero.  Every array is read-only, as calls share it."""
+    r, s = _sector_pairs(n_max, k)
+    pos = _sector_position(r, s, 2 * (n_max + 1))
     a, sig = _ladders(n_max)
     ad, sd = _adjoint(a), _adjoint(sig)
-    jumps = [
-        (a, params.gamma_a),
-        (sig, params.gamma_sigma),
-        (ad, params.P_a),
-        (sd, params.P_sigma),
-        (_product(sd, sig), params.gamma_phi),
-    ]
-    jumps = [(c, rate) for c, rate in jumps if rate]
-    diag = 1j * params.delta * sig[1]
-    for (_, amp), rate in jumps:
-        diag = diag - (rate / 2.0) * np.abs(amp) ** 2
+    jumps = [c for c, c_on in zip((a, sig, ad, sd, _product(sd, sig)), on) if c_on]
+    # H = -delta sigma'sigma + g (a'sigma + a sigma') couples |n,1> with
+    # |n+1,0> only, so its off-diagonal part is one ladder
     up, down = _product(ad, sig), _product(a, sd)  # disjoint: emitter up or down
-    coupling = (np.where(up[0] >= 0, up[0], down[0]), -1j * params.g * (up[1] + down[1]))
-    return diag, coupling, jumps
+    cd, ca = np.where(up[0] >= 0, up[0], down[0]), up[1] + down[1]
+    e = np.arange(len(r))
+    rows, cols = [e], [e]
+    # (A rho)_{u;s} gets A_{u;r} rho_{r;s}
+    ok_r = cd[r] >= 0
+    rows.append(pos[cd[r[ok_r]], s[ok_r] % 2])
+    # (rho A')_{r;u} gets rho_{r;s} conj(A_{u;s})
+    ok_s = cd[s] >= 0
+    rows.append(pos[r[ok_s], cd[s[ok_s]] % 2])
+    cols += [e[ok_r], e[ok_s]]
+    amps = []
+    # (c rho c')_{u;w} gets c_{u;r} rho_{r;s} conj(c_{w;s})
+    for dst, amp in jumps:
+        ok = (dst[r] >= 0) & (dst[s] >= 0)
+        rows.append(pos[dst[r[ok]], dst[s[ok]] % 2])
+        cols.append(e[ok])
+        amps.append((amp[r[ok]], amp[s[ok]]))
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    ix = _SectorIndex(
+        r=r, s=s, pos=pos, row=row, col=col, emitter=sig[1],
+        occupation=tuple(np.abs(amp) ** 2 for _, amp in jumps),
+        coupling=(ca[r[ok_r]], ca[s[ok_s]]), jumps=tuple(amps),
+        kl=int(np.max(row - col)), ku=int(np.max(col - row)),
+    )
+    for x in (r, s, pos, row, col, ix.emitter, *ix.occupation, *ix.coupling, *sum(amps, ())):
+        x.flags.writeable = False
+    return ix
+
+
+def _band_storage(row: np.ndarray, col: np.ndarray, data: np.ndarray, size: int, kl: int, ku: int) -> np.ndarray:
+    """LAPACK band storage of the entries (row, col, data), with kl rows of fill."""
+    ab = np.zeros((2 * kl + ku + 1, size), dtype=complex)
+    np.add.at(ab, (kl + ku + row - col, col), data)
+    return ab
 
 
 @dataclass(frozen=True)
 class SectorBlock:
-    """Square sparse block as (row, col, data) entries; duplicates add up."""
+    """Square sparse block: ``data`` on the entries of its index; duplicates add up."""
 
-    row: np.ndarray
-    col: np.ndarray
+    index: _SectorIndex
     data: np.ndarray
-    size: int
+
+    @property
+    def size(self) -> int:
+        return len(self.index.r)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.size, self.size
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=self.data.dtype)
-        np.add.at(out, (self.row, self.col), self.data)
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(out, (self.index.row, self.index.col), self.data)
         return out
 
+    def band(self) -> tuple[int, int, np.ndarray]:
+        """(kl, ku, ab): the LAPACK band storage ab of the block."""
+        ix = self.index
+        return ix.kl, ix.ku, _band_storage(ix.row, ix.col, self.data, self.size, ix.kl, ix.ku)
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.data * x[self.col]
-        return np.bincount(self.row, y.real, self.size) + 1j * np.bincount(self.row, y.imag, self.size)
+        y = self.data * x[self.index.col]
+        return np.bincount(self.index.row, y.real, self.size) + 1j * np.bincount(self.index.row, y.imag, self.size)
 
 
 def sector_generator(
@@ -175,26 +244,21 @@ def sector_generator(
 ) -> tuple[SectorBlock, np.ndarray, np.ndarray]:
     """Block of the Liouvillian on the excitation sector k, and its (r, s) pairs.
 
-    Writes L rho = A rho + rho A' + sum_c rate c rho c' and gathers each
-    term's entries from the ladders, column e = (r, s) at a time.
+    Writes L rho = A rho + rho A' + sum_c rate c rho c', with
+    A = -iH - sum_c rate c'c / 2, and fills each term's entries from the
+    ladder amplitudes that the cached index gathered, column e = (r, s) at
+    a time.
     """
-    r, s = _sector_pairs(n_max, k)
-    pos = _sector_position(r, s, 2 * (n_max + 1))
-    diag, (cd, ca), jumps = _sector_model(params, n_max)
-    e = np.arange(len(r))
-    terms = [(e, e, diag[r] + np.conj(diag[s]))]  # (row, column, value) arrays per term
-    # (A rho)_{u;s} gets A_{u;r} rho_{r;s}
-    ok = cd[r] >= 0
-    terms.append((pos[cd[r[ok]], s[ok] % 2], e[ok], ca[r[ok]]))
-    # (rho A')_{r;u} gets rho_{r;s} conj(A_{u;s})
-    ok = cd[s] >= 0
-    terms.append((pos[r[ok], cd[s[ok]] % 2], e[ok], np.conj(ca[s[ok]])))
-    # (c rho c')_{u;w} gets c_{u;r} rho_{r;s} conj(c_{w;s})
-    for (dst, amp), rate in jumps:
-        ok = (dst[r] >= 0) & (dst[s] >= 0)
-        terms.append((pos[dst[r[ok]], dst[s[ok]] % 2], e[ok], rate * amp[r[ok]] * np.conj(amp[s[ok]])))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
-    return SectorBlock(rows, cols, vals, len(r)), r, s
+    rates = _jump_rates(params)
+    ix = _sector_index(n_max, k, tuple(bool(rate) for rate in rates))
+    rates = [rate for rate in rates if rate]
+    diag = 1j * params.delta * ix.emitter
+    for occ, rate in zip(ix.occupation, rates):
+        diag = diag - (rate / 2.0) * occ
+    coupling = -1j * params.g
+    values = [diag[ix.r] + np.conj(diag[ix.s]), coupling * ix.coupling[0], np.conj(coupling * ix.coupling[1])]
+    values += [rate * amp_r * np.conj(amp_s) for (amp_r, amp_s), rate in zip(ix.jumps, rates)]
+    return SectorBlock(ix, np.concatenate(values)), ix.r, ix.s
 
 
 @dataclass
@@ -268,7 +332,36 @@ class SteadyState:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
 
-def _band_solves(A: SectorBlock, b: np.ndarray, shifts=(0.0,), refine: int = 0):
+@dataclass(frozen=True)
+class _PinnedBlock:
+    """The k = 0 block G with its row d given way to the pin x[d] + x[d1]."""
+
+    G: SectorBlock
+    d: int
+    d1: int
+
+    @property
+    def size(self) -> int:
+        return self.G.size
+
+    def band(self) -> tuple[int, int, np.ndarray]:
+        """The band of G's entries off row d and the two pin entries, as wide as they need."""
+        ix, d, d1 = self.G.index, self.d, self.d1
+        keep = ix.row != d
+        row, col = ix.row[keep], ix.col[keep]
+        off = row - col
+        kl, ku = max(int(off.max(initial=0)), d - d1), max(int(-off.min(initial=0)), d1 - d)
+        ab = _band_storage(row, col, self.G.data[keep], self.size, kl, ku)
+        ab[kl + ku, d] = ab[kl + ku + d - d1, d1] = 1.0
+        return kl, ku, ab
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.G @ x
+        y[self.d] = x[self.d] + x[self.d1]
+        return y
+
+
+def _band_solves(A: SectorBlock | _PinnedBlock, b: np.ndarray, shifts=(0.0,), refine: int = 0):
     """Solutions of (A + i w) x = b, one per shift w, by LAPACK banded LU.
 
     A sector block couples excitation numbers N and N +- 1 only, so in
@@ -276,10 +369,8 @@ def _band_solves(A: SectorBlock, b: np.ndarray, shifts=(0.0,), refine: int = 0):
     band with its main diagonal moved, plus ``refine`` refinement steps.
     """
     M = A.size
-    kl, ku = int(np.max(A.row - A.col)), int(np.max(A.col - A.row))
     try:
-        ab = np.zeros((2 * kl + ku + 1, M), dtype=complex)  # LAPACK band storage, kl rows of fill
-        np.add.at(ab, (kl + ku + A.row - A.col, A.col), A.data)
+        kl, ku, ab = A.band()
         diag = ab[kl + ku].copy()
         for w in shifts:
             ab[kl + ku] = diag + 1j * w
@@ -304,18 +395,11 @@ def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
     that is not finite comes from a pivot too small to factor by, and
     raises as a zero pivot does.
     """
-    d, d1 = pos[2 * m, 0], pos[2 * m + 1, 1]
-    keep = G.row != d
-    A = SectorBlock(
-        np.concatenate([G.row[keep], [d, d]]),
-        np.concatenate([G.col[keep], [d, d1]]),
-        np.concatenate([G.data[keep], [1.0, 1.0]]),
-        G.size,
-    )
+    d, d1 = int(pos[2 * m, 0]), int(pos[2 * m + 1, 1])
     b = np.zeros(G.size, dtype=complex)
     b[d] = 1.0
     try:
-        x = next(_band_solves(A, b, refine=2))
+        x = next(_band_solves(_PinnedBlock(G, d, d1), b, refine=2))
     except ZeroPivotError as exc:
         raise NoSteadyStateError(f"singular Liouvillian: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -326,7 +410,7 @@ def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
 def _steady_state_fixed(params: SystemParams, n_max: int, pin: int = 0) -> SteadyState:
     space = FockSpace(n_max)
     G, r, s = sector_generator(params, n_max, 0)
-    pos = _sector_position(r, s, space.dim)
+    pos = G.index.pos
     n = np.arange(n_max + 1)
     try:
         x = _pinned_solve(G, pos, pin)
@@ -483,7 +567,7 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     u0[ok] = ss.element(r[ok], t[s[ok]]) * v[s[ok]]
     readout = np.where(dst[r] == s, amp[r], 0.0)  # readout[e] = <s| c |r>
     d = _PHASES[r % 2 - s % 2 + 1]  # 1 / d = conj(d) exactly
-    data = G.data * (d[G.col] * np.conj(d[G.row]))
+    data = G.data * (d[G.index.col] * np.conj(d[G.index.row]))
     if not np.any(data.imag):
         data = data.real.copy()
     G = replace(G, data=data)

@@ -2,7 +2,8 @@
 
 Every file carries the complete run configuration in a ``# config:`` comment
 so that re-running from the header reproduces the file byte for byte.
-Numbers are written with ``repr``, the shortest round-trip decimal form.
+Numbers are written with ``repr``, the shortest round-trip decimal form;
+JSON writes a value that is not finite as ``null``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _plain(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return float(v) if math.isfinite(v) else None  # JSON has no nan or inf
     if isinstance(v, np.ndarray):
         return [_plain(x) for x in v]
     if isinstance(v, dict):
@@ -59,4 +60,4 @@ def _plain(v):
 
 def write_json(path: str | Path, payload: dict, config: dict) -> None:
     doc = {"config": {k: format_value(v) for k, v in sorted(config.items())}, **_plain(payload)}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from jclaser import approximations as ap
 from jclaser import exact, spectra
 from jclaser.errors import NoPhysicalRootError
-from jclaser.params import SystemParams, kappa_sigma
+from jclaser.params import SystemParams, kappa_sigma, recurrence_coefficients
 import moment_reference as moments
 
 BASE = dict(g=1.0, gamma_sigma=0.00334)
@@ -340,7 +341,7 @@ def test_cothermal_scan_grid_finds_every_root(log_gamma_a, gamma_sigma, log_P, d
     p = SystemParams(g=1.0, gamma_a=10.0**log_gamma_a, gamma_sigma=gamma_sigma,
                      P_sigma=10.0**log_P, delta=delta, gamma_phi=gamma_phi)
     g2 = np.linspace(0.0, 2.0, 4097)
-    f = ap._second_moment_equation(p)(g2[np.isfinite(ap.statistics_root(p, g2))])
+    f = ap._second_moment(ap._moment_coefficients(p), g2[np.isfinite(ap.statistics_root(p, g2))])
     assert f[0] > 0.0 and np.all(np.diff(f) < 0.0)
     coarse = _cothermal_or_error(p)
     assert (coarse is NoPhysicalRootError) == (f[-1] > 0.0)
@@ -355,10 +356,55 @@ def test_cothermal_scan_grid_finds_every_root(log_gamma_a, gamma_sigma, log_P, d
 
 def test_cothermal_refuses_a_superthermal_field():
     p = SystemParams(g=1.0, gamma_a=0.01576, gamma_sigma=1.916e-4, P_sigma=0.04793, delta=-4.9035)
-    assert ap._second_moment_equation(p)(2.0) > 0.0
+    assert ap._second_moment(ap._moment_coefficients(p), 2.0) > 0.0
     with pytest.raises(NoPhysicalRootError, match="no root with g2 <= 2"):
         ap.cothermal(p)
     assert exact.steady_state(p).g2 > 2.0  # the exact field is superthermal there
+
+
+def _same_bits(a, b):
+    if isinstance(a, ap.CothermalState):
+        return isinstance(b, ap.CothermalState) and all(
+            np.float64(getattr(a, f)).tobytes() == np.float64(getattr(b, f)).tobytes()
+            for f in ("n_a", "n_coh", "residual")
+        )
+    return type(a) is type(b) and str(a) == str(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_gamma_a=st.floats(-3.0, 2.0),
+    gamma_sigma=st.floats(0.0, 10.0),
+    log_P=st.lists(st.floats(-5.0, 4.0), min_size=1, max_size=6),
+    delta=st.floats(-5.0, 5.0),
+    gamma_phi=st.floats(0.0, 2.0),
+)
+def test_cothermal_sweep_is_cothermal_at_each_pump(log_gamma_a, gamma_sigma, log_P, delta, gamma_phi):
+    p = SystemParams(g=1.0, gamma_a=10.0**log_gamma_a, gamma_sigma=gamma_sigma, delta=delta,
+                     gamma_phi=gamma_phi)
+    pumps = [10.0**x for x in log_P]
+    for P, got in zip(pumps, ap.cothermal_sweep(p, pumps), strict=True):
+        try:
+            one = ap.cothermal(replace(p, P_sigma=P))
+        except NoPhysicalRootError as exc:
+            one = exc
+        assert _same_bits(got, one)
+
+
+def test_cothermal_sweep_refuses_only_the_superthermal_pump():
+    # at these rates P 1 has no g2 = 0 root (B1 < 0) and P 0.04793 is the
+    # superthermal point of test_cothermal_refuses_a_superthermal_field
+    p = SystemParams(g=1.0, gamma_a=0.01576, gamma_sigma=1.916e-4, delta=-4.9035)
+    assert recurrence_coefficients(replace(p, P_sigma=1.0), 1)[1] < 0.0
+    zero, no_g2_zero_root, superthermal = ap.cothermal_sweep(p, [0.0, 1.0, 0.04793])
+    assert zero == ap.CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)
+    assert _same_bits(no_g2_zero_root, ap.cothermal(replace(p, P_sigma=1.0)))
+    # pinned: a scan that kept the rootless g2 = 0 node would bracket [0, 1/32]
+    assert no_g2_zero_root.n_a == pytest.approx(19.498806113066326, rel=1e-12)
+    assert isinstance(superthermal, NoPhysicalRootError)
+    assert "no root with g2 <= 2" in str(superthermal)
+    with pytest.raises(ValueError, match="P_a = 0"):
+        ap.cothermal_sweep(replace(p, P_a=0.001), [1.0])
 
 
 def test_cothermal_needs_no_other_rung(monkeypatch):

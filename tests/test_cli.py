@@ -93,6 +93,8 @@ def test_config_error_exit_code(tmp_path):
     code = run(["sweep", "--sweep-min", "5", "--sweep-max", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert run(["sweep", "--sweep-param", "pump-sigma", "--out", str(tmp_path / "x.csv")]) == 2
+    for workers in ("0", "-2"):
+        assert run(["sweep", "--workers", workers, "--out", str(tmp_path / "x.csv")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense line without equals\n")
     assert run(["steady", "--config", str(bad)]) == 2
@@ -430,16 +432,17 @@ def test_runtime_package_keeps_only_what_is_called():
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    # two worker processes write the same file as the serial loop; run in a
-    # fresh interpreter so the pool does not fork the test process
+    # two or three chunks of unequal length in worker processes write the same
+    # file as the serial loop; run in a fresh interpreter so the pool does not
+    # fork the test process
     import os
     import subprocess
     import sys
 
     import jclaser
 
-    argv = ["sweep", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--sweep-points", "12"]
-    runs = [[*argv, "--workers", w, "--out", str(tmp_path / f"w{w}.csv")] for w in ("1", "2")]
+    argv = ["sweep", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--sweep-points", "13"]
+    runs = [[*argv, "--workers", w, "--out", str(tmp_path / f"w{w}.csv")] for w in ("1", "2", "3")]
     script = (
         "from jclaser.cli import main\n"
         f"for argv in {runs!r}:\n"
@@ -451,7 +454,41 @@ def test_sweep_workers_match_serial(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "w2.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+    for w in ("2", "3"):
+        assert (tmp_path / f"w{w}.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
+
+def test_sweep_rows_are_steady_rows(tmp_path):
+    # the sweep solves its cothermal roots for the whole grid at once; each
+    # row still reads as the steady command's row at that pump
+    rates = ["--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--delta", "0.7", "--gamma-phi", "0.3"]
+    sweep = tmp_path / "sweep.csv"
+    assert run(["sweep", *rates, "--sweep-min", "1e-3", "--sweep-max", "300", "--sweep-points", "7",
+                "--out", str(sweep)]) == 0
+    rows = sweep.read_text().splitlines()[3:]
+    assert len(rows) == 7
+    for k, line in enumerate(rows):
+        out = tmp_path / f"steady{k}.csv"
+        assert run(["steady", *rates, "--pump-sigma", line.split(",")[0], "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[3] == line
+
+
+def test_json_output_is_strict(tmp_path):
+    # the default sweep blanks some closed-form cells; the spectrum table and
+    # its sidecar are held to the same parse
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--gamma-sigma", "0.00334", "--sweep-points", "5", "--format", "json",
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert any(v is None for row in doc["rows"] for v in row)
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "0.05",
+                "--points", "11", "--format", "json", "--out", str(out)]) == 0
+    json.loads(out.read_text(), parse_constant=refuse)
+    json.loads(out.with_suffix(".lines.json").read_text(), parse_constant=refuse)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +128,41 @@ def test_sector_blocks_match_full_liouvillian(p, n_max):
     assert np.trace(ss.rho).real == pytest.approx(1.0, abs=1e-12)
     assert ss.n_a >= -1e-12
     assert -1e-12 <= ss.n_sigma <= 1.0 + 1e-12
+
+
+@st.composite
+def _rates_on_or_off(draw):
+    # each rate zero or not, independently, so one cutoff sees several patterns
+    rate = lambda: draw(st.sampled_from([0.0, draw(st.floats(0.01, 2.0))]))
+    return SystemParams(g=draw(st.floats(0.5, 2.0)), gamma_a=rate(), gamma_sigma=rate(), P_a=rate(),
+                        P_sigma=rate(), gamma_phi=rate(), delta=draw(st.sampled_from([0.0, 0.4])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_rates_on_or_off(), n_max=st.integers(1, 3))
+def test_cached_sector_index_builds_the_same_blocks(p, n_max):
+    # a cache key that left out which rates are on would hand one pattern's
+    # index to another at the same cutoff
+    for k in (0, 1):
+        G, r, s = exact.sector_generator(p, n_max, k)
+        with mock.patch.object(exact, "_sector_index", exact._sector_index.__wrapped__):
+            F, r_f, s_f = exact.sector_generator(p, n_max, k)
+        assert F.index is not G.index
+        for a, b in ((G.data, F.data), (G.index.row, F.index.row), (G.index.col, F.index.col), (r, r_f), (s, s_f),
+                     (G.toarray(), F.toarray()), (G.band()[2], F.band()[2])):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sector_index_is_shared_read_only_and_bounded():
+    G, r, _ = exact.sector_generator(LASING, 32, 0)
+    assert exact.sector_generator(replace(LASING, P_sigma=3.0), 32, 0)[0].index is G.index
+    ix = G.index
+    arrays = [ix.r, ix.s, ix.pos, ix.row, ix.col, ix.emitter,
+              *ix.occupation, *ix.coupling, *(a for pair in ix.jumps for a in pair)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert 0 < exact._sector_index.cache_info().maxsize < 100
 
 
 def test_good_cavity_reach():
