@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -204,7 +204,7 @@ def cmd_steady(args) -> int:
     params = system_params(args)
     (row,) = _steady_rows(params, [params.P_sigma], args.n_max, args.auto_nmax_cap, args.tol)
     out = args.out or "steady.csv"
-    _write_table(out, _STEADY_COLUMNS, [row], config_dict(args), args.format)
+    _write_table(out, _STEADY_COLUMNS, [[v] for v in row], config_dict(args), args.format)
     print(f"wrote {out}")
     if row[-1]:
         print(f"solver error: {row[-1]}", file=sys.stderr)
@@ -227,7 +227,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = rows_of(pumps)
     out = args.out or "sweep.csv"
-    _write_table(out, _STEADY_COLUMNS, rows, config_dict(args), args.format)
+    _write_table(out, _STEADY_COLUMNS, list(zip(*rows)), config_dict(args), args.format)
     failed = sum(1 for r in rows if r[-1])
     print(f"wrote {out} ({len(rows)} points, {failed} failed)")
     return _EXIT_PARTIAL if failed else _EXIT_OK
@@ -248,7 +248,7 @@ def cmd_spectrum(args) -> int:
     res = _spectrum_result(params, args)
     out = Path(args.out or "spectrum.csv")
     cfg = config_dict(args)
-    _write_table(out, ["omega", "S"], [[w, v] for w, v in zip(res.omega, res.values)], cfg, args.format)
+    _write_table(out, ["omega", "S"], [res.omega, res.values], cfg, args.format)
     sidecar = out.with_suffix(".lines.json")
     write_json(
         sidecar,
@@ -257,7 +257,7 @@ def cmd_spectrum(args) -> int:
             "method": res.method,
             "elastic_weight": res.elastic_weight,
             "validity": {k: v for k, v in res.meta.items() if isinstance(v, (bool, int, float, str))},
-            "lines": [asdict(ln) for ln in res.lines],
+            "lines": [vars(ln) for ln in res.lines],
         },
         cfg,
     )
@@ -272,13 +272,8 @@ def cmd_transitions(args) -> int:
         params, pumps, channel=args.channel, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol
     )
     out = args.out or "transitions.csv"
-    _write_table(
-        out,
-        ["P_sigma", "omega", "L", "gamma", "K"],
-        [[r.P_sigma, r.omega, r.L, r.gamma, r.K] for r in rows],
-        config_dict(args),
-        args.format,
-    )
+    names = ["P_sigma", "omega", "L", "gamma", "K"]
+    _write_table(out, names, [[getattr(r, k) for r in rows] for k in names], config_dict(args), args.format)
     for P, msg in failures:
         print(f"pump {P}: {msg}", file=sys.stderr)
     print(f"wrote {out} ({len(rows)} lines, {len(failures)} failed points)")
@@ -295,26 +290,27 @@ def cmd_mollow_coherent(args) -> int:
     out = Path(args.out or "mollow_coherent.csv")
     dec = coherent.coherent_correlator_lines(drive)
     values = evaluate_lines(list(dec.lines), omega)
-    _write_table(out, ["omega", "S"], [[w, v] for w, v in zip(omega, values)], cfg, args.format)
+    _write_table(out, ["omega", "S"], [omega, values], cfg, args.format)
     write_json(
         out.with_suffix(".lines.json"),
         {
             "elastic_weight": dec.coherent_weight,
             "n_sigma": dec.n_sigma,
-            "lines": [asdict(ln) for ln in dec.lines],
+            "lines": [vars(ln) for ln in dec.lines],
         },
         cfg,
     )
     # visibility map over (delta, gamma_phi)
     deltas = np.linspace(0.0, args.map_delta_max * gs, args.map_points)
     phis = np.linspace(0.0, args.map_phi_max * gs, args.map_points)
-    grid = [(float(d), float(f)) for d in deltas for f in phis]
+    d_col, f_col = np.repeat(deltas, len(phis)), np.tile(phis, len(deltas))
     V, defined = coherent.asymmetry_visibility_map(
-        [LaserDriveParams(omega_L=drive.omega_L, delta=d, gamma_sigma=gs, gamma_phi=f) for d, f in grid]
+        [LaserDriveParams(omega_L=drive.omega_L, delta=d, gamma_sigma=gs, gamma_phi=f)
+         for d, f in zip(d_col.tolist(), f_col.tolist())]
     )
-    rows = [[d, f, float(v), bool(ok)] for (d, f), v, ok in zip(grid, V, defined)]
     vis_path = out.with_name(out.stem + "_visibility.csv")
-    _write_table(vis_path, ["delta", "gamma_phi", "visibility", "defined"], rows, cfg, args.format)
+    names = ["delta", "gamma_phi", "visibility", "defined"]
+    _write_table(vis_path, names, [d_col, f_col, V, defined], cfg, args.format)
     print(f"wrote {out}, {out.with_suffix('.lines.json')} and {vis_path}")
     return _EXIT_OK
 
@@ -338,7 +334,7 @@ def cmd_regimes(args) -> int:
         out,
         ["P_sigma", "regime", "lasing_window_ok",
          "b_linear_quantum", "b_quantum_lasing", "b_lasing_quenching", "b_quenching_thermal"],
-        rows,
+        list(zip(*rows)),
         config_dict(args),
         args.format,
     )
@@ -346,11 +342,12 @@ def cmd_regimes(args) -> int:
     return _EXIT_OK
 
 
-def _write_table(path, columns, rows, cfg, fmt) -> None:
+def _write_table(path, names, columns, cfg, fmt) -> None:
+    """Write a table given by ``columns``, one sequence of cells per name."""
     if fmt == "json":
-        write_json(Path(path), {"columns": columns, "rows": [[v for v in r] for r in rows]}, cfg)
+        write_json(Path(path), {"columns": names, "rows": list(zip(*columns))}, cfg)
     else:
-        write_csv(path, columns, rows, cfg)
+        write_csv(path, names, columns, cfg)
 
 
 _COMMANDS = {

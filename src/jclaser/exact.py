@@ -13,7 +13,10 @@ full Liouvillian):
   4 super-diagonals), so a LAPACK banded LU solves it in O(n_max) with one
   photon-number population pinned; the result is divided by its trace.  This
   is the exact route behind every command.  The automatic cutoff is judged
-  from the solution's own tail, with no closed-form estimate.
+  from the solution's own tail, with no closed-form estimate.  The LU is
+  LAPACK's ``zgbtrf``/``zgbtrs`` from scipy's compiled ``_flapack``
+  extension, the module ``scipy.linalg.lapack`` re-exports, loaded by
+  ``_banded_lu`` without the ``scipy.linalg`` package.
 - k = 1 holds the two-time correlators of the quantum regression theorem and
   has the same band.  Lines come from its dense eigendecomposition; where
   ``decompose`` refuses them, the spectrum grid comes from ``_band_solves``
@@ -27,7 +30,7 @@ A block's values change with the rates, but nothing else does: its sparsity
 pattern, the ladder amplitudes each term gathers and its band layout depend
 only on the key (n_max, k, on), where ``on`` flags which of the five jump
 rates are nonzero.  ``_sector_index`` builds that index once per key and
-keeps a few in an LRU cache, with every array read-only, and
+keeps eight in an LRU cache, with every array read-only, and
 ``sector_generator`` fills the values from the rates in the arithmetic order
 of a fresh build, so a block from the cache is bit for bit a fresh one.  A
 pump sweep changes one rate, so all its solves at one cutoff share an index.
@@ -36,11 +39,14 @@ pump sweep changes one rate, so all its solves at one cutoff share an index.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+import scipy
 
 from .errors import (
     JclaserError,
@@ -58,6 +64,30 @@ from .lineshape import (
     lines_from_eigenpairs,
 )
 from .params import SystemParams
+
+
+def _banded_lu():
+    """``zgbtrf`` and ``zgbtrs`` from scipy's compiled LAPACK wrappers,
+    loaded on their own.
+
+    ``scipy.linalg.lapack`` re-exports this very extension module, so its
+    routines are scipy's own; importing them through that package would run
+    the whole ``scipy.linalg`` init, ~0.3 s of every command.  ``import
+    scipy`` alone runs scipy's ``_distributor_init``, which makes its bundled
+    OpenBLAS findable.
+    """
+    path = os.path.join(
+        os.path.dirname(scipy.__file__), "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension not found at {path}", path=path)
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.zgbtrf, module.zgbtrs
+
+
+zgbtrf, zgbtrs = _banded_lu()
 
 
 @dataclass(frozen=True)
@@ -159,9 +189,9 @@ class _SectorIndex:
     ku: int  # super-diagonals
 
 
-# a sweep whose cutoffs double from 32 up to 256 reuses an index per cutoff, and
-# a spectrum adds its k = 1 index
-@functools.lru_cache(maxsize=4)
+# auto cutoffs double from 32 up to the default cap of 2048, seven k = 0 keys
+# that a sweep visits over and over; a spectrum adds its k = 1 index
+@functools.lru_cache(maxsize=8)
 def _sector_index(n_max: int, k: int, on: tuple[bool, ...]) -> _SectorIndex:
     """The index of sector k at cutoff n_max; ``on`` flags which rates of
     ``_jump_rates`` are nonzero.  Every array is read-only, as calls share it."""

@@ -35,10 +35,17 @@ def config_line(config: dict) -> str:
     return "# config: " + "; ".join(parts)
 
 
-def write_csv(path: str | Path, columns: list[str], rows: list[list], config: dict) -> None:
-    lines = [config_line(config), "# units: g=1", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+def _format_column(values) -> list[str]:
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return list(map(repr, values.tolist()))  # format_value's text: repr(nan) is "nan"
+    return [format_value(v) for v in values]
+
+
+def write_csv(path: str | Path, names: list[str], columns: list, config: dict) -> None:
+    """One CSV line per row of ``columns``, a sequence of cells per name;
+    a float64 array column is formatted as a whole."""
+    lines = [config_line(config), "# units: g=1", ",".join(names)]
+    lines += map(",".join, zip(*map(_format_column, columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

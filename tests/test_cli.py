@@ -352,34 +352,36 @@ def test_transitions_honours_cutoff_cap(tmp_path, capsys):
     assert captured.err.count("TruncationNotConvergedError") == 3
 
 
-def test_commands_do_not_load_mpmath(tmp_path):
-    # mpmath serves the moment route's tests only; a fresh interpreter shows
-    # whether any command imports it
+@pytest.fixture(scope="module")
+def fresh_command_modules(tmp_path_factory):
+    """Names in ``sys.modules`` of a fresh interpreter after ``import
+    jclaser.cli`` and after each command at a tiny size, by step."""
     import os
     import subprocess
     import sys
 
     import jclaser
 
+    tmp_path = tmp_path_factory.mktemp("fresh")
     rates = ["--gamma-a", "0.1", "--gamma-sigma", "0.00334"]
     runs = [
         ["steady", *rates, "--pump-sigma", "7", "--out", str(tmp_path / "st.csv")],
         ["sweep", *rates, "--sweep-points", "5", "--out", str(tmp_path / "sw.csv")],
-        ["spectrum", *rates, "--pump-sigma", "7", "--method", "approx", "--points", "11",
-         "--out", str(tmp_path / "ap.csv")],
-        ["spectrum", *rates, "--pump-sigma", "7", "--method", "exact", "--points", "11",
-         "--out", str(tmp_path / "ex.csv")],
+        *(["spectrum", *rates, "--pump-sigma", "7", "--method", method, "--points", "11",
+           "--out", str(tmp_path / f"{method}.csv")] for method in ("exact", "approx", "semiclassical")),
         ["transitions", *rates, "--sweep-min", "0.01", "--sweep-max", "7", "--sweep-points", "3",
          "--out", str(tmp_path / "tr.csv")],
         ["mollow-coherent", "--points", "11", "--map-points", "5", "--out", str(tmp_path / "mc.csv")],
         ["regimes", *rates, "--sweep-points", "5", "--out", str(tmp_path / "rg.csv")],
     ]
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from jclaser.cli import main\n"
+        "seen = {'import jclaser.cli': sorted(sys.modules)}\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "assert 'mpmath' not in sys.modules\n"
+        "    seen[' '.join(argv)] = sorted(sys.modules)\n"
+        "print(json.dumps(seen))\n"
     )
     src = str(Path(jclaser.__file__).parents[1])
     proc = subprocess.run(
@@ -387,6 +389,23 @@ def test_commands_do_not_load_mpmath(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_do_not_load_mpmath(fresh_command_modules):
+    # mpmath serves the moment route's tests only
+    assert len(fresh_command_modules) == 9  # the import and eight commands
+    for step, modules in fresh_command_modules.items():
+        assert "mpmath" not in modules, step
+
+
+def test_commands_do_not_load_scipy_linalg(fresh_command_modules):
+    # exact loads scipy's LAPACK extension alone: the scipy.linalg package init
+    # would cost every command ~0.3 s (only the test oracle
+    # coherent.spectrum_by_propagation imports its expm)
+    for step, modules in fresh_command_modules.items():
+        assert "scipy.linalg._flapack" in modules, step
+        assert "scipy.linalg" not in modules, step
 
 
 def test_runtime_package_carries_no_moment_oracle():

@@ -165,6 +165,55 @@ def test_sector_index_is_shared_read_only_and_bounded():
     assert 0 < exact._sector_index.cache_info().maxsize < 100
 
 
+def test_sweep_builds_each_sector_index_once():
+    # the auto cutoffs of a good-cavity sweep climb 32 -> 512 at every high
+    # pump; the cache holds the whole doubling ladder to the default cap
+    # plus a k = 1 index, so no index is built twice
+    p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334)
+
+    def sweep(top):
+        for P in np.geomspace(1e-3, top, 24):
+            exact.steady_state(replace(p, P_sigma=float(P)))
+
+    exact._sector_index.cache_clear()
+    sweep(7.0)
+    info = exact._sector_index.cache_info()
+    assert info.misses == info.currsize == 5
+    sweep(30.0)  # reaches n_max 2048
+    lasing = replace(p, P_sigma=7.0)
+    exact.regression_sector(lasing, exact.steady_state(lasing), "cavity")
+    assert exact._sector_index.cache_info().misses == 8
+    sweep(30.0)
+    assert exact._sector_index.cache_info().misses == 8
+
+
+def test_banded_lu_is_scipys_lapack(monkeypatch):
+    # exact loads scipy's LAPACK extension without the scipy.linalg package;
+    # with that package imported too, the two give bit for bit the same solves
+    import scipy.linalg.lapack as lapack
+
+    from jclaser import coherent
+    from jclaser.params import LaserDriveParams
+
+    p = SystemParams(P_sigma=6.1, **BASE)
+    ss = exact.steady_state(p)
+    G = exact.sector_generator(p, ss.space.n_max, 0)[0]
+    sec = exact.regression_sector(p, ss, "cavity")
+    omega = np.linspace(-12.0, 12.0, 49)
+
+    def solves():
+        pinned = exact._pinned_solve(G, G.index.pos, 0)
+        shifted = np.array(list(exact._band_solves(sec.generator, sec.u0, omega)))
+        return pinned.tobytes(), shifted.tobytes()
+
+    ours = solves()
+    monkeypatch.setattr(exact, "zgbtrf", lapack.zgbtrf)
+    monkeypatch.setattr(exact, "zgbtrs", lapack.zgbtrs)
+    assert solves() == ours
+    drive = LaserDriveParams(omega_L=1.5, gamma_sigma=1.0)
+    assert np.all(np.isfinite(coherent.spectrum_by_propagation(drive, np.linspace(-5.0, 5.0, 21))))
+
+
 def test_good_cavity_reach():
     # n_a ~ 344 needs n_max ~ 2000: 3e10 coefficients for the full
     # Liouvillian, ~8e3 for the sector; reference from a 200-digit moment sweep
