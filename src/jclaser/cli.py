@@ -123,6 +123,25 @@ def config_dict(args, skip=("config", "out", "workers")) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
+def check_ranges(args) -> None:
+    """Refuse a numeric flag outside the range its command can use."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.n_max is not None and args.n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.auto_nmax_cap < 1:
+        raise ConfigError(f"--auto-nmax-cap must be at least 1, got {args.auto_nmax_cap}")
+    if not args.tol > 0.0:
+        raise ConfigError(f"--tol must be > 0, got {args.tol}")
+    if hasattr(args, "points"):  # the frequency grid of spectrum and mollow-coherent
+        if args.points < 1:
+            raise ConfigError(f"--points must be at least 1, got {args.points}")
+        if not args.omega_min < args.omega_max:
+            raise ConfigError(f"--omega-min must be below --omega-max, got {args.omega_min} and {args.omega_max}")
+    if hasattr(args, "map_points") and args.map_points < 1:
+        raise ConfigError(f"--map-points must be at least 1, got {args.map_points}")
+
+
 def sweep_values(args) -> np.ndarray:
     if args.sweep_points < 2:
         raise ConfigError("sweep needs at least 2 points")
@@ -147,29 +166,29 @@ _STEADY_COLUMNS = [
 
 
 def _steady_rows(params: SystemParams, pumps, n_max, cap, tol) -> list[list]:
-    """Table rows at each pump P_sigma of ``pumps``, with the cothermal roots
-    of the whole chunk found at once."""
+    """Table rows at each pump P_sigma of ``pumps``, with the steady states
+    and the cothermal roots of the whole chunk found at once."""
+    states = exact.steady_state_sweep(params, pumps, n_max=n_max, n_max_cap=cap, rtol=tol)
     try:
         cothermal = ap.cothermal_sweep(params, pumps)
     except ValueError:
         cothermal = [None] * len(pumps)
-    return [_steady_row(replace(params, P_sigma=float(P)), ct, n_max, cap, tol) for P, ct in zip(pumps, cothermal)]
+    return [_steady_row(replace(params, P_sigma=float(P)), ss, ct) for P, ss, ct in zip(pumps, states, cothermal)]
 
 
-def _steady_row(params: SystemParams, ct, n_max, cap, tol) -> list:
+def _steady_row(params: SystemParams, ss, ct) -> list:
     P = params.P_sigma
     label = ap.classify_regime(params).label
     lin = ap.linear_models(params)
     nan = float("nan")
     row = [P]
     err = ""
-    try:
-        ss = exact.steady_state(params, n_max=n_max, n_max_cap=cap, rtol=tol)
+    if isinstance(ss, JclaserError):
+        row += [nan] * 4
+        err = f"{type(ss).__name__}: {ss}"
+    else:
         g2 = ss.g2
         row += [ss.n_a, ss.n_sigma, g2, ss.n_a * (g2 - 1.0)]
-    except JclaserError as exc:
-        row += [nan] * 4
-        err = f"{type(exc).__name__}: {exc}"
     row += [label]
     # nan where a closed form leaves the physical range (up to roundoff); the
     # rate balance bounds n_a by (P_a + P_sigma) / (gamma_a - P_a)
@@ -368,15 +387,20 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_CONFIG
     try:
         if args.config:
-            # string defaults pass through each argument's own type; flags win
             file_cfg = read_config_file(args.config)
+            if file_cfg.get("command", args.command) != args.command:
+                raise ConfigError(f"config file {args.config} is for command {file_cfg['command']}, not {args.command}")
+            unknown = [k for k in file_cfg if k not in vars(args)]
+            if unknown:
+                raise ConfigError(f"config file {args.config} has keys that {args.command} has no flag for: "
+                                  + ", ".join(unknown))
+            # string defaults pass through each argument's own type; flags win
             (commands,) = (a for a in parser._actions if a.dest == "command")
             commands.choices[args.command].set_defaults(
-                **{k: v for k, v in file_cfg.items() if k in vars(args) and k not in ("command", "config")}
+                **{k: v for k, v in file_cfg.items() if k not in ("command", "config")}
             )
             args = parser.parse_args(argv)
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        check_ranges(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,6 +34,13 @@ keeps eight in an LRU cache, with every array read-only, and
 ``sector_generator`` fills the values from the rates in the arithmetic order
 of a fresh build, so a block from the cache is bit for bit a fresh one.  A
 pump sweep changes one rate, so all its solves at one cutoff share an index.
+``steady_state_sweep`` solves the steady states of a pump axis in batches
+per cutoff round, eight pumps at the first cutoff and fewer as the blocks
+grow: the pumps of a batch fill their values in one broadcast over the
+index, share one scatter into band storage and one product per refinement
+step, and are factored one by one.  Retries, the trace and the cutoff test
+stay per pump, so each state is bit for bit the one its pump gets alone;
+``steady_state`` is the one-pump batch.
 """
 
 from __future__ import annotations
@@ -162,9 +169,11 @@ def _product(outer: Ladder, inner: Ladder) -> Ladder:
     return dst, np.where(dst >= 0, a1 * a2[mid], 0.0)
 
 
-def _jump_rates(params: SystemParams) -> tuple[float, ...]:
-    """Rates of the jumps a, sigma, a', sigma' and sigma'sigma, in that order."""
-    return params.gamma_a, params.gamma_sigma, params.P_a, params.P_sigma, params.gamma_phi
+def _jump_rates(params: SystemParams, P_sigma=None) -> tuple:
+    """Rates of the jumps a, sigma, a', sigma' and sigma'sigma, in that order;
+    ``P_sigma`` stands in for the emitter pump of ``params`` if given."""
+    pump = params.P_sigma if P_sigma is None else P_sigma
+    return params.gamma_a, params.gamma_sigma, params.P_a, pump, params.gamma_phi
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,11 @@ class _SectorIndex:
     occupation: tuple  # |amp|^2 of each jump that is on, over the flat basis
     coupling: tuple  # (a'sigma + a sigma') amplitudes at the r, then the s, of its entries
     jumps: tuple  # per jump that is on, its amplitudes at the r and the s of its entries
+    population: np.ndarray  # the elements with r = s
+    coherence: np.ndarray  # the elements with s = r - 1, at k = 0 the rho_{n,0; n-1,1}
+    off: np.ndarray  # row - col of each entry
+    kl_without: np.ndarray  # per row, the sub-diagonals of the other rows' entries
+    ku_without: np.ndarray  # per row, the super-diagonals of the other rows' entries
     kl: int  # sub-diagonals
     ku: int  # super-diagonals
 
@@ -221,22 +235,45 @@ def _sector_index(n_max: int, k: int, on: tuple[bool, ...]) -> _SectorIndex:
         cols.append(e[ok])
         amps.append((amp[r[ok]], amp[s[ok]]))
     row, col = np.concatenate(rows), np.concatenate(cols)
+    # a pinned row gives way to its pin, so its own entries leave the band
+    below, above = np.zeros(len(r), dtype=np.intp), np.zeros(len(r), dtype=np.intp)
+    np.maximum.at(below, row, row - col)
+    np.maximum.at(above, row, col - row)
     ix = _SectorIndex(
         r=r, s=s, pos=pos, row=row, col=col, emitter=sig[1],
         occupation=tuple(np.abs(amp) ** 2 for _, amp in jumps),
         coupling=(ca[r[ok_r]], ca[s[ok_s]]), jumps=tuple(amps),
+        population=np.flatnonzero(r == s), coherence=np.flatnonzero(s == r - 1),
+        off=row - col, kl_without=_max_of_others(below), ku_without=_max_of_others(above),
         kl=int(np.max(row - col)), ku=int(np.max(col - row)),
     )
-    for x in (r, s, pos, row, col, ix.emitter, *ix.occupation, *ix.coupling, *sum(amps, ())):
+    for x in (r, s, pos, row, col, ix.emitter, *ix.occupation, *ix.coupling, *sum(amps, ()),
+              ix.population, ix.coherence, ix.off, ix.kl_without, ix.ku_without):
         x.flags.writeable = False
     return ix
 
 
-def _band_storage(row: np.ndarray, col: np.ndarray, data: np.ndarray, size: int, kl: int, ku: int) -> np.ndarray:
-    """LAPACK band storage of the entries (row, col, data), with kl rows of fill."""
-    ab = np.zeros((2 * kl + ku + 1, size), dtype=complex)
-    np.add.at(ab, (kl + ku + row - col, col), data)
-    return ab
+def _max_of_others(v: np.ndarray) -> np.ndarray:
+    """Per entry, the largest of the other entries of v and 0."""
+    before = np.maximum.accumulate(np.r_[0, v[:-1]])
+    after = np.maximum.accumulate(np.r_[0, v[:0:-1]])[::-1]
+    return np.maximum(before, after)
+
+
+def _band_storage(ix: _SectorIndex, data: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """LAPACK band storage, with kl rows of fill, of the entries of ``ix``
+    within kl sub- and ku super-diagonals; 2-D ``data`` gives one band per
+    row.  Duplicate entries add up in entry order, from zero."""
+    shape = data.shape[:-1] + (2 * kl + ku + 1, len(ix.r))
+    inside = slice(None) if kl >= ix.kl and ku >= ix.ku else (ix.off <= kl) & (ix.off >= -ku)
+    cell = ((kl + ku + ix.off) * shape[-1] + ix.col)[inside]
+    values = data[..., inside].reshape(-1, len(cell))
+    size = shape[-2] * shape[-1]
+    cells = (cell + size * np.arange(len(values))[:, None]).ravel()
+    ab = np.empty(len(values) * size, dtype=complex)
+    ab.real = np.bincount(cells, values.real.ravel(), len(ab))
+    ab.imag = np.bincount(cells, values.imag.ravel(), len(ab))
+    return ab.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -262,11 +299,7 @@ class SectorBlock:
     def band(self) -> tuple[int, int, np.ndarray]:
         """(kl, ku, ab): the LAPACK band storage ab of the block."""
         ix = self.index
-        return ix.kl, ix.ku, _band_storage(ix.row, ix.col, self.data, self.size, ix.kl, ix.ku)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.data * x[self.index.col]
-        return np.bincount(self.index.row, y.real, self.size) + 1j * np.bincount(self.index.row, y.imag, self.size)
+        return ix.kl, ix.ku, _band_storage(ix, self.data, ix.kl, ix.ku)
 
 
 def sector_generator(
@@ -281,14 +314,31 @@ def sector_generator(
     """
     rates = _jump_rates(params)
     ix = _sector_index(n_max, k, tuple(bool(rate) for rate in rates))
-    rates = [rate for rate in rates if rate]
-    diag = 1j * params.delta * ix.emitter
+    data = _sector_values(ix, [rate for rate in rates if rate], params.delta, params.g)
+    return SectorBlock(ix, data), ix.r, ix.s
+
+
+def _sector_values(ix: _SectorIndex, rates: list, delta: float, g: float) -> np.ndarray:
+    """Values of the entries of ``ix`` at the jump rates that are on.
+
+    A rate may be a column of B values, which fills B blocks at once, one
+    row each; elementwise broadcasting keeps every row bit for bit the block
+    of its scalar rates.
+    """
+    diag = 1j * delta * ix.emitter
     for occ, rate in zip(ix.occupation, rates):
         diag = diag - (rate / 2.0) * occ
-    coupling = -1j * params.g
-    values = [diag[ix.r] + np.conj(diag[ix.s]), coupling * ix.coupling[0], np.conj(coupling * ix.coupling[1])]
+    coupling = -1j * g
+    values = [diag[..., ix.r] + np.conj(diag[..., ix.s]), coupling * ix.coupling[0], np.conj(coupling * ix.coupling[1])]
     values += [rate * amp_r * np.conj(amp_s) for (amp_r, amp_s), rate in zip(ix.jumps, rates)]
-    return SectorBlock(ix, np.concatenate(values)), ix.r, ix.s
+    if diag.ndim == 1:
+        return np.concatenate(values)
+    out = np.empty(diag.shape[:-1] + ix.row.shape, dtype=complex)
+    start = 0
+    for v in values:
+        out[..., start : start + v.shape[-1]] = v
+        start += v.shape[-1]
+    return out
 
 
 @dataclass
@@ -362,108 +412,162 @@ class SteadyState:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
 
-@dataclass(frozen=True)
-class _PinnedBlock:
-    """The k = 0 block G with its row d given way to the pin x[d] + x[d1]."""
-
-    G: SectorBlock
-    d: int
-    d1: int
-
-    @property
-    def size(self) -> int:
-        return self.G.size
-
-    def band(self) -> tuple[int, int, np.ndarray]:
-        """The band of G's entries off row d and the two pin entries, as wide as they need."""
-        ix, d, d1 = self.G.index, self.d, self.d1
-        keep = ix.row != d
-        row, col = ix.row[keep], ix.col[keep]
-        off = row - col
-        kl, ku = max(int(off.max(initial=0)), d - d1), max(int(-off.min(initial=0)), d1 - d)
-        ab = _band_storage(row, col, self.G.data[keep], self.size, kl, ku)
-        ab[kl + ku, d] = ab[kl + ku + d - d1, d1] = 1.0
-        return kl, ku, ab
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.G @ x
-        y[self.d] = x[self.d] + x[self.d1]
-        return y
+def _band_lu(ab: np.ndarray, kl: int, ku: int, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK banded LU of the band storage ``ab``; a zero pivot raises."""
+    lu, piv, info = zgbtrf(ab, kl, ku)
+    if info > 0:
+        raise ZeroPivotError(f"zero pivot {info} in the banded LU (size {ab.shape[1]}, shift {shift:g}i)")
+    return lu, piv
 
 
-def _band_solves(A: SectorBlock | _PinnedBlock, b: np.ndarray, shifts=(0.0,), refine: int = 0):
+def _band_solves(A: SectorBlock, b: np.ndarray, shifts):
     """Solutions of (A + i w) x = b, one per shift w, by LAPACK banded LU.
 
     A sector block couples excitation numbers N and N +- 1 only, so in
     excitation order it is banded: each shift is one O(size) factor of the
-    band with its main diagonal moved, plus ``refine`` refinement steps.
+    band with its main diagonal moved.
     """
-    M = A.size
     try:
         kl, ku, ab = A.band()
         diag = ab[kl + ku].copy()
         for w in shifts:
             ab[kl + ku] = diag + 1j * w
             with np.errstate(invalid="ignore", over="ignore"):
-                lu, piv, info = zgbtrf(ab, kl, ku)
-                if info > 0:
-                    raise ZeroPivotError(f"zero pivot {info} in the banded LU (size {M}, shift {w:g}i)")
+                lu, piv = _band_lu(ab, kl, ku, w)
                 x = zgbtrs(lu, kl, ku, b, piv)[0]
-                for _ in range(refine):
-                    x += zgbtrs(lu, kl, ku, b - A @ x - 1j * w * x, piv)[0]
             yield x
     except MemoryError as exc:
-        raise SolverMemoryError(f"out of memory in the banded LU (size {M}): {exc}") from exc
+        raise SolverMemoryError(f"out of memory in the banded LU (size {A.size}): {exc}") from exc
 
 
-def _pinned_solve(G: SectorBlock, pos: np.ndarray, m: int) -> np.ndarray:
-    """Null vector of the k = 0 block with the population T[m] set to one.
+def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray, list]:
+    """Null vectors x[i] of the k = 0 blocks, one per row of ``data``, each
+    with the population T[pins[i]] set to one, and per block None or the
+    ``NoSteadyStateError`` or ``SolverMemoryError`` that refused it.
 
-    One population equation is redundant, since the trace is conserved; it
-    gives way to the pin.  A dense trace row instead would fill the band.
-    Two refinement steps recover the tiny tail components.  A solution
-    that is not finite comes from a pivot too small to factor by, and
-    raises as a zero pivot does.
+    One population equation is redundant, since the trace is conserved; row
+    d, that of |m,0><m,0|, gives way to the pin x[d] + x[d1].  A dense trace
+    row instead would fill the band.  Blocks whose pinned bands are as wide
+    share one scatter into band storage, and all share one product per
+    refinement step; each is factored on its own.  Two refinement steps
+    recover the tiny tail components.  A solution that is not finite comes
+    from a pivot too small to factor by, and is refused as a zero pivot is.
     """
-    d, d1 = int(pos[2 * m, 0]), int(pos[2 * m + 1, 1])
-    b = np.zeros(G.size, dtype=complex)
-    b[d] = 1.0
+    B, M = len(data), len(ix.r)
+    m = np.asarray(pins, dtype=np.intp)
+    d, d1 = ix.pos[:, 0][2 * m], ix.pos[:, 1][2 * m + 1]
+    widths = zip(np.maximum(ix.kl_without[d], d - d1).tolist(), np.maximum(ix.ku_without[d], d1 - d).tolist())
+    at = M * np.arange(B)  # where each block's vector starts in the flat x and b
+    x, b = np.zeros(B * M, dtype=complex), np.zeros(B * M, dtype=complex)
+    xs, bs = x.reshape(B, M), b.reshape(B, M)
+    b[at + d] = 1.0
+    errors: list = [None] * B
+    lus = {}
     try:
-        x = next(_band_solves(_PinnedBlock(G, d, d1), b, refine=2))
-    except ZeroPivotError as exc:
-        raise NoSteadyStateError(f"singular Liouvillian: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NoSteadyStateError(f"singular Liouvillian: a near-zero pivot in the banded LU (size {G.size})")
-    return x
+        bands: dict = {}  # (kl, ku) of a pinned band -> its blocks
+        for i, width in enumerate(widths):
+            bands.setdefault(width, []).append(i)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for (kl, ku), blocks in bands.items():
+                # an entry outside the band lies in the pinned row of each block
+                ab = _band_storage(ix, data if len(blocks) == B else data[blocks], kl, ku)
+                for c, i in enumerate(blocks):
+                    di, d1i = int(d[i]), int(d1[i])
+                    # row d's cells (kl + ku + d - j, j), j = d - kl ... d + ku, are
+                    # one stride of the flattened band
+                    lo, hi = max(0, di - kl), min(M - 1, di + ku)
+                    ab[c].reshape(-1)[(kl + ku + di) * M - hi * (M - 1) : (kl + ku + di - lo) * M + lo + 1 : M - 1] = 0.0
+                    ab[c, kl + ku, di] = ab[c, kl + ku + di - d1i, d1i] = 1.0
+                    try:
+                        lu, piv = _band_lu(ab[c], kl, ku)
+                    except ZeroPivotError as exc:
+                        errors[i] = NoSteadyStateError(f"singular Liouvillian: {exc}")
+                        continue
+                    lus[i] = lu, piv, kl, ku
+                    xs[i] = zgbtrs(lu, kl, ku, bs[i], piv)[0]
+            entries = data.ravel()
+            cols, rows = (ix.col + at[:, None]).ravel(), (ix.row + at[:, None]).ravel()
+            d, d1 = at + d, at + d1
+            for _ in range(2):
+                y = entries * x[cols]
+                Ax = np.bincount(rows, y.real, B * M) + 1j * np.bincount(rows, y.imag, B * M)
+                Ax[d] = x[d] + x[d1]
+                # - 0j * x: the signs of zero of b - (A + i w) x at w = 0
+                residual = (b - Ax - 0j * x).reshape(B, M)
+                for i, (lu, piv, kl, ku) in lus.items():
+                    xs[i] += zgbtrs(lu, kl, ku, residual[i], piv)[0]
+    except MemoryError as exc:
+        return xs, [SolverMemoryError(f"out of memory in the banded LU (size {M}): {exc}") for _ in range(B)]
+    finite = np.isfinite(xs).all(axis=1)
+    for i in lus:
+        if not finite[i]:
+            errors[i] = NoSteadyStateError(f"singular Liouvillian: a near-zero pivot in the banded LU (size {M})")
+    return xs, errors
 
 
-def _steady_state_fixed(params: SystemParams, n_max: int, pin: int = 0) -> SteadyState:
-    space = FockSpace(n_max)
-    G, r, s = sector_generator(params, n_max, 0)
-    pos = G.index.pos
-    n = np.arange(n_max + 1)
-    try:
-        x = _pinned_solve(G, pos, pin)
-    except NoSteadyStateError:  # a zero pivot at the pin: pin the top rung once
-        x = _pinned_solve(G, pos, n_max)
-    T = np.abs(x[pos[2 * n, 0]] + x[pos[2 * n + 1, 1]])
-    if T.max() > 1e8:  # the pin sat far below the peak: pin the peak itself
-        x = _pinned_solve(G, pos, int(np.argmax(T)))
-    diag = r == s
-    x /= x[diag].sum()
-    pops = np.zeros(space.dim)
-    pops[r[diag]] = x[diag].real
-    coh = s == r - 1  # rho_{n,0; n-1,1}
-    q = np.zeros(n_max + 1, dtype=complex)
-    q[r[coh] // 2] = x[coh]
-    herm = max(
-        float(np.max(np.abs(x[diag].imag))),
-        float(np.max(np.abs(x[pos[s[coh], 0]] - np.conj(x[coh])), initial=0.0)),
-    )
-    return SteadyState(
-        params=params, space=space, p0=pops[0::2], p1=pops[1::2], q_r=q.real, q_i=q.imag,
-        herm_defect=herm,
-    )
+def _fixed_cutoff_states(ps: list[SystemParams], n_max: int, pins: list[int]) -> list:
+    """Steady states at cutoff ``n_max`` of rates that differ in P_sigma
+    alone and share which of them are zero, each first pinned at its rung of
+    ``pins``: a ``SteadyState`` or a ``JclaserError`` per entry of ``ps``.
+
+    A zero pivot at the pin is retried once pinned at the top rung, and a
+    solution that grows above 1e8 is solved again pinned at its peak.
+    """
+    on = tuple(bool(rate) for rate in _jump_rates(ps[0]))
+    ix = _sector_index(n_max, 0, on)
+    # a column of pumps fills one row of values per pump, and without the
+    # pump all rows are alike; numpy is quicker with a lone pump as a scalar
+    pumps = ps[0].P_sigma if len(ps) == 1 else np.array([[p.P_sigma] for p in ps])
+    rates = [rate for rate, rate_on in zip(_jump_rates(ps[0], pumps), on) if rate_on]
+    data = _sector_values(ix, rates, ps[0].delta, ps[0].g).reshape(-1, len(ix.row))
+    if len(data) < len(ps):  # the pump is off, so the blocks are alike
+        data = np.broadcast_to(data, (len(ps), len(ix.row)))
+    x, errors = _pinned_solves(ix, data, pins)
+
+    def again(blocks: list[int], at: list[int]) -> None:
+        if blocks:
+            x[blocks], redone = _pinned_solves(ix, data[blocks], at)
+            for i, err in zip(blocks, redone):
+                errors[i] = err
+
+    retry = [i for i, err in enumerate(errors) if isinstance(err, NoSteadyStateError)]
+    again(retry, [n_max] * len(retry))
+    far, peaks = [], []
+    T0, T1 = ix.pos[0::2, 0], ix.pos[1::2, 1]  # where |n,0> and |n,1> sit in the sector
+    for i, err in enumerate(errors):
+        if err is None:
+            T = np.abs(x[i][T0] + x[i][T1])
+            if T.max() > 1e8:  # the pin sat far below the peak: pin the peak itself
+                far.append(i)
+                peaks.append(int(np.argmax(T)))
+    again(far, peaks)
+    good = [i for i, err in enumerate(errors) if err is None]
+    for i, ss in zip(good, _steady_states_of([ps[i] for i in good], ix, x[good])):
+        errors[i] = ss
+    return errors
+
+
+def _steady_states_of(ps: list[SystemParams], ix: _SectorIndex, x: np.ndarray) -> list[SteadyState]:
+    """The ``SteadyState`` of each row of k = 0 sector vectors x, divided by its trace."""
+    r, s, pos, diag, coh = ix.r, ix.s, ix.pos, ix.population, ix.coherence
+    space = FockSpace(len(pos) // 2 - 1)
+    at_pops, at_q = r[diag], r[coh] // 2
+    partner = pos[s[coh], 0]  # rho_{n-1,1; n,0}, the mirror of each coherence
+    states = []
+    for params, xi in zip(ps, x):
+        xi /= xi[diag].sum()
+        pops = np.zeros(space.dim)
+        pops[at_pops] = xi[diag].real
+        q = np.zeros(space.n_max + 1, dtype=complex)
+        q[at_q] = xi[coh]
+        herm = max(
+            float(np.max(np.abs(xi[diag].imag))),
+            float(np.max(np.abs(xi[partner] - np.conj(xi[coh])), initial=0.0)),
+        )
+        states.append(SteadyState(
+            params=params, space=space, p0=pops[0::2], p1=pops[1::2], q_r=q.real, q_i=q.imag, herm_defect=herm,
+        ))
+    return states
 
 
 def _has_steady_state(params: SystemParams) -> bool:
@@ -497,6 +601,74 @@ def _tail_converged(T: np.ndarray, rtol: float, tail: float) -> bool:
 # First photon cutoff of auto mode; each refused round doubles it.
 _N_START = 32
 _TAIL = 1e-12  # largest top-Fock-state population auto mode accepts
+# Block rows that one batch of a cutoff round solves together, eight blocks
+# at the first cutoff.  A batch holds ~750 bytes of work arrays per row,
+# ~0.8 MB; from n_max 256 on each pump goes alone, where a fixed count of
+# pumps would hold that count times the ~6 MB of one solve at n_max 2048.
+_BATCH_ROWS = 8 * (4 * _N_START + 2)
+
+
+def steady_state_sweep(
+    params: SystemParams,
+    pumps,
+    n_max: int | None = None,
+    n_max_cap: int = 2048,
+    rtol: float = 1e-7,
+) -> list:
+    """Steady states at each emitter pump P_sigma of ``pumps``, with the other
+    rates of ``params``: per pump the ``SteadyState`` of ``steady_state``, or
+    the ``JclaserError`` it would raise.
+
+    Each cutoff round solves the pumps that share the cutoff and the pattern
+    of nonzero rates in batches of up to 1040 block rows (eight pumps at the
+    first cutoff of 32): a batch fills its blocks in one broadcast over the
+    cached sector index, shares the scatter into band storage and one product
+    per refinement step, and factors its pumps one by one.  Every retry, the
+    trace and the tail test are per pump, so a state does not depend on the
+    pumps solved with it.
+    """
+    return _steady_states([replace(params, P_sigma=float(P)) for P in pumps], n_max, n_max_cap, rtol)
+
+
+def _steady_states(ps: list[SystemParams], n_max: int | None, n_max_cap: int, rtol: float) -> list:
+    """The states of ``steady_state_sweep`` for rates ``ps`` that differ in
+    P_sigma alone, one cutoff round at a time."""
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if n_max_cap < 1:
+        raise ValueError(f"n_max_cap must be at least 1, got {n_max_cap}")
+    if not rtol > 0.0:
+        raise ValueError(f"rtol must be > 0, got {rtol}")
+    out: list = [None] * len(ps)
+    todo = {}  # pump -> (cutoff, pinned rung) of its next round
+    for i, p in enumerate(ps):
+        if _has_steady_state(p):
+            todo[i] = (min(_N_START, n_max_cap) if n_max is None else n_max, 0)
+        else:
+            out[i] = NoSteadyStateError("parameters admit no steady state (net gain exceeds loss)")
+    while todo:
+        rounds: dict = {}
+        for i, (n, _) in todo.items():
+            rounds.setdefault((n, ps[i].P_sigma != 0.0), []).append(i)
+        batches = []
+        for (n, _), idx in rounds.items():
+            step = max(1, _BATCH_ROWS // (4 * n + 2))  # the k = 0 block has 4 n + 2 rows
+            batches += [(n, idx[start : start + step]) for start in range(0, len(idx), step)]
+        current, todo = todo, {}
+        for n, batch in batches:
+            states = _fixed_cutoff_states([ps[i] for i in batch], n, [current[i][1] for i in batch])
+            for i, ss in zip(batch, states):
+                if n_max is not None or isinstance(ss, JclaserError):
+                    out[i] = ss
+                    continue
+                T = ss.photon_distribution
+                if _tail_converged(T, rtol, _TAIL):
+                    out[i] = ss
+                elif n >= n_max_cap:
+                    out[i] = TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")
+                else:
+                    todo[i] = (min(2 * n, n_max_cap), int(np.argmax(T)))
+    return out
 
 
 def steady_state(
@@ -512,23 +684,13 @@ def steady_state(
     Auto mode starts at 32 photons and accepts a solve when its top Fock
     state holds under 1e-12 and the geometric continuation of its tail
     adds less than ``rtol`` to n and n(n-1).  Otherwise the cutoff doubles,
-    up to and including ``n_max_cap``, pinned at the previous peak.
+    up to and including ``n_max_cap``, pinned at the previous peak.  This is
+    the one-pump case of ``steady_state_sweep``.
     """
-    if not _has_steady_state(params):
-        raise NoSteadyStateError(
-            "parameters admit no steady state (net gain exceeds loss)"
-        )
-    if n_max is not None:
-        return _steady_state_fixed(params, n_max)
-    n, pin = min(_N_START, n_max_cap), 0
-    while True:
-        ss = _steady_state_fixed(params, n, pin)
-        T = ss.photon_distribution
-        if _tail_converged(T, rtol, _TAIL):
-            return ss
-        if n >= n_max_cap:
-            raise TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")
-        n, pin = min(2 * n, n_max_cap), int(np.argmax(T))
+    (ss,) = _steady_states([params], n_max, n_max_cap, rtol)
+    if isinstance(ss, JclaserError):
+        raise ss
+    return ss
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +882,21 @@ def transition_map(
 ) -> tuple[list[TransitionRow], list[tuple[float, str]]]:
     """Spectral-line table across a pump sweep (dressed-state map).
 
-    ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state``.  Weights keep
-    their sign.  A ``JclaserError`` at one pump is recorded and the sweep
-    continues; the second return value lists (pump, message) failures.
-    Other exceptions are caller or program errors and propagate.
+    ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state_sweep``.
+    Weights keep their sign.  A ``JclaserError`` at one pump is recorded and
+    the sweep continues; the second return value lists (pump, message)
+    failures.  Other exceptions are caller or program errors and propagate.
     """
     if channel not in ("cavity", "emitter"):
         raise ValueError(f"unknown channel {channel!r}")
     rows: list[TransitionRow] = []
     failures: list[tuple[float, str]] = []
-    for P in np.asarray(pumps, dtype=float):
-        p = replace(params, P_sigma=float(P))
+    pumps = np.asarray(pumps, dtype=float)
+    for P, ss in zip(pumps, steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol)):
         try:
-            ss = steady_state(p, n_max, n_max_cap=n_max_cap, rtol=rtol)
-            for ln in spectral_lines(p, channel=channel, ss=ss, weight_floor=weight_floor):
+            if isinstance(ss, JclaserError):
+                raise ss
+            for ln in spectral_lines(ss.params, channel=channel, ss=ss, weight_floor=weight_floor):
                 rows.append(TransitionRow(float(P), ln.omega, ln.gamma, ln.L, ln.K))
         except JclaserError as exc:
             failures.append((float(P), f"{type(exc).__name__}: {exc}"))

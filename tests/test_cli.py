@@ -100,6 +100,76 @@ def test_config_error_exit_code(tmp_path):
     assert run(["steady", "--config", str(bad)]) == 2
 
 
+def test_config_file_refuses_keys_that_are_no_flag(tmp_path, capsys):
+    # a misspelt gamma_a would otherwise run at the default rate and exit 0
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("gama_a = 0.2\npump-sigma = 1.0\nsweep_points = 5\n")
+    out = tmp_path / "st.csv"
+    assert run(["steady", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "gama_a" in err and "sweep_points" in err and "pump_sigma" not in err
+    assert not out.exists()
+
+
+def test_config_file_refuses_another_command(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("command = sweep\ngamma_a = 0.2\n")
+    assert run(["steady", "--config", str(cfg), "--out", str(tmp_path / "st.csv")]) == 2
+    assert "sweep" in capsys.readouterr().err
+    assert run(["sweep", "--config", str(cfg), "--sweep-points", "3", "--out", str(tmp_path / "sw.csv")]) == 0
+
+
+def test_config_header_runs_as_config_file(tmp_path):
+    # every key of a `# config:` header, command included, is a flag of its command
+    out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    assert run(["sweep", "--gamma-a", "0.5", "--gamma-sigma", "0.00334", "--sweep-min", "0.01",
+                "--sweep-max", "10", "--sweep-points", "4", "--out", str(out1)]) == 0
+    cfg = tmp_path / "header.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in parse_config_header(out1).items()))
+    assert run(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert out2.read_bytes() == out1.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["steady", "--n-max", "-1"], "--n-max"),
+        (["steady", "--n-max", "0"], "--n-max"),
+        (["steady", "--auto-nmax-cap", "-1"], "--auto-nmax-cap"),
+        (["steady", "--auto-nmax-cap", "0"], "--auto-nmax-cap"),
+        (["steady", "--tol", "0"], "--tol"),
+        (["steady", "--tol", "-1"], "--tol"),
+        (["sweep", "--tol", "nan"], "--tol"),
+        (["mollow-coherent", "--map-points", "0"], "--map-points"),
+        (["spectrum", "--points", "0"], "--points"),
+        (["spectrum", "--omega-min", "5", "--omega-max", "-5"], "--omega-min"),
+        (["mollow-coherent", "--omega-min", "1", "--omega-max", "1"], "--omega-min"),
+    ],
+)
+def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    # every example of the README "Command line" block names only real flags
+    import shlex
+
+    from jclaser.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("jclaser ")]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        args, unknown = parser.parse_known_args(shlex.split(line)[1:])
+        assert unknown == [], line
+
+
 def test_spectrum_files(tmp_path):
     out = tmp_path / "spec.csv"
     code = run(

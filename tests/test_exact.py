@@ -202,7 +202,7 @@ def test_banded_lu_is_scipys_lapack(monkeypatch):
     omega = np.linspace(-12.0, 12.0, 49)
 
     def solves():
-        pinned = exact._pinned_solve(G, G.index.pos, 0)
+        pinned = exact._pinned_solves(G.index, G.data[None], [0])[0]
         shifted = np.array(list(exact._band_solves(sec.generator, sec.u0, omega)))
         return pinned.tobytes(), shifted.tobytes()
 
@@ -260,13 +260,13 @@ def test_vacuum_cutoff_bounded():
 def _tried_cutoffs(monkeypatch) -> list:
     """Cutoffs of the fixed solves that steady_state makes, in order."""
     tried = []
-    fixed = exact._steady_state_fixed
+    fixed = exact._fixed_cutoff_states
 
-    def spy(params, n_max, *args):
-        tried.append(n_max)
-        return fixed(params, n_max, *args)
+    def spy(ps, n_max, *args):
+        tried.extend([n_max] * len(ps))
+        return fixed(ps, n_max, *args)
 
-    monkeypatch.setattr(exact, "_steady_state_fixed", spy)
+    monkeypatch.setattr(exact, "_fixed_cutoff_states", spy)
     return tried
 
 
@@ -343,9 +343,9 @@ def test_auto_cutoff_matches_twice_the_cutoff(gamma_a, gamma_sigma, P, pump_a, g
 def test_zero_pivot_at_the_vacuum_pin_retries_at_the_top():
     # here the pin at n = 0 meets a zero pivot of the banded LU
     p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_a=0.0095, P_sigma=1.0)
-    G, r, s = exact.sector_generator(p, 32, 0)
-    with pytest.raises(NoSteadyStateError, match="zero pivot"):
-        exact._pinned_solve(G, exact._sector_position(r, s, exact.FockSpace(32).dim), 0)
+    G = exact.sector_generator(p, 32, 0)[0]
+    (err,) = exact._pinned_solves(G.index, G.data[None], [0])[1]
+    assert isinstance(err, NoSteadyStateError) and "zero pivot" in str(err)
     ss = exact.steady_state(p, n_max=32)
     assert float(np.trace(ss.rho).real) == pytest.approx(1.0, abs=1e-12)
     assert np.isfinite(ss.n_a) and ss.n_a > 0.0
@@ -356,9 +356,9 @@ def test_non_finite_pinned_solve_retries_at_the_top():
     # a subnormal detuning leaves no zero pivot but a non-finite vacuum-pin
     # solve; it takes the same top-rung retry
     p = SystemParams(g=1.0, gamma_a=0.0625, gamma_sigma=0.0, P_sigma=10.0, delta=2.04e-201)
-    G, r, s = exact.sector_generator(p, 32, 0)
-    with pytest.raises(NoSteadyStateError, match="near-zero pivot"):
-        exact._pinned_solve(G, exact._sector_position(r, s, exact.FockSpace(32).dim), 0)
+    G = exact.sector_generator(p, 32, 0)[0]
+    (err,) = exact._pinned_solves(G.index, G.data[None], [0])[1]
+    assert isinstance(err, NoSteadyStateError) and "near-zero pivot" in str(err)
     ss = exact.steady_state(p, n_max=32)
     ref = exact.steady_state(replace(p, delta=0.0), n_max=32)
     assert float(np.trace(ss.rho).real) == pytest.approx(1.0, abs=1e-12)
@@ -416,6 +416,92 @@ def test_auto_cutoff_converges():
     assert ss.photon_distribution[-1] < 1e-12
     ref = exact.steady_state(p, n_max=2 * ss.space.n_max)
     assert ss.n_a == pytest.approx(ref.n_a, rel=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_rates_on_or_off(), n_max=st.integers(1, 6), narrower=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
+def test_band_storage_adds_up_the_entries_in_the_band(p, n_max, narrower):
+    # duplicates add up as np.add.at adds them, and a narrower band keeps
+    # only the entries inside it; rows of 2-D values give one band each
+    G = exact.sector_generator(p, n_max, 0)[0]
+    ix = G.index
+    kl, ku = max(ix.kl - narrower[0], 0), max(ix.ku - narrower[1], 0)
+    inside = (ix.row - ix.col <= kl) & (ix.col - ix.row <= ku)
+    ref = np.zeros((2 * kl + ku + 1, G.size), dtype=complex)
+    np.add.at(ref, (kl + ku + ix.row[inside] - ix.col[inside], ix.col[inside]), G.data[inside])
+    assert exact._band_storage(ix, G.data, kl, ku).tobytes() == ref.tobytes()
+    pair = exact._band_storage(ix, np.stack([G.data, 2.0 * G.data]), kl, ku)
+    assert pair[0].tobytes() == ref.tobytes()
+    assert pair[1].tobytes() == exact._band_storage(ix, 2.0 * G.data, kl, ku).tobytes()
+
+
+@pytest.mark.parametrize("bad", [dict(n_max=0), dict(n_max=-1), dict(n_max_cap=0), dict(n_max_cap=-1),
+                                 dict(rtol=0.0), dict(rtol=-1.0), dict(rtol=float("nan"))])
+def test_out_of_range_solver_settings_are_refused(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        exact.steady_state(LASING, **bad)
+    for pumps in ([0.5, 7.0], []):
+        with pytest.raises(ValueError, match=name):
+            exact.steady_state_sweep(LASING, pumps, **bad)
+
+
+# Rates whose pumps reach every path of a cutoff round, with the pumps that
+# reach it, the fixed cutoffs to draw from, the cap and the range of drawn pumps.
+_BATCH_SCENARIOS = [
+    # P = 0 fills its block without the pump term, under its own index; at
+    # n_max 32 the vacuum pin of P 6.1 grows past 1e8 and is pinned at the peak
+    (SystemParams(**BASE), [0.0, 6.1, 0.5, 1e-4, 30.0], [None, 32], 2048, (0.0, 40.0)),
+    # a zero pivot at the vacuum pin: the top-rung retry
+    (SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_a=0.0095), [1.0, 0.5], [32], 2048, (0.0, 8.0)),
+    # P 7 needs a cutoff above the cap
+    (SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334), [7.0, 0.2], [None], 300, (0.0, 8.0)),
+    # a subnormal detuning: the vacuum-pin solve of P 10 is not finite, and is retried
+    (SystemParams(g=1.0, gamma_a=0.0625, gamma_sigma=0.0, delta=2.04e-201), [10.0, 3.0], [None], 2048, (0.0, 8.0)),
+    # no steady state from P = gamma_sigma on
+    (SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=0.5), [0.2, 0.6], [None], 2048, (0.0, 0.45)),
+]
+
+
+@st.composite
+def _pump_batches(draw):
+    k = draw(st.sampled_from(range(len(_BATCH_SCENARIOS))))
+    _, special, cutoffs, _, (lo, hi) = _BATCH_SCENARIOS[k]
+    pumps = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(lo, hi)), min_size=1, max_size=11))
+    return k, pumps, draw(st.sampled_from(cutoffs))
+
+
+def _same_state(a, b):
+    if isinstance(a, exact.SteadyState):
+        assert isinstance(b, exact.SteadyState)
+        for name in ("p0", "p1", "q_r", "q_i"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.herm_defect == b.herm_defect and a.params == b.params
+    else:
+        assert type(a) is type(b) and str(a) == str(b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=_pump_batches())
+@example(batch=(0, [0.0, 6.1, 0.0, 0.5, 1e-4, 30.0, 0.0, 6.1, 2.0, 0.3], None))
+@example(batch=(0, [6.1, 0.0, 3.0], 32))
+@example(batch=(0, [5.0, 6.1, 7.0, 8.0, 12.0], 32))  # lasing pumps re-pinned at their own peaks
+@example(batch=(1, [1.0, 0.5, 1.0], 32))
+@example(batch=(2, [7.0, 0.2, 1.5], None))
+@example(batch=(3, [10.0, 3.0], None))
+@example(batch=(4, [0.2, 0.6, 0.0], None))
+def test_sweep_states_do_not_depend_on_their_batch(batch):
+    # a pump's state or error is the same alone, in its sweep, and in the
+    # sweep run backwards: bit for bit, with the same error type and text
+    k, pumps, n_max = batch
+    params, _, _, cap, _ = _BATCH_SCENARIOS[k]
+    swept = exact.steady_state_sweep(params, pumps, n_max, n_max_cap=cap)
+    backwards = exact.steady_state_sweep(params, pumps[::-1], n_max, n_max_cap=cap)[::-1]
+    assert len(swept) == len(pumps)
+    for P, a, b in zip(pumps, swept, backwards):
+        (alone,) = exact.steady_state_sweep(params, [P], n_max, n_max_cap=cap)
+        _same_state(a, alone)
+        _same_state(b, alone)
 
 
 # ---------------------------------------------------------------------------
