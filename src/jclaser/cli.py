@@ -42,6 +42,7 @@ def read_config_file(path: str) -> dict[str, str]:
 def build_parser() -> argparse.ArgumentParser:
     ap_ = argparse.ArgumentParser(
         prog="jclaser",
+        allow_abbrev=False,
         description="Steady states and emission spectra of the pumped emitter-cavity system (rates in units of g)",
     )
     sub = ap_.add_subparsers(dest="command", required=True)
@@ -75,23 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-max", type=float, default=20.0)
         p.add_argument("--points", type=int, default=2001)
 
-    p = sub.add_parser("steady", help="observables and all approximations at one point")
+    p = sub.add_parser("steady", allow_abbrev=False, help="observables and all approximations at one point")
     add_common(p)
 
-    p = sub.add_parser("sweep", help="observables and approximations along a pump sweep")
+    p = sub.add_parser("sweep", allow_abbrev=False, help="observables and approximations along a pump sweep")
     add_common(p)
     add_sweep(p)
 
-    p = sub.add_parser("spectrum", help="emission spectrum for one channel/method")
+    p = sub.add_parser("spectrum", allow_abbrev=False, help="emission spectrum for one channel/method")
     add_common(p)
     add_spectrum(p)
 
-    p = sub.add_parser("transitions", help="spectral-line table across a pump sweep")
+    p = sub.add_parser("transitions", allow_abbrev=False, help="spectral-line table across a pump sweep")
     add_common(p)
     add_sweep(p)
     p.add_argument("--channel", choices=("cavity", "emitter"), default="cavity")
 
-    p = sub.add_parser("mollow-coherent", help="driven two-level emitter: spectrum, lines, visibility map")
+    p = sub.add_parser(
+        "mollow-coherent", allow_abbrev=False, help="driven two-level emitter: spectrum, lines, visibility map"
+    )
     add_common(p)
     p.add_argument("--omega-laser", type=float, default=1.5, help="drive coupling in gamma_sigma units")
     p.add_argument("--omega-min", type=float, default=-10.0)
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-phi-max", type=float, default=5.0)
     p.add_argument("--map-points", type=int, default=41)
 
-    p = sub.add_parser("regimes", help="regime labels and boundaries along a pump sweep")
+    p = sub.add_parser("regimes", allow_abbrev=False, help="regime labels and boundaries along a pump sweep")
     add_common(p)
     add_sweep(p)
     return ap_

@@ -41,6 +41,16 @@ index, share one scatter into band storage and one product per refinement
 step, and are factored one by one.  Retries, the trace and the cutoff test
 stay per pump, so each state is bit for bit the one its pump gets alone;
 ``steady_state`` is the one-pump batch.
+
+Every dense eig (``spectrum``, ``spectral_lines``, ``transition_map``) runs
+with OpenBLAS held at one thread by ``lineshape.one_blas_thread``, so its
+bits do not depend on the OpenBLAS thread count.  ``transition_map``
+decomposes its pumps' k = 1 blocks on the available cores instead: the
+caller and one long-lived thread per further core take them largest first,
+and the rows and failures come back in pump order, bit for bit those of a
+serial loop.  Where no OpenBLAS thread control is found, or on one core, the
+blocks run serially.  No flag selects this: the CLI's ``--workers`` is read
+by ``sweep`` alone.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +80,7 @@ from .lineshape import (
     decompose,
     evaluate_lines,
     lines_from_eigenpairs,
+    one_blas_thread,
 )
 from .params import SystemParams
 
@@ -781,6 +793,7 @@ def truncate_steady_state(ss: SteadyState, n_eff: int) -> SteadyState:
     )
 
 
+@one_blas_thread()
 def spectral_lines(
     params: SystemParams,
     n_max: int | None = None,
@@ -810,6 +823,7 @@ def elastic_weight_estimate(lines: list[SpectralLine], gamma_a: float) -> float:
     return sum(ln.L for ln in lines if abs(ln.gamma) < cut)
 
 
+@one_blas_thread()
 def spectrum(
     params: SystemParams,
     n_max: int | None = None,
@@ -886,18 +900,82 @@ def transition_map(
     Weights keep their sign.  A ``JclaserError`` at one pump is recorded and
     the sweep continues; the second return value lists (pump, message)
     failures.  Other exceptions are caller or program errors and propagate.
+    The line tables run on the available cores (``_line_tables``).
     """
     if channel not in ("cavity", "emitter"):
         raise ValueError(f"unknown channel {channel!r}")
     rows: list[TransitionRow] = []
     failures: list[tuple[float, str]] = []
     pumps = np.asarray(pumps, dtype=float)
-    for P, ss in zip(pumps, steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol)):
-        try:
-            if isinstance(ss, JclaserError):
-                raise ss
-            for ln in spectral_lines(ss.params, channel=channel, ss=ss, weight_floor=weight_floor):
-                rows.append(TransitionRow(float(P), ln.omega, ln.gamma, ln.L, ln.K))
-        except JclaserError as exc:
-            failures.append((float(P), f"{type(exc).__name__}: {exc}"))
+    with one_blas_thread() as pinned:
+        states = steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol)
+        workers = len(os.sched_getaffinity(0)) - 1 if pinned else 0
+        tables = _line_tables(states, channel, weight_floor, workers)
+    for P, table in zip(pumps, tables):
+        if isinstance(table, JclaserError):
+            failures.append((float(P), f"{type(table).__name__}: {table}"))
+        else:
+            rows += [TransitionRow(float(P), ln.omega, ln.gamma, ln.L, ln.K) for ln in table]
     return rows, failures
+
+
+@functools.cache
+def _eig_pool(workers: int):
+    """The threads that take line tables besides the caller's, kept for the process."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jclaser-eig")
+
+
+def _line_tables(states: list, channel: str, weight_floor: float, workers: int) -> list:
+    """``spectral_lines`` of each state, or its ``JclaserError``, in pump order.
+
+    With ``workers`` > 0 the calling thread takes the largest block, and it
+    and that many threads of ``_eig_pool`` take the rest from one queue,
+    largest first: memory a pool thread frees stays with its allocator
+    arena, so the largest eig stays on the caller's.  Each eig runs on one
+    BLAS thread, so a table is bit for bit the one a serial loop gets.  A
+    program error stops the queue; once every running table is done, the
+    error of the earliest pump is raised.
+    """
+    tables = list(states)
+    todo = [k for k, ss in enumerate(states) if isinstance(ss, SteadyState)]
+    if workers > 0:  # by the cutoff of the populated ladder, which sets the block's size
+        todo.sort(key=lambda k: -min(_populated_cutoff(states[k].photon_distribution), states[k].space.n_max))
+    queue, errors = deque(todo), {}
+
+    def table(k: int) -> None:
+        try:
+            tables[k] = spectral_lines(states[k].params, channel=channel, ss=states[k], weight_floor=weight_floor)
+        except JclaserError as exc:
+            tables[k] = exc
+        except Exception as exc:  # noqa: BLE001 - raised below, in pump order
+            errors[k] = exc
+            queue.clear()
+
+    def run() -> None:
+        while True:
+            try:
+                k = queue.popleft()
+            except IndexError:
+                return
+            table(k)
+
+    if workers > 0 and len(todo) > 1:
+        from concurrent.futures import wait
+
+        first = queue.popleft()
+        futures = [_eig_pool(workers).submit(run) for _ in range(min(workers, len(todo) - 1))]
+        try:
+            table(first)
+            run()
+        finally:
+            queue.clear()  # an interrupted caller leaves the running tables to finish
+            wait(futures)
+        for f in futures:
+            f.result()
+    else:
+        run()
+    if errors:
+        raise errors[min(errors)]
+    return tables

@@ -10,10 +10,21 @@ The exact, approximate (per-rung) and coherent-drive engines all call
     <c'(0)c(t)> = readout . B + n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
 
 which transforms into a sum of Lorentzians with dispersive admixtures.
+
+Every dense eig of the exact engine runs inside ``one_blas_thread``, which
+holds each OpenBLAS of the process at one thread: OpenBLAS's two threads make
+a ``dgeev`` slower, not faster, and ``exact.transition_map`` gives the
+second core an eig of its own instead.  A 1-thread and a 2-thread eig of the
+same block differ in their last bits, so the scope also makes the lines
+independent of the OpenBLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +40,65 @@ class SpectralLine:
     gamma: float
     L: float
     K: float = 0.0
+
+
+_blas_lock = threading.Lock()
+_blas_scopes = 0  # open one_blas_thread scopes, in every thread
+_blas_saved: list = []  # (set, count) of each OpenBLAS, restored by the last scope
+
+
+@functools.cache
+def _openblas() -> list:
+    """(get, set) of the thread count of every OpenBLAS mapped into this process
+    at the first call; ``exact`` maps numpy's and scipy's when it is imported."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone, or a path with blanks
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS of the process on one thread.
+
+    Yields whether that holds: False where no OpenBLAS with a thread control
+    is loaded.  The outermost open scope sets the counts and the last to
+    close restores them; a scope opened inside another, in any thread,
+    changes nothing.
+    """
+    global _blas_scopes, _blas_saved
+    with _blas_lock:
+        if _blas_scopes == 0:
+            _blas_saved = [(set_, get()) for get, set_ in _openblas()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_scopes += 1
+        pinned = bool(_blas_saved)
+    try:
+        yield pinned
+    finally:
+        with _blas_lock:
+            _blas_scopes -= 1
+            if _blas_scopes == 0:
+                for set_, count in _blas_saved:
+                    set_(count)
+                _blas_saved = []
 
 
 # Relative eigenvalue gap below which two lines merge into one (exceptional
@@ -73,7 +143,7 @@ def decompose(
     except np.linalg.LinAlgError as exc:
         raise NonDiagonalizableError(str(exc)) from exc
     scale = np.maximum(np.max(np.abs(lams), axis=-1), 1e-300)
-    resid = np.max(np.abs(G @ V - V * lams[..., None, :]), axis=(-2, -1)) / scale
+    resid = _eig_residual(G, V, lams) / scale
     if not np.all(resid <= 1e-8):
         raise NonDiagonalizableError(f"eigenbasis residual {np.max(resid):.2e}")
     weights = (readout[..., None, :] @ V)[..., 0, :] * proj
@@ -85,6 +155,29 @@ def decompose(
             f"line weights miss one by {np.max(miss / np.abs(total.real)):.2e}"
         )
     return Decomposition(lams=lams, weights=weights, elastic=elastic, n_c=total.real)
+
+
+# Entries of G per row block of the eigenbasis residual (1 MB of complex rows).
+_RESIDUAL_BLOCK = 1 << 16
+
+
+def _eig_residual(G: np.ndarray, V: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """max |G V - V lam| per block, over a few rows of G at a time.
+
+    A real G multiplies the (Re, Im) float pairs of a complex V, so it is
+    never promoted to complex.
+    """
+    pairs = np.isrealobj(G) and np.iscomplexobj(V)
+    Vm = np.ascontiguousarray(V).view(np.float64) if pairs else V
+    step = max(1, _RESIDUAL_BLOCK // max(1, G[..., :1, :].size))
+    resid = np.zeros(G.shape[:-2])
+    for i in range(0, G.shape[-1], step):
+        GV = G[..., i : i + step, :] @ Vm
+        if pairs:
+            GV = GV.view(np.complex128)
+        block = np.max(np.abs(GV - V[..., i : i + step, :] * lams[..., None, :]), axis=(-2, -1))
+        resid = np.maximum(resid, block)
+    return resid
 
 
 def merge_degenerate(lams: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -170,6 +170,18 @@ def test_readme_command_lines_parse():
         assert unknown == [], line
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--sweep-point", "20"], ["sweep", "--n", "40"]])
+def test_abbreviated_flags_are_refused(tmp_path, capsys, argv):
+    # a prefix of a flag is an unknown flag, so a README example cannot drift to one
+    from jclaser.cli import build_parser
+
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("unknown arguments:")
+    assert not out.exists()
+    assert build_parser().parse_known_args(argv)[1] == argv[1:]
+
+
 def test_spectrum_files(tmp_path):
     out = tmp_path / "spec.csv"
     code = run(
@@ -476,6 +488,11 @@ def test_commands_do_not_load_scipy_linalg(fresh_command_modules):
     for step, modules in fresh_command_modules.items():
         assert "scipy.linalg._flapack" in modules, step
         assert "scipy.linalg" not in modules, step
+
+
+def test_cli_import_does_not_load_concurrent_futures(fresh_command_modules):
+    # transition_map imports its thread pool when it first runs
+    assert "concurrent.futures" not in fresh_command_modules["import jclaser.cli"]
 
 
 def test_runtime_package_carries_no_moment_oracle():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from jclaser import approximations as ap
 from jclaser import exact
+from jclaser import lineshape
 from jclaser.errors import (
+    JclaserError,
     NonDiagonalizableError,
     NoSteadyStateError,
     SolverMemoryError,
@@ -683,6 +685,211 @@ def test_transition_map_isolates_only_named_failures(monkeypatch):
     assert not rows
     assert [P for P, _ in failures] == [0.5, 1.0]
     assert all(msg.startswith("SolverMemoryError: out of memory in the dense eig") for _, msg in failures)
+
+
+def _blas_counts():
+    return [get() for get, _ in lineshape._openblas()]
+
+
+@pytest.fixture
+def two_cores_two_blas_threads(monkeypatch):
+    # the map's threaded path on any host, with every OpenBLAS at two threads
+    # outside the scope, so that a count the scope fails to restore shows
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1})
+    controls = lineshape._openblas()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield [get() for get, _ in controls]
+    for (_, set_), n in zip(controls, before):
+        set_(n)
+
+
+def _spy_threads(monkeypatch):
+    # names of the threads that ran each line table
+    import threading
+
+    names, inner = [], exact.spectral_lines
+
+    def spy(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "spectral_lines", spy)
+    return names
+
+
+def _bits(rows):
+    return np.array([[r.P_sigma, r.omega, r.gamma, r.L, r.K] for r in rows], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rates, pumps",
+    [
+        (BASE, [0.3, 1.0, 6.0, 15.0, 40.0]),  # P 40: the cavity table is refused
+        (dict(g=1.0, gamma_a=0.0, gamma_sigma=0.5), [0.1, 0.9, 0.05]),  # P 0.9: no steady state
+    ],
+)
+def test_threaded_transition_map_matches_a_serial_loop(monkeypatch, two_cores_two_blas_threads, rates, pumps):
+    params = SystemParams(**rates)
+    rows, failures = [], []
+    with lineshape.one_blas_thread():
+        for P in pumps:
+            try:
+                ss = exact.steady_state(replace(params, P_sigma=P))
+                for ln in exact.spectral_lines(ss.params, channel="cavity", ss=ss, weight_floor=1e-10):
+                    rows.append(exact.TransitionRow(P, ln.omega, ln.gamma, ln.L, ln.K))
+            except JclaserError as exc:
+                failures.append((P, f"{type(exc).__name__}: {exc}"))
+    assert len(failures) == 1 and rows
+    names = _spy_threads(monkeypatch)
+    got_rows, got_failures = exact.transition_map(params, np.array(pumps))
+    assert got_failures == failures
+    assert _bits(got_rows) == _bits(rows)
+    assert [r.P_sigma for r in got_rows] == [r.P_sigma for r in rows]
+    if lineshape._openblas():  # a second core decomposed some of the tables
+        assert any(name.startswith("jclaser-eig") for name in names)
+
+
+def test_transition_map_leaves_the_blas_thread_count_as_found(monkeypatch, two_cores_two_blas_threads):
+    if not lineshape._openblas():
+        pytest.skip("no OpenBLAS with a thread control is loaded")
+    pumps, p = np.array([0.5, 1.0]), SystemParams(**BASE)
+    inside, real = [], exact.decompose
+
+    def counting(*args, **kwargs):
+        inside.append(_blas_counts())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "decompose", counting)
+    rows, failures = exact.transition_map(p, pumps, n_max=20)
+    assert rows and not failures
+    assert inside and all(counts == [1] * len(counts) for counts in inside)
+    assert _blas_counts() == two_cores_two_blas_threads
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(exact, "decompose", broken)
+    with pytest.raises(TypeError, match="broken"):
+        exact.transition_map(p, pumps, n_max=20)
+    assert _blas_counts() == two_cores_two_blas_threads
+    assert lineshape._blas_scopes == 0
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt])
+def test_transition_map_error_waits_for_running_tables(monkeypatch, two_cores_two_blas_threads, error):
+    # the largest block, the caller's, raises at once while the other thread
+    # is inside a slow table; neither a program error nor an interrupt may
+    # surface before that table is done
+    import threading
+    import time
+
+    pumps, p = np.array([0.3, 1.0, 3.0, 6.0]), SystemParams(**BASE)
+    largest = max(exact.regression_sector(p, ss, "cavity").generator.size
+                  for ss in exact.steady_state_sweep(p, pumps))
+    lock, running, done, real = threading.Lock(), [0], [0], exact.decompose
+
+    def slow_or_broken(G, *args, **kwargs):
+        if G.shape[-1] == largest:
+            raise error("broken")
+        with lock:
+            running[0] += 1
+        time.sleep(0.05)
+        try:
+            return real(G, *args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+                done[0] += 1
+
+    monkeypatch.setattr(exact, "decompose", slow_or_broken)
+    with pytest.raises(error, match="broken"):
+        exact.transition_map(p, pumps)
+    assert running[0] == 0
+    if lineshape._openblas():  # the other thread had a table in hand
+        assert done[0] >= 1
+
+
+def test_transition_map_raises_the_error_of_the_earliest_pump(monkeypatch, two_cores_two_blas_threads):
+    # every table raises, the largest (the last pump's) only after the other
+    # thread has raised too: the error of the earlier pump is the one a
+    # serial loop would have met first
+    import time
+
+    pumps, p = np.array([0.3, 1.0, 3.0, 6.0]), SystemParams(**BASE)
+    sizes = [exact.regression_sector(p, ss, "cavity").generator.size for ss in exact.steady_state_sweep(p, pumps)]
+    ran = []
+
+    def broken(G, *args, **kwargs):
+        ran.append(G.shape[-1])
+        if G.shape[-1] == max(sizes):
+            time.sleep(0.05)
+        raise TypeError(f"broken at size {G.shape[-1]}")
+
+    monkeypatch.setattr(exact, "decompose", broken)
+    with pytest.raises(TypeError) as info:
+        exact.transition_map(p, pumps)
+    assert str(info.value) == f"broken at size {min(ran)}"
+    if lineshape._openblas():
+        assert len(ran) == 2
+
+
+def test_transition_map_without_blas_control_runs_serially(monkeypatch, two_cores_two_blas_threads):
+    pumps, p = np.array([0.3, 1.0, 6.0, 15.0, 40.0]), SystemParams(**BASE)
+    threaded = exact.transition_map(p, pumps)
+    controls = lineshape._openblas()
+    for _, set_ in controls:  # the serial path at the count the scope would set
+        set_(1)
+    monkeypatch.setattr(lineshape, "_openblas", lambda: [])
+    names = _spy_threads(monkeypatch)
+    rows, failures = exact.transition_map(p, pumps)
+    assert names and all(name == "MainThread" for name in names)
+    assert failures == threaded[1]
+    assert _bits(rows) == _bits(threaded[0])
+
+
+def test_line_tables_under_many_threads_and_fast_switching(monkeypatch, two_cores_two_blas_threads):
+    # seven pool threads on a fake eight-core host and a short switch
+    # interval: every table is taken once and lands at its pump, and a fake
+    # BLAS count is held at one and restored
+    import collections
+    import sys
+    import threading
+
+    real_controls = lineshape._openblas()
+    for _, set_ in real_controls:  # the real eigs at one thread, as in the serial reference
+        set_(1)
+    fake = [4]
+    monkeypatch.setattr(lineshape, "_openblas", lambda: [(lambda: fake[0], lambda n: fake.__setitem__(0, n))])
+    p, pumps = SystemParams(**BASE), np.geomspace(0.01, 3.0, 40)
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0})
+    serial = exact.transition_map(p, pumps, n_max=6)
+
+    lock, taken, counts, inner = threading.Lock(), collections.Counter(), [], exact.spectral_lines
+
+    def counting(params, **kwargs):
+        with lock:
+            taken[params.P_sigma] += 1
+        counts.append(fake[0])
+        return inner(params, **kwargs)
+
+    monkeypatch.setattr(exact, "spectral_lines", counting)
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: set(range(8)))
+    result, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: result.append(exact.transition_map(p, pumps, n_max=6)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert sorted(taken) == sorted(float(P) for P in pumps) and set(taken.values()) == {1}
+    assert set(counts) == {1} and fake[0] == 4
+    (rows, failures), = result
+    assert failures == serial[1] == []
+    assert _bits(rows) == _bits(serial[0])
 
 
 def test_unclosed_line_weights_refused():

@@ -102,3 +102,80 @@ def test_singular_block_takes_least_squares_stationary_part():
         B = np.linalg.lstsq(G[i], -inhom[i], rcond=None)[0]
         assert dec.elastic[i] == pytest.approx(np.sum(B), abs=1e-15)
     assert np.sum(dec.weights, axis=-1) + dec.elastic == pytest.approx(dec.n_c, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (40, 3, 3), (1, 1)])
+@pytest.mark.parametrize("kind", ["real", "real-eigvecs", "complex"])
+def test_eig_residual_in_row_blocks_is_the_full_residual(monkeypatch, shape, kind):
+    # a few rows at a time, a real G against the float pairs of V: the same
+    # max |G V - V lam| as the full complex product, to roundoff
+    from jclaser import lineshape
+
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal(shape)
+    if kind == "complex":
+        G = G + 1j * rng.standard_normal(shape)
+    V = rng.standard_normal(shape) + (0.0 if kind == "real-eigvecs" else 1j * rng.standard_normal(shape))
+    lams = rng.standard_normal(shape[:-1]) + (0.0 if kind == "real-eigvecs" else 1j * rng.standard_normal(shape[:-1]))
+    full = np.max(np.abs(G.astype(complex) @ V - V * lams[..., None, :]), axis=(-2, -1))
+    monkeypatch.setattr(lineshape, "_RESIDUAL_BLOCK", 7 * shape[-1] * int(np.prod(shape[:-2])))
+    assert lineshape._eig_residual(G, V, lams) == pytest.approx(full, rel=1e-13)
+
+
+def test_eig_residual_of_a_real_block_holds_no_complex_copy():
+    # the full product would hold G promoted to complex and three M x M
+    # complex products; the row blocks stay below one complex M x M array
+    import tracemalloc
+
+    from jclaser import lineshape
+
+    rng = np.random.default_rng(3)
+    M = 1000
+    G = rng.standard_normal((M, M))
+    V = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    lams = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    tracemalloc.start()
+    try:
+        lineshape._eig_residual(G, V, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M * M * 16 / 2
+
+
+def test_one_blas_thread_scope_restores_the_counts_and_nests():
+    from jclaser import lineshape
+
+    controls = lineshape._openblas()
+    if not controls:
+        pytest.skip("no OpenBLAS with a thread control is loaded")
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        with lineshape.one_blas_thread() as pinned:
+            assert pinned and [get() for get, _ in controls] == [1] * len(controls)
+            with lineshape.one_blas_thread() as inner:
+                assert inner
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        with pytest.raises(RuntimeError):
+            with lineshape.one_blas_thread():
+                raise RuntimeError
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        assert lineshape._blas_scopes == 0
+    finally:
+        for (_, set_), n in zip(controls, before):
+            set_(n)
+
+
+def test_blas_discovery_skips_a_library_it_cannot_load(monkeypatch):
+    # a deleted mapping cannot be loaded; the scope then finds no control
+    # and every eig runs as the library left it, serially
+    from jclaser import lineshape
+
+    def missing(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(lineshape.ctypes, "CDLL", missing)
+    assert lineshape._openblas.__wrapped__() == []
