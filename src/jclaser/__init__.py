@@ -8,11 +8,11 @@ and pure dephasing, plus the coherently driven emitter for comparison.
 from . import approximations, coherent, exact, spectra
 from .errors import (
     ConfigError,
+    EmptyChannelError,
     JclaserError,
     NonDiagonalizableError,
     NoPhysicalRootError,
     NoSteadyStateError,
-    NotResolvableError,
     SolverMemoryError,
     TruncationNotConvergedError,
 )
@@ -25,12 +25,12 @@ __all__ = [
     "exact",
     "spectra",
     "ConfigError",
+    "EmptyChannelError",
     "JclaserError",
     "LaserDriveParams",
     "NonDiagonalizableError",
     "NoPhysicalRootError",
     "NoSteadyStateError",
-    "NotResolvableError",
     "SolverMemoryError",
     "SpectralLine",
     "SpectrumResult",

@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap_.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, cavity=True, cutoff=True):
+        """Flags of every command; ``cavity`` adds the coupling, the cavity
+        decay and the pumps, and ``cutoff`` the photon cutoff of the exact solves."""
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--g", type=float, default=1.0)
-        p.add_argument("--gamma-a", type=float, default=0.1)
         p.add_argument("--gamma-sigma", type=float, default=0.0)
-        p.add_argument("--pump-sigma", type=float, default=0.0)
-        p.add_argument("--pump-a", type=float, default=0.0)
         p.add_argument("--gamma-phi", type=float, default=0.0)
         p.add_argument("--delta", type=float, default=0.0)
-        p.add_argument("--n-max", type=int, default=None, help="photon cutoff (default: auto)")
-        p.add_argument("--auto-nmax-cap", type=int, default=2048)
-        p.add_argument("--tol", type=float, default=1e-7, help="auto-cutoff relative tolerance")
         p.add_argument("--out", default=None, help="output path (default: <command>.csv)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=1)
+        # accepted and ignored: scripts written for the former sweep process pool pass it
+        p.add_argument("--workers", type=int, default=1, help="ignored")
+        if cavity:
+            p.add_argument("--g", type=float, default=1.0)
+            p.add_argument("--gamma-a", type=float, default=0.1)
+            p.add_argument("--pump-sigma", type=float, default=0.0)
+            p.add_argument("--pump-a", type=float, default=0.0)
+        if cutoff:
+            p.add_argument("--n-max", type=int, default=None, help="photon cutoff (default: auto)")
+            p.add_argument("--auto-nmax-cap", type=int, default=2048)
+            p.add_argument("--tol", type=float, default=1e-7, help="auto-cutoff relative tolerance")
 
     def add_sweep(p):
         p.add_argument("--sweep-min", type=float, default=1e-4)
@@ -95,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mollow-coherent", allow_abbrev=False, help="driven two-level emitter: spectrum, lines, visibility map"
     )
-    add_common(p)
+    add_common(p, cavity=False, cutoff=False)
     p.add_argument("--omega-laser", type=float, default=1.5, help="drive coupling in gamma_sigma units")
     p.add_argument("--omega-min", type=float, default=-10.0)
     p.add_argument("--omega-max", type=float, default=10.0)
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-points", type=int, default=41)
 
     p = sub.add_parser("regimes", allow_abbrev=False, help="regime labels and boundaries along a pump sweep")
-    add_common(p)
+    add_common(p, cutoff=False)
     add_sweep(p)
     return ap_
 
@@ -130,12 +134,15 @@ def check_ranges(args) -> None:
     """Refuse a numeric flag outside the range its command can use."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    if args.n_max is not None and args.n_max < 1:
-        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
-    if args.auto_nmax_cap < 1:
-        raise ConfigError(f"--auto-nmax-cap must be at least 1, got {args.auto_nmax_cap}")
-    if not args.tol > 0.0:
-        raise ConfigError(f"--tol must be > 0, got {args.tol}")
+    if hasattr(args, "tol"):  # the cutoff of the exact solves
+        if args.n_max is not None and args.n_max < 1:
+            raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
+        if args.auto_nmax_cap < 1:
+            raise ConfigError(f"--auto-nmax-cap must be at least 1, got {args.auto_nmax_cap}")
+        if not args.tol > 0.0:
+            raise ConfigError(f"--tol must be > 0, got {args.tol}")
+    if args.command == "mollow-coherent" and not 0.0 <= args.gamma_sigma < math.inf:
+        raise ConfigError(f"--gamma-sigma must be finite and >= 0 (0 means 1), got {args.gamma_sigma}")
     if hasattr(args, "points"):  # the frequency grid of spectrum and mollow-coherent
         if args.points < 1:
             raise ConfigError(f"--points must be at least 1, got {args.points}")
@@ -170,7 +177,7 @@ _STEADY_COLUMNS = [
 
 def _steady_rows(params: SystemParams, pumps, n_max, cap, tol) -> list[list]:
     """Table rows at each pump P_sigma of ``pumps``, with the steady states
-    and the cothermal roots of the whole chunk found at once."""
+    and the cothermal roots of all pumps found at once."""
     states = exact.steady_state_sweep(params, pumps, n_max=n_max, n_max_cap=cap, rtol=tol)
     try:
         cothermal = ap.cothermal_sweep(params, pumps)
@@ -236,18 +243,7 @@ def cmd_steady(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = system_params(args)
-    pumps = sweep_values(args)
-    rows_of = partial(_steady_rows, params, n_max=args.n_max, cap=args.auto_nmax_cap, tol=args.tol)
-    if args.workers > 1:
-        # imported only here: multiprocessing would add ~0.5 MB to every serial run
-        from concurrent.futures import ProcessPoolExecutor
-
-        # contiguous chunks, so the rows come back in pump order
-        chunks = [c for c in np.array_split(pumps, args.workers) if len(c)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            rows = [row for part in pool.map(rows_of, chunks) for row in part]
-    else:
-        rows = rows_of(pumps)
+    rows = _steady_rows(params, sweep_values(args), args.n_max, args.auto_nmax_cap, args.tol)
     out = args.out or "sweep.csv"
     _write_table(out, _STEADY_COLUMNS, list(zip(*rows)), config_dict(args), args.format)
     failed = sum(1 for r in rows if r[-1])

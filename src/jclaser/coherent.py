@@ -2,10 +2,10 @@
 
 Everything is worked out in the frame rotating with the laser, so spectra
 are functions of ``omega - omega_L`` and the elastic peak sits at zero.
-Dephasing and detuning are included throughout.  The resonant triplet has a
-closed form; away from resonance the lines come from ``lineshape.decompose``
-of the 3x3 regression matrix of the (sigma, sigma', sigma'sigma) operator
-set, stacked over as many drives as a caller asks for at once.
+Dephasing and detuning are included throughout.  The lines come from
+``lineshape.decompose`` of the 3x3 regression matrix of the (sigma, sigma',
+sigma'sigma) operator set, stacked over as many drives as a caller asks for
+at once.
 """
 
 from __future__ import annotations
@@ -114,53 +114,13 @@ def coherent_correlator_lines(drive: LaserDriveParams) -> CoherentLines:
     return CoherentLines(tuple(lines), float(dec.elastic[0].real / n_sigma), n_sigma)
 
 
-def coherent_weight(drive: LaserDriveParams) -> float:
-    """Elastic scattering weight |<s'>|^2 / n_sigma, closed form."""
-    om_eff = effective_drive(drive)
-    gs, gp = drive.gamma_sigma, drive.gamma_phi
-    denom = 8.0 * om_eff**2 + gs * (gs + gp)
-    if denom == 0.0:
-        return 0.0
-    return gs**2 / denom
-
-
-def mollow_spectrum_resonant(
-    drive: LaserDriveParams, omega: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Closed-form resonant triplet on a grid; the delta weight is returned
-    separately and never added to the grid values."""
-    if drive.delta != 0.0:
-        raise ValueError("closed form requires delta = 0")
-    gs, gp, om = drive.gamma_sigma, drive.gamma_phi, drive.omega_L
-    w = np.asarray(omega, dtype=float)
-    half = (gs + gp) / 2.0
-    central = (1.0 / (2.0 * np.pi)) * half / (half**2 + w**2)
-    num = gs * om**2 - (gs - gp) / 16.0 * (gs**2 + w**2)
-    den = (
-        (gs**2 + w**2) / 16.0 * ((gs + gp) ** 2 + 4.0 * w**2)
-        + (gs * (gs + gp) - 2.0 * w**2) * om**2
-        + 4.0 * om**4
-    )
-    side = np.zeros_like(w)
-    np.divide(num, den, out=side, where=den != 0.0)
-    return central + side / np.pi, coherent_weight(drive)
-
-
-def asymmetry_visibility(drive: LaserDriveParams) -> tuple[float, bool]:
-    """Side-peak intensity imbalance V = |L+ - L-| / (|L+| + |L-|).
-
-    Returns (V, defined); ``defined`` is False when both side weights vanish,
-    in which case V is reported as 0.
-    """
-    V, defined = asymmetry_visibility_map([drive])
-    return float(V[0]), bool(defined[0])
-
-
 def asymmetry_visibility_map(drives: list[LaserDriveParams]) -> tuple[np.ndarray, np.ndarray]:
-    """``asymmetry_visibility`` of many drives from one stacked decomposition.
+    """Side-peak intensity imbalance V = |L+ - L-| / (|L+| + |L-|) of each
+    drive, from one stacked decomposition, and whether V is defined.
 
     The side peaks are the two lines farthest from the laser frequency; a
-    drive with fewer than three lines (no drive, or merged lines) has none.
+    drive with fewer than three lines (no drive, or merged lines) has none,
+    and where both side weights vanish V is undefined and reads 0.
     """
     dec = _correlator_decomposition(drives)
     driven = dec.n_c > 0.0
@@ -172,61 +132,3 @@ def asymmetry_visibility_map(drives: list[LaserDriveParams]) -> tuple[np.ndarray
     defined = (np.sum(keep, axis=-1) >= 3) & (tot >= 1e-300)
     V = np.where(defined, np.abs(side[:, 0] - side[:, 1]) / np.where(defined, tot, 1.0), 0.0)
     return V, defined
-
-
-def spectrum_by_propagation(
-    drive: LaserDriveParams,
-    omega: np.ndarray,
-    dtau: float | None = None,
-    decay_cut: float = 1e-12,
-) -> np.ndarray:
-    """Incoherent spectrum by stepwise propagation plus discrete FT.
-
-    Independent of any eigendecomposition: the correlator is advanced with a
-    fixed matrix exponential step (assembled by repeated squaring), the
-    constant elastic part subtracted, and the half-line Fourier integral done
-    by trapezoid-corrected FFT-style summation on the requested grid.
-    """
-    ss = coherent_steady_state(drive)
-    if ss.n_sigma == 0.0:
-        return np.zeros_like(np.asarray(omega, dtype=float))
-    M = regression_matrix(drive)
-    A = 1j * drive.omega_L * np.array([-1.0, 1.0, 0.0], dtype=complex)
-    u = np.linalg.solve(M, A)
-    x0 = np.array([ss.n_sigma, 0.0, 0.0], dtype=complex) - u * ss.sigma_coherence
-
-    # slowest amplitude decay is gamma_sigma/2; horizon from the cut level
-    rate = drive.gamma_sigma / 2.0
-    if rate == 0.0:
-        rate = max(drive.omega_L, drive.gamma_phi, 1.0) / 2.0
-    tau_max = math.log(1.0 / decay_cut) / rate
-    w = np.asarray(omega, dtype=float)
-    w_max = max(np.max(np.abs(w)), 2.0 * drive.omega_L, 2.0 * rate)
-    if dtau is None:
-        dtau = min(2.0 * math.pi / w_max / 100.0, tau_max / 4096.0)
-    n_steps = int(np.ceil(tau_max / dtau))
-    if n_steps % 2 == 0:  # Simpson needs an odd sample count
-        n_steps += 1
-
-    from scipy.linalg import expm
-
-    E = expm(-M * dtau)
-    states = x0.reshape(3, 1)
-    Ek = E
-    while states.shape[1] < n_steps:
-        states = np.hstack([states, Ek @ states])
-        Ek = Ek @ Ek
-    corr = states[0, :n_steps]
-
-    weights = np.full(n_steps, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weighted = corr * (weights * dtau / 3.0)
-
-    taus = dtau * np.arange(n_steps)
-    out = np.empty_like(w)
-    chunk = max(1, int(4e6 // n_steps))
-    for i in range(0, len(w), chunk):
-        phase = np.exp(1j * np.outer(w[i : i + chunk], taus))
-        out[i : i + chunk] = (phase @ weighted).real
-    return out / (np.pi * ss.n_sigma)

@@ -29,10 +29,10 @@ class NoPhysicalRootError(JclaserError):
     """The cothermal n = 2 equation has no root with g2 <= 2 (superthermal field)."""
 
 
-class NotResolvableError(JclaserError):
-    """No side peak exists in the spectrum at positive frequency."""
-
-
 class NonDiagonalizableError(JclaserError):
     """The regression generator could not be diagonalized reliably."""
 
+
+
+class EmptyChannelError(JclaserError):
+    """The channel holds no population, so its spectrum has no normalisation."""

@@ -19,12 +19,13 @@ full Liouvillian):
   ``_banded_lu`` without the ``scipy.linalg`` package.
 - k = 1 holds the two-time correlators of the quantum regression theorem and
   has the same band.  Lines come from its dense eigendecomposition; where
-  ``decompose`` refuses them, the spectrum grid comes from ``_band_solves``
-  of the block shifted by i w, one banded LU per frequency.  The block is
-  stored after a diagonal unit-phase similarity (the gauge sigma -> i sigma),
-  which makes every entry real except the detuning's: at delta = 0 it is a
-  float64 matrix, eigendecomposed in real arithmetic with its eigenvalues in
-  exact conjugate pairs, while detuned blocks stay complex.
+  ``decompose`` refuses them, the spectrum grid comes from
+  ``resolvent_spectrum``, one banded LU of the block shifted by i w per
+  frequency.  The block is stored after a diagonal unit-phase similarity
+  (the gauge sigma -> i sigma), which makes every entry real except the
+  detuning's: at delta = 0 it is a float64 matrix, eigendecomposed in real
+  arithmetic with its eigenvalues in exact conjugate pairs, while detuned
+  blocks stay complex.
 
 A block's values change with the rates, but nothing else does: its sparsity
 pattern, the ladder amplitudes each term gathers and its band layout depend
@@ -49,8 +50,7 @@ decomposes its pumps' k = 1 blocks on the available cores instead: the
 caller and one long-lived thread per further core take them largest first,
 and the rows and failures come back in pump order, bit for bit those of a
 serial loop.  Where no OpenBLAS thread control is found, or on one core, the
-blocks run serially.  No flag selects this: the CLI's ``--workers`` is read
-by ``sweep`` alone.
+blocks run serially.  No flag selects this.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ import numpy as np
 import scipy
 
 from .errors import (
+    EmptyChannelError,
     JclaserError,
     NonDiagonalizableError,
     NoSteadyStateError,
@@ -308,11 +309,6 @@ class SectorBlock:
         np.add.at(out, (self.index.row, self.index.col), self.data)
         return out
 
-    def band(self) -> tuple[int, int, np.ndarray]:
-        """(kl, ku, ab): the LAPACK band storage ab of the block."""
-        ix = self.index
-        return ix.kl, ix.ku, _band_storage(ix, self.data, ix.kl, ix.ku)
-
 
 def sector_generator(
     params: SystemParams, n_max: int, k: int
@@ -430,26 +426,6 @@ def _band_lu(ab: np.ndarray, kl: int, ku: int, shift: float = 0.0) -> tuple[np.n
     if info > 0:
         raise ZeroPivotError(f"zero pivot {info} in the banded LU (size {ab.shape[1]}, shift {shift:g}i)")
     return lu, piv
-
-
-def _band_solves(A: SectorBlock, b: np.ndarray, shifts):
-    """Solutions of (A + i w) x = b, one per shift w, by LAPACK banded LU.
-
-    A sector block couples excitation numbers N and N +- 1 only, so in
-    excitation order it is banded: each shift is one O(size) factor of the
-    band with its main diagonal moved.
-    """
-    try:
-        kl, ku, ab = A.band()
-        diag = ab[kl + ku].copy()
-        for w in shifts:
-            ab[kl + ku] = diag + 1j * w
-            with np.errstate(invalid="ignore", over="ignore"):
-                lu, piv = _band_lu(ab, kl, ku, w)
-                x = zgbtrs(lu, kl, ku, b, piv)[0]
-            yield x
-    except MemoryError as exc:
-        raise SolverMemoryError(f"out of memory in the banded LU (size {A.size}): {exc}") from exc
 
 
 def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray, list]:
@@ -639,18 +615,13 @@ def steady_state_sweep(
     trace and the tail test are per pump, so a state does not depend on the
     pumps solved with it.
     """
-    return _steady_states([replace(params, P_sigma=float(P)) for P in pumps], n_max, n_max_cap, rtol)
-
-
-def _steady_states(ps: list[SystemParams], n_max: int | None, n_max_cap: int, rtol: float) -> list:
-    """The states of ``steady_state_sweep`` for rates ``ps`` that differ in
-    P_sigma alone, one cutoff round at a time."""
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max_cap < 1:
         raise ValueError(f"n_max_cap must be at least 1, got {n_max_cap}")
     if not rtol > 0.0:
         raise ValueError(f"rtol must be > 0, got {rtol}")
+    ps = [replace(params, P_sigma=float(P)) for P in pumps]
     out: list = [None] * len(ps)
     todo = {}  # pump -> (cutoff, pinned rung) of its next round
     for i, p in enumerate(ps):
@@ -699,7 +670,7 @@ def steady_state(
     up to and including ``n_max_cap``, pinned at the previous peak.  This is
     the one-pump case of ``steady_state_sweep``.
     """
-    (ss,) = _steady_states([params], n_max, n_max_cap, rtol)
+    (ss,) = steady_state_sweep(params, [params.P_sigma], n_max, n_max_cap, rtol)
     if isinstance(ss, JclaserError):
         raise ss
     return ss
@@ -720,7 +691,11 @@ class RegressionSector:
     readout: np.ndarray
 
     def lines(self, weight_floor: float = 0.0) -> list[SpectralLine]:
-        """Lines from ``decompose`` of the densified block, weights over n_c."""
+        """Lines from ``decompose`` of the densified block, weights over n_c;
+        a channel with no population n_c = Re readout . u0 is refused first."""
+        n_c = float(np.real(np.dot(self.readout, self.u0)))
+        if not n_c > 0.0:
+            raise EmptyChannelError(f"empty channel: its population n_c = {n_c:g} leaves no spectrum to normalise")
         try:
             dec = decompose(self.generator.toarray(), self.u0, self.readout)
         except MemoryError as exc:
@@ -806,7 +781,8 @@ def spectral_lines(
     ``lineshape.decompose`` projects the steady-state initial condition on
     the eigenbasis of the coherence-sector block; weights are normalized by
     the channel population n_c so they sum to one, and a table whose weights
-    miss one by more than 1e-6 is refused.
+    miss one by more than 1e-6 is refused.  An empty channel, n_c = 0, raises
+    ``EmptyChannelError``.
     """
     if ss is None:
         ss = steady_state(params, n_max)
@@ -869,11 +845,27 @@ def spectrum(
 def resolvent_spectrum(sec: RegressionSector, omega: np.ndarray) -> np.ndarray:
     """S(w) = -Re readout . (G + i w)^-1 u0 / (pi n_c), one banded LU per w.
 
-    Exact for any conditioning of the eigenbasis; no eigendecomposition.
+    The k = 1 block couples excitation numbers N and N +- 1 only, so in
+    excitation order it is banded: each shift is one O(size) factor of the
+    band with its main diagonal moved.  Exact for any conditioning of the
+    eigenbasis; no eigendecomposition.
     """
     n_c = float(np.real(np.dot(sec.readout, sec.u0)))
-    sols = _band_solves(sec.generator, sec.u0, np.asarray(omega, dtype=float))
-    return np.array([-np.real(np.dot(sec.readout, x)) for x in sols]) / (math.pi * n_c)
+    ix = sec.generator.index
+    kl, ku = ix.kl, ix.ku
+    values = []
+    try:
+        ab = _band_storage(ix, sec.generator.data, kl, ku)
+        diag = ab[kl + ku].copy()
+        for w in np.asarray(omega, dtype=float):
+            ab[kl + ku] = diag + 1j * w
+            with np.errstate(invalid="ignore", over="ignore"):
+                lu, piv = _band_lu(ab, kl, ku, w)
+                x = zgbtrs(lu, kl, ku, sec.u0, piv)[0]
+            values.append(-np.real(np.dot(sec.readout, x)))
+    except MemoryError as exc:
+        raise SolverMemoryError(f"out of memory in the banded LU (size {sec.generator.size}): {exc}") from exc
+    return np.array(values) / (math.pi * n_c)
 
 
 @dataclass

@@ -19,7 +19,6 @@ import numpy as np
 
 # poissonian_statistics is re-exported for callers that feed it to these spectra
 from .approximations import lasing_window_ok, poissonian_statistics, semiclassical
-from .errors import NotResolvableError
 from .exact import FockSpace, SteadyState
 from .lineshape import (
     Decomposition,
@@ -323,44 +322,3 @@ def semiclassical_mollow(
             "negative_delta": delta_w < 0.0,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Observed splitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ObservedSplitting:
-    peak_position: float
-    neck_position: float
-    peak_value: float
-    neck_value: float
-    resolvable: bool
-
-
-def observed_splitting(spec: SpectrumResult, min_contrast: float = 1e-3) -> ObservedSplitting:
-    """Locate the positive-frequency side peak and the neck toward omega = 0.
-
-    Raises NotResolvable when no strictly positive local maximum exists;
-    otherwise reports whether the peak clears the neck by ``min_contrast``.
-    """
-    w, v = spec.omega, spec.values
-    interior = np.arange(1, len(w) - 1)
-    is_max = (v[interior] > v[interior - 1]) & (v[interior] > v[interior + 1])
-    pos = interior[is_max & (w[interior] > 0.0)]
-    if len(pos) == 0:
-        raise NotResolvableError("no local maximum at omega > 0")
-    ip = pos[np.argmax(v[pos])]
-    izero = int(np.argmin(np.abs(w)))
-    lo, hi = sorted((izero, ip))
-    ineck = lo + int(np.argmin(v[lo : hi + 1]))
-    resolvable = v[ip] > (1.0 + min_contrast) * v[ineck]
-    return ObservedSplitting(
-        peak_position=float(w[ip]),
-        neck_position=float(w[ineck]),
-        peak_value=float(v[ip]),
-        neck_value=float(v[ineck]),
-        resolvable=bool(resolvable),
-    )
-

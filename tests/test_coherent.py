@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jclaser import coherent
+import coherent_reference as coherent
 from jclaser.lineshape import evaluate_lines
 from jclaser.params import LaserDriveParams
 import spectra_reference as ref

@@ -106,7 +106,7 @@ def test_precise_observables_match_float_at_moderate_occupation():
 
 def test_zero_pump_g2_limit_matches_closed_form():
     # evaluated at P = 1e-8 max(gamma_sigma, g) against the closed form
-    from jclaser.approximations import g2_zero_pump
+    from approximations_reference import g2_zero_pump
 
     for ga in (0.05, 0.5, 5.0):
         p0 = SystemParams(g=1.0, gamma_a=ga, gamma_sigma=0.00334)
