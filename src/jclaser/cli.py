@@ -46,9 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap_.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cavity=True, cutoff=True):
+    def add_common(p, cavity=True, cutoff=True, pump_sigma=False):
         """Flags of every command; ``cavity`` adds the coupling, the cavity
-        decay and the pumps, and ``cutoff`` the photon cutoff of the exact solves."""
+        decay and P_a, ``cutoff`` the photon cutoff of the exact solves, and
+        ``pump_sigma`` the emitter pump of a command without a pump axis."""
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--gamma-sigma", type=float, default=0.0)
         p.add_argument("--gamma-phi", type=float, default=0.0)
@@ -60,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         if cavity:
             p.add_argument("--g", type=float, default=1.0)
             p.add_argument("--gamma-a", type=float, default=0.1)
-            p.add_argument("--pump-sigma", type=float, default=0.0)
             p.add_argument("--pump-a", type=float, default=0.0)
+        if pump_sigma:
+            p.add_argument("--pump-sigma", type=float, default=0.0)
         if cutoff:
             p.add_argument("--n-max", type=int, default=None, help="photon cutoff (default: auto)")
             p.add_argument("--auto-nmax-cap", type=int, default=2048)
@@ -81,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, default=2001)
 
     p = sub.add_parser("steady", allow_abbrev=False, help="observables and all approximations at one point")
-    add_common(p)
+    add_common(p, pump_sigma=True)
 
     p = sub.add_parser("sweep", allow_abbrev=False, help="observables and approximations along a pump sweep")
     add_common(p)
     add_sweep(p)
 
     p = sub.add_parser("spectrum", allow_abbrev=False, help="emission spectrum for one channel/method")
-    add_common(p)
+    add_common(p, pump_sigma=True)
     add_spectrum(p)
 
     p = sub.add_parser("transitions", allow_abbrev=False, help="spectral-line table across a pump sweep")
@@ -120,7 +122,7 @@ def system_params(args) -> SystemParams:
         gamma_a=args.gamma_a,
         gamma_sigma=args.gamma_sigma,
         P_a=args.pump_a,
-        P_sigma=args.pump_sigma,
+        P_sigma=getattr(args, "pump_sigma", 0.0),  # a pump axis stands in for it
         gamma_phi=args.gamma_phi,
         delta=args.delta,
     )
@@ -154,12 +156,12 @@ def check_ranges(args) -> None:
 
 def sweep_values(args) -> np.ndarray:
     if args.sweep_points < 2:
-        raise ConfigError("sweep needs at least 2 points")
+        raise ConfigError(f"--sweep-points must be at least 2, got {args.sweep_points}")
     if args.sweep_min >= args.sweep_max:
-        raise ConfigError("sweep-min must be below sweep-max")
+        raise ConfigError(f"--sweep-min must be below --sweep-max, got {args.sweep_min} and {args.sweep_max}")
     if args.sweep_scale == "log":
         if args.sweep_min <= 0:
-            raise ConfigError("log sweep requires sweep-min > 0")
+            raise ConfigError(f"--sweep-min must be > 0 on a log sweep, got {args.sweep_min}")
         return np.geomspace(args.sweep_min, args.sweep_max, args.sweep_points)
     return np.linspace(args.sweep_min, args.sweep_max, args.sweep_points)
 

@@ -43,14 +43,14 @@ step, and are factored one by one.  Retries, the trace and the cutoff test
 stay per pump, so each state is bit for bit the one its pump gets alone;
 ``steady_state`` is the one-pump batch.
 
-Every dense eig (``spectrum``, ``spectral_lines``, ``transition_map``) runs
-with OpenBLAS held at one thread by ``lineshape.one_blas_thread``, so its
-bits do not depend on the OpenBLAS thread count.  ``transition_map``
-decomposes its pumps' k = 1 blocks on the available cores instead: the
-caller and one long-lived thread per further core take them largest first,
-and the rows and failures come back in pump order, bit for bit those of a
-serial loop.  Where no OpenBLAS thread control is found, or on one core, the
-blocks run serially.  No flag selects this.
+The one dense eig, in ``RegressionSector.lines``, runs with OpenBLAS held
+at one thread by ``lineshape.one_blas_thread``, so its bits do not depend on
+the OpenBLAS thread count.  ``transition_map`` decomposes its pumps' k = 1
+blocks on the available cores instead: the caller and one long-lived thread
+per further core take them largest first, and the rows and failures come
+back in pump order, bit for bit those of a serial loop.  Where no OpenBLAS
+thread control is found, or on one core, the blocks run serially.  No flag
+selects this.
 """
 
 from __future__ import annotations
@@ -210,8 +210,6 @@ class _SectorIndex:
     population: np.ndarray  # the elements with r = s
     coherence: np.ndarray  # the elements with s = r - 1, at k = 0 the rho_{n,0; n-1,1}
     off: np.ndarray  # row - col of each entry
-    kl_without: np.ndarray  # per row, the sub-diagonals of the other rows' entries
-    ku_without: np.ndarray  # per row, the super-diagonals of the other rows' entries
     kl: int  # sub-diagonals
     ku: int  # super-diagonals
 
@@ -248,39 +246,26 @@ def _sector_index(n_max: int, k: int, on: tuple[bool, ...]) -> _SectorIndex:
         cols.append(e[ok])
         amps.append((amp[r[ok]], amp[s[ok]]))
     row, col = np.concatenate(rows), np.concatenate(cols)
-    # a pinned row gives way to its pin, so its own entries leave the band
-    below, above = np.zeros(len(r), dtype=np.intp), np.zeros(len(r), dtype=np.intp)
-    np.maximum.at(below, row, row - col)
-    np.maximum.at(above, row, col - row)
     ix = _SectorIndex(
         r=r, s=s, pos=pos, row=row, col=col, emitter=sig[1],
         occupation=tuple(np.abs(amp) ** 2 for _, amp in jumps),
         coupling=(ca[r[ok_r]], ca[s[ok_s]]), jumps=tuple(amps),
         population=np.flatnonzero(r == s), coherence=np.flatnonzero(s == r - 1),
-        off=row - col, kl_without=_max_of_others(below), ku_without=_max_of_others(above),
-        kl=int(np.max(row - col)), ku=int(np.max(col - row)),
+        off=row - col, kl=int(np.max(row - col)), ku=int(np.max(col - row)),
     )
     for x in (r, s, pos, row, col, ix.emitter, *ix.occupation, *ix.coupling, *sum(amps, ()),
-              ix.population, ix.coherence, ix.off, ix.kl_without, ix.ku_without):
+              ix.population, ix.coherence, ix.off):
         x.flags.writeable = False
     return ix
 
 
-def _max_of_others(v: np.ndarray) -> np.ndarray:
-    """Per entry, the largest of the other entries of v and 0."""
-    before = np.maximum.accumulate(np.r_[0, v[:-1]])
-    after = np.maximum.accumulate(np.r_[0, v[:0:-1]])[::-1]
-    return np.maximum(before, after)
-
-
 def _band_storage(ix: _SectorIndex, data: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """LAPACK band storage, with kl rows of fill, of the entries of ``ix``
-    within kl sub- and ku super-diagonals; 2-D ``data`` gives one band per
-    row.  Duplicate entries add up in entry order, from zero."""
+    """LAPACK band storage, with kl rows of fill, of all entries of ``ix``
+    (kl >= ix.kl, ku >= ix.ku); 2-D ``data`` gives one band per row.
+    Duplicate entries add up in entry order, from zero."""
     shape = data.shape[:-1] + (2 * kl + ku + 1, len(ix.r))
-    inside = slice(None) if kl >= ix.kl and ku >= ix.ku else (ix.off <= kl) & (ix.off >= -ku)
-    cell = ((kl + ku + ix.off) * shape[-1] + ix.col)[inside]
-    values = data[..., inside].reshape(-1, len(cell))
+    cell = (kl + ku + ix.off) * shape[-1] + ix.col
+    values = data.reshape(-1, len(cell))
     size = shape[-2] * shape[-1]
     cells = (cell + size * np.arange(len(values))[:, None]).ravel()
     ab = np.empty(len(values) * size, dtype=complex)
@@ -435,16 +420,16 @@ def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray
 
     One population equation is redundant, since the trace is conserved; row
     d, that of |m,0><m,0|, gives way to the pin x[d] + x[d1].  A dense trace
-    row instead would fill the band.  Blocks whose pinned bands are as wide
-    share one scatter into band storage, and all share one product per
-    refinement step; each is factored on its own.  Two refinement steps
-    recover the tiny tail components.  A solution that is not finite comes
-    from a pivot too small to factor by, and is refused as a zero pivot is.
+    row instead would fill the band.  The blocks share one scatter into band
+    storage, wide enough for every pin, and one product per refinement step;
+    each is factored on its own.  Two refinement steps recover the tiny tail
+    components.  A solution that is not finite comes from a pivot too small
+    to factor by, and is refused as a zero pivot is.
     """
     B, M = len(data), len(ix.r)
     m = np.asarray(pins, dtype=np.intp)
     d, d1 = ix.pos[:, 0][2 * m], ix.pos[:, 1][2 * m + 1]
-    widths = zip(np.maximum(ix.kl_without[d], d - d1).tolist(), np.maximum(ix.ku_without[d], d1 - d).tolist())
+    kl, ku = max(ix.kl, int(np.max(d - d1))), max(ix.ku, int(np.max(d1 - d)))
     at = M * np.arange(B)  # where each block's vector starts in the flat x and b
     x, b = np.zeros(B * M, dtype=complex), np.zeros(B * M, dtype=complex)
     xs, bs = x.reshape(B, M), b.reshape(B, M)
@@ -452,27 +437,22 @@ def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray
     errors: list = [None] * B
     lus = {}
     try:
-        bands: dict = {}  # (kl, ku) of a pinned band -> its blocks
-        for i, width in enumerate(widths):
-            bands.setdefault(width, []).append(i)
         with np.errstate(invalid="ignore", over="ignore"):
-            for (kl, ku), blocks in bands.items():
-                # an entry outside the band lies in the pinned row of each block
-                ab = _band_storage(ix, data if len(blocks) == B else data[blocks], kl, ku)
-                for c, i in enumerate(blocks):
-                    di, d1i = int(d[i]), int(d1[i])
-                    # row d's cells (kl + ku + d - j, j), j = d - kl ... d + ku, are
-                    # one stride of the flattened band
-                    lo, hi = max(0, di - kl), min(M - 1, di + ku)
-                    ab[c].reshape(-1)[(kl + ku + di) * M - hi * (M - 1) : (kl + ku + di - lo) * M + lo + 1 : M - 1] = 0.0
-                    ab[c, kl + ku, di] = ab[c, kl + ku + di - d1i, d1i] = 1.0
-                    try:
-                        lu, piv = _band_lu(ab[c], kl, ku)
-                    except ZeroPivotError as exc:
-                        errors[i] = NoSteadyStateError(f"singular Liouvillian: {exc}")
-                        continue
-                    lus[i] = lu, piv, kl, ku
-                    xs[i] = zgbtrs(lu, kl, ku, bs[i], piv)[0]
+            ab = _band_storage(ix, data, kl, ku)
+            for i in range(B):
+                di, d1i = int(d[i]), int(d1[i])
+                # row d's cells (kl + ku + d - j, j), j = d - kl ... d + ku, are
+                # one stride of the flattened band
+                lo, hi = max(0, di - kl), min(M - 1, di + ku)
+                ab[i].reshape(-1)[(kl + ku + di) * M - hi * (M - 1) : (kl + ku + di - lo) * M + lo + 1 : M - 1] = 0.0
+                ab[i, kl + ku, di] = ab[i, kl + ku + di - d1i, d1i] = 1.0
+                try:
+                    lu, piv = _band_lu(ab[i], kl, ku)
+                except ZeroPivotError as exc:
+                    errors[i] = NoSteadyStateError(f"singular Liouvillian: {exc}")
+                    continue
+                lus[i] = lu, piv
+                xs[i] = zgbtrs(lu, kl, ku, bs[i], piv)[0]
             entries = data.ravel()
             cols, rows = (ix.col + at[:, None]).ravel(), (ix.row + at[:, None]).ravel()
             d, d1 = at + d, at + d1
@@ -482,7 +462,7 @@ def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray
                 Ax[d] = x[d] + x[d1]
                 # - 0j * x: the signs of zero of b - (A + i w) x at w = 0
                 residual = (b - Ax - 0j * x).reshape(B, M)
-                for i, (lu, piv, kl, ku) in lus.items():
+                for i, (lu, piv) in lus.items():
                     xs[i] += zgbtrs(lu, kl, ku, residual[i], piv)[0]
     except MemoryError as exc:
         return xs, [SolverMemoryError(f"out of memory in the banded LU (size {M}): {exc}") for _ in range(B)]
@@ -691,13 +671,14 @@ class RegressionSector:
     readout: np.ndarray
 
     def lines(self, weight_floor: float = 0.0) -> list[SpectralLine]:
-        """Lines from ``decompose`` of the densified block, weights over n_c;
-        a channel with no population n_c = Re readout . u0 is refused first."""
+        """Lines from ``decompose`` of the densified block on one BLAS thread,
+        weights over n_c; an empty channel, n_c = Re readout . u0 = 0, is refused first."""
         n_c = float(np.real(np.dot(self.readout, self.u0)))
         if not n_c > 0.0:
             raise EmptyChannelError(f"empty channel: its population n_c = {n_c:g} leaves no spectrum to normalise")
         try:
-            dec = decompose(self.generator.toarray(), self.u0, self.readout)
+            with one_blas_thread():
+                dec = decompose(self.generator.toarray(), self.u0, self.readout)
         except MemoryError as exc:
             M = len(self.u0)
             raise SolverMemoryError(f"out of memory in the dense eig (size {M}): {exc}") from exc
@@ -768,15 +749,11 @@ def truncate_steady_state(ss: SteadyState, n_eff: int) -> SteadyState:
     )
 
 
-@one_blas_thread()
 def spectral_lines(
-    params: SystemParams,
-    n_max: int | None = None,
-    channel: str = "cavity",
-    ss: SteadyState | None = None,
-    weight_floor: float = 0.0,
+    params: SystemParams, *, ss: SteadyState, channel: str = "cavity", weight_floor: float = 0.0
 ) -> list[SpectralLine]:
-    """Line decomposition of the emission spectrum for one channel.
+    """Line decomposition of the emission spectrum for one channel from the
+    steady state ``ss``.
 
     ``lineshape.decompose`` projects the steady-state initial condition on
     the eigenbasis of the coherence-sector block; weights are normalized by
@@ -784,8 +761,6 @@ def spectral_lines(
     miss one by more than 1e-6 is refused.  An empty channel, n_c = 0, raises
     ``EmptyChannelError``.
     """
-    if ss is None:
-        ss = steady_state(params, n_max)
     return regression_sector(params, ss, channel).lines(weight_floor)
 
 
@@ -799,24 +774,14 @@ def elastic_weight_estimate(lines: list[SpectralLine], gamma_a: float) -> float:
     return sum(ln.L for ln in lines if abs(ln.gamma) < cut)
 
 
-@one_blas_thread()
 def spectrum(
-    params: SystemParams,
-    n_max: int | None = None,
-    channel: str = "cavity",
-    omega: np.ndarray | None = None,
-    ss: SteadyState | None = None,
+    params: SystemParams, *, ss: SteadyState, omega: np.ndarray, channel: str = "cavity"
 ) -> SpectrumResult:
-    """Normalized emission spectrum on a grid, with its line table; after a
-    refused table the grid is the banded resolvent and ``meta`` says why.
-    ``meta["grid_integral"]`` is the trapezoid integral of the grid values,
-    and ``meta["eig_form"]`` reads "real" or "complex", the arithmetic of the
-    block's eigendecomposition."""
-    if ss is None:
-        ss = steady_state(params, n_max)
-    if omega is None:
-        span = 3.0 * params.g * max(1.0, math.sqrt(max(ss.n_a, 1.0)))
-        omega = np.linspace(-span, span, 2001)
+    """Normalized emission spectrum of the steady state ``ss`` on the grid
+    ``omega``, with its line table; after a refused table the grid is the
+    banded resolvent and ``meta`` says why.  ``meta["grid_integral"]`` is the
+    trapezoid integral of the grid values, and ``meta["eig_form"]`` reads
+    "real" or "complex", the arithmetic of the block's eigendecomposition."""
     sec = regression_sector(params, ss, channel)
     meta = {
         "n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, "grid_source": "line_table",

@@ -19,6 +19,7 @@ import numpy as np
 
 # poissonian_statistics is re-exported for callers that feed it to these spectra
 from .approximations import lasing_window_ok, poissonian_statistics, semiclassical
+from .errors import EmptyChannelError
 from .exact import FockSpace, SteadyState
 from .lineshape import (
     Decomposition,
@@ -180,8 +181,10 @@ def approx_spectrum(
 def _rung_spectrum(
     dec: Decomposition, channel: str, omega: np.ndarray, method: str, meta: dict
 ) -> SpectrumResult:
-    """Lines of all rung blocks, normalized by their summed population."""
+    """Lines of all rung blocks, normalized by their summed population (refused if it is 0)."""
     n_c = float(np.sum(dec.n_c))
+    if not n_c > 0.0:
+        raise EmptyChannelError(f"empty channel: its population n_c = {n_c:g} leaves no spectrum to normalise")
     lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, _LINE_FLOOR)
     return SpectrumResult(
         channel=channel,
@@ -267,11 +270,13 @@ def semiclassical_mollow(
     Gamma_sigma + gamma_phi, and side bands at +-Re(R_outer) with FWHM
     (3 Gamma_sigma + gamma_phi)/2.  Cavity: quasi-elastic line of estimated
     width 2 g^2 gamma_a / P_sigma^2 (rasterized at that finite width, weight
-    counted as elastic).  Off resonance the single-rung substitution
-    n = n_a is evaluated instead.
+    counted as elastic), refused at P_sigma = 0, where it has no width.  Off
+    resonance the single-rung substitution n = n_a is evaluated instead.
     """
     omega = np.asarray(omega, dtype=float)
     if channel == "cavity":
+        if not params.P_sigma > 0.0:
+            raise ValueError(f"the semiclassical cavity line needs P_sigma > 0, got P_sigma = {params.P_sigma}")
         gl = lasing_linewidth(params)
         line = SpectralLine(omega=0.0, gamma=gl, L=1.0, K=0.0)
         return SpectrumResult(

@@ -146,6 +146,9 @@ def test_config_header_runs_as_config_file(tmp_path):
         (["mollow-coherent", "--omega-min", "1", "--omega-max", "1"], "--omega-min"),
         (["mollow-coherent", "--gamma-sigma", "-1"], "--gamma-sigma"),
         (["mollow-coherent", "--gamma-sigma", "nan"], "--gamma-sigma"),
+        (["sweep", "--sweep-points", "1"], "--sweep-points"),
+        (["regimes", "--sweep-min", "0"], "--sweep-min"),
+        (["transitions", "--sweep-min", "5", "--sweep-max", "1"], "--sweep-max"),
     ],
 )
 def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
@@ -158,11 +161,15 @@ def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize(
     "argv, cfg",
-    [(["regimes", "--tol", "1e-7"], None), (["mollow-coherent", "--gamma-a", "0.1"], None), (["regimes"], "n_max = 40\n")],
-    ids=["regimes-tol", "mollow-coherent-gamma-a", "regimes-config-n_max"],
+    [(["regimes", "--tol", "1e-7"], None), (["mollow-coherent", "--gamma-a", "0.1"], None), (["regimes"], "n_max = 40\n"),
+     (["sweep", "--pump-sigma", "5"], None), (["transitions", "--pump-sigma", "5"], None),
+     (["regimes", "--pump-sigma", "5"], None), (["sweep"], "pump_sigma = 5\n")],
+    ids=["regimes-tol", "mollow-coherent-gamma-a", "regimes-config-n_max", "sweep-pump-sigma",
+         "transitions-pump-sigma", "regimes-pump-sigma", "sweep-config-pump_sigma"],
 )
 def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv, cfg):
-    # regimes solves no steady state, so it has no photon cutoff; mollow-coherent has no cavity
+    # regimes solves no steady state, so it has no photon cutoff; mollow-coherent has no cavity;
+    # a pump axis replaces P_sigma
     if cfg:
         (tmp_path / "run.cfg").write_text(cfg)
         argv = [*argv, "--config", str(tmp_path / "run.cfg")]
@@ -186,6 +193,36 @@ def test_readme_command_lines_parse():
     for line in lines:
         args, unknown = parser.parse_known_args(shlex.split(line)[1:])
         assert unknown == [], line
+
+
+def test_readme_flag_table_is_the_parser():
+    # each command takes exactly the flags of the README rows that name it,
+    # with the choices the table lists
+    import re
+
+    from jclaser.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.split("| flags | commands |\n|---|---|\n", 1)[1].splitlines()
+            if line.startswith("|")]
+    (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+    table = {name: {} for name in commands.choices}
+    for row in rows:
+        flags, names = (cell.strip() for cell in row.strip("|").split("|"))
+        taken = re.findall(r"`([\w-]+)`", names)
+        if names == "all":
+            taken = list(table)
+        elif names.startswith("all but"):
+            taken = [name for name in table if name not in taken]
+        cells = re.findall(r"(--[\w-]+)(?: \{([\w,]+)\})?", flags.strip("`"))
+        for name in taken:
+            for flag, choices in cells:
+                table[name][flag] = choices.split(",") if choices else None
+    assert len(rows) >= 4
+    for name, sub in commands.choices.items():
+        parsed = {flag: list(a.choices) if a.choices else None
+                  for a in sub._actions for flag in a.option_strings if flag not in ("-h", "--help")}
+        assert parsed == table[name], name
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--sweep-point", "20"], ["sweep", "--n", "40"]])
@@ -392,6 +429,19 @@ def test_spectrum_semiclassical_refuses_zero_emitter_broadening(tmp_path):
     assert code == 2
 
 
+def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, capsys):
+    # the cavity line width 2 g^2 gamma_a / P_sigma^2 has no value at P_sigma = 0
+    out = tmp_path / "sc.csv"
+    code = run(
+        ["spectrum", "--method", "semiclassical", "--channel", "cavity", "--gamma-sigma", "0.00334",
+         "--points", "11", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "P_sigma" in err
+    assert not out.exists()
+
+
 def _table(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
@@ -442,10 +492,17 @@ def test_steady_good_cavity_needs_a_higher_cap(tmp_path):
     assert row["error"].startswith("TruncationNotConvergedError")
 
 
-def test_spectrum_refuses_an_empty_channel(tmp_path, capsys):
-    # at the default P_sigma = 0 the emitter holds no population to normalise by
+@pytest.mark.parametrize(
+    "method, channel, rates",
+    [("exact", "emitter", []), ("approx", "cavity", ["--gamma-sigma", "0.00334"]),
+     ("approx", "emitter", ["--gamma-sigma", "0.00334"])],  # the rung slices need an emitter width
+    ids=["exact-emitter", "approx-cavity", "approx-emitter"],
+)
+def test_spectrum_refuses_an_empty_channel(tmp_path, capsys, method, channel, rates):
+    # at the default P_sigma = 0 neither channel holds population to normalise by
     out = tmp_path / "s.csv"
-    assert run(["spectrum", "--method", "exact", "--points", "11", "--out", str(out)]) == 3
+    argv = ["spectrum", "--method", method, "--channel", channel, *rates, "--points", "11", "--out", str(out)]
+    assert run(argv) == 3
     assert capsys.readouterr().err.startswith("solver error: empty channel")
     assert not out.exists()
 

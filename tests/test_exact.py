@@ -422,16 +422,14 @@ def test_auto_cutoff_converges():
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=_rates_on_or_off(), n_max=st.integers(1, 6), narrower=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
-def test_band_storage_adds_up_the_entries_in_the_band(p, n_max, narrower):
-    # duplicates add up as np.add.at adds them, and a narrower band keeps
-    # only the entries inside it; rows of 2-D values give one band each
+@given(p=_rates_on_or_off(), n_max=st.integers(1, 6))
+def test_band_storage_adds_up_the_entries_in_the_band(p, n_max):
+    # duplicates add up as np.add.at adds them; rows of 2-D values give one band each
     G = exact.sector_generator(p, n_max, 0)[0]
     ix = G.index
-    kl, ku = max(ix.kl - narrower[0], 0), max(ix.ku - narrower[1], 0)
-    inside = (ix.row - ix.col <= kl) & (ix.col - ix.row <= ku)
+    kl, ku = ix.kl, ix.ku
     ref = np.zeros((2 * kl + ku + 1, G.size), dtype=complex)
-    np.add.at(ref, (kl + ku + ix.row[inside] - ix.col[inside], ix.col[inside]), G.data[inside])
+    np.add.at(ref, (kl + ku + ix.row - ix.col, ix.col), G.data)
     assert exact._band_storage(ix, G.data, kl, ku).tobytes() == ref.tobytes()
     pair = exact._band_storage(ix, np.stack([G.data, 2.0 * G.data]), kl, ku)
     assert pair[0].tobytes() == ref.tobytes()
@@ -616,8 +614,9 @@ def test_spectrum_normalization_and_triplet():
 def test_vacuum_rabi_doublet_in_spectrum():
     p = SystemParams(P_sigma=0.01, **BASE)
     w = np.linspace(-3.0, 3.0, 1201)
+    ss = exact.steady_state(p)
     for channel in ("cavity", "emitter"):
-        res = exact.spectrum(p, channel=channel, omega=w)
+        res = exact.spectrum(p, channel=channel, ss=ss, omega=w)
         i = np.argmax(res.values * (w > 0.2))
         assert abs(w[i] - 1.0) < 0.05
 
@@ -898,7 +897,7 @@ def test_unclosed_line_weights_refused():
     # weights to close to one within 1e-6 (they miss by ~1e-4)
     p = SystemParams(P_sigma=40.0, **BASE)
     with pytest.raises(NonDiagonalizableError, match="line weights"):
-        exact.spectral_lines(p, channel="cavity")
+        exact.spectral_lines(p, channel="cavity", ss=exact.steady_state(p))
     rows, failures = exact.transition_map(SystemParams(**BASE), np.array([1.0, 40.0]))
     assert [P for P, _ in failures] == [40.0]
     assert rows and all(r.P_sigma == 1.0 for r in rows)
@@ -1018,6 +1017,18 @@ def test_resolvent_zero_pivot_named(monkeypatch):
         exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))
     assert not isinstance(info.value, NoSteadyStateError)
     assert "singular Liouvillian" not in str(info.value)
+
+
+def test_resolvent_memory_error_named(monkeypatch):
+    p = SystemParams(P_sigma=0.05, **BASE)
+    sec = exact.regression_sector(p, exact.steady_state(p, n_max=16), "cavity")
+
+    def oom(*a, **k):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(exact, "zgbtrf", oom)
+    with pytest.raises(SolverMemoryError, match=rf"out of memory in the banded LU \(size {sec.generator.size}\): no room"):
+        exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))
 
 
 def test_cross_agreement_with_dephasing_and_detuning():

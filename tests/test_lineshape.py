@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jclaser.errors import NonDiagonalizableError
-from jclaser.lineshape import decompose, evaluate_lines, lines_from_eigenpairs
+from jclaser.lineshape import decompose, evaluate_lines, lines_from_eigenpairs, merge_degenerate
 
 
 def _lines(dec, i=...):
@@ -58,6 +58,23 @@ def test_degenerate_pair_merges():
     assert (merged.omega, merged.gamma) == pytest.approx((1.0, 1.0), rel=1e-15)
     assert merged.L == pytest.approx(0.5, rel=1e-15)
     assert sum(ln.L for ln in lines) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_degenerate_chain_merges_into_one_group():
+    # 1 and 1 + 1.2e-9 are farther apart than the 1e-9 gap, but each is within
+    # it of 1 + 0.6e-9, so the chain joins them into one group of weight 3
+    lams, weights, keep = merge_degenerate(np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9]), np.ones(3))
+    assert keep.tolist() == [True, False, False]
+    assert weights[0] == 3.0
+    assert lams[0] == pytest.approx(1.0 + 0.6e-9, rel=1e-15)
+
+
+def test_defective_block_refused_by_its_eigenbasis_residual():
+    # the nilpotent Jordan block has one eigenvector for its double zero; its
+    # residual reads ~2e8 of max |lam|, far above the 1e-8 bound
+    G = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NonDiagonalizableError, match="eigenbasis residual"):
+        decompose(G, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-30, 1e-20, 1e-16, 1e-12, 1e-8])
