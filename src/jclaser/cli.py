@@ -46,10 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap_.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cavity=True, cutoff=True, pump_sigma=False):
-        """Flags of every command; ``cavity`` adds the coupling, the cavity
-        decay and P_a, ``cutoff`` the photon cutoff of the exact solves, and
-        ``pump_sigma`` the emitter pump of a command without a pump axis."""
+    def add_common(p, cavity=True, solves=True, pump_sigma=False):
+        """Flags of every command; ``cavity`` adds the coupling and the cavity
+        decay, ``solves`` the cavity pump P_a and the photon cutoff of a
+        command that solves steady states, and ``pump_sigma`` the emitter
+        pump of a command without a pump axis."""
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--gamma-sigma", type=float, default=0.0)
         p.add_argument("--gamma-phi", type=float, default=0.0)
@@ -61,10 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         if cavity:
             p.add_argument("--g", type=float, default=1.0)
             p.add_argument("--gamma-a", type=float, default=0.1)
-            p.add_argument("--pump-a", type=float, default=0.0)
         if pump_sigma:
             p.add_argument("--pump-sigma", type=float, default=0.0)
-        if cutoff:
+        if solves:
+            p.add_argument("--pump-a", type=float, default=0.0)
             p.add_argument("--n-max", type=int, default=None, help="photon cutoff (default: auto)")
             p.add_argument("--auto-nmax-cap", type=int, default=2048)
             p.add_argument("--tol", type=float, default=1e-7, help="auto-cutoff relative tolerance")
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mollow-coherent", allow_abbrev=False, help="driven two-level emitter: spectrum, lines, visibility map"
     )
-    add_common(p, cavity=False, cutoff=False)
+    add_common(p, cavity=False, solves=False)
     p.add_argument("--omega-laser", type=float, default=1.5, help="drive coupling in gamma_sigma units")
     p.add_argument("--omega-min", type=float, default=-10.0)
     p.add_argument("--omega-max", type=float, default=10.0)
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-points", type=int, default=41)
 
     p = sub.add_parser("regimes", allow_abbrev=False, help="regime labels and boundaries along a pump sweep")
-    add_common(p, cutoff=False)
+    add_common(p, solves=False)
     add_sweep(p)
     return ap_
 
@@ -121,7 +122,7 @@ def system_params(args) -> SystemParams:
         g=args.g,
         gamma_a=args.gamma_a,
         gamma_sigma=args.gamma_sigma,
-        P_a=args.pump_a,
+        P_a=getattr(args, "pump_a", 0.0),  # regimes reads no P_a
         P_sigma=getattr(args, "pump_sigma", 0.0),  # a pump axis stands in for it
         gamma_phi=args.gamma_phi,
         delta=args.delta,

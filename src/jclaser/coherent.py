@@ -18,6 +18,7 @@ import numpy as np
 from .lineshape import (
     Decomposition,
     SpectralLine,
+    channel_population,
     decompose,
     lines_from_eigenpairs,
     merge_degenerate,
@@ -29,7 +30,6 @@ from .params import LaserDriveParams
 class CoherentSteadyState:
     n_sigma: float
     sigma_coherence: complex  # <sigma'> in the rotating frame
-    omega_eff: float
 
 
 def effective_drive(drive: LaserDriveParams) -> float:
@@ -50,7 +50,7 @@ def coherent_steady_state(drive: LaserDriveParams) -> CoherentSteadyState:
     )
     if denom == 0.0:
         # undriven, lossless: empty emitter by convention
-        return CoherentSteadyState(0.0, 0.0 + 0.0j, om_eff)
+        return CoherentSteadyState(0.0, 0.0 + 0.0j)
     n_sigma = om_eff**2 / denom
     if drive.omega_L == 0.0:
         coherence = 0.0 + 0.0j
@@ -60,7 +60,7 @@ def coherent_steady_state(drive: LaserDriveParams) -> CoherentSteadyState:
         coherence = (
             1j * (drive.gamma_sigma / 2.0) / drive.omega_L * n_sigma * (1.0 - 1j * tilt)
         )
-    return CoherentSteadyState(n_sigma, coherence, om_eff)
+    return CoherentSteadyState(n_sigma, coherence)
 
 
 def regression_matrix(drive: LaserDriveParams) -> np.ndarray:
@@ -104,12 +104,10 @@ def coherent_correlator_lines(drive: LaserDriveParams) -> CoherentLines:
     """Line decomposition of <sigma'(0)sigma(tau)> at arbitrary detuning.
 
     Weights are normalized so that they sum to one together with the elastic
-    weight.
+    weight; an undriven emitter holds no population, and is refused.
     """
     dec = _correlator_decomposition([drive])
-    n_sigma = float(dec.n_c[0])
-    if n_sigma == 0.0:
-        return CoherentLines((), 0.0, 0.0)
+    n_sigma = channel_population(dec.n_c)
     lines = lines_from_eigenpairs(dec.lams, dec.weights / n_sigma)
     return CoherentLines(tuple(lines), float(dec.elastic[0].real / n_sigma), n_sigma)
 

@@ -18,14 +18,15 @@ full Liouvillian):
   extension, the module ``scipy.linalg.lapack`` re-exports, loaded by
   ``_banded_lu`` without the ``scipy.linalg`` package.
 - k = 1 holds the two-time correlators of the quantum regression theorem and
-  has the same band.  Lines come from its dense eigendecomposition; where
-  ``decompose`` refuses them, the spectrum grid comes from
-  ``resolvent_spectrum``, one banded LU of the block shifted by i w per
-  frequency.  The block is stored after a diagonal unit-phase similarity
-  (the gauge sigma -> i sigma), which makes every entry real except the
-  detuning's: at delta = 0 it is a float64 matrix, eigendecomposed in real
-  arithmetic with its eigenvalues in exact conjugate pairs, while detuned
-  blocks stay complex.
+  has the same band.  An empty channel is refused as the sector is built.
+  Lines come from its dense eigendecomposition; where ``decompose`` refuses
+  them, the spectrum grid comes from ``resolvent_spectrum``, one banded LU
+  of the block shifted by i w per frequency; ``_band_solve`` factors and
+  solves the bands of both sectors.  The block is stored after a diagonal
+  unit-phase similarity (the gauge sigma -> i sigma), which makes every
+  entry real except the detuning's: at delta = 0 it is a float64 matrix,
+  eigendecomposed in real arithmetic with its eigenvalues in exact
+  conjugate pairs, while detuned blocks stay complex.
 
 A block's values change with the rates, but nothing else does: its sparsity
 pattern, the ladder amplitudes each term gathers and its band layout depend
@@ -49,7 +50,7 @@ the OpenBLAS thread count.  ``transition_map`` decomposes its pumps' k = 1
 blocks on the available cores instead: the caller and one long-lived thread
 per further core take them largest first, and the rows and failures come
 back in pump order, bit for bit those of a serial loop.  Where no OpenBLAS
-thread control is found, or on one core, the blocks run serially.  No flag
+thread control is found, or on one core, the caller takes them all.  No flag
 selects this.
 """
 
@@ -67,7 +68,6 @@ import numpy as np
 import scipy
 
 from .errors import (
-    EmptyChannelError,
     JclaserError,
     NonDiagonalizableError,
     NoSteadyStateError,
@@ -78,6 +78,7 @@ from .errors import (
 from .lineshape import (
     SpectralLine,
     SpectrumResult,
+    channel_population,
     decompose,
     evaluate_lines,
     lines_from_eigenpairs,
@@ -119,14 +120,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
-
-    def index(self, n: int, i: int) -> int:
-        if not (0 <= n <= self.n_max and i in (0, 1)):
-            raise IndexError(f"state ({n},{i}) outside the truncated space")
-        return 2 * n + i
-
-    def state(self, k: int) -> tuple[int, int]:
-        return divmod(k, 2)
 
 
 def _sector_pairs(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +288,9 @@ class SectorBlock:
         return out
 
 
-def sector_generator(
-    params: SystemParams, n_max: int, k: int
-) -> tuple[SectorBlock, np.ndarray, np.ndarray]:
-    """Block of the Liouvillian on the excitation sector k, and its (r, s) pairs.
+def sector_generator(params: SystemParams, n_max: int, k: int) -> SectorBlock:
+    """Block of the Liouvillian on the excitation sector k; its (r, s) pairs
+    are ``block.index.r`` and ``block.index.s``.
 
     Writes L rho = A rho + rho A' + sum_c rate c rho c', with
     A = -iH - sum_c rate c'c / 2, and fills each term's entries from the
@@ -308,7 +300,7 @@ def sector_generator(
     rates = _jump_rates(params)
     ix = _sector_index(n_max, k, tuple(bool(rate) for rate in rates))
     data = _sector_values(ix, [rate for rate in rates if rate], params.delta, params.g)
-    return SectorBlock(ix, data), ix.r, ix.s
+    return SectorBlock(ix, data)
 
 
 def _sector_values(ix: _SectorIndex, rates: list, delta: float, g: float) -> np.ndarray:
@@ -324,8 +316,6 @@ def _sector_values(ix: _SectorIndex, rates: list, delta: float, g: float) -> np.
     coupling = -1j * g
     values = [diag[..., ix.r] + np.conj(diag[..., ix.s]), coupling * ix.coupling[0], np.conj(coupling * ix.coupling[1])]
     values += [rate * amp_r * np.conj(amp_s) for (amp_r, amp_s), rate in zip(ix.jumps, rates)]
-    if diag.ndim == 1:
-        return np.concatenate(values)
     out = np.empty(diag.shape[:-1] + ix.row.shape, dtype=complex)
     start = 0
     for v in values:
@@ -344,15 +334,19 @@ class SteadyState:
     sector solve fills it, or ``spectra.density_slices_from_statistics``.
     ``herm_defect`` is max |x_{r;s} - conj(x_{s;r})| of the solved sector
     vector before it was stored as Hermitian arrays (0 if reconstructed).
+    The photon ladder ``space`` is that of the arrays.
     """
 
     params: SystemParams
-    space: FockSpace
     p0: np.ndarray
     p1: np.ndarray
     q_r: np.ndarray
     q_i: np.ndarray
     herm_defect: float = 0.0
+
+    @property
+    def space(self) -> FockSpace:
+        return FockSpace(len(self.p0) - 1)
 
     @property
     def photon_distribution(self) -> np.ndarray:
@@ -374,14 +368,9 @@ class SteadyState:
         out[r, s] = self.element(r, s)
         return out
 
-    def q(self, n: int) -> complex:
-        """Coherence rho_{n,0; n-1,1}, n >= 1."""
-        self.space.index(n, 0)
-        return complex(self.q_r[n], self.q_i[n])
-
     @property
     def n_a(self) -> float:
-        return float(np.dot(np.arange(self.space.n_max + 1), self.photon_distribution))
+        return float(np.dot(np.arange(len(self.p0)), self.photon_distribution))
 
     @property
     def n_sigma(self) -> float:
@@ -389,7 +378,7 @@ class SteadyState:
 
     @property
     def g2(self) -> float:
-        n = np.arange(self.space.n_max + 1)
+        n = np.arange(len(self.p0))
         na2 = float(np.dot(n * (n - 1), self.photon_distribution))
         na = self.n_a
         # na**2 underflows below 1e-154; the vacuum's <a'a'aa>/n_a^2 is 0/0
@@ -405,12 +394,12 @@ class SteadyState:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
 
-def _band_lu(ab: np.ndarray, kl: int, ku: int, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK banded LU of the band storage ``ab``; a zero pivot raises."""
+def _band_solve(ab: np.ndarray, kl: int, ku: int, b: np.ndarray, shift: float = 0.0) -> tuple:
+    """LAPACK banded LU of the band storage ``ab`` and x of ``ab`` x = b, as (lu, piv, x); a zero pivot raises."""
     lu, piv, info = zgbtrf(ab, kl, ku)
     if info > 0:
         raise ZeroPivotError(f"zero pivot {info} in the banded LU (size {ab.shape[1]}, shift {shift:g}i)")
-    return lu, piv
+    return lu, piv, zgbtrs(lu, kl, ku, b, piv)[0]
 
 
 def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray, list]:
@@ -447,12 +436,11 @@ def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray
                 ab[i].reshape(-1)[(kl + ku + di) * M - hi * (M - 1) : (kl + ku + di - lo) * M + lo + 1 : M - 1] = 0.0
                 ab[i, kl + ku, di] = ab[i, kl + ku + di - d1i, d1i] = 1.0
                 try:
-                    lu, piv = _band_lu(ab[i], kl, ku)
+                    lu, piv, xs[i] = _band_solve(ab[i], kl, ku, bs[i])
                 except ZeroPivotError as exc:
                     errors[i] = NoSteadyStateError(f"singular Liouvillian: {exc}")
                     continue
                 lus[i] = lu, piv
-                xs[i] = zgbtrs(lu, kl, ku, bs[i], piv)[0]
             entries = data.ravel()
             cols, rows = (ix.col + at[:, None]).ravel(), (ix.row + at[:, None]).ravel()
             d, d1 = at + d, at + d1
@@ -483,12 +471,12 @@ def _fixed_cutoff_states(ps: list[SystemParams], n_max: int, pins: list[int]) ->
     """
     on = tuple(bool(rate) for rate in _jump_rates(ps[0]))
     ix = _sector_index(n_max, 0, on)
-    # a column of pumps fills one row of values per pump, and without the
-    # pump all rows are alike; numpy is quicker with a lone pump as a scalar
-    pumps = ps[0].P_sigma if len(ps) == 1 else np.array([[p.P_sigma] for p in ps])
+    # a column of pumps fills one row of values per pump; without the pump
+    # one row of values stands for all
+    pumps = np.array([[p.P_sigma] for p in ps])
     rates = [rate for rate, rate_on in zip(_jump_rates(ps[0], pumps), on) if rate_on]
-    data = _sector_values(ix, rates, ps[0].delta, ps[0].g).reshape(-1, len(ix.row))
-    if len(data) < len(ps):  # the pump is off, so the blocks are alike
+    data = _sector_values(ix, rates, ps[0].delta, ps[0].g)
+    if data.ndim == 1:
         data = np.broadcast_to(data, (len(ps), len(ix.row)))
     x, errors = _pinned_solves(ix, data, pins)
 
@@ -533,7 +521,7 @@ def _steady_states_of(ps: list[SystemParams], ix: _SectorIndex, x: np.ndarray) -
             float(np.max(np.abs(xi[partner] - np.conj(xi[coh])), initial=0.0)),
         )
         states.append(SteadyState(
-            params=params, space=space, p0=pops[0::2], p1=pops[1::2], q_r=q.real, q_i=q.imag, herm_defect=herm,
+            params=params, p0=pops[0::2], p1=pops[1::2], q_r=q.real, q_i=q.imag, herm_defect=herm,
         ))
     return states
 
@@ -663,19 +651,16 @@ def steady_state(
 
 @dataclass
 class RegressionSector:
-    """Generator block, initial condition and readout for one channel, in the
-    phase gauge of ``regression_sector``."""
+    """Generator block, initial condition, readout and population n_c = Re readout . u0 > 0
+    of one channel, in the phase gauge of ``regression_sector``."""
 
     generator: SectorBlock
     u0: np.ndarray
     readout: np.ndarray
+    n_c: float
 
     def lines(self, weight_floor: float = 0.0) -> list[SpectralLine]:
-        """Lines from ``decompose`` of the densified block on one BLAS thread,
-        weights over n_c; an empty channel, n_c = Re readout . u0 = 0, is refused first."""
-        n_c = float(np.real(np.dot(self.readout, self.u0)))
-        if not n_c > 0.0:
-            raise EmptyChannelError(f"empty channel: its population n_c = {n_c:g} leaves no spectrum to normalise")
+        """Lines from ``decompose`` of the densified block on one BLAS thread, weights over n_c."""
         try:
             with one_blas_thread():
                 dec = decompose(self.generator.toarray(), self.u0, self.readout)
@@ -693,7 +678,9 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     """The k = 1 sector, which holds <c'(0) c(t)> for c = a or sigma.
 
     Its elements are the ladder operators' matrix elements; the initial
-    condition is rho c' on the sector and the readout takes Tr(c .).
+    condition is rho c' on the sector and the readout takes Tr(c .).  An
+    empty channel, n_c = Re readout . u0 not above 0, raises
+    ``EmptyChannelError`` (``lineshape.channel_population``).
 
     Unpopulated tail rungs carry no weight but their inner transitions pile
     up at the origin and wreck the eigenbasis conditioning, so the sector is
@@ -718,7 +705,8 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
         c = sig
     else:
         raise ValueError(f"unknown channel {channel!r}")
-    G, r, s = sector_generator(params, ss.space.n_max, 1)
+    G = sector_generator(params, ss.space.n_max, 1)
+    r, s = G.index.r, G.index.s
     # (rho c')_{r;s} = rho_{r;t} (c')_{t;s}, where c' takes s to t alone
     dst, amp = c
     t, v = _adjoint(c)
@@ -730,8 +718,9 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     data = G.data * (d[G.index.col] * np.conj(d[G.index.row]))
     if not np.any(data.imag):
         data = data.real.copy()
-    G = replace(G, data=data)
-    return RegressionSector(generator=G, u0=u0 * np.conj(d), readout=readout * d)
+    u0, readout = u0 * np.conj(d), readout * d
+    n_c = channel_population(np.real(np.dot(readout, u0)))
+    return RegressionSector(generator=replace(G, data=data), u0=u0, readout=readout, n_c=n_c)
 
 
 def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
@@ -744,9 +733,7 @@ def truncate_steady_state(ss: SteadyState, n_eff: int) -> SteadyState:
     if n_eff >= ss.space.n_max:
         return ss
     k = n_eff + 1
-    return replace(
-        ss, space=FockSpace(n_eff), p0=ss.p0[:k], p1=ss.p1[:k], q_r=ss.q_r[:k], q_i=ss.q_i[:k]
-    )
+    return replace(ss, p0=ss.p0[:k], p1=ss.p1[:k], q_r=ss.q_r[:k], q_i=ss.q_i[:k])
 
 
 def spectral_lines(
@@ -815,7 +802,6 @@ def resolvent_spectrum(sec: RegressionSector, omega: np.ndarray) -> np.ndarray:
     band with its main diagonal moved.  Exact for any conditioning of the
     eigenbasis; no eigendecomposition.
     """
-    n_c = float(np.real(np.dot(sec.readout, sec.u0)))
     ix = sec.generator.index
     kl, ku = ix.kl, ix.ku
     values = []
@@ -825,12 +811,11 @@ def resolvent_spectrum(sec: RegressionSector, omega: np.ndarray) -> np.ndarray:
         for w in np.asarray(omega, dtype=float):
             ab[kl + ku] = diag + 1j * w
             with np.errstate(invalid="ignore", over="ignore"):
-                lu, piv = _band_lu(ab, kl, ku, w)
-                x = zgbtrs(lu, kl, ku, sec.u0, piv)[0]
+                x = _band_solve(ab, kl, ku, sec.u0, w)[2]
             values.append(-np.real(np.dot(sec.readout, x)))
     except MemoryError as exc:
         raise SolverMemoryError(f"out of memory in the banded LU (size {sec.generator.size}): {exc}") from exc
-    return np.array(values) / (math.pi * n_c)
+    return np.array(values) / (math.pi * sec.n_c)
 
 
 @dataclass
@@ -887,8 +872,8 @@ def _eig_pool(workers: int):
 def _line_tables(states: list, channel: str, weight_floor: float, workers: int) -> list:
     """``spectral_lines`` of each state, or its ``JclaserError``, in pump order.
 
-    With ``workers`` > 0 the calling thread takes the largest block, and it
-    and that many threads of ``_eig_pool`` take the rest from one queue,
+    The calling thread takes the largest block, and it and ``workers``
+    threads of ``_eig_pool`` (none at 0) take the rest from one queue,
     largest first: memory a pool thread frees stays with its allocator
     arena, so the largest eig stays on the caller's.  Each eig runs on one
     BLAS thread, so a table is bit for bit the one a serial loop gets.  A
@@ -897,9 +882,9 @@ def _line_tables(states: list, channel: str, weight_floor: float, workers: int) 
     """
     tables = list(states)
     todo = [k for k, ss in enumerate(states) if isinstance(ss, SteadyState)]
-    if workers > 0:  # by the cutoff of the populated ladder, which sets the block's size
-        todo.sort(key=lambda k: -min(_populated_cutoff(states[k].photon_distribution), states[k].space.n_max))
-    queue, errors = deque(todo), {}
+    # by the cutoff of the populated ladder, which sets the block's size
+    todo.sort(key=lambda k: -min(_populated_cutoff(states[k].photon_distribution), states[k].space.n_max))
+    queue, errors = deque(todo[1:]), {}  # todo[0], the largest, is the caller's
 
     def table(k: int) -> None:
         try:
@@ -918,21 +903,17 @@ def _line_tables(states: list, channel: str, weight_floor: float, workers: int) 
                 return
             table(k)
 
-    if workers > 0 and len(todo) > 1:
-        from concurrent.futures import wait
-
-        first = queue.popleft()
-        futures = [_eig_pool(workers).submit(run) for _ in range(min(workers, len(todo) - 1))]
-        try:
-            table(first)
-            run()
-        finally:
-            queue.clear()  # an interrupted caller leaves the running tables to finish
-            wait(futures)
-        for f in futures:
-            f.result()
-    else:
+    futures = [_eig_pool(workers).submit(run) for _ in range(min(workers, len(todo) - 1))]
+    try:
+        if todo:
+            table(todo[0])
         run()
+    finally:
+        queue.clear()  # an interrupted caller leaves the running tables to finish
+        for f in futures:
+            f.exception()  # waits until it is done
+    for f in futures:
+        f.result()
     if errors:
         raise errors[min(errors)]
     return tables

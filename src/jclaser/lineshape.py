@@ -10,6 +10,8 @@ The exact, approximate (per-rung) and coherent-drive engines all call
     <c'(0)c(t)> = readout . B + n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
 
 which transforms into a sum of Lorentzians with dispersive admixtures.
+Every engine normalises its lines by the channel population n_c through
+``channel_population``, the one place an empty channel is refused.
 
 Every dense eig of the exact engine runs inside ``one_blas_thread``, which
 holds each OpenBLAS of the process at one thread: OpenBLAS's two threads make
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonDiagonalizableError
+from .errors import EmptyChannelError, NonDiagonalizableError
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,15 @@ def decompose(
             f"line weights miss one by {np.max(miss / np.abs(total.real)):.2e}"
         )
     return Decomposition(lams=lams, weights=weights, elastic=elastic, n_c=total.real)
+
+
+def channel_population(n_c) -> float:
+    """n_c summed over blocks; an empty channel, a sum not above 0, raises
+    ``EmptyChannelError``, as it leaves no spectrum to normalise."""
+    total = float(np.sum(n_c))
+    if not total > 0.0:
+        raise EmptyChannelError(f"empty channel: its population n_c = {total:g} leaves no spectrum to normalise")
+    return total
 
 
 # Entries of G per row block of the eigenbasis residual (1 MB of complex rows).

@@ -19,12 +19,12 @@ import numpy as np
 
 # poissonian_statistics is re-exported for callers that feed it to these spectra
 from .approximations import lasing_window_ok, poissonian_statistics, semiclassical
-from .errors import EmptyChannelError
-from .exact import FockSpace, SteadyState
+from .exact import SteadyState
 from .lineshape import (
     Decomposition,
     SpectralLine,
     SpectrumResult,
+    channel_population,
     decompose,
     evaluate_lines,
     lines_from_eigenpairs,
@@ -76,9 +76,7 @@ def density_slices_from_statistics(params: SystemParams, T: np.ndarray) -> Stead
     p0, p1, q_i = np.zeros((3, N + 1))
     p0[1:], p1[:-1], q_i[1:] = _rung_slices(params, np.arange(N), T[:-1], T[1:])
     p0[0] = T[0] - p1[0]
-    return SteadyState(
-        params=params, space=FockSpace(N), p0=p0, p1=p1, q_r=_tilt(params) * q_i, q_i=q_i
-    )
+    return SteadyState(params=params, p0=p0, p1=p1, q_r=_tilt(params) * q_i, q_i=q_i)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +180,7 @@ def _rung_spectrum(
     dec: Decomposition, channel: str, omega: np.ndarray, method: str, meta: dict
 ) -> SpectrumResult:
     """Lines of all rung blocks, normalized by their summed population (refused if it is 0)."""
-    n_c = float(np.sum(dec.n_c))
-    if not n_c > 0.0:
-        raise EmptyChannelError(f"empty channel: its population n_c = {n_c:g} leaves no spectrum to normalise")
+    n_c = channel_population(dec.n_c)
     lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, _LINE_FLOOR)
     return SpectrumResult(
         channel=channel,

@@ -461,3 +461,21 @@ def test_lasing_window_flag_reported_separately():
     assert lab.lasing_window_ok
     lab2 = ap.classify_regime(SystemParams(gamma_a=0.5, P_sigma=7.0, **BASE))
     assert lab2.label in ("Lasing", "Quenching") and not lab2.lasing_window_ok
+
+
+def test_lossless_cavity_forms():
+    # gamma_a = 0: the bosonic model diverges at P_sigma = gamma_sigma, the
+    # first-moment root has no cavity loss to balance, and the thermal limit
+    # form takes no cavity pump
+    p = SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=0.5, P_sigma=0.5)
+    bosonic = ap.linear_models(p)["bosonic"]
+    assert bosonic.n_a == np.inf and bosonic.diverged
+    with pytest.raises(ValueError, match="needs gamma_a > 0"):
+        ap.statistics_root(p, 2.0)
+    with pytest.raises(ValueError, match="expects P_a = 0"):
+        ap.thermal_na(replace(p, P_a=0.1))
+
+
+def test_poissonian_statistics_of_the_vacuum():
+    T = ap.poissonian_statistics(0.0)
+    assert len(T) == 38 and T[0] == 1.0 and not np.any(T[1:])

@@ -163,13 +163,15 @@ def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
     "argv, cfg",
     [(["regimes", "--tol", "1e-7"], None), (["mollow-coherent", "--gamma-a", "0.1"], None), (["regimes"], "n_max = 40\n"),
      (["sweep", "--pump-sigma", "5"], None), (["transitions", "--pump-sigma", "5"], None),
-     (["regimes", "--pump-sigma", "5"], None), (["sweep"], "pump_sigma = 5\n")],
+     (["regimes", "--pump-sigma", "5"], None), (["sweep"], "pump_sigma = 5\n"),
+     (["regimes", "--pump-a", "0.05"], None), (["regimes"], "pump_a = 0.05\n")],
     ids=["regimes-tol", "mollow-coherent-gamma-a", "regimes-config-n_max", "sweep-pump-sigma",
-         "transitions-pump-sigma", "regimes-pump-sigma", "sweep-config-pump_sigma"],
+         "transitions-pump-sigma", "regimes-pump-sigma", "sweep-config-pump_sigma",
+         "regimes-pump-a", "regimes-config-pump_a"],
 )
 def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv, cfg):
-    # regimes solves no steady state, so it has no photon cutoff; mollow-coherent has no cavity;
-    # a pump axis replaces P_sigma
+    # regimes solves no steady state, so it has no photon cutoff, and its
+    # labels read no P_a; mollow-coherent has no cavity; a pump axis replaces P_sigma
     if cfg:
         (tmp_path / "run.cfg").write_text(cfg)
         argv = [*argv, "--config", str(tmp_path / "run.cfg")]
@@ -493,18 +495,33 @@ def test_steady_good_cavity_needs_a_higher_cap(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "method, channel, rates",
-    [("exact", "emitter", []), ("approx", "cavity", ["--gamma-sigma", "0.00334"]),
-     ("approx", "emitter", ["--gamma-sigma", "0.00334"])],  # the rung slices need an emitter width
-    ids=["exact-emitter", "approx-cavity", "approx-emitter"],
+    "argv",
+    [["spectrum", "--method", "exact", "--channel", "emitter"],
+     # the rung slices need an emitter width
+     ["spectrum", "--method", "approx", "--channel", "cavity", "--gamma-sigma", "0.00334"],
+     ["spectrum", "--method", "approx", "--channel", "emitter", "--gamma-sigma", "0.00334"],
+     ["mollow-coherent", "--omega-laser", "0"]],
+    ids=["exact-emitter", "approx-cavity", "approx-emitter", "mollow-coherent-undriven"],
 )
-def test_spectrum_refuses_an_empty_channel(tmp_path, capsys, method, channel, rates):
-    # at the default P_sigma = 0 neither channel holds population to normalise by
-    out = tmp_path / "s.csv"
-    argv = ["spectrum", "--method", method, "--channel", channel, *rates, "--points", "11", "--out", str(out)]
-    assert run(argv) == 3
-    assert capsys.readouterr().err.startswith("solver error: empty channel")
-    assert not out.exists()
+def test_spectrum_refuses_an_empty_channel(tmp_path, capsys, argv):
+    # at the default P_sigma = 0 neither channel holds population to
+    # normalise by, and an undriven emitter holds none either
+    assert run([*argv, "--points", "11", "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err.startswith("solver error: empty channel: its population n_c = 0 ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_lineshape_raises_an_empty_channel():
+    # one rule for the three spectral engines: lineshape.channel_population
+    import ast
+
+    import jclaser
+
+    calls = [path.name for path in Path(jclaser.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "EmptyChannelError"]
+    assert calls == ["lineshape.py"]
 
 
 def test_transitions_lists_an_empty_channel_as_failed(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coherent_reference as coherent
+from jclaser.errors import EmptyChannelError
 from jclaser.lineshape import evaluate_lines
 from jclaser.params import LaserDriveParams
 import spectra_reference as ref
@@ -191,3 +192,19 @@ def test_degenerate_lines_merged_at_exceptional_point():
     assert len(dec.lines) <= 3
     total = sum(ln.L for ln in dec.lines) + dec.coherent_weight
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_undriven_lossless_emitter_is_empty():
+    # no drive and no decay leave no steady-state denominator: empty by convention
+    ss = coherent.coherent_steady_state(LaserDriveParams(omega_L=0.0))
+    assert ss.n_sigma == 0.0 and ss.sigma_coherence == 0.0
+
+
+def test_detuned_drive_without_width_does_not_couple():
+    assert coherent.effective_drive(LaserDriveParams(omega_L=1.5, delta=0.5)) == 0.0
+
+
+def test_undriven_emitter_has_no_spectrum():
+    # n_sigma = 0 leaves nothing to normalise the lines by
+    with pytest.raises(EmptyChannelError, match="^empty channel: its population n_c = 0 "):
+        coherent.coherent_correlator_lines(LaserDriveParams(omega_L=0.0, gamma_sigma=1.0))

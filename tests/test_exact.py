@@ -10,6 +10,7 @@ from jclaser import approximations as ap
 from jclaser import exact
 from jclaser import lineshape
 from jclaser.errors import (
+    EmptyChannelError,
     JclaserError,
     NonDiagonalizableError,
     NoSteadyStateError,
@@ -30,15 +31,6 @@ LASING = SystemParams(P_sigma=7.0, **BASE)
 def test_fock_space_index_map():
     space = exact.FockSpace(3)
     assert space.dim == 8
-    seen = set()
-    for n in range(4):
-        for i in (0, 1):
-            k = space.index(n, i)
-            assert space.state(k) == (n, i)
-            seen.add(k)
-    assert seen == set(range(8))
-    with pytest.raises(IndexError):
-        space.index(4, 0)
 
 
 def test_vacuum_steady_state_without_coupling_or_pump():
@@ -119,7 +111,8 @@ def test_sector_blocks_match_full_liouvillian(p, n_max):
     L = build_liouvillian(p, n_max).tocsr()
     dim = exact.FockSpace(n_max).dim
     for k in (0, 1):
-        G, r, s = exact.sector_generator(p, n_max, k)
+        G = exact.sector_generator(p, n_max, k)
+        r, s = G.index.r, G.index.s
         assert np.all(np.abs(np.abs(r // 2 + r % 2 - s // 2 - s % 2) - k) == 0)
         idx = r * dim + s
         ref = L[idx][:, idx].toarray()
@@ -147,18 +140,19 @@ def test_cached_sector_index_builds_the_same_blocks(p, n_max):
     # a cache key that left out which rates are on would hand one pattern's
     # index to another at the same cutoff
     for k in (0, 1):
-        G, r, s = exact.sector_generator(p, n_max, k)
+        G = exact.sector_generator(p, n_max, k)
         with mock.patch.object(exact, "_sector_index", exact._sector_index.__wrapped__):
-            F, r_f, s_f = exact.sector_generator(p, n_max, k)
+            F = exact.sector_generator(p, n_max, k)
         assert F.index is not G.index
-        for a, b in ((G.data, F.data), (G.index.row, F.index.row), (G.index.col, F.index.col), (r, r_f), (s, s_f),
+        for a, b in ((G.data, F.data), (G.index.row, F.index.row), (G.index.col, F.index.col),
+                     (G.index.r, F.index.r), (G.index.s, F.index.s),
                      (G.toarray(), F.toarray()), (band(G), band(F))):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_sector_index_is_shared_read_only_and_bounded():
-    G, r, _ = exact.sector_generator(LASING, 32, 0)
-    assert exact.sector_generator(replace(LASING, P_sigma=3.0), 32, 0)[0].index is G.index
+    G = exact.sector_generator(LASING, 32, 0)
+    assert exact.sector_generator(replace(LASING, P_sigma=3.0), 32, 0).index is G.index
     ix = G.index
     arrays = [ix.r, ix.s, ix.pos, ix.row, ix.col, ix.emitter,
               *ix.occupation, *ix.coupling, *(a for pair in ix.jumps for a in pair)]
@@ -200,7 +194,7 @@ def test_banded_lu_is_scipys_lapack(monkeypatch):
 
     p = SystemParams(P_sigma=6.1, **BASE)
     ss = exact.steady_state(p)
-    G = exact.sector_generator(p, ss.space.n_max, 0)[0]
+    G = exact.sector_generator(p, ss.space.n_max, 0)
     sec = exact.regression_sector(p, ss, "cavity")
     omega = np.linspace(-12.0, 12.0, 49)
 
@@ -346,7 +340,7 @@ def test_auto_cutoff_matches_twice_the_cutoff(gamma_a, gamma_sigma, P, pump_a, g
 def test_zero_pivot_at_the_vacuum_pin_retries_at_the_top():
     # here the pin at n = 0 meets a zero pivot of the banded LU
     p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_a=0.0095, P_sigma=1.0)
-    G = exact.sector_generator(p, 32, 0)[0]
+    G = exact.sector_generator(p, 32, 0)
     (err,) = exact._pinned_solves(G.index, G.data[None], [0])[1]
     assert isinstance(err, NoSteadyStateError) and "zero pivot" in str(err)
     ss = exact.steady_state(p, n_max=32)
@@ -359,7 +353,7 @@ def test_non_finite_pinned_solve_retries_at_the_top():
     # a subnormal detuning leaves no zero pivot but a non-finite vacuum-pin
     # solve; it takes the same top-rung retry
     p = SystemParams(g=1.0, gamma_a=0.0625, gamma_sigma=0.0, P_sigma=10.0, delta=2.04e-201)
-    G = exact.sector_generator(p, 32, 0)[0]
+    G = exact.sector_generator(p, 32, 0)
     (err,) = exact._pinned_solves(G.index, G.data[None], [0])[1]
     assert isinstance(err, NoSteadyStateError) and "near-zero pivot" in str(err)
     ss = exact.steady_state(p, n_max=32)
@@ -425,7 +419,7 @@ def test_auto_cutoff_converges():
 @given(p=_rates_on_or_off(), n_max=st.integers(1, 6))
 def test_band_storage_adds_up_the_entries_in_the_band(p, n_max):
     # duplicates add up as np.add.at adds them; rows of 2-D values give one band each
-    G = exact.sector_generator(p, n_max, 0)[0]
+    G = exact.sector_generator(p, n_max, 0)
     ix = G.index
     kl, ku = ix.kl, ix.ku
     ref = np.zeros((2 * kl + ku + 1, G.size), dtype=complex)
@@ -579,7 +573,8 @@ def test_phase_similarity_keeps_the_resolvent(extra):
     ss = exact.steady_state(p)
     ss = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
     M = ss.space.n_max
-    G_lab, r, s = exact.sector_generator(p, M, 1)
+    G_lab = exact.sector_generator(p, M, 1)
+    r, s = G_lab.index.r, G_lab.index.s
     G_lab = G_lab.toarray()
     rho = ss.rho
     eye = np.eye(len(r))
@@ -1042,3 +1037,15 @@ def test_cross_agreement_with_dephasing_and_detuning():
         ss = exact.steady_state(p, n_max=mom.n_max)
         assert ss.n_a == pytest.approx(pre.n_a, rel=1e-9)
         assert ss.g2 == pytest.approx(pre.g2, rel=1e-9)
+
+
+def test_empty_channel_is_refused_when_its_sector_is_built():
+    # at P_sigma = 0 the emitter holds nothing: the sector refuses before the
+    # eig or the banded resolvent runs, so resolvent_spectrum cannot divide by 0
+    p = SystemParams(**BASE)
+    with pytest.raises(EmptyChannelError, match="^empty channel: its population n_c = 0 "):
+        exact.regression_sector(p, exact.steady_state(p, n_max=8), "emitter")
+    p = replace(p, P_sigma=0.5)
+    sec = exact.regression_sector(p, exact.steady_state(p, n_max=8), "emitter")
+    assert sec.n_c == float(np.real(np.dot(sec.readout, sec.u0))) > 0.0
+    assert np.all(np.isfinite(exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jclaser.params import SystemParams, _manifold, g_eff, kappa_a, kappa_sigma
+from jclaser.params import LaserDriveParams, SystemParams, _manifold, g_eff, kappa_a, kappa_sigma
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
@@ -16,6 +16,13 @@ def test_validation():
         SystemParams(g=1.0, gamma_a=-0.1)
     with pytest.raises(ValueError):
         SystemParams(g=1.0, delta=math.inf)
+
+
+def test_non_finite_rates_are_refused():
+    with pytest.raises(ValueError, match="gamma_a must be finite"):
+        SystemParams(gamma_a=math.nan)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        LaserDriveParams(omega_L=1.0, delta=math.inf)
 
 
 def test_signed_gamma_a_allowed():

@@ -44,7 +44,7 @@ def test_slices_exact_for_lossless_cavity():
     assert np.max(np.abs(sl.photon_distribution - T)) < 1e-10
     assert np.max(np.abs(sl.p1[:30] - ss.p1[:30])) < 1e-8
     assert np.max(np.abs(sl.p0[:30] - ss.p0[:30])) < 1e-8
-    qi_exact = np.array([ss.q(n).imag for n in range(1, 30)])
+    qi_exact = np.array([ss.q_i[n] for n in range(1, 30)])
     assert np.max(np.abs(sl.q_i[1:30] - qi_exact)) < 1e-8
 
 
@@ -457,3 +457,14 @@ def test_semiclassical_mollow_off_resonance_delegates():
     res = spectra.semiclassical_mollow(p, w)
     assert res.method == "semiclassical"
     assert ref.side_weight_visibility(res.lines, 2.0) > 0.05
+
+
+def test_unknown_channel_is_refused():
+    p = SystemParams(P_sigma=1.0, **BASE)
+    ss = exact.steady_state(p, n_max=8)
+    T = ss.photon_distribution
+    for call in (lambda: exact.regression_sector(p, ss, "photon"),
+                 lambda: spectra.rung_decomposition(p, T, "photon"),
+                 lambda: spectra.elastic_weight(p, T, "photon")):
+        with pytest.raises(ValueError, match="unknown channel 'photon'"):
+            call()
