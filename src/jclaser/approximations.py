@@ -9,7 +9,7 @@ classifier built on their characteristic scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,27 +19,11 @@ from .params import SystemParams, g_eff, kappa_sigma, recurrence_coefficients
 
 @dataclass(frozen=True)
 class LinearModelResult:
-    variant: str  # "bosonic" or "truncated_jc"
     n_a: float
     n_sigma: float
-    C1: float
-    P_minus: float | None = None
-    P_plus: float | None = None
-    diverged: bool = False
 
 
-def linear_slope_C1(params: SystemParams) -> float:
-    """Low-pump slope of n_a(P_sigma), common to both linear variants."""
-    zero_pump = replace(params, P_sigma=0.0)
-    ks = kappa_sigma(zero_pump)
-    gs, ga, gp = params.gamma_sigma, params.gamma_a, params.gamma_phi
-    if math.isinf(ks):  # gamma_a = 0
-        return 1.0 / gs if gs > 0.0 else math.inf
-    denom = ks * (gs + ga) + gs * (gs + ga + gp)
-    return ks / denom if denom != 0.0 else math.inf
-
-
-def _linear_variant(params: SystemParams, variant: str) -> tuple[float, float, bool]:
+def _linear_variant(params: SystemParams, variant: str) -> tuple[float, float]:
     sign = -1.0 if variant == "bosonic" else 1.0
     G = params.gamma_sigma + sign * params.P_sigma
     ga, gp, P = params.gamma_a, params.gamma_phi, params.P_sigma
@@ -47,52 +31,20 @@ def _linear_variant(params: SystemParams, variant: str) -> tuple[float, float, b
     if math.isinf(ks):
         denom = G + ga
         if denom == 0.0:
-            return math.inf, math.inf, True
-        return P / denom, P / denom, False
+            return math.inf, math.inf
+        return P / denom, P / denom
     denom = ks * (G + ga) + G * (G + ga + gp)
     if denom == 0.0:
-        return math.inf, math.inf, True
+        return math.inf, math.inf
     n_a = ks * P / denom
     n_sigma = (ks + ga + params.gamma_sigma + gp) * P / denom
-    return n_a, n_sigma, False
-
-
-def bosonic_divergence_pumps(params: SystemParams) -> tuple[float, float]:
-    """Pump values where the bosonic-model denominator vanishes.
-
-    Exact roots of x^2 + x(kappa_sigma + gamma_a + gamma_phi) + kappa_sigma
-    gamma_a = 0 in x = gamma_sigma - P_sigma; for good cavities these sit at
-    roughly gamma_sigma and kappa_sigma + gamma_sigma + gamma_phi.
-    """
-    ks = kappa_sigma(params)
-    if math.isinf(ks):
-        return params.gamma_sigma, math.inf
-    b = ks + params.gamma_a + params.gamma_phi
-    c = ks * params.gamma_a
-    disc = math.sqrt(max(b * b - 4.0 * c, 0.0))
-    x1 = (-b - disc) / 2.0
-    x2 = 2.0 * c / (-b - disc) if (-b - disc) != 0.0 else 0.0
-    roots = sorted(params.gamma_sigma - x for x in (x1, x2))
-    return roots[0], roots[1]
+    return n_a, n_sigma
 
 
 def linear_models(params: SystemParams) -> dict[str, LinearModelResult]:
-    """Both linear closed forms, evaluated at the given pump."""
-    C1 = linear_slope_C1(params)
-    P_minus, P_plus = bosonic_divergence_pumps(params)
-    out = {}
-    for variant in ("bosonic", "truncated_jc"):
-        n_a, n_sigma, diverged = _linear_variant(params, variant)
-        out[variant] = LinearModelResult(
-            variant=variant,
-            n_a=n_a,
-            n_sigma=n_sigma,
-            C1=C1,
-            P_minus=P_minus if variant == "bosonic" else None,
-            P_plus=P_plus if variant == "bosonic" else None,
-            diverged=diverged,
-        )
-    return out
+    """Both linear closed forms, bosonic and truncated_jc, at the given pump;
+    a vanishing denominator gives n_a = n_sigma = inf."""
+    return {v: LinearModelResult(*_linear_variant(params, v)) for v in ("bosonic", "truncated_jc")}
 
 
 def statistics_root(params: SystemParams, g2: float | np.ndarray) -> float | np.ndarray:
@@ -122,14 +74,12 @@ def _first_moment_root(A1, b, c, g2):
 class SemiclassicalResult:
     n_a: float
     n_sigma: float
-    F_a: float
     F_sigma: float
     C2: float
     max_n_a: float
     P_at_max: float
     P_max: float
     clamped: bool = False
-    in_validity_window: bool = True
 
 
 _WINDOW_MARGIN = 5.0  # how far "<<" reaches in the lasing validity window
@@ -171,14 +121,12 @@ def semiclassical(params: SystemParams) -> SemiclassicalResult:
         n_a=max(n_a, 0.0),
         # below threshold n_a = 0, and the rate balance gives n_sigma
         n_sigma=params.P_sigma / gs_tot if clamped else 0.5 * (1.0 + F_sigma),
-        F_a=F_a,
         F_sigma=F_sigma,
         C2=1.0 / (2.0 * ga),
         max_n_a=ks / (8.0 * ga) * (1.0 - (4.0 * gs + 2.0 * gp) / ks),
         P_at_max=P_at_max,
         P_max=P_max,
         clamped=clamped,
-        in_validity_window=lasing_window_ok(params),
     )
 
 
@@ -186,19 +134,19 @@ def semiclassical(params: SystemParams) -> SemiclassicalResult:
 class ThermalResult:
     n_a: float
     n_sigma: float
-    exact_limit: tuple[float, float] | None = None  # (nbar_a, nbar_sigma) at gamma_a = P_a = 0
 
 
 def thermal_na(params: SystemParams) -> ThermalResult:
     """Cavity population assuming a thermal field: the g2 = 2 root of
-    ``statistics_root``, with n_sigma from the rate balance."""
+    ``statistics_root``, with n_sigma from the rate balance; at
+    gamma_a = P_a = 0 the exact (nbar_a, nbar_sigma) of the lossless cavity."""
     if params.gamma_a == 0.0:
         if params.P_a != 0.0:
             raise ValueError("thermal limit form expects P_a = 0")
         P, gs = params.P_sigma, params.gamma_sigma
         nbar_a = P / (gs - P) if gs > P else math.inf
         nbar_s = P / (gs + P) if gs + P > 0.0 else 0.0
-        return ThermalResult(n_a=nbar_a, n_sigma=nbar_s, exact_limit=(nbar_a, nbar_s))
+        return ThermalResult(n_a=nbar_a, n_sigma=nbar_s)
     if params.Gamma_sigma <= 0.0:
         raise ValueError("thermal solution needs Gamma_sigma > 0 when gamma_a > 0")
     n_a = float(statistics_root(params, 2.0))
@@ -398,13 +346,6 @@ def cothermal(params: SystemParams) -> CothermalState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    label: str
-    boundaries: dict = field(default_factory=dict)
-    lasing_window_ok: bool = False
-
-
 def regime_boundaries(params: SystemParams) -> dict[str, float]:
     """Pump values separating the five regimes (monotonized where needed).
 
@@ -429,18 +370,16 @@ def regime_boundaries(params: SystemParams) -> dict[str, float]:
     }
 
 
-def classify_regime(params: SystemParams) -> RegimeLabel:
+def classify_regime(params: SystemParams) -> str:
     """Assign the pump to one of the five operation regimes; zero pump is Linear."""
     b = regime_boundaries(params)
     P = params.P_sigma
     if P == 0.0 or P < b["linear_quantum"]:
-        label = "Linear"
-    elif P <= b["quantum_lasing"]:
-        label = "Quantum"
-    elif P < b["lasing_quenching"]:
-        label = "Lasing"
-    elif P < b["quenching_thermal"]:
-        label = "Quenching"
-    else:
-        label = "Thermal"
-    return RegimeLabel(label=label, boundaries=b, lasing_window_ok=lasing_window_ok(params))
+        return "Linear"
+    if P <= b["quantum_lasing"]:
+        return "Quantum"
+    if P < b["lasing_quenching"]:
+        return "Lasing"
+    if P < b["quenching_thermal"]:
+        return "Quenching"
+    return "Thermal"

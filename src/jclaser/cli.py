@@ -191,7 +191,7 @@ def _steady_rows(params: SystemParams, pumps, n_max, cap, tol) -> list[list]:
 
 def _steady_row(params: SystemParams, ss, ct) -> list:
     P = params.P_sigma
-    label = ap.classify_regime(params).label
+    label = ap.classify_regime(params)
     lin = ap.linear_models(params)
     nan = float("nan")
     row = [P]
@@ -277,7 +277,7 @@ def cmd_spectrum(args) -> int:
             "channel": res.channel,
             "method": res.method,
             "elastic_weight": res.elastic_weight,
-            "validity": {k: v for k, v in res.meta.items() if isinstance(v, (bool, int, float, str))},
+            "validity": res.meta,
             "lines": [vars(ln) for ln in res.lines],
         },
         cfg,
@@ -342,11 +342,10 @@ def cmd_regimes(args) -> int:
     rows = []
     for P in pumps:
         p = replace(params, P_sigma=float(P))
-        lab = ap.classify_regime(p)
-        b = lab.boundaries
+        b = ap.regime_boundaries(p)
         rows.append(
             [
-                float(P), lab.label, lab.lasing_window_ok,
+                float(P), ap.classify_regime(p), ap.lasing_window_ok(p),
                 b["linear_quantum"], b["quantum_lasing"], b["lasing_quenching"], b["quenching_thermal"],
             ]
         )

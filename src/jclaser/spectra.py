@@ -266,13 +266,17 @@ def semiclassical_mollow(
     Gamma_sigma + gamma_phi, and side bands at +-Re(R_outer) with FWHM
     (3 Gamma_sigma + gamma_phi)/2.  Cavity: quasi-elastic line of estimated
     width 2 g^2 gamma_a / P_sigma^2 (rasterized at that finite width, weight
-    counted as elastic), refused at P_sigma = 0, where it has no width.  Off
-    resonance the single-rung substitution n = n_a is evaluated instead.
+    counted as elastic).  Off resonance the single-rung substitution n = n_a
+    is evaluated instead.  Both channels are refused at P_sigma = 0, below
+    any lasing: the cavity line has no width there, and the emitter forms
+    go negative.
     """
+    if channel not in ("emitter", "cavity"):
+        raise ValueError(f"unknown channel {channel!r}")
+    if not params.P_sigma > 0.0:
+        raise ValueError(f"the semiclassical {channel} line needs P_sigma > 0, got P_sigma = {params.P_sigma}")
     omega = np.asarray(omega, dtype=float)
     if channel == "cavity":
-        if not params.P_sigma > 0.0:
-            raise ValueError(f"the semiclassical cavity line needs P_sigma > 0, got P_sigma = {params.P_sigma}")
         gl = lasing_linewidth(params)
         line = SpectralLine(omega=0.0, gamma=gl, L=1.0, K=0.0)
         return SpectrumResult(
@@ -285,9 +289,7 @@ def semiclassical_mollow(
             meta={"gamma_L": gl},
         )
     if params.delta != 0.0:
-        res = approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega)
-        res.meta["R_outer"] = incoherent_mollow_splitting(params)
-        return res
+        return approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega)
 
     G, f = params.Gamma_sigma, params.gamma_phi
     k = kappa_sigma(params)
@@ -307,7 +309,6 @@ def semiclassical_mollow(
         + 4.0 * P * k * w2
         - (G + f + k) * (G**2 * (3.0 * G + f + 2.0 * k) + (G - f) * w2)
     )
-    R_O = incoherent_mollow_splitting(params)
     return SpectrumResult(
         channel=channel,
         omega=omega,
@@ -316,8 +317,7 @@ def semiclassical_mollow(
         lines=[],
         method="semiclassical",
         meta={
-            "R_outer": R_O,
-            "side_splitting": float(R_O.real),
+            "side_splitting": incoherent_mollow_splitting(params).real,
             "side_fwhm": (3.0 * G + f) / 2.0,
             "central_fwhm": G + f,
             "negative_delta": delta_w < 0.0,

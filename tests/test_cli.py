@@ -431,17 +431,23 @@ def test_spectrum_semiclassical_refuses_zero_emitter_broadening(tmp_path):
     assert code == 2
 
 
-def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, capsys):
-    # the cavity line width 2 g^2 gamma_a / P_sigma^2 has no value at P_sigma = 0
+@pytest.mark.parametrize(
+    "channel",
+    [["cavity"], ["emitter"], ["emitter", "--delta", "0.5"]],
+    ids=["cavity", "emitter", "detuned-emitter"],
+)
+def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, capsys, channel):
+    # the cavity line width 2 g^2 gamma_a / P_sigma^2 has no value at P_sigma = 0,
+    # and the emitter forms, resonant or on the rung n_a = 0, go negative there
     out = tmp_path / "sc.csv"
     code = run(
-        ["spectrum", "--method", "semiclassical", "--channel", "cavity", "--gamma-sigma", "0.00334",
+        ["spectrum", "--method", "semiclassical", "--channel", *channel, "--gamma-sigma", "0.00334",
          "--points", "11", "--out", str(out)]
     )
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "P_sigma" in err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _table(path):
@@ -645,6 +651,29 @@ def test_runtime_package_keeps_only_what_is_called():
                 if isinstance(node, (ast.Name, ast.Attribute)) and not (own and name == top.name):
                     named.add(name)
     assert [d for d in defs if d.split(".")[1] not in named] == []
+
+
+def test_record_fields_are_read():
+    # each annotated field of a dataclass in the package is read as an
+    # attribute somewhere in the package, the tests or the benchmark
+    import ast
+
+    import jclaser
+
+    root, repo = Path(jclaser.__file__).parent, Path(__file__).parents[1]
+    fields, read = [], set()
+    for path in [*root.glob("*.py"), *repo.glob("tests/*.py"), *repo.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            dataclass = isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            )
+            if dataclass and path.parent == root:
+                fields += [(f"{path.stem}.{node.name}", s.target.id) for s in node.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    assert fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
 
 
 def test_sweep_workers_match_serial(tmp_path, monkeypatch):

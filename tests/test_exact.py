@@ -617,7 +617,7 @@ def test_vacuum_rabi_doublet_in_spectrum():
 
 
 def test_g2_near_one_at_lasing_midpoint():
-    b = ap.classify_regime(LASING).boundaries
+    b = ap.regime_boundaries(LASING)
     mid = np.sqrt(b["quantum_lasing"] * b["lasing_quenching"])
     p = SystemParams(P_sigma=float(mid), **BASE)
     ss = exact.steady_state(p)
@@ -774,9 +774,11 @@ def test_transition_map_leaves_the_blas_thread_count_as_found(monkeypatch, two_c
 
 @pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt])
 def test_transition_map_error_waits_for_running_tables(monkeypatch, two_cores_two_blas_threads, error):
-    # the largest block, the caller's, raises at once while the other thread
-    # is inside a slow table; neither a program error nor an interrupt may
-    # surface before that table is done
+    # the largest block, the caller's, raises while the other thread is inside
+    # a slow table; neither a program error nor an interrupt may surface
+    # before that table is done.  With a pool thread, the caller raises only
+    # once that thread holds a table: had it raised first, the cleared queue
+    # would leave the thread nothing to take
     import threading
     import time
 
@@ -784,12 +786,16 @@ def test_transition_map_error_waits_for_running_tables(monkeypatch, two_cores_tw
     largest = max(exact.regression_sector(p, ss, "cavity").generator.size
                   for ss in exact.steady_state_sweep(p, pumps))
     lock, running, done, real = threading.Lock(), [0], [0], exact.decompose
+    holding, threaded = threading.Event(), bool(lineshape._openblas())
 
     def slow_or_broken(G, *args, **kwargs):
         if G.shape[-1] == largest:
+            if threaded:
+                holding.wait(timeout=10.0)
             raise error("broken")
         with lock:
             running[0] += 1
+        holding.set()
         time.sleep(0.05)
         try:
             return real(G, *args, **kwargs)
@@ -802,7 +808,7 @@ def test_transition_map_error_waits_for_running_tables(monkeypatch, two_cores_tw
     with pytest.raises(error, match="broken"):
         exact.transition_map(p, pumps)
     assert running[0] == 0
-    if lineshape._openblas():  # the other thread had a table in hand
+    if threaded:  # the other thread had a table in hand
         assert done[0] >= 1
 
 

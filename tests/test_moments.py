@@ -39,7 +39,7 @@ def test_no_steady_state_raises():
 
 def test_linear_regime_slope():
     # n_a ~= C1 P at weak pump, against the independent linear-model slope
-    from jclaser.approximations import linear_slope_C1
+    from approximations_reference import linear_slope_C1
 
     p = SystemParams(P_sigma=0.001, **BASE)
     obs = moments.observables_from_moments(p, moments.solve_moments(p))
@@ -121,7 +121,7 @@ def test_zero_pump_g2_limit_matches_closed_form():
 
 
 def test_series_first_order_is_linear_slope():
-    from jclaser.approximations import linear_slope_C1
+    from approximations_reference import linear_slope_C1
 
     p = SystemParams(g=1.0, gamma_a=10.0, gamma_sigma=0.7, gamma_phi=0.3, delta=0.4)
     ser = moments.perturbative_series(p, n_max=6, t_max=4)

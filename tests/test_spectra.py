@@ -465,6 +465,7 @@ def test_unknown_channel_is_refused():
     T = ss.photon_distribution
     for call in (lambda: exact.regression_sector(p, ss, "photon"),
                  lambda: spectra.rung_decomposition(p, T, "photon"),
-                 lambda: spectra.elastic_weight(p, T, "photon")):
+                 lambda: spectra.elastic_weight(p, T, "photon"),
+                 lambda: spectra.semiclassical_mollow(p, np.zeros(3), channel="photon")):
         with pytest.raises(ValueError, match="unknown channel 'photon'"):
             call()
