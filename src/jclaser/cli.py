@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-sigma", type=float, default=0.0)
         p.add_argument("--gamma-phi", type=float, default=0.0)
         p.add_argument("--delta", type=float, default=0.0)
-        p.add_argument("--out", default=None, help="output path (default: <command>.csv)")
+        p.add_argument("--out", default=None, help="output path (default: <command>.<format>, with _ for -)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         # accepted and ignored: scripts written for the former sweep process pool pass it
         p.add_argument("--workers", type=int, default=1, help="ignored")
@@ -235,9 +235,8 @@ def _steady_row(params: SystemParams, ss, ct) -> list:
 def cmd_steady(args) -> int:
     params = system_params(args)
     (row,) = _steady_rows(params, [params.P_sigma], args.n_max, args.auto_nmax_cap, args.tol)
-    out = args.out or "steady.csv"
-    _write_table(out, _STEADY_COLUMNS, [[v] for v in row], config_dict(args), args.format)
-    print(f"wrote {out}")
+    _write_table(args.out, _STEADY_COLUMNS, [[v] for v in row], config_dict(args), args.format)
+    print(f"wrote {args.out}")
     if row[-1]:
         print(f"solver error: {row[-1]}", file=sys.stderr)
         return _EXIT_NOCONV
@@ -247,10 +246,9 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     params = system_params(args)
     rows = _steady_rows(params, sweep_values(args), args.n_max, args.auto_nmax_cap, args.tol)
-    out = args.out or "sweep.csv"
-    _write_table(out, _STEADY_COLUMNS, list(zip(*rows)), config_dict(args), args.format)
+    _write_table(args.out, _STEADY_COLUMNS, list(zip(*rows)), config_dict(args), args.format)
     failed = sum(1 for r in rows if r[-1])
-    print(f"wrote {out} ({len(rows)} points, {failed} failed)")
+    print(f"wrote {args.out} ({len(rows)} points, {failed} failed)")
     return _EXIT_PARTIAL if failed else _EXIT_OK
 
 
@@ -267,7 +265,7 @@ def _spectrum_result(params: SystemParams, args):
 def cmd_spectrum(args) -> int:
     params = system_params(args)
     res = _spectrum_result(params, args)
-    out = Path(args.out or "spectrum.csv")
+    out = Path(args.out)
     cfg = config_dict(args)
     _write_table(out, ["omega", "S"], [res.omega, res.values], cfg, args.format)
     sidecar = out.with_suffix(".lines.json")
@@ -292,12 +290,11 @@ def cmd_transitions(args) -> int:
     rows, failures = exact.transition_map(
         params, pumps, channel=args.channel, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol
     )
-    out = args.out or "transitions.csv"
     names = ["P_sigma", "omega", "L", "gamma", "K"]
-    _write_table(out, names, [[getattr(r, k) for r in rows] for k in names], config_dict(args), args.format)
+    _write_table(args.out, names, [[getattr(r, k) for r in rows] for k in names], config_dict(args), args.format)
     for P, msg in failures:
         print(f"pump {P}: {msg}", file=sys.stderr)
-    print(f"wrote {out} ({len(rows)} lines, {len(failures)} failed points)")
+    print(f"wrote {args.out} ({len(rows)} lines, {len(failures)} failed points)")
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
 
@@ -308,7 +305,7 @@ def cmd_mollow_coherent(args) -> int:
     )
     omega = np.linspace(args.omega_min * gs, args.omega_max * gs, args.points)
     cfg = config_dict(args)
-    out = Path(args.out or "mollow_coherent.csv")
+    out = Path(args.out)
     dec = coherent.coherent_correlator_lines(drive)
     values = evaluate_lines(list(dec.lines), omega)
     _write_table(out, ["omega", "S"], [omega, values], cfg, args.format)
@@ -329,7 +326,7 @@ def cmd_mollow_coherent(args) -> int:
         [LaserDriveParams(omega_L=drive.omega_L, delta=d, gamma_sigma=gs, gamma_phi=f)
          for d, f in zip(d_col.tolist(), f_col.tolist())]
     )
-    vis_path = out.with_name(out.stem + "_visibility.csv")
+    vis_path = out.with_name(f"{out.stem}_visibility.{args.format}")
     names = ["delta", "gamma_phi", "visibility", "defined"]
     _write_table(vis_path, names, [d_col, f_col, V, defined], cfg, args.format)
     print(f"wrote {out}, {out.with_suffix('.lines.json')} and {vis_path}")
@@ -349,16 +346,15 @@ def cmd_regimes(args) -> int:
                 b["linear_quantum"], b["quantum_lasing"], b["lasing_quenching"], b["quenching_thermal"],
             ]
         )
-    out = args.out or "regimes.csv"
     _write_table(
-        out,
+        args.out,
         ["P_sigma", "regime", "lasing_window_ok",
          "b_linear_quantum", "b_quantum_lasing", "b_lasing_quenching", "b_quenching_thermal"],
         list(zip(*rows)),
         config_dict(args),
         args.format,
     )
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return _EXIT_OK
 
 
@@ -402,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             args = parser.parse_args(argv)
         check_ranges(args)
+        args.out = args.out or f"{args.command.replace('-', '_')}.{args.format}"
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ class ConfigError(JclaserError):
 
 
 class NoSteadyStateError(JclaserError):
-    """The requested parameter set admits no steady state."""
+    """The rates admit no unique steady state: a pump not below its loss,
+    nothing that pumps or damps the system, or a singular sector block."""
 
 
 class SolverMemoryError(JclaserError):

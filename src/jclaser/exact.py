@@ -47,11 +47,9 @@ stay per pump, so each state is bit for bit the one its pump gets alone;
 The one dense eig, in ``RegressionSector.lines``, runs with OpenBLAS held
 at one thread by ``lineshape.one_blas_thread``, so its bits do not depend on
 the OpenBLAS thread count.  ``transition_map`` decomposes its pumps' k = 1
-blocks on the available cores instead: the caller and one long-lived thread
-per further core take them largest first, and the rows and failures come
-back in pump order, bit for bit those of a serial loop.  Where no OpenBLAS
-thread control is found, or on one core, the caller takes them all.  No flag
-selects this.
+blocks on the caller and a pool made for the call, one thread per further
+core, bit for bit as a serial loop would; without an OpenBLAS thread
+control, or on one core, the caller takes them all.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -526,12 +523,14 @@ def _steady_states_of(ps: list[SystemParams], ix: _SectorIndex, x: np.ndarray) -
     return states
 
 
-def _has_steady_state(params: SystemParams) -> bool:
-    if params.P_a > 0.0 and params.P_a >= params.gamma_a:
-        return False
-    if params.gamma_a == 0.0 and params.P_a == 0.0 and params.P_sigma >= params.gamma_sigma:
-        return False
-    return True
+def _no_steady_state(params: SystemParams) -> str:
+    """Why the rates admit no unique steady state, or "" where they do."""
+    lossless = params.gamma_a == params.P_a == 0.0
+    if lossless and params.P_sigma == params.gamma_sigma == 0.0:
+        return "parameters admit no unique steady state (nothing pumps or damps the system)"
+    if 0.0 < params.P_a >= params.gamma_a or lossless and params.P_sigma >= params.gamma_sigma:
+        return "parameters admit no steady state (net gain exceeds loss)"
+    return ""
 
 
 def _tail_converged(T: np.ndarray, rtol: float, tail: float) -> bool:
@@ -593,10 +592,10 @@ def steady_state_sweep(
     out: list = [None] * len(ps)
     todo = {}  # pump -> (cutoff, pinned rung) of its next round
     for i, p in enumerate(ps):
-        if _has_steady_state(p):
-            todo[i] = (min(_N_START, n_max_cap) if n_max is None else n_max, 0)
+        if why := _no_steady_state(p):
+            out[i] = NoSteadyStateError(why)
         else:
-            out[i] = NoSteadyStateError("parameters admit no steady state (net gain exceeds loss)")
+            todo[i] = (min(_N_START, n_max_cap) if n_max is None else n_max, 0)
     while todo:
         rounds: dict = {}
         for i, (n, _) in todo.items():
@@ -851,8 +850,7 @@ def transition_map(
     pumps = np.asarray(pumps, dtype=float)
     with one_blas_thread() as pinned:
         states = steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol)
-        workers = len(os.sched_getaffinity(0)) - 1 if pinned else 0
-        tables = _line_tables(states, channel, weight_floor, workers)
+        tables = _line_tables(states, channel, weight_floor, len(os.sched_getaffinity(0)) - 1 if pinned else 0)
     for P, table in zip(pumps, tables):
         if isinstance(table, JclaserError):
             failures.append((float(P), f"{type(table).__name__}: {table}"))
@@ -861,59 +859,44 @@ def transition_map(
     return rows, failures
 
 
-@functools.cache
-def _eig_pool(workers: int):
-    """The threads that take line tables besides the caller's, kept for the process."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jclaser-eig")
-
-
 def _line_tables(states: list, channel: str, weight_floor: float, workers: int) -> list:
     """``spectral_lines`` of each state, or its ``JclaserError``, in pump order.
 
-    The calling thread takes the largest block, and it and ``workers``
-    threads of ``_eig_pool`` (none at 0) take the rest from one queue,
-    largest first: memory a pool thread frees stays with its allocator
-    arena, so the largest eig stays on the caller's.  Each eig runs on one
-    BLAS thread, so a table is bit for bit the one a serial loop gets.  A
-    program error stops the queue; once every running table is done, the
-    error of the earliest pump is raised.
+    The caller takes the largest block, so its memory is not kept in a pool
+    thread's arena; a pool of ``workers`` threads made for this call takes the
+    rest largest first, and the caller each one not yet started.  One BLAS
+    thread per eig makes the tables a serial loop's, bit for bit.  A program
+    error stops what has not started; the earliest pump's is raised last.
     """
-    tables = list(states)
+    from concurrent.futures import ThreadPoolExecutor
+
+    tables, errors = list(states), {}
     todo = [k for k, ss in enumerate(states) if isinstance(ss, SteadyState)]
     # by the cutoff of the populated ladder, which sets the block's size
     todo.sort(key=lambda k: -min(_populated_cutoff(states[k].photon_distribution), states[k].space.n_max))
-    queue, errors = deque(todo[1:]), {}  # todo[0], the largest, is the caller's
 
     def table(k: int) -> None:
+        if errors and k != todo[0]:  # the caller's block always runs
+            return
         try:
             tables[k] = spectral_lines(states[k].params, channel=channel, ss=states[k], weight_floor=weight_floor)
         except JclaserError as exc:
             tables[k] = exc
         except Exception as exc:  # noqa: BLE001 - raised below, in pump order
             errors[k] = exc
-            queue.clear()
 
-    def run() -> None:
-        while True:
-            try:
-                k = queue.popleft()
-            except IndexError:
-                return
-            table(k)
-
-    futures = [_eig_pool(workers).submit(run) for _ in range(min(workers, len(todo) - 1))]
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="jclaser-eig") if workers else None
+    futures = {k: pool.submit(table, k) for k in todo[1:]} if pool else {}
     try:
-        if todo:
-            table(todo[0])
-        run()
+        for k in todo:
+            if k not in futures or futures[k].cancel():  # not started by the pool
+                table(k)
     finally:
-        queue.clear()  # an interrupted caller leaves the running tables to finish
-        for f in futures:
-            f.exception()  # waits until it is done
-    for f in futures:
-        f.result()
+        if pool:  # an interrupted caller, too, waits for the running tables
+            pool.shutdown(cancel_futures=True)
+    for f in futures.values():
+        if not f.cancelled():
+            f.result()
     if errors:
         raise errors[min(errors)]
     return tables

@@ -269,7 +269,7 @@ def semiclassical_mollow(
     counted as elastic).  Off resonance the single-rung substitution n = n_a
     is evaluated instead.  Both channels are refused at P_sigma = 0, below
     any lasing: the cavity line has no width there, and the emitter forms
-    go negative.
+    go negative.  An emitter spectrum with any negative value is refused too.
     """
     if channel not in ("emitter", "cavity"):
         raise ValueError(f"unknown channel {channel!r}")
@@ -289,7 +289,7 @@ def semiclassical_mollow(
             meta={"gamma_L": gl},
         )
     if params.delta != 0.0:
-        return approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega)
+        return _nonnegative(approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega), params)
 
     G, f = params.Gamma_sigma, params.gamma_phi
     k = kappa_sigma(params)
@@ -309,7 +309,7 @@ def semiclassical_mollow(
         + 4.0 * P * k * w2
         - (G + f + k) * (G**2 * (3.0 * G + f + 2.0 * k) + (G - f) * w2)
     )
-    return SpectrumResult(
+    return _nonnegative(SpectrumResult(
         channel=channel,
         omega=omega,
         values=central + numer / denom / math.pi,
@@ -322,4 +322,12 @@ def semiclassical_mollow(
             "central_fwhm": G + f,
             "negative_delta": delta_w < 0.0,
         },
-    )
+    ), params)
+
+
+def _nonnegative(res: SpectrumResult, params: SystemParams) -> SpectrumResult:
+    low = float(np.min(res.values, initial=0.0))
+    if low < 0.0:
+        raise ValueError(f"the semiclassical {res.channel} spectrum goes negative, down to {low:.3g} "
+                         f"(lasing_window_ok: {lasing_window_ok(params)})")
+    return res

@@ -357,6 +357,30 @@ def test_json_format(tmp_path):
     assert len(doc["rows"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, stem",
+    [
+        (["steady", "--pump-sigma", "1"], "steady"),
+        (["sweep", "--sweep-points", "3"], "sweep"),
+        (["spectrum", "--pump-sigma", "1", "--points", "11"], "spectrum"),
+        (["transitions", "--sweep-min", "0.5", "--sweep-max", "1", "--sweep-points", "2", "--n-max", "10"],
+         "transitions"),
+        (["mollow-coherent", "--points", "11", "--map-points", "2"], "mollow_coherent"),
+        (["regimes", "--sweep-points", "3"], "regimes"),
+    ],
+)
+def test_json_runs_write_json_names(tmp_path, monkeypatch, argv, stem):
+    # without --out the format names the suffix: a JSON document under a .csv
+    # name misleads every reader that goes by the suffix
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--gamma-sigma", "0.1", "--format", "json"]) == 0
+    with open(f"{stem}.json", encoding="utf-8") as f:
+        assert json.load(f)["rows"]
+    assert not list(tmp_path.glob("*.csv"))
+    if stem == "mollow_coherent":
+        assert json.loads((tmp_path / "mollow_coherent_visibility.json").read_text())["rows"]
+
+
 def test_steady_solver_failure_exit_code(tmp_path):
     out = tmp_path / "st.csv"
     code = run(
@@ -447,6 +471,20 @@ def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "P_sigma" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [["--pump-sigma", "1e-9"], ["--pump-sigma", "0.01", "--delta", "0.5"]],
+                         ids=["resonant", "detuned"])
+def test_spectrum_semiclassical_refuses_a_negative_emitter_spectrum(tmp_path, monkeypatch, capsys, extra):
+    # below the lasing window the closed forms, the resonant triplet and the
+    # single rung, go negative at a small pump: no value is written
+    monkeypatch.chdir(tmp_path)
+    code = run(["spectrum", "--method", "semiclassical", "--channel", "emitter", "--gamma-a", "0.1",
+                "--gamma-sigma", "0.00334", "--points", "11", *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "spectrum goes negative" in err and "lasing_window_ok: False" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -407,6 +407,19 @@ def test_no_steady_state_detection():
         exact.steady_state(SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.5, P_a=0.2))
 
 
+def test_no_steady_state_names_its_cause():
+    # nothing pumps or damps an undamped system, so every mixture of its
+    # eigenstates is steady; a pump not below its loss lets the field grow
+    undamped = SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=0.0)
+    with pytest.raises(NoSteadyStateError, match=r"^parameters admit no unique steady state "
+                       r"\(nothing pumps or damps the system\)$"):
+        exact.steady_state(undamped)
+    for p in (replace(undamped, P_sigma=0.1), SystemParams(g=1.0, gamma_a=0.1, P_a=0.1),
+              SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=0.5, P_sigma=0.5)):
+        with pytest.raises(NoSteadyStateError, match=r"^parameters admit no steady state \(net gain exceeds loss\)$"):
+            exact.steady_state(p)
+
+
 def test_auto_cutoff_converges():
     p = SystemParams(P_sigma=0.3, **BASE)
     ss = exact.steady_state(p)
@@ -891,6 +904,31 @@ def test_line_tables_under_many_threads_and_fast_switching(monkeypatch, two_core
     (rows, failures), = result
     assert failures == serial[1] == []
     assert _bits(rows) == _bits(serial[0])
+
+
+def test_transition_map_leaves_no_pool_thread_alive(monkeypatch, two_cores_two_blas_threads):
+    # the pool is made for each map and shut down before it returns, also
+    # when a program error propagates
+    import threading
+
+    def alive():
+        return [t.name for t in threading.enumerate() if t.name.startswith("jclaser-eig")]
+
+    pumps, p = np.array([0.3, 1.0, 3.0, 6.0]), SystemParams(**BASE)
+    names = _spy_threads(monkeypatch)
+    rows, failures = exact.transition_map(p, pumps)
+    assert rows and not failures
+    if lineshape._openblas():
+        assert any(name.startswith("jclaser-eig") for name in names)
+    assert alive() == []
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(exact, "decompose", broken)
+    with pytest.raises(TypeError, match="broken"):
+        exact.transition_map(p, pumps)
+    assert alive() == []
 
 
 def test_unclosed_line_weights_refused():
