@@ -10,6 +10,7 @@ from .errors import (
     ConfigError,
     EmptyChannelError,
     JclaserError,
+    LineFitError,
     NonDiagonalizableError,
     NoPhysicalRootError,
     NoSteadyStateError,
@@ -28,6 +29,7 @@ __all__ = [
     "EmptyChannelError",
     "JclaserError",
     "LaserDriveParams",
+    "LineFitError",
     "NonDiagonalizableError",
     "NoPhysicalRootError",
     "NoSteadyStateError",

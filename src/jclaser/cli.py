@@ -149,6 +149,9 @@ def check_ranges(args) -> None:
     if hasattr(args, "points"):  # the frequency grid of spectrum and mollow-coherent
         if args.points < 1:
             raise ConfigError(f"--points must be at least 1, got {args.points}")
+        for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if not args.omega_min < args.omega_max:
             raise ConfigError(f"--omega-min must be below --omega-max, got {args.omega_min} and {args.omega_max}")
     if hasattr(args, "map_points") and args.map_points < 1:

@@ -34,6 +34,10 @@ class NonDiagonalizableError(JclaserError):
     """The regression generator could not be diagonalized reliably."""
 
 
+class LineFitError(JclaserError):
+    """A rational line table failed its checks: a pole not below the real
+    axis, weights that miss one, or no validated fit within the sample budget."""
+
 
 class EmptyChannelError(JclaserError):
     """The channel holds no population, so its spectrum has no normalisation."""

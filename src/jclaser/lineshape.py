@@ -1,32 +1,24 @@
-"""Spectral lines: the one eigen-projection, the line records, Lorentzian sums.
+"""Spectral lines: the eigen-projection, the line records, Lorentzian sums.
 
 Each engine writes its two-time correlator as du/dtau = G u + f from
 u(0) = u0, read out as <c'(0)c(tau)> = readout . u(tau).  One convention: G
 is the generator, so u(tau) = B + e^{G tau} (u0 - B) with G B = -f, and an
 eigenvalue lam gives a line at omega = -Im lam of FWHM gamma = -2 Re lam.
-The exact, approximate (per-rung) and coherent-drive engines all call
-``decompose`` and ``lines_from_eigenpairs``, giving
+The approximate (per-rung) and coherent-drive engines project on the
+eigenbasis of their small blocks with ``decompose``; the exact engine fits
+the poles of its resolvent instead (``exact.spectral_lines``), each pole
+w_p standing for lam = -i w_p.  All three turn (lam, weight) pairs into
+lines with ``lines_from_eigenpairs``, giving
 
     <c'(0)c(t)> = readout . B + n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
 
 which transforms into a sum of Lorentzians with dispersive admixtures.
 Every engine normalises its lines by the channel population n_c through
 ``channel_population``, the one place an empty channel is refused.
-
-Every dense eig of the exact engine runs inside ``one_blas_thread``, which
-holds each OpenBLAS of the process at one thread: OpenBLAS's two threads make
-a ``dgeev`` slower, not faster, and ``exact.transition_map`` gives the
-second core an eig of its own instead.  A 1-thread and a 2-thread eig of the
-same block differ in their last bits, so the scope also makes the lines
-independent of the OpenBLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,65 +34,6 @@ class SpectralLine:
     gamma: float
     L: float
     K: float = 0.0
-
-
-_blas_lock = threading.Lock()
-_blas_scopes = 0  # open one_blas_thread scopes, in every thread
-_blas_saved: list = []  # (set, count) of each OpenBLAS, restored by the last scope
-
-
-@functools.cache
-def _openblas() -> list:
-    """(get, set) of the thread count of every OpenBLAS mapped into this process
-    at the first call; ``exact`` maps numpy's and scipy's when it is imported."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone, or a path with blanks
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body with every OpenBLAS of the process on one thread.
-
-    Yields whether that holds: False where no OpenBLAS with a thread control
-    is loaded.  The outermost open scope sets the counts and the last to
-    close restores them; a scope opened inside another, in any thread,
-    changes nothing.
-    """
-    global _blas_scopes, _blas_saved
-    with _blas_lock:
-        if _blas_scopes == 0:
-            _blas_saved = [(set_, get()) for get, set_ in _openblas()]
-            for set_, _ in _blas_saved:
-                set_(1)
-        _blas_scopes += 1
-        pinned = bool(_blas_saved)
-    try:
-        yield pinned
-    finally:
-        with _blas_lock:
-            _blas_scopes -= 1
-            if _blas_scopes == 0:
-                for set_, count in _blas_saved:
-                    set_(count)
-                _blas_saved = []
 
 
 # Relative eigenvalue gap below which two lines merge into one (exceptional

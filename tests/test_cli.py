@@ -149,6 +149,12 @@ def test_config_header_runs_as_config_file(tmp_path):
         (["sweep", "--sweep-points", "1"], "--sweep-points"),
         (["regimes", "--sweep-min", "0"], "--sweep-min"),
         (["transitions", "--sweep-min", "5", "--sweep-max", "1"], "--sweep-max"),
+        # an infinite bound once wrote a grid of inf and nan and exited 0
+        (["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "1", "--method", "approx",
+          "--omega-max", "inf", "--points", "5"], "--omega-max"),
+        (["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "1", "--omega-min=-inf",
+          "--points", "5"], "--omega-min"),
+        (["mollow-coherent", "--omega-max", "inf"], "--omega-max"),
     ],
 )
 def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
@@ -287,6 +293,18 @@ def test_transitions_file(tmp_path):
     # linear-regime rows contain the dominant +-R0 doublet
     low = sorted((r for r in rows if float(r[0]) == pumps[0]), key=lambda r: -abs(float(r[2])))
     assert {round(abs(float(r[1])), 1) for r in low[:2]} == {1.0}
+
+
+@pytest.mark.parametrize("channel", ["cavity", "emitter"])
+def test_readme_transitions_map_fits_every_pump(tmp_path, capsys, channel):
+    # the README map up to P 40: every pump's line table fits, so it exits 0
+    out = tmp_path / "map.csv"
+    code = run(["transitions", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--sweep-min", "0.01",
+                "--sweep-max", "40", "--sweep-points", "60", "--channel", channel, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.endswith(" lines, 0 failed points)\n")
+    assert len({line.split(",")[0] for line in out.read_text().splitlines()[3:]}) == 60
 
 
 def test_mollow_coherent_files(tmp_path):
@@ -645,8 +663,9 @@ def test_commands_do_not_load_scipy_linalg(fresh_command_modules):
 
 
 def test_cli_import_does_not_load_concurrent_futures(fresh_command_modules):
-    # transition_map imports its thread pool when it first runs
-    assert "concurrent.futures" not in fresh_command_modules["import jclaser.cli"]
+    # no command starts a thread or process pool, on import or when it runs
+    for step, modules in fresh_command_modules.items():
+        assert "concurrent.futures" not in modules, step
 
 
 def test_runtime_package_carries_no_moment_oracle():
@@ -816,4 +835,6 @@ def test_spectrum_sidecar_reports_the_grid_integral(tmp_path):
     assert code == 0
     validity = json.loads((tmp_path / "cav.lines.json").read_text())["validity"]
     assert validity["grid_integral"] == pytest.approx(1.896, abs=1e-3)
-    assert validity["eig_form"] == "real"
+    # and the record of its line fit
+    assert validity["closure_miss"] <= 1e-6 and validity["fit_miss"] <= 1e-9
+    assert validity["poles"] == len(json.loads((tmp_path / "cav.lines.json").read_text())["lines"])

@@ -159,40 +159,3 @@ def test_eig_residual_of_a_real_block_holds_no_complex_copy():
         tracemalloc.stop()
     assert peak < M * M * 16 / 2
 
-
-def test_one_blas_thread_scope_restores_the_counts_and_nests():
-    from jclaser import lineshape
-
-    controls = lineshape._openblas()
-    if not controls:
-        pytest.skip("no OpenBLAS with a thread control is loaded")
-    before = [get() for get, _ in controls]
-    try:
-        for _, set_ in controls:
-            set_(2)
-        with lineshape.one_blas_thread() as pinned:
-            assert pinned and [get() for get, _ in controls] == [1] * len(controls)
-            with lineshape.one_blas_thread() as inner:
-                assert inner
-            assert [get() for get, _ in controls] == [1] * len(controls)
-        assert [get() for get, _ in controls] == [2] * len(controls)
-        with pytest.raises(RuntimeError):
-            with lineshape.one_blas_thread():
-                raise RuntimeError
-        assert [get() for get, _ in controls] == [2] * len(controls)
-        assert lineshape._blas_scopes == 0
-    finally:
-        for (_, set_), n in zip(controls, before):
-            set_(n)
-
-
-def test_blas_discovery_skips_a_library_it_cannot_load(monkeypatch):
-    # a deleted mapping cannot be loaded; the scope then finds no control
-    # and every eig runs as the library left it, serially
-    from jclaser import lineshape
-
-    def missing(path):
-        raise OSError(f"{path}: cannot open shared object file")
-
-    monkeypatch.setattr(lineshape.ctypes, "CDLL", missing)
-    assert lineshape._openblas.__wrapped__() == []
