@@ -23,7 +23,9 @@ full Liouvillian):
   per point z; ``_band_solve`` factors and solves the bands of both sectors.
   ``spectrum``, ``spectral_lines`` and ``transition_map`` take their lines
   from one rational fit of F (``_line_table``): samples, an AAA fit, and a
-  check against fresh solves on the real axis.
+  check against fresh solves on the real axis.  Each point is solved once,
+  and at resonance (delta = 0) only those with Re z >= 0, as F(-conj z) =
+  conj F(z); ``resolvent_solves`` and the budget count distinct solves.
 
 A block's values change with the rates, but nothing else does: its sparsity
 pattern, the ladder amplitudes each term gathers and its band layout depend
@@ -62,7 +64,14 @@ from .errors import (
     TruncationNotConvergedError,
     ZeroPivotError,
 )
-from .lineshape import SpectralLine, SpectrumResult, channel_population, evaluate_lines, lines_from_eigenpairs
+from .lineshape import (
+    SpectralLine,
+    SpectrumResult,
+    channel_population,
+    evaluate_lines,
+    integrate_lines,
+    lines_from_eigenpairs,
+)
 from .params import SystemParams
 
 
@@ -633,12 +642,13 @@ def steady_state(
 @dataclass
 class RegressionSector:
     """Generator block, initial condition, readout and population n_c = Re readout . u0 > 0
-    of one channel."""
+    of one channel, and whether delta = 0."""
 
     generator: SectorBlock
     u0: np.ndarray
     readout: np.ndarray
     n_c: float
+    resonant: bool
 
 
 def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> RegressionSector:
@@ -671,7 +681,7 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     u0[ok] = ss.element(r[ok], t[s[ok]]) * v[s[ok]]
     readout = np.where(dst[r] == s, amp[r], 0.0)  # readout[e] = <s| c |r>
     n_c = channel_population(np.real(np.dot(readout, u0)))
-    return RegressionSector(generator=G, u0=u0, readout=readout, n_c=n_c)
+    return RegressionSector(generator=G, u0=u0, readout=readout, n_c=n_c, resonant=params.delta == 0.0)
 
 
 def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
@@ -710,11 +720,6 @@ def _resolvent(sec: RegressionSector, z: np.ndarray) -> np.ndarray:
     return out / sec.n_c
 
 
-def resolvent_spectrum(sec: RegressionSector, omega: np.ndarray) -> np.ndarray:
-    """S(w) = -Re F(w) / pi on the real frequencies ``omega`` (``_resolvent``)."""
-    return -np.real(_resolvent(sec, np.asarray(omega, dtype=float))) / math.pi
-
-
 # Rational line tables.  F(z) = sum_p c_p / (lam_p + i z) is rational, with a
 # pole w_p = i lam_p below the real axis per line and weights c_p = L_p + i K_p
 # that sum to one.  ``_line_table`` samples F by banded solves, fits it with
@@ -723,7 +728,9 @@ def resolvent_spectrum(sec: RegressionSector, omega: np.ndarray) -> np.ndarray:
 # tables, both channels at gamma_sigma 0.00334 and gamma_a 0.1 over P
 # 0.001..1000, with delta 0.5 or 2, gamma_phi 0.1, both (0.3, 0.1) or (-1, 1),
 # or P_a 0.02 over P 0.01..40, and at gamma_a 0.01 (P <= 7), 0.5 and 2: every
-# table validates in 127 to 2062 solves, with weights within 4e-8 of one.
+# table validates in 127 to 2062 solves (counted with repeats; solved once and
+# mirrored, 84 tables over gamma_a 0.01..2 take 82 to 717), with weights within
+# 4e-8 of one.
 # Start samples sit at Im z = 0.02, above the narrowest lines (7.5e-3 wide at
 # P 6.1), where F varies smoothly: 61 points on [-30, 30], past the Mollow
 # side bands (+-24 at P 15), and 10 log-spaced points on each side out to
@@ -749,7 +756,7 @@ _DOUBLET = 1e-9
 # Shift of the inverted pencil: poles near the real axis are resolved relative
 # to their distance from it; a shift of 3e3 i cost the narrow P 27 lines 1e-7.
 _SHIFT = 0.1j
-_BUDGET = 3000  # resolvent solves per table; the probes take at most 2062
+_BUDGET = 3000  # distinct resolvent solves per table; the probes take at most 2062
 _CLOSURE = 1e-6  # how far the weights' real parts may sum from one: the tests' and the gate's tolerance
 
 
@@ -814,37 +821,60 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
     every other midpoint between samples and at Re w_p and Re w_p +- |Im w_p|
     of every pole; the points that miss by more than 1e-9 of max S, and the
     kept poles not below the real axis, join the samples and the fit is redone.
-    Raises ``LineFitError`` when that does not end within the sample budget or
-    the weights' real parts miss one by more than 1e-6.
+    Raises ``LineFitError`` when that does not end within the budget of
+    distinct solves or the weights' real parts miss one by more than 1e-6.
+
+    ``sample`` keeps every value it solves, so no point is solved twice.  At
+    resonance the conjugate of the block is the block with the signs
+    (-1)^(i_r + i_s) of its elements, which u0 and the readout carry too (the
+    steady coherences are imaginary): F(-conj z) = conj F(z), bit for bit.
+    There a point with Re z < 0 reads its mirror's value, and the samples and
+    checks are mirror-closed: the midpoints of the samples with Re z >= 0 and
+    every pole's points, with their mirrors.
     """
+    solved: dict[complex, complex] = {}
+
+    def sample(z: np.ndarray) -> np.ndarray:
+        mirrored = sec.resonant & (z.real < 0.0)
+        at = np.where(mirrored, -z.conj(), z).tolist()
+        new = [p for p in dict.fromkeys(at) if p not in solved]
+        if new:
+            solved.update(zip(new, _resolvent(sec, np.array(new)).tolist()))
+        F = np.array([solved[p] for p in at], dtype=complex)
+        return np.where(mirrored, F.conj(), F)
+
+    def mirror(v: np.ndarray) -> np.ndarray:
+        return np.concatenate([v, -v.conj()]) if sec.resonant else v
+
     # the start samples, built here: at import they raised every command's peak RSS by 0.5 MB
-    Z = 1j * _ETA + np.concatenate([-np.geomspace(3e3, 30.0, 11)[:-1], np.linspace(-30.0, 30.0, 61),
-                                    np.geomspace(30.0, 3e3, 11)[1:]])
-    F, support, solves = _resolvent(sec, Z), [], len(Z)
+    far = np.geomspace(30.0, 3e3, 11)[1:]
+    Z = 1j * _ETA + np.concatenate([-far[::-1], np.linspace(-30.0, 30.0, 61), far])
+    F, support = sample(Z), []
     while True:
         every, poles, res = _poles(*_aaa(Z, F, support), Z, F)
         x = np.sort(Z.real)
+        if sec.resonant:
+            x = x[x >= 0.0]
         half = np.abs(every.imag)
-        V = np.unique(np.concatenate([(x[:-1:2] + x[1::2]) / 2, every.real, every.real - half, every.real + half]))
-        V = V[~np.isin(V, Z)]  # each real point is solved once
-        S = resolvent_spectrum(sec, V)
-        solves += len(V)
+        V = mirror(np.concatenate([(x[:-1:2] + x[1::2]) / 2, every.real, every.real - half, every.real + half]))
+        V = np.unique(V)
+        V = V[~np.isin(V, Z)]  # the fit has seen the samples
+        S = -sample(V).real / math.pi
         miss = np.abs(np.real(np.sum(res / (V[:, None] - poles), axis=1)) / math.pi + S) / np.max(np.abs(S))
         bad, upper = miss > _VALID_RTOL, poles[poles.imag >= 0.0]
         if not bad.any() and not len(upper):
             break
-        if solves >= _BUDGET:
+        if len(solved) >= _BUDGET:
             why = (f"misses by {np.max(miss):.1e} of max S" if bad.any()
                    else f"pole {upper[0]:.6g} not below the real axis")
-            raise LineFitError(f"line fit not validated in {solves} solves (size {sec.generator.size}): {why}")
+            raise LineFitError(f"line fit not validated in {len(solved)} solves (size {sec.generator.size}): {why}")
         # F has no pole above the real axis: a sample at a fitted one refutes it
-        new = np.setdiff1d(np.concatenate([V[bad], upper]), Z)
-        Z, F = np.concatenate([Z, new]), np.concatenate([F, _resolvent(sec, new)])
-        solves += len(new)
+        new = np.setdiff1d(mirror(np.concatenate([V[bad], upper])), Z)
+        Z, F = np.concatenate([Z, new]), np.concatenate([F, sample(new)])
     closure = abs(np.sum((1j * res).real) - 1.0)
     if not closure <= _CLOSURE:
         raise LineFitError(f"line weights miss one by {closure:.2e}")
-    fit = {"resolvent_solves": solves, "poles": len(poles), "doublets": len(every) - len(poles),
+    fit = {"resolvent_solves": len(solved), "poles": len(poles), "doublets": len(every) - len(poles),
            "fit_miss": float(np.max(miss)), "closure_miss": float(closure)}
     return lines_from_eigenpairs(-1j * poles, 1j * res, weight_floor), fit
 
@@ -876,13 +906,16 @@ def spectrum(
 ) -> SpectrumResult:
     """Normalized emission spectrum of the steady state ``ss`` on the grid
     ``omega``, evaluated from its line table (``_line_table``).  ``meta``
-    holds the fit's record and ``grid_integral``, the trapezoid integral of
-    the grid values."""
+    holds the fit's record, ``grid_integral``, the trapezoid integral of the
+    grid values, and ``window_weight``, the lines' weight inside [min omega,
+    max omega]; neither is refused."""
     lines, fit = _line_table(regression_sector(params, ss, channel))
     values = evaluate_lines(lines, omega)
     meta = {"n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, **fit}
     # far from one when the grid misses a line or steps over a narrow one
     meta["grid_integral"] = float(np.trapezoid(values, omega))
+    # below one when the window cuts the tails of broad lines
+    meta["window_weight"] = integrate_lines(lines, np.min(omega), np.max(omega))
     return SpectrumResult(
         channel=channel,
         omega=np.asarray(omega, dtype=float),

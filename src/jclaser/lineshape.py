@@ -101,27 +101,9 @@ def channel_population(n_c) -> float:
     return total
 
 
-# Entries of G per row block of the eigenbasis residual (1 MB of complex rows).
-_RESIDUAL_BLOCK = 1 << 16
-
-
 def _eig_residual(G: np.ndarray, V: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """max |G V - V lam| per block, over a few rows of G at a time.
-
-    A real G multiplies the (Re, Im) float pairs of a complex V, so it is
-    never promoted to complex.
-    """
-    pairs = np.isrealobj(G) and np.iscomplexobj(V)
-    Vm = np.ascontiguousarray(V).view(np.float64) if pairs else V
-    step = max(1, _RESIDUAL_BLOCK // max(1, G[..., :1, :].size))
-    resid = np.zeros(G.shape[:-2])
-    for i in range(0, G.shape[-1], step):
-        GV = G[..., i : i + step, :] @ Vm
-        if pairs:
-            GV = GV.view(np.complex128)
-        block = np.max(np.abs(GV - V[..., i : i + step, :] * lams[..., None, :]), axis=(-2, -1))
-        resid = np.maximum(resid, block)
-    return resid
+    """max |G V - V lam| per block."""
+    return np.max(np.abs(G @ V - V * lams[..., None, :]), axis=(-2, -1))
 
 
 def merge_degenerate(lams: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,6 +157,24 @@ def evaluate_lines(lines: list[SpectralLine], omega: np.ndarray) -> np.ndarray:
         d = omega - ln.omega
         total += (ln.L * half - ln.K * d) / (half**2 + d**2)
     return total / np.pi
+
+
+def integrate_lines(lines: list[SpectralLine], lo: float, hi: float) -> float:
+    """Exact integral of the line sum over [lo, hi] (antiderivatives).
+
+    Lorentzian part: (L/pi) atan(2(w - w_p)/g_p); dispersive part:
+    -(K/2 pi) log((g_p/2)^2 + (w - w_p)^2).
+    """
+    total = 0.0
+    for ln in lines:
+        half = ln.gamma / 2.0
+        if half <= 0.0:
+            total += ln.L if lo <= ln.omega <= hi else 0.0
+            continue
+        a, b = lo - ln.omega, hi - ln.omega
+        total += ln.L / np.pi * (np.arctan(b / half) - np.arctan(a / half))
+        total -= ln.K / (2.0 * np.pi) * (np.log(half**2 + b**2) - np.log(half**2 + a**2))
+    return float(total)
 
 
 @dataclass

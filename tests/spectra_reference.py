@@ -1,7 +1,8 @@
 """Closed forms the tests check the spectral engines against: rung Rabi
 frequencies and labelled rung coefficients, peak-position families, the
-resonant Mollow triplet of the driven emitter, the line-sum integral, and
-the side-peak position read off a spectrum grid.
+resonant Mollow triplet of the driven emitter, the side-peak position read
+off a spectrum grid, and the exact engine's spectrum straight from its
+banded resolvent, one solve per frequency.
 
 Re-exports ``jclaser.spectra``, so that the suite reads runtime and oracle
 through one name (``import spectra_reference as spectra``).
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coherent_reference import coherent_weight
+from jclaser import exact
 from jclaser.coherent import CoherentLines, coherent_steady_state
 from jclaser.errors import JclaserError
 from jclaser.lineshape import SpectralLine, SpectrumResult
@@ -227,22 +229,9 @@ def resonant_lines(drive: LaserDriveParams) -> CoherentLines:
     return CoherentLines(tuple(lines), coherent_weight(drive), coherent_steady_state(drive).n_sigma)
 
 
-def integrate_lines(lines: list[SpectralLine], lo: float, hi: float) -> float:
-    """Exact integral of the line sum over [lo, hi] (antiderivatives).
-
-    Lorentzian part: (L/pi) atan(2(w - w_p)/g_p); dispersive part:
-    -(K/2 pi) log((g_p/2)^2 + (w - w_p)^2).
-    """
-    total = 0.0
-    for ln in lines:
-        half = ln.gamma / 2.0
-        if half <= 0.0:
-            total += ln.L if lo <= ln.omega <= hi else 0.0
-            continue
-        a, b = lo - ln.omega, hi - ln.omega
-        total += ln.L / np.pi * (np.arctan(b / half) - np.arctan(a / half))
-        total -= ln.K / (2.0 * np.pi) * (np.log(half**2 + b**2) - np.log(half**2 + a**2))
-    return float(total)
+def resolvent_spectrum(sec, omega: np.ndarray) -> np.ndarray:
+    """S(w) = -Re F(w) / pi on the real frequencies ``omega`` (``exact._resolvent``)."""
+    return -np.real(exact._resolvent(sec, np.asarray(omega, dtype=float))) / math.pi
 
 
 class NotResolvableError(JclaserError):

@@ -3,7 +3,8 @@
 ``bench/gate.py`` refuses a benchmark run whose outputs break them; these
 tests read the gate and the workload definitions as they are (never edited
 here) and apply them to the exact spectra and the transition map at the
-edges of what the workloads draw.
+edges of what the workloads draw, and on the paths they do not draw: the
+workloads are all resonant and map the cavity only.
 """
 
 import importlib
@@ -59,4 +60,30 @@ def test_transition_map_passes_the_gate(bench, tmp_path, u):
     gate, workloads = bench
     ((step,),) = workloads.WORKLOADS["transition_map"].build(_Draw(u), str(tmp_path))
     assert main(step["argv"]) == 0
+    assert gate.check_transitions(step) == (6, [])
+
+
+@pytest.mark.parametrize("P", [6.0, 6.25])
+def test_detuned_exact_spectra_pass_the_gate(bench, tmp_path, P):
+    # the spectra workload's two exact steps with a detuning, where the line
+    # table samples both halves of the frequency axis
+    gate, workloads = bench
+    u = math.log(P / 6.0) / math.log(6.25 / 6.0)
+    (steps,) = workloads.WORKLOADS["spectra"].build(_Draw(u), str(tmp_path))
+    exact = [s for s in steps if s["kind"] == "spectrum" and s["method"] == "exact"]
+    assert len(exact) == 2
+    for step in exact:
+        assert main([*step["argv"], "--delta", "0.5"]) == 0
+        side = json.loads(Path(step["out"]).with_suffix(".lines.json").read_text())
+        assert float(side["config"]["delta"]) == 0.5
+        assert gate.lines_problem(side["lines"]) == ""
+        assert gate._grid_problem(step["out"], 2001) == ""
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0], ids=["lowest_jitter", "highest_jitter"])
+def test_emitter_transition_map_passes_the_gate(bench, tmp_path, u):
+    # the transition_map workload on the emitter channel
+    gate, workloads = bench
+    ((step,),) = workloads.WORKLOADS["transition_map"].build(_Draw(u), str(tmp_path))
+    assert main([*step["argv"], "--channel", "emitter"]) == 0
     assert gate.check_transitions(step) == (6, [])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jclaser.cli import main
+from jclaser.lineshape import SpectralLine, integrate_lines
 
 
 def run(argv):
@@ -838,3 +839,18 @@ def test_spectrum_sidecar_reports_the_grid_integral(tmp_path):
     # and the record of its line fit
     assert validity["closure_miss"] <= 1e-6 and validity["fit_miss"] <= 1e-9
     assert validity["poles"] == len(json.loads((tmp_path / "cav.lines.json").read_text())["lines"])
+
+
+def test_spectrum_sidecar_reports_the_window_weight(tmp_path):
+    # the default window [-20, 20] holds 0.815 of the P 6.1 emitter's broad
+    # lines, the closed-form integral of its line table; that is reported,
+    # not refused, and the cavity's narrow lines sit inside the window
+    for channel, weight in (("emitter", 0.8146), ("cavity", 1.0)):
+        out = tmp_path / f"{channel}.csv"
+        code = run(["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "6.1",
+                    "--channel", channel, "--out", str(out)])
+        assert code == 0
+        side = json.loads((tmp_path / f"{channel}.lines.json").read_text())
+        assert side["validity"]["window_weight"] == pytest.approx(weight, abs=1e-4)
+        lines = [SpectralLine(ln["omega"], ln["gamma"], ln["L"], ln["K"]) for ln in side["lines"]]
+        assert side["validity"]["window_weight"] == pytest.approx(integrate_lines(lines, -20.0, 20.0), abs=1e-12)

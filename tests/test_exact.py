@@ -17,11 +17,11 @@ from jclaser.errors import (
     TruncationNotConvergedError,
     ZeroPivotError,
 )
-from jclaser.lineshape import evaluate_lines
+from jclaser.lineshape import evaluate_lines, integrate_lines
 from jclaser.params import SystemParams
 from liouvillian_oracle import build_liouvillian, full_steady_rho, off_pattern_max, operators
 import moment_reference as moments
-from spectra_reference import integrate_lines
+from spectra_reference import resolvent_spectrum
 
 BASE = dict(g=1.0, gamma_a=0.1, gamma_sigma=0.00334)
 LASING = SystemParams(P_sigma=7.0, **BASE)
@@ -199,7 +199,7 @@ def test_banded_lu_is_scipys_lapack(monkeypatch):
 
     def solves():
         pinned = exact._pinned_solves(G.index, G.data[None], [0])[0]
-        shifted = exact.resolvent_spectrum(sec, omega)
+        shifted = resolvent_spectrum(sec, omega)
         return pinned.tobytes(), shifted.tobytes()
 
     ours = solves()
@@ -552,7 +552,7 @@ def test_eigen_vs_resolvent_spectra():
             lines = exact.spectral_lines(p, channel=channel, ss=ss_l)
             w = rng.uniform(-6.0, 6.0, size=32)
             from_lines = evaluate_lines(lines, w)
-            from_resolvent = exact.resolvent_spectrum(exact.regression_sector(p, ss_l, channel), w)
+            from_resolvent = resolvent_spectrum(exact.regression_sector(p, ss_l, channel), w)
             scale = np.max(np.abs(from_lines))
             assert np.max(np.abs(from_lines - from_resolvent)) < 1e-8 * scale
 
@@ -830,8 +830,82 @@ def test_banded_resolvent_matches_dense_solve(gamma_a, P, channels, omega):
     for channel in channels:
         sec = exact.regression_sector(p, ss, channel)
         ref = _dense_resolvent(sec, omega)
-        got = exact.resolvent_spectrum(sec, omega)
+        got = resolvent_spectrum(sec, omega)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# points of the line table's start samples and of its real-axis checks
+_MIRROR_Z = np.concatenate([0.02j + np.linspace(-30.0, 30.0, 13), [0.0, 1.5, -2.7, 1e3],
+                            0.02j + np.geomspace(30.0, 3e3, 4)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    gamma_a=st.floats(0.05, 2.0),
+    gamma_sigma=st.floats(1e-3, 1.0),
+    gamma_phi=st.sampled_from([0.0, 0.1, 0.7]),
+    P_a=st.floats(0.0, 0.9),
+    P=st.floats(0.01, 10.0),
+)
+def test_resonant_resolvent_is_mirror_symmetric(gamma_a, gamma_sigma, gamma_phi, P_a, P):
+    # at delta = 0, F(-conj z) = conj F(z) on both channels, which lets the
+    # line table solve only Re z >= 0; a detuning breaks it
+    for delta, mirrored in ((0.0, True), (0.5, False)):
+        p = SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=gamma_sigma, gamma_phi=gamma_phi,
+                         P_a=P_a * gamma_a, P_sigma=P, delta=delta)
+        ss = exact.steady_state(p)
+        for channel in ("cavity", "emitter"):
+            sec = exact.regression_sector(p, ss, channel)
+            assert sec.resonant is mirrored
+            F = exact._resolvent(sec, _MIRROR_Z)
+            gap = np.max(np.abs(exact._resolvent(sec, -_MIRROR_Z.conj()) - F.conj())) / np.max(np.abs(F))
+            assert bool(gap <= 1e-15) is mirrored, (channel, gap)
+
+
+def _solved_points(monkeypatch):
+    # every point that the line table hands to the banded resolvent
+    solved = []
+    real = exact._resolvent
+
+    def spy(sec, z):
+        solved.extend(np.asarray(z).tolist())
+        return real(sec, z)
+
+    monkeypatch.setattr(exact, "_resolvent", spy)
+    return solved
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5], ids=["resonant", "detuned"])
+def test_line_table_solves_each_point_once(monkeypatch, delta):
+    # one sampler serves samples and checks: no point is factored twice, and
+    # at resonance no point with Re z < 0 is factored at all
+    p = SystemParams(P_sigma=6.1, delta=delta, **BASE)
+    ss = exact.steady_state(p)
+    solved = _solved_points(monkeypatch)
+    for channel in ("cavity", "emitter"):
+        sec = exact.regression_sector(p, ss, channel)
+        solved.clear()
+        lines, fit = exact._line_table(sec)
+        assert len(solved) == len(set(solved)) == fit["resolvent_solves"]
+        negative = [z for z in solved if z.real < 0.0]
+        assert (negative == []) is (delta == 0.0)
+        w = np.linspace(-20.0, 20.0, 401)
+        ref = resolvent_spectrum(sec, w)
+        assert np.max(np.abs(evaluate_lines(lines, w) - ref)) <= 1e-8 * np.max(ref)
+
+
+def test_sidecar_counts_the_distinct_solves(monkeypatch, tmp_path):
+    # resolvent_solves in the sidecar is the number of points factored
+    import json
+
+    from jclaser.cli import main
+
+    solved = _solved_points(monkeypatch)
+    out = tmp_path / "cav.csv"
+    assert main(["spectrum", "--gamma-a", "0.01", "--gamma-sigma", "0.00334", "--pump-sigma", "3",
+                 "--channel", "cavity", "--out", str(out)]) == 0
+    validity = json.loads((tmp_path / "cav.lines.json").read_text())["validity"]
+    assert validity["resolvent_solves"] == len(set(solved)) == len(solved)
 
 
 def test_spectrum_grid_integral_shows_a_missed_line():
@@ -883,7 +957,7 @@ def test_resolvent_zero_pivot_named(monkeypatch):
     real = exact.zgbtrf
     monkeypatch.setattr(exact, "zgbtrf", lambda *a, **k: (*real(*a, **k)[:2], 3))
     with pytest.raises(ZeroPivotError) as info:
-        exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))
+        resolvent_spectrum(sec, np.array([0.0, 0.5]))
     assert not isinstance(info.value, NoSteadyStateError)
     assert "singular Liouvillian" not in str(info.value)
 
@@ -897,7 +971,7 @@ def test_resolvent_memory_error_named(monkeypatch):
 
     monkeypatch.setattr(exact, "zgbtrf", oom)
     with pytest.raises(SolverMemoryError, match=rf"out of memory in the banded LU \(size {sec.generator.size}\): no room"):
-        exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))
+        resolvent_spectrum(sec, np.array([0.0, 0.5]))
 
 
 def test_cross_agreement_with_dephasing_and_detuning():
@@ -922,4 +996,4 @@ def test_empty_channel_is_refused_when_its_sector_is_built():
     p = replace(p, P_sigma=0.5)
     sec = exact.regression_sector(p, exact.steady_state(p, n_max=8), "emitter")
     assert sec.n_c == float(np.real(np.dot(sec.readout, sec.u0))) > 0.0
-    assert np.all(np.isfinite(exact.resolvent_spectrum(sec, np.array([0.0, 0.5]))))
+    assert np.all(np.isfinite(resolvent_spectrum(sec, np.array([0.0, 0.5]))))

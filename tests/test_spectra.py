@@ -298,7 +298,7 @@ def test_incoherent_normalization_on_grid():
     T = spectra.poissonian_statistics(n_a)
     res = spectra.approx_spectrum(p, T, "cavity", np.array([0.0]))
     span = 10.0 * p.g * max(1.0, math.sqrt(n_a))
-    assert ref.integrate_lines(res.lines, -span, span) == pytest.approx(
+    assert lineshape.integrate_lines(res.lines, -span, span) == pytest.approx(
         1.0 - res.elastic_weight, abs=1e-3
     )
 
