@@ -154,8 +154,14 @@ def check_ranges(args) -> None:
                 raise ConfigError(f"{flag} must be finite, got {value}")
         if not args.omega_min < args.omega_max:
             raise ConfigError(f"--omega-min must be below --omega-max, got {args.omega_min} and {args.omega_max}")
-    if hasattr(args, "map_points") and args.map_points < 1:
-        raise ConfigError(f"--map-points must be at least 1, got {args.map_points}")
+    if hasattr(args, "map_points"):  # the (delta, gamma_phi) map, in units of gamma_sigma
+        unit = args.gamma_sigma or 1.0
+        if args.map_points < 1:
+            raise ConfigError(f"--map-points must be at least 1, got {args.map_points}")
+        if not math.isfinite(args.map_delta_max * unit):
+            raise ConfigError(f"--map-delta-max must be finite in units of gamma_sigma, got {args.map_delta_max}")
+        if not 0.0 <= args.map_phi_max * unit < math.inf:
+            raise ConfigError(f"--map-phi-max must be finite and >= 0 in units of gamma_sigma, got {args.map_phi_max}")
 
 
 def sweep_values(args) -> np.ndarray:
@@ -325,10 +331,7 @@ def cmd_mollow_coherent(args) -> int:
     deltas = np.linspace(0.0, args.map_delta_max * gs, args.map_points)
     phis = np.linspace(0.0, args.map_phi_max * gs, args.map_points)
     d_col, f_col = np.repeat(deltas, len(phis)), np.tile(phis, len(deltas))
-    V, defined = coherent.asymmetry_visibility_map(
-        [LaserDriveParams(omega_L=drive.omega_L, delta=d, gamma_sigma=gs, gamma_phi=f)
-         for d, f in zip(d_col.tolist(), f_col.tolist())]
-    )
+    V, defined = coherent.asymmetry_visibility_map(drive.omega_L, d_col, gs, f_col)
     vis_path = out.with_name(f"{out.stem}_visibility.{args.format}")
     names = ["delta", "gamma_phi", "visibility", "defined"]
     _write_table(vis_path, names, [d_col, f_col, V, defined], cfg, args.format)

@@ -36,14 +36,15 @@ def config_line(config: dict) -> str:
 
 
 def _format_column(values) -> list[str]:
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        return list(map(repr, values.tolist()))  # format_value's text: repr(nan) is "nan"
+    if isinstance(values, np.ndarray) and values.dtype in (np.float64, np.bool_):
+        # format_value's text: repr(nan) is "nan", repr(True) is "True"
+        return list(map(repr, values.tolist()))
     return [format_value(v) for v in values]
 
 
 def write_csv(path: str | Path, names: list[str], columns: list, config: dict) -> None:
     """One CSV line per row of ``columns``, a sequence of cells per name;
-    a float64 array column is formatted as a whole."""
+    a float64 or bool array column is formatted as a whole."""
     lines = [config_line(config), "# units: g=1", ",".join(names)]
     lines += map(",".join, zip(*map(_format_column, columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

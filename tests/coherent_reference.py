@@ -1,21 +1,83 @@
 """The coherent-drive module with the oracles only the tests read.
 
-Re-exports ``jclaser.coherent`` and adds the closed-form resonant Mollow
-spectrum with its elastic weight, the side-peak visibility of one drive, and
-a spectrum by time propagation that uses no eigendecomposition, so that the
-suite reads runtime and oracle through one name (``import coherent_reference
-as coherent``).
+Re-exports ``jclaser.coherent`` and adds the per-drive route the runtime
+replaced by array expressions (the steady state, the effective drive and the
+regression matrix of one ``LaserDriveParams``), the closed-form resonant
+Mollow spectrum with its elastic weight, the side-peak visibility of one
+drive, and a spectrum by time propagation that uses no eigendecomposition,
+so that the suite reads runtime and oracle through one name (``import
+coherent_reference as coherent``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from jclaser.coherent import *  # noqa: F403 - the runtime names, read through this module
-from jclaser.coherent import asymmetry_visibility_map, coherent_steady_state, effective_drive, regression_matrix
+from jclaser.lineshape import _DEGENERACY_RTOL, decompose, merge_degenerate
 from jclaser.params import LaserDriveParams
+
+
+@dataclass(frozen=True)
+class CoherentSteadyState:
+    n_sigma: float
+    sigma_coherence: complex  # <sigma'> in the rotating frame
+
+
+def effective_drive(drive: LaserDriveParams) -> float:
+    """Drive reduced by the laser-emitter spectral overlap."""
+    width = drive.gamma_sigma + drive.gamma_phi
+    if drive.delta == 0.0:
+        return drive.omega_L
+    if width == 0.0:
+        return 0.0
+    return drive.omega_L / math.sqrt(1.0 + (2.0 * drive.delta / width) ** 2)
+
+
+def coherent_steady_state(drive: LaserDriveParams) -> CoherentSteadyState:
+    """Emitter population and coherence under cw drive."""
+    om_eff = effective_drive(drive)
+    denom = 2.0 * om_eff**2 + (drive.gamma_sigma / 2.0) * (
+        (drive.gamma_sigma + drive.gamma_phi) / 2.0
+    )
+    if denom == 0.0:
+        # undriven, lossless: empty emitter by convention
+        return CoherentSteadyState(0.0, 0.0 + 0.0j)
+    n_sigma = om_eff**2 / denom
+    if drive.omega_L == 0.0:
+        coherence = 0.0 + 0.0j
+    else:
+        width = drive.gamma_sigma + drive.gamma_phi
+        tilt = 0.0 if width == 0.0 else 2.0 * drive.delta / width
+        coherence = (
+            1j * (drive.gamma_sigma / 2.0) / drive.omega_L * n_sigma * (1.0 - 1j * tilt)
+        )
+    return CoherentSteadyState(n_sigma, coherence)
+
+
+def regression_matrix(drive: LaserDriveParams) -> np.ndarray:
+    """3x3 generator for (<s'(0)s(t)>, <s'(0)s'(t)>, <s'(0)s's(t)>)."""
+    gs, gp, om, dl = drive.gamma_sigma, drive.gamma_phi, drive.omega_L, drive.delta
+    half = (gs + gp) / 2.0
+    return np.array(
+        [
+            [-1j * dl + half, 0.0, -2j * om],
+            [0.0, 1j * dl + half, 2j * om],
+            [-1j * om, 1j * om, gs],
+        ],
+        dtype=complex,
+    )
+
+
+def correlator_decomposition(drive: LaserDriveParams):
+    """``lineshape.decompose`` of one drive, from the per-drive route."""
+    ss = coherent_steady_state(drive)
+    inhom = 1j * drive.omega_L * ss.sigma_coherence * np.array([-1.0, 1.0, 0.0])
+    u0 = np.array([ss.n_sigma, 0.0, 0.0], dtype=complex)
+    return decompose(-regression_matrix(drive), u0, np.array([1.0, 0.0, 0.0]), inhom)
 
 
 def coherent_weight(drive: LaserDriveParams) -> float:
@@ -53,11 +115,23 @@ def mollow_spectrum_resonant(
 def asymmetry_visibility(drive: LaserDriveParams) -> tuple[float, bool]:
     """Side-peak intensity imbalance V = |L+ - L-| / (|L+| + |L-|).
 
-    Returns (V, defined); ``defined`` is False when both side weights vanish,
-    in which case V is reported as 0.
+    Returns (V, defined), one drive at a time from the per-drive route.  The
+    side peaks are the two merged lines farthest from the laser frequency;
+    ``defined`` is False, and V reported as 0, without a drive, with fewer
+    than three lines, when a side line sits at the laser frequency within
+    the degeneracy tolerance, or when both side weights vanish.
     """
-    V, defined = asymmetry_visibility_map([drive])
-    return float(V[0]), bool(defined[0])
+    dec = correlator_decomposition(drive)
+    if not dec.n_c > 0.0:
+        return 0.0, False
+    lams, weights, keep = merge_degenerate(dec.lams, dec.weights / dec.n_c)
+    lines = sorted(zip(np.abs(lams.imag[keep]).tolist(), weights.real[keep].tolist()), key=lambda ln: ln[0])
+    if len(lines) < 3:
+        return 0.0, False
+    (off_a, a), (off_b, b) = lines[-2:]
+    if min(off_a, off_b) < _DEGENERACY_RTOL * np.max(np.abs(dec.lams)) or abs(a) + abs(b) < 1e-300:
+        return 0.0, False
+    return abs(a - b) / (abs(a) + abs(b)), True
 
 
 def spectrum_by_propagation(

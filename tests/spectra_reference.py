@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coherent_reference import coherent_weight
+from coherent_reference import coherent_steady_state, coherent_weight
 from jclaser import exact
-from jclaser.coherent import CoherentLines, coherent_steady_state
+from jclaser.coherent import CoherentLines
 from jclaser.errors import JclaserError
 from jclaser.lineshape import SpectralLine, SpectrumResult
 from jclaser.params import LaserDriveParams, SystemParams

@@ -87,3 +87,23 @@ def test_emitter_transition_map_passes_the_gate(bench, tmp_path, u):
     ((step,),) = workloads.WORKLOADS["transition_map"].build(_Draw(u), str(tmp_path))
     assert main([*step["argv"], "--channel", "emitter"]) == 0
     assert gate.check_transitions(step) == (6, [])
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0], ids=["lowest_drive", "highest_drive"])
+def test_mollow_step_passes_the_gate(bench, tmp_path, u):
+    # the spectra workload's mollow-coherent step at both ends of its drive range
+    gate, workloads = bench
+    (steps,) = workloads.WORKLOADS["spectra"].build(_Draw(u), str(tmp_path))
+    (step,) = [s for s in steps if s["kind"] == "mollow"]
+    assert main(step["argv"]) == 0
+    assert gate.check_mollow(step) == (1, [])
+
+
+def test_readme_mollow_map_passes_the_gate(bench, tmp_path):
+    # the README's mollow-coherent example, on its default grid and map
+    gate, _ = bench
+    out = str(tmp_path / "coherent.csv")
+    argv = ["mollow-coherent", "--gamma-sigma", "1.0", "--omega-laser", "1.5", "--out", out]
+    assert main(argv) == 0
+    step = {"kind": "mollow", "out": out, "omega_laser": 1.5, "gamma_sigma": 1.0, "map_points": 41, "argv": argv}
+    assert gate.check_mollow(step) == (1, [])

@@ -156,6 +156,14 @@ def test_config_header_runs_as_config_file(tmp_path):
         (["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "1", "--omega-min=-inf",
           "--points", "5"], "--omega-min"),
         (["mollow-coherent", "--omega-max", "inf"], "--omega-max"),
+        # the map's drives are not validated one by one: its bounds are checked before any file is written
+        (["mollow-coherent", "--map-phi-max", "-1"], "--map-phi-max"),
+        (["mollow-coherent", "--map-phi-max", "nan"], "--map-phi-max"),
+        (["mollow-coherent", "--map-phi-max", "inf"], "--map-phi-max"),
+        (["mollow-coherent", "--map-delta-max", "inf"], "--map-delta-max"),
+        (["mollow-coherent", "--map-delta-max", "nan"], "--map-delta-max"),
+        (["mollow-coherent", "--gamma-sigma", "10", "--map-delta-max", "1e308"], "--map-delta-max"),
+        (["mollow-coherent", "--gamma-sigma", "10", "--map-phi-max", "1e308"], "--map-phi-max"),
     ],
 )
 def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
@@ -163,7 +171,7 @@ def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and flag in err
-    assert not out.exists()
+    assert not out.exists() and not out.with_suffix(".lines.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -778,6 +786,20 @@ def test_json_output_is_strict(tmp_path):
                 "--points", "11", "--format", "json", "--out", str(out)]) == 0
     json.loads(out.read_text(), parse_constant=refuse)
     json.loads(out.with_suffix(".lines.json").read_text(), parse_constant=refuse)
+
+
+def test_bool_array_column_writes_the_per_cell_text(tmp_path):
+    # a bool array column, like the visibility map's "defined", is formatted
+    # as a whole into the text format_value gives each of its cells
+    from jclaser.output import write_csv
+
+    flags = np.array([True, False, False, True])
+    values = np.array([0.5, np.nan, 0.0, 1e-300])
+    write_csv(tmp_path / "whole.csv", ["v", "defined"], [values, flags], {"k": 1})
+    write_csv(tmp_path / "cells.csv", ["v", "defined"], [list(values), list(flags)], {"k": 1})
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert [ln.split(",")[1] for ln in (tmp_path / "whole.csv").read_text().splitlines()[3:]] == [
+        "True", "False", "False", "True"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -208,3 +208,88 @@ def test_undriven_emitter_has_no_spectrum():
     # n_sigma = 0 leaves nothing to normalise the lines by
     with pytest.raises(EmptyChannelError, match="^empty channel: its population n_c = 0 "):
         coherent.coherent_correlator_lines(LaserDriveParams(omega_L=0.0, gamma_sigma=1.0))
+
+
+_rate = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+_detuning = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+_drives = st.lists(st.tuples(_rate, _detuning, _rate, _rate), min_size=1, max_size=8)
+
+
+def _arrays(drives):
+    return [np.array(col) for col in zip(*drives)]
+
+
+@given(drives=_drives)
+@settings(max_examples=60, deadline=None)
+def test_array_route_matches_the_per_drive_oracle(drives):
+    # the runtime's array expressions against the per-drive steady state,
+    # regression matrix and decomposition, drive by drive, zeros included
+    from jclaser.coherent import _correlator_decomposition, _steady_state
+
+    records = [LaserDriveParams(omega_L=om, delta=dl, gamma_sigma=gs, gamma_phi=gp) for om, dl, gs, gp in drives]
+    n_sigma, coherence = _steady_state(*_arrays(drives))
+    dec = _correlator_decomposition(*_arrays(drives))
+    V, defined = coherent.asymmetry_visibility_map(*_arrays(drives))
+    for k, d in enumerate(records):
+        ss = coherent.coherent_steady_state(d)
+        assert abs(n_sigma[k] - ss.n_sigma) <= 1e-15 * ss.n_sigma
+        assert abs(coherence[k] - ss.sigma_coherence) <= 1e-15 * abs(ss.sigma_coherence)
+        # eigenvalues on the scale of the largest, weights and elastic part on
+        # n_c, the population they split between them
+        one = coherent.correlator_decomposition(d)
+        assert np.max(np.abs(dec.lams[k] - one.lams)) <= 1e-12 * np.max(np.abs(one.lams))
+        assert np.max(np.abs(dec.weights[k] - one.weights)) <= 1e-12 * one.n_c
+        assert abs(dec.elastic[k] - one.elastic) <= 1e-12 * one.n_c
+        # a weak, far-detuned drive scatters nearly all elastically: its side
+        # weights are ~1e-4 of n_c, and V carries their relative rounding
+        v, ok = coherent.asymmetry_visibility(d)
+        assert defined[k] == ok
+        assert abs(V[k] - v) <= 1e-10
+
+
+def test_one_drive_is_the_one_element_map():
+    # a single drive and a row of a stacked map read one decomposition, bit for bit
+    from jclaser.coherent import _correlator_decomposition
+
+    d = LaserDriveParams(omega_L=1.5, gamma_sigma=1.0, delta=2.0, gamma_phi=1.0)
+    stacked = _correlator_decomposition(1.5, [0.0, 2.0], 1.0, [0.0, 1.0])
+    lines = coherent.coherent_correlator_lines(d)
+    assert lines.n_sigma == stacked.n_c[1]
+    assert lines.coherent_weight == stacked.elastic[1].real / stacked.n_c[1]
+    V, defined = coherent.asymmetry_visibility_map(1.5, [0.0, 2.0], 1.0, [0.0, 1.0])
+    V_one, defined_one = coherent.asymmetry_visibility_map(1.5, 2.0, 1.0, 1.0)
+    assert defined.tolist() == [True, True] and defined_one.tolist() == [True]
+    assert V[1] == V_one[0] > 0.01
+
+
+@given(
+    om=st.floats(0.01, 2.0),
+    gs=st.floats(0.0, 5.0),
+    margin=st.floats(0.05, 3.0),
+    above=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_overdamped_resonant_drive_has_no_side_peaks(om, gs, margin, above):
+    # |gamma_phi - gamma_sigma| / 2 > 4 omega_L at delta = 0: all three lines
+    # sit at zero, so which two are "side" lines is rounding noise
+    edge = 8.0 * om * (1.0 + margin)
+    if not above and gs <= edge:
+        gs += edge
+    gp = gs + edge if above else gs - edge
+    V, defined = coherent.asymmetry_visibility_map(om, 0.0, gs, gp)
+    assert not defined[0] and V[0] == 0.0
+    assert coherent.asymmetry_visibility(LaserDriveParams(omega_L=om, gamma_sigma=gs, gamma_phi=gp)) == (0.0, False)
+
+
+def test_visibility_does_not_follow_rounding_noise():
+    # the side peaks of an overdamped drive were once picked by the ~1e-16
+    # imaginary parts of its eigenvalues: V jumped from 0.17 to 1.0 when
+    # gamma_phi moved by 1 ulp (omega_L 0.3, gamma_sigma 2, gamma_phi 4.474576)
+    V, defined = coherent.asymmetry_visibility_map(0.3, 0.0, 2.0, [4.474576, np.nextafter(4.474576, 9.0)])
+    assert V.tolist() == [0.0, 0.0] and not defined.any()
+    grid = np.linspace(0.0, 10.0, 60)  # the CLI's default map at gamma_sigma 2
+    d_col, f_col = np.repeat(grid, 60), np.tile(grid, 60)
+    V, defined = coherent.asymmetry_visibility_map(0.3, d_col, 2.0, f_col)
+    V_up, defined_up = coherent.asymmetry_visibility_map(0.3, d_col, 2.0, np.nextafter(f_col, np.inf))
+    assert np.array_equal(defined, defined_up) and 0 < np.sum(~defined) < 60
+    assert np.max(np.abs(V - V_up)[defined]) <= 1e-12
