@@ -38,7 +38,10 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the six commands, with the flags of ``command`` alone:
+    ``--help`` still lists every command, and a run reads one command's
+    flags, while each flag added costs argparse a terminal-size query."""
     ap_ = argparse.ArgumentParser(
         prog="jclaser",
         allow_abbrev=False,
@@ -83,37 +86,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-max", type=float, default=20.0)
         p.add_argument("--points", type=int, default=2001)
 
-    p = sub.add_parser("steady", allow_abbrev=False, help="observables and all approximations at one point")
-    add_common(p, pump_sigma=True)
+    def add_transitions(p):
+        add_sweep(p)
+        p.add_argument("--channel", choices=("cavity", "emitter"), default="cavity")
 
-    p = sub.add_parser("sweep", allow_abbrev=False, help="observables and approximations along a pump sweep")
-    add_common(p)
-    add_sweep(p)
+    def add_mollow(p):
+        p.add_argument("--omega-laser", type=float, default=1.5, help="drive coupling in gamma_sigma units")
+        p.add_argument("--omega-min", type=float, default=-10.0)
+        p.add_argument("--omega-max", type=float, default=10.0)
+        p.add_argument("--points", type=int, default=2001)
+        p.add_argument("--map-delta-max", type=float, default=5.0)
+        p.add_argument("--map-phi-max", type=float, default=5.0)
+        p.add_argument("--map-points", type=int, default=41)
 
-    p = sub.add_parser("spectrum", allow_abbrev=False, help="emission spectrum for one channel/method")
-    add_common(p, pump_sigma=True)
-    add_spectrum(p)
-
-    p = sub.add_parser("transitions", allow_abbrev=False, help="spectral-line table across a pump sweep")
-    add_common(p)
-    add_sweep(p)
-    p.add_argument("--channel", choices=("cavity", "emitter"), default="cavity")
-
-    p = sub.add_parser(
-        "mollow-coherent", allow_abbrev=False, help="driven two-level emitter: spectrum, lines, visibility map"
-    )
-    add_common(p, cavity=False, solves=False)
-    p.add_argument("--omega-laser", type=float, default=1.5, help="drive coupling in gamma_sigma units")
-    p.add_argument("--omega-min", type=float, default=-10.0)
-    p.add_argument("--omega-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--map-delta-max", type=float, default=5.0)
-    p.add_argument("--map-phi-max", type=float, default=5.0)
-    p.add_argument("--map-points", type=int, default=41)
-
-    p = sub.add_parser("regimes", allow_abbrev=False, help="regime labels and boundaries along a pump sweep")
-    add_common(p, solves=False)
-    add_sweep(p)
+    # name: (help, add_common's switches, the command's own flags)
+    commands = {
+        "steady": ("observables and all approximations at one point", {"pump_sigma": True}, None),
+        "sweep": ("observables and approximations along a pump sweep", {}, add_sweep),
+        "spectrum": ("emission spectrum for one channel/method", {"pump_sigma": True}, add_spectrum),
+        "transitions": ("spectral-line table across a pump sweep", {}, add_transitions),
+        "mollow-coherent": ("driven two-level emitter: spectrum, lines, visibility map",
+                            {"cavity": False, "solves": False}, add_mollow),
+        "regimes": ("regime labels and boundaries along a pump sweep", {"solves": False}, add_sweep),
+    }
+    for name, (help_, common, add_own) in commands.items():
+        p = sub.add_parser(name, allow_abbrev=False, help=help_)
+        if name == command:
+            add_common(p, **common)
+            if add_own:
+                add_own(p)
     return ap_
 
 
@@ -383,7 +384,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the parser has no flags of its own, so the first word names the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args, remaining = parser.parse_known_args(argv)
     if remaining:
         print(f"unknown arguments: {remaining}", file=sys.stderr)

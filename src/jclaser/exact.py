@@ -270,11 +270,6 @@ class SectorBlock:
     def shape(self) -> tuple[int, int]:
         return self.size, self.size
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        np.add.at(out, (self.index.row, self.index.col), self.data)
-        return out
-
 
 def sector_generator(params: SystemParams, n_max: int, k: int) -> SectorBlock:
     """Block of the Liouvillian on the excitation sector k; its (r, s) pairs
@@ -319,10 +314,11 @@ class SteadyState:
     ``p0[n]`` and ``p1[n]`` are the populations of |n,0> and |n,1>, and
     ``q_r[n] + i q_i[n]`` is the coherence rho_{n,0; n-1,1} (zero at n = 0);
     every other element vanishes by the excitation-number symmetry.  The
-    sector solve fills it, or ``spectra.density_slices_from_statistics``.
+    sector solve fills it; the tests also rebuild it from photon statistics.
     ``herm_defect`` is max |x_{r;s} - conj(x_{s;r})| of the solved sector
     vector before it was stored as Hermitian arrays (0 if reconstructed).
-    The photon ladder ``space`` is that of the arrays.
+    The photon ladder ``space`` is that of the arrays.  The record holds no
+    dense matrix: the engine never builds one.
     """
 
     params: SystemParams
@@ -349,14 +345,6 @@ class SteadyState:
         return np.where(r == s, pops[r], q)
 
     @property
-    def rho(self) -> np.ndarray:
-        """Dense density matrix (built on each access)."""
-        r, s = _sector_pairs(self.space.n_max, 0)
-        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        out[r, s] = self.element(r, s)
-        return out
-
-    @property
     def n_a(self) -> float:
         return float(np.dot(np.arange(len(self.p0)), self.photon_distribution))
 
@@ -371,15 +359,6 @@ class SteadyState:
         na = self.n_a
         # na**2 underflows below 1e-154; the vacuum's <a'a'aa>/n_a^2 is 0/0
         return na2 / na / na if na > 0.0 else math.nan
-
-    def hermiticity_defect(self) -> float:
-        return self.herm_defect
-
-    def trace_defect(self) -> float:
-        return abs(float(self.photon_distribution.sum()) - 1.0)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho)[0])
 
 
 def _band_solve(ab: np.ndarray, kl: int, ku: int, b: np.ndarray, shift: complex = 0.0) -> tuple:
@@ -891,16 +870,6 @@ def spectral_lines(
     return _line_table(regression_sector(params, ss, channel), weight_floor)[0]
 
 
-def elastic_weight_estimate(lines: list[SpectralLine], gamma_a: float) -> float:
-    """Operational elastic weight: lines much narrower than the cavity.
-
-    The exact engine has no true delta; the coherent fraction shows up as
-    lines with widths far below gamma_a.
-    """
-    cut = gamma_a / 10.0
-    return sum(ln.L for ln in lines if abs(ln.gamma) < cut)
-
-
 def spectrum(
     params: SystemParams, *, ss: SteadyState, omega: np.ndarray, channel: str = "cavity"
 ) -> SpectrumResult:
@@ -908,7 +877,9 @@ def spectrum(
     ``omega``, evaluated from its line table (``_line_table``).  ``meta``
     holds the fit's record, ``grid_integral``, the trapezoid integral of the
     grid values, and ``window_weight``, the lines' weight inside [min omega,
-    max omega]; neither is refused."""
+    max omega]; neither is refused.  ``elastic_weight`` stays 0: the model
+    has no delta line, and its coherent part is a narrow line of the table,
+    so the lines' weights alone sum to one."""
     lines, fit = _line_table(regression_sector(params, ss, channel))
     values = evaluate_lines(lines, omega)
     meta = {"n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, **fit}
@@ -920,7 +891,6 @@ def spectrum(
         channel=channel,
         omega=np.asarray(omega, dtype=float),
         values=values,
-        elastic_weight=elastic_weight_estimate(lines, params.gamma_a),
         lines=lines,
         method="exact",
         meta=meta,

@@ -68,10 +68,14 @@ def decompose(
     B = np.zeros_like(u0)
     if inhom is not None:
         rhs = -inhom[..., None]
-        try:
-            B = np.linalg.solve(G, rhs)[..., 0]
-        except np.linalg.LinAlgError:  # a singular block: least-squares part
-            B = (np.linalg.pinv(G) @ rhs)[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                B = np.linalg.solve(G, rhs)[..., 0]
+            except np.linalg.LinAlgError:  # a singular block: least-squares part
+                B = (np.linalg.pinv(G) @ rhs)[..., 0]
+        # a block without drive term has no stationary part; a solve would
+        # read inf * 0 in it where a pivot of G is subnormal
+        B = np.where(np.any(inhom != 0.0, axis=-1, keepdims=True), B, 0.0)
     try:
         lams, V = np.linalg.eig(G)
         proj = np.linalg.solve(V, (u0 - B)[..., None])[..., 0]
@@ -182,7 +186,11 @@ class SpectrumResult:
     """Gridded spectrum plus its line decomposition.
 
     The elastic (delta) weight is never rasterized into ``values``; it is
-    carried separately so integrals of the incoherent part stay exact.
+    carried separately so integrals of the incoherent part stay exact.  Only
+    a true delta is elastic: the rung-sum and semiclassical emitter spectra
+    have one, while the exact spectra and the semiclassical cavity line leave
+    it at 0.  Where ``lines`` holds the table, its ``L`` and the elastic
+    weight sum to one.
     """
 
     channel: str

@@ -53,11 +53,6 @@ class SystemParams:
             raise ValueError("delta must be finite")
 
     @property
-    def Gamma_a(self) -> float:
-        """Effective cavity broadening ``gamma_a - P_a`` (may be negative)."""
-        return self.gamma_a - self.P_a
-
-    @property
     def Gamma_sigma(self) -> float:
         """Effective emitter broadening ``gamma_sigma + P_sigma``."""
         return self.gamma_sigma + self.P_sigma

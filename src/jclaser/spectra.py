@@ -13,13 +13,10 @@ Frequencies are measured from the cavity; the emitter sits at -delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# poissonian_statistics is re-exported for callers that feed it to these spectra
-from .approximations import lasing_window_ok, poissonian_statistics, semiclassical
-from .exact import SteadyState
+from .approximations import lasing_window_ok, semiclassical
 from .lineshape import (
     Decomposition,
     SpectralLine,
@@ -61,22 +58,6 @@ def _rung_slices(
     p1_n = (common + P * Tn) / denom
     qi_n1 = -ka * np.sqrt(n + 1.0) / (2.0 * g) * (P * Tn - gs * Tn1) / denom
     return p0_n1, p1_n, qi_n1
-
-
-def density_slices_from_statistics(params: SystemParams, T: np.ndarray) -> SteadyState:
-    """Populations and coherences per rung from the photon statistics.
-
-    Returns the steady-state record of the exact engine on the ladder of T,
-    with ``herm_defect = 0``; ``q_i[0] = 0`` by construction and ``p0[0]``
-    closes the distribution as T[0] - p1[0].  Its ``photon_distribution``
-    equals T only for a lossless cavity.
-    """
-    T = np.asarray(T, dtype=float)
-    N = len(T) - 1
-    p0, p1, q_i = np.zeros((3, N + 1))
-    p0[1:], p1[:-1], q_i[1:] = _rung_slices(params, np.arange(N), T[:-1], T[1:])
-    p0[0] = T[0] - p1[0]
-    return SteadyState(params=params, p0=p0, p1=p1, q_r=_tilt(params) * q_i, q_i=q_i)
 
 
 # ---------------------------------------------------------------------------
@@ -194,37 +175,6 @@ def _rung_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Elastic scattering weights (closed form)
-# ---------------------------------------------------------------------------
-
-
-def elastic_weight(params: SystemParams, T: np.ndarray, channel: str) -> float:
-    """Re E^c of the elastic scattering component, series over the rungs."""
-    T = np.asarray(T, dtype=float)
-    G = params.Gamma_sigma
-    ka = kappa_a(params)
-    gs, P, g = params.gamma_sigma, params.P_sigma, params.g
-    width = G + params.gamma_phi
-    N = len(T) - 1
-    n = np.arange(N + 1, dtype=float)
-    D = ka**2 * (1.0 + _tilt(params) ** 2) + 4.0 * G**2 + 4.0 * G * ka * (2.0 * n + 1.0)
-    if channel == "emitter":
-        q_i = density_slices_from_statistics(params, T).q_i
-        qi_n1 = np.concatenate([q_i[1:], [0.0]])
-        num = gs * (ka + 2.0 * G) * np.sqrt(n + 1.0) * qi_n1 + P * (
-            ka - 2.0 * G
-        ) * np.sqrt(n) * q_i
-        return float(4.0 * g / width * np.sum(num / D))
-    if channel == "cavity":
-        Tn1 = np.concatenate([T[1:], [0.0]])
-        num = gs * (ka * (4.0 * n + 1.0) + 2.0 * G) * (n + 1.0) * Tn1 + P * (
-            ka * (4.0 * n + 3.0) + 2.0 * G
-        ) * n * T
-        return float(np.sum(2.0 * num / D))
-    raise ValueError(f"unknown channel {channel!r}")
-
-
-# ---------------------------------------------------------------------------
 # Semiclassical closed forms (deep lasing)
 # ---------------------------------------------------------------------------
 
@@ -264,10 +214,10 @@ def semiclassical_mollow(
 
     Emitter at resonance: delta weight, central Lorentzian of FWHM
     Gamma_sigma + gamma_phi, and side bands at +-Re(R_outer) with FWHM
-    (3 Gamma_sigma + gamma_phi)/2.  Cavity: quasi-elastic line of estimated
-    width 2 g^2 gamma_a / P_sigma^2 (rasterized at that finite width, weight
-    counted as elastic).  Off resonance the single-rung substitution n = n_a
-    is evaluated instead.  Both channels are refused at P_sigma = 0, below
+    (3 Gamma_sigma + gamma_phi)/2.  Cavity: quasi-elastic line of unit
+    weight and estimated width 2 g^2 gamma_a / P_sigma^2, rasterized at that
+    finite width, so no weight is elastic.  Off resonance the single-rung
+    substitution n = n_a is evaluated instead.  Both channels are refused at P_sigma = 0, below
     any lasing: the cavity line has no width there, and the emitter forms
     go negative.  An emitter spectrum with any negative value is refused too.
     """
@@ -283,7 +233,6 @@ def semiclassical_mollow(
             channel=channel,
             omega=omega,
             values=evaluate_lines([line], omega),
-            elastic_weight=1.0,
             lines=[line],
             method="semiclassical",
             meta={"gamma_L": gl},

@@ -7,6 +7,10 @@ all dim^2 coefficients of rho with a trace row in place of the d(rho_00)/dt
 equation, so elements outside the excitation-number-zero sector are unknowns
 here and their smallness is a measured property, not a construction.  Costs
 O(n_max^2) memory; use at n_max of a few hundred at most.
+
+``dense_rho``, ``trace_defect``, ``min_eigenvalue`` and ``dense_block`` are
+the dense views of the engine's sector records, which the engine itself
+never builds.
 """
 
 import numpy as np
@@ -105,3 +109,26 @@ def off_pattern_max(rho: np.ndarray) -> float:
     mask[k, k - 1] = False
     mask[k - 1, k] = False
     return float(np.max(np.abs(rho[mask])))
+
+
+def dense_rho(ss: exact.SteadyState) -> np.ndarray:
+    """Dense density matrix of the per-rung steady-state record."""
+    r, s = exact._sector_pairs(ss.space.n_max, 0)
+    out = np.zeros((ss.space.dim, ss.space.dim), dtype=complex)
+    out[r, s] = ss.element(r, s)
+    return out
+
+
+def trace_defect(ss: exact.SteadyState) -> float:
+    return abs(float(ss.photon_distribution.sum()) - 1.0)
+
+
+def min_eigenvalue(ss: exact.SteadyState) -> float:
+    return float(np.linalg.eigvalsh(dense_rho(ss))[0])
+
+
+def dense_block(block: exact.SectorBlock) -> np.ndarray:
+    """The sector block as a dense matrix; duplicate entries add up."""
+    out = np.zeros((block.size, block.size), dtype=block.data.dtype)
+    np.add.at(out, (block.index.row, block.index.col), block.data)
+    return out

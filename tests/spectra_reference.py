@@ -1,11 +1,13 @@
-"""Closed forms the tests check the spectral engines against: rung Rabi
-frequencies and labelled rung coefficients, peak-position families, the
+"""Closed forms the tests check the spectral engines against: the density
+slices rebuilt from photon statistics and the elastic-weight series, rung
+Rabi frequencies and labelled rung coefficients, peak-position families, the
 resonant Mollow triplet of the driven emitter, the side-peak position read
 off a spectrum grid, and the exact engine's spectrum straight from its
 banded resolvent, one solve per frequency.
 
-Re-exports ``jclaser.spectra``, so that the suite reads runtime and oracle
-through one name (``import spectra_reference as spectra``).
+Re-exports ``jclaser.spectra`` and ``approximations.poissonian_statistics``,
+so that the suite reads runtime and oracle through one name
+(``import spectra_reference as spectra``).
 """
 
 from __future__ import annotations
@@ -21,9 +23,54 @@ from jclaser import exact
 from jclaser.coherent import CoherentLines
 from jclaser.errors import JclaserError
 from jclaser.lineshape import SpectralLine, SpectrumResult
-from jclaser.params import LaserDriveParams, SystemParams
+from jclaser.approximations import poissonian_statistics  # noqa: F401 - read through this module
+from jclaser.exact import SteadyState
+from jclaser.params import LaserDriveParams, SystemParams, kappa_a
 from jclaser.spectra import *  # noqa: F403 - the runtime names, read through this module
-from jclaser.spectra import density_slices_from_statistics, rung_decomposition
+from jclaser.spectra import _rung_slices, _tilt, rung_decomposition
+
+
+def density_slices_from_statistics(params: SystemParams, T: np.ndarray) -> SteadyState:
+    """Populations and coherences per rung from the photon statistics.
+
+    Returns the steady-state record of the exact engine on the ladder of T,
+    with ``herm_defect = 0``; ``q_i[0] = 0`` by construction and ``p0[0]``
+    closes the distribution as T[0] - p1[0].  Its ``photon_distribution``
+    equals T only for a lossless cavity.
+    """
+    T = np.asarray(T, dtype=float)
+    N = len(T) - 1
+    p0, p1, q_i = np.zeros((3, N + 1))
+    p0[1:], p1[:-1], q_i[1:] = _rung_slices(params, np.arange(N), T[:-1], T[1:])
+    p0[0] = T[0] - p1[0]
+    return SteadyState(params=params, p0=p0, p1=p1, q_r=_tilt(params) * q_i, q_i=q_i)
+
+
+def elastic_weight(params: SystemParams, T: np.ndarray, channel: str) -> float:
+    """Re E^c of the elastic scattering component, closed-form series over
+    the rungs; ``rung_decomposition(...).elastic`` is the runtime route."""
+    T = np.asarray(T, dtype=float)
+    G = params.Gamma_sigma
+    ka = kappa_a(params)
+    gs, P, g = params.gamma_sigma, params.P_sigma, params.g
+    width = G + params.gamma_phi
+    N = len(T) - 1
+    n = np.arange(N + 1, dtype=float)
+    D = ka**2 * (1.0 + _tilt(params) ** 2) + 4.0 * G**2 + 4.0 * G * ka * (2.0 * n + 1.0)
+    if channel == "emitter":
+        q_i = density_slices_from_statistics(params, T).q_i
+        qi_n1 = np.concatenate([q_i[1:], [0.0]])
+        num = gs * (ka + 2.0 * G) * np.sqrt(n + 1.0) * qi_n1 + P * (
+            ka - 2.0 * G
+        ) * np.sqrt(n) * q_i
+        return float(4.0 * g / width * np.sum(num / D))
+    if channel == "cavity":
+        Tn1 = np.concatenate([T[1:], [0.0]])
+        num = gs * (ka * (4.0 * n + 1.0) + 2.0 * G) * (n + 1.0) * Tn1 + P * (
+            ka * (4.0 * n + 3.0) + 2.0 * G
+        ) * n * T
+        return float(np.sum(2.0 * num / D))
+    raise ValueError(f"unknown channel {channel!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jclaser import approximations as ap
-from jclaser import exact, spectra
+from jclaser import exact
 from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, kappa_sigma, recurrence_coefficients
 import moment_reference as moments
@@ -275,7 +275,7 @@ def test_cothermal_distribution_default_cutoff(n_a):
     # a nearly Poissonian field (n_th = 1e-6) needs no longer ladder than the
     # Poissonian one
     T = ap.CothermalState(n_a=n_a, n_coh=n_a - 1e-6).photon_distribution()
-    assert len(T) <= len(spectra.poissonian_statistics(n_a))
+    assert len(T) <= len(ap.poissonian_statistics(n_a))
 
 
 def test_cothermal_tracks_exact_g2():

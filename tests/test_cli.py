@@ -206,9 +206,9 @@ def test_readme_command_lines_parse():
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("jclaser ")]
     assert len(lines) == 6
-    parser = build_parser()
     for line in lines:
-        args, unknown = parser.parse_known_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        args, unknown = build_parser(argv[0]).parse_known_args(argv)
         assert unknown == [], line
 
 
@@ -224,6 +224,7 @@ def test_readme_flag_table_is_the_parser():
             if line.startswith("|")]
     (commands,) = (a for a in build_parser()._actions if a.dest == "command")
     table = {name: {} for name in commands.choices}
+    assert len(table) == 6
     for row in rows:
         flags, names = (cell.strip() for cell in row.strip("|").split("|"))
         taken = re.findall(r"`([\w-]+)`", names)
@@ -236,10 +237,28 @@ def test_readme_flag_table_is_the_parser():
             for flag, choices in cells:
                 table[name][flag] = choices.split(",") if choices else None
     assert len(rows) >= 4
-    for name, sub in commands.choices.items():
+    for name in table:
+        # the parser of a run carries the flags of its command alone
+        (own,) = (a for a in build_parser(name)._actions if a.dest == "command")
+        sub = own.choices[name]
+        assert all(len(other._actions) == 1 for key, other in own.choices.items() if key != name)
         parsed = {flag: list(a.choices) if a.choices else None
                   for a in sub._actions for flag in a.option_strings if flag not in ("-h", "--help")}
         assert parsed == table[name], name
+
+
+def test_help_lists_every_command(capsys):
+    # a run's parser carries the flags of its command alone; help still
+    # lists all six commands, and a command's help its flags
+    helps = []
+    for argv in (["--help"], ["spectrum", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            run(argv)
+        assert stop.value.code == 0
+        helps.append(capsys.readouterr().out)
+    for name in ("steady", "sweep", "spectrum", "transitions", "mollow-coherent", "regimes"):
+        assert name in helps[0]
+    assert "--method {exact,approx,semiclassical}" in helps[1] and "--sweep-min" not in helps[1]
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--sweep-point", "20"], ["sweep", "--n", "40"]])
@@ -251,7 +270,7 @@ def test_abbreviated_flags_are_refused(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("unknown arguments:")
     assert not out.exists()
-    assert build_parser().parse_known_args(argv)[1] == argv[1:]
+    assert build_parser(argv[0]).parse_known_args(argv)[1] == argv[1:]
 
 
 def test_spectrum_files(tmp_path):
@@ -450,15 +469,33 @@ def test_steady_zero_pump_row(tmp_path):
         assert np.isnan(float(row[col])), col
 
 
-def test_spectrum_method_approx(tmp_path):
+_LINE_TABLES = [
+    *[("exact", channel, P, []) for P in ("3", "5", "7") for channel in ("cavity", "emitter")],
+    *[("approx", channel, "7", []) for channel in ("cavity", "emitter")],
+    ("semiclassical", "cavity", "7", []),
+    # the resonant semiclassical emitter is a closed-form grid with a delta
+    # and no line table, so it has nothing to close; off resonance it is the
+    # single rung's table
+    ("semiclassical", "emitter", "7", ["--delta", "0.5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "method, channel, pump, extra", _LINE_TABLES,
+    ids=[f"{m}-{c}-P{P}{'-detuned' if x else ''}" for m, c, P, x in _LINE_TABLES],
+)
+def test_spectrum_sidecar_closes_to_one(tmp_path, method, channel, pump, extra):
+    # one closure rule for every sidecar with a line table: the lines' L and
+    # the elastic (delta) weight sum to one, so no weight is counted twice
     out = tmp_path / "ap.csv"
     code = run(
-        ["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "7",
-         "--method", "approx", "--channel", "emitter", "--points", "101",
+        ["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", pump,
+         "--method", method, "--channel", channel, "--points", "101", *extra,
          "--omega-min", "-20", "--omega-max", "20", "--out", str(out)]
     )
     assert code == 0
     doc = json.loads((tmp_path / "ap.lines.json").read_text())
+    assert doc["lines"]
     total = sum(ln["L"] for ln in doc["lines"]) + doc["elastic_weight"]
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -700,15 +737,23 @@ def test_runtime_package_carries_no_moment_oracle():
 
 def test_runtime_package_keeps_only_what_is_called():
     # each public function and class is named in the package outside its own
-    # definition or read by the acceptance suite; see tests/spectra_reference.py
+    # definition or read by the acceptance suite, and each public method and
+    # property of a package class is named in the package outside its own
+    # definition; see tests/spectra_reference.py and tests/liouvillian_oracle.py
     import ast
+    from collections import Counter
 
     import jclaser
 
-    named, defs = set(), []
+    def names(tree) -> Counter:
+        return Counter(getattr(node, "id", None) or node.attr for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    named, defs, package, members = set(), [], Counter(), []
     acceptance = Path(__file__).with_name("test_acceptance.py")
     for path in [*Path(jclaser.__file__).parent.glob("*.py"), acceptance]:
-        for top in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
             own = isinstance(top, (ast.FunctionDef, ast.ClassDef)) and path != acceptance
             if own and not top.name.startswith("_"):
                 defs.append(f"{path.stem}.{top.name}")
@@ -716,7 +761,13 @@ def test_runtime_package_keeps_only_what_is_called():
                 name = getattr(node, "id", None) or getattr(node, "attr", None)
                 if isinstance(node, (ast.Name, ast.Attribute)) and not (own and name == top.name):
                     named.add(name)
+            if isinstance(top, ast.ClassDef) and path != acceptance:
+                members += [(f"{path.stem}.{top.name}.{f.name}", f) for f in top.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+        if path != acceptance:
+            package += names(tree)
     assert [d for d in defs if d.split(".")[1] not in named] == []
+    assert [m for m, f in members if package[f.name] == names(f)[f.name]] == []
 
 
 def test_record_fields_are_read():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coherent_reference as coherent
@@ -220,6 +220,10 @@ def _arrays(drives):
 
 
 @given(drives=_drives)
+# undriven blocks with a subnormal detuning: a singular one, and one whose
+# solve met a subnormal pivot
+@example(drives=[(0.0, 2.225073858507e-311, 0.0, 0.0)])
+@example(drives=[(1.0, 5e-324, 0.0, 0.0)])
 @settings(max_examples=60, deadline=None)
 def test_array_route_matches_the_per_drive_oracle(drives):
     # the runtime's array expressions against the per-drive steady state,

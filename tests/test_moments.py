@@ -168,7 +168,7 @@ def test_cross_correlators_against_liouvillian_traces():
     # the closed relations for N_sigma[n] and the cross correlator follow
     # from the moment equations; validate them against operator traces of
     # the full steady-state density matrix, including detuning and dephasing
-    from liouvillian_oracle import operators
+    from liouvillian_oracle import dense_rho, operators
 
     from jclaser import exact
 
@@ -177,7 +177,7 @@ def test_cross_correlators_against_liouvillian_traces():
     ss = exact.steady_state(p, n_max=mom.n_max)
     a, sig = operators(ss.space)
     a, sig = np.asarray(a.todense()), np.asarray(sig.todense())
-    rho = ss.rho
+    rho = dense_rho(ss)
     for n in (1, 2, 3):
         an = np.linalg.matrix_power(a, n - 1)
         ns_op = an.conj().T @ an @ sig.conj().T @ sig

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jclaser import exact
+from jclaser.errors import NoSteadyStateError
 from jclaser.params import LaserDriveParams, SystemParams, _manifold, g_eff, kappa_a, kappa_sigma
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -26,8 +28,12 @@ def test_non_finite_rates_are_refused():
 
 
 def test_signed_gamma_a_allowed():
+    # the record takes a cavity pump above the cavity loss, gamma_a - P_a < 0;
+    # the exact route then refuses the steady state by its reason
     p = SystemParams(g=1.0, gamma_a=0.1, P_a=0.5)
-    assert p.Gamma_a == pytest.approx(-0.4)
+    assert (p.gamma_a, p.P_a) == (0.1, 0.5)
+    with pytest.raises(NoSteadyStateError, match="net gain exceeds loss"):
+        exact.steady_state(p)
 
 
 def test_effective_rates_example():

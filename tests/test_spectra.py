@@ -23,8 +23,8 @@ LASING = SystemParams(P_sigma=7.0, **BASE)
 
 def test_slices_zero_emitter_decay_formula():
     p = SystemParams(g=1.0, gamma_a=0.05, gamma_sigma=0.0, P_sigma=2.0)
-    T = spectra.poissonian_statistics(8.0)
-    sl = spectra.density_slices_from_statistics(p, T)
+    T = ap.poissonian_statistics(8.0)
+    sl = ref.density_slices_from_statistics(p, T)
     ka = kappa_a(p)
     for n in (0, 3, 9):
         expected = (
@@ -40,7 +40,7 @@ def test_slices_exact_for_lossless_cavity():
     p = SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=1.0, P_sigma=0.4)
     ss = exact.steady_state(p, n_max=50)
     T = ss.photon_distribution
-    sl = spectra.density_slices_from_statistics(p, T)
+    sl = ref.density_slices_from_statistics(p, T)
     assert np.max(np.abs(sl.photon_distribution - T)) < 1e-10
     assert np.max(np.abs(sl.p1[:30] - ss.p1[:30])) < 1e-8
     assert np.max(np.abs(sl.p0[:30] - ss.p0[:30])) < 1e-8
@@ -52,8 +52,8 @@ def test_slices_population_matches_semiclassical():
     # Poissonian statistics at the semiclassical point: emitter population
     # within 5% of the exact steady state
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.0, P_sigma=4.0)
-    T = spectra.poissonian_statistics(18.0)
-    sl = spectra.density_slices_from_statistics(p, T)
+    T = ap.poissonian_statistics(18.0)
+    sl = ref.density_slices_from_statistics(p, T)
     ss = exact.steady_state(p, n_max=80)
     assert float(np.sum(sl.p1)) == pytest.approx(ss.n_sigma, rel=0.05)
     assert float(np.sum(sl.p1)) == pytest.approx(ap.semiclassical(p).n_sigma, rel=0.05)
@@ -61,8 +61,8 @@ def test_slices_population_matches_semiclassical():
 
 def test_slice_detuning_relation():
     p = SystemParams(P_sigma=5.0, delta=0.8, gamma_phi=0.3, **BASE)
-    T = spectra.poissonian_statistics(10.0)
-    sl = spectra.density_slices_from_statistics(p, T)
+    T = ap.poissonian_statistics(10.0)
+    sl = ref.density_slices_from_statistics(p, T)
     tilt = 2.0 * p.delta / (p.Gamma_sigma + p.gamma_phi)
     assert np.allclose(sl.q_r, tilt * sl.q_i, rtol=0.0, atol=1e-16)
 
@@ -118,7 +118,7 @@ def test_closed_form_coefficients_identity():
     # the n = 0 rung is degenerate (inner = outer) so only the pair sum is
     # defined there
     p = SystemParams(g=1.0, gamma_a=0.05, gamma_sigma=0.0, P_sigma=3.7)
-    T = spectra.poissonian_statistics(20.0)
+    T = ap.poissonian_statistics(20.0)
     for n in range(1, 51):
         cc = ref.correlator_coefficients(p, T, n, "emitter")
         ci, co = ref.emitter_coefficients_closed_form(p, T, n)
@@ -133,7 +133,7 @@ def test_rung_widths_in_strong_coupling():
     p = SystemParams(P_sigma=7.0, gamma_phi=0.2, **BASE)
     width = (3.0 * p.Gamma_sigma + p.gamma_phi) / 2.0
     for n in (20, 28, 40):
-        cc = ref.correlator_coefficients(p, spectra.poissonian_statistics(29.0), n, "emitter")
+        cc = ref.correlator_coefficients(p, ap.poissonian_statistics(29.0), n, "emitter")
         if cc.R_inner.real > 0.0 and cc.R_outer.real > 0.0:
             assert cc.gamma_inner == pytest.approx(width, rel=1e-12)
             assert cc.gamma_outer == pytest.approx(width, rel=1e-12)
@@ -141,7 +141,7 @@ def test_rung_widths_in_strong_coupling():
 
 def test_weight_normalization_identity():
     for channel in ("emitter", "cavity"):
-        dec = spectra.rung_decomposition(LASING, spectra.poissonian_statistics(29.0), channel)
+        dec = spectra.rung_decomposition(LASING, ap.poissonian_statistics(29.0), channel)
         n_c = np.sum(dec.n_c)
         total = float(np.sum(dec.weights.real)) / n_c + np.sum(dec.elastic).real / n_c
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -152,8 +152,8 @@ def test_rung_populations_sum_to_slice_record(tuning):
     # the rung readouts sum to n_sigma (emitter) and n_a (cavity) of the
     # reconstructed record, which is what the line weights are divided by
     p = SystemParams(P_sigma=6.1, **BASE, **tuning)
-    for T in (spectra.poissonian_statistics(28.0), ap.CothermalState(28.0, 14.0).photon_distribution()):
-        sl = spectra.density_slices_from_statistics(p, T)
+    for T in (ap.poissonian_statistics(28.0), ap.CothermalState(28.0, 14.0).photon_distribution()):
+        sl = ref.density_slices_from_statistics(p, T)
         for channel, n_c in (("emitter", sl.n_sigma), ("cavity", sl.n_a)):
             dec = spectra.rung_decomposition(p, T, channel)
             assert np.sum(dec.n_c) == pytest.approx(n_c, rel=1e-10)
@@ -190,7 +190,7 @@ def test_single_rung_slices_at_fractional_rung():
 def test_fractional_rung_below_one_reads_the_ground_rung():
     # for a rung in (0, 1) the rung below is read at T[0], never at the tail of T
     p = SystemParams(P_sigma=3.0, g=1.0, gamma_a=0.05, gamma_sigma=0.2, delta=0.7, gamma_phi=0.3)
-    T = spectra.poissonian_statistics(3.0)
+    T = ap.poissonian_statistics(3.0)
     for channel in ("emitter", "cavity"):
         full = spectra.rung_decomposition(p, T, channel, rungs=[0.4])
         head = spectra.rung_decomposition(p, T[:2], channel, rungs=[0.4])
@@ -223,10 +223,10 @@ def test_single_rung_refuses_what_the_slices_cannot_describe():
 
 def test_elastic_weight_matches_inhomogeneous_route():
     p = SystemParams(g=1.0, gamma_a=0.05, gamma_sigma=0.02, P_sigma=3.7)
-    T = spectra.poissonian_statistics(15.0)
+    T = ap.poissonian_statistics(15.0)
     for channel in ("emitter", "cavity"):
         dec = spectra.rung_decomposition(p, T, channel)
-        assert spectra.elastic_weight(p, T, channel) == pytest.approx(
+        assert ref.elastic_weight(p, T, channel) == pytest.approx(
             np.sum(dec.elastic).real, rel=1e-9
         )
 
@@ -242,15 +242,15 @@ def test_cavity_elastic_weight_positive():
             gamma_phi=float(rng.uniform(0.0, 2.0)),
             delta=float(rng.uniform(-2.0, 2.0)),
         )
-        T = spectra.poissonian_statistics(float(rng.uniform(0.5, 40.0)))
-        assert spectra.elastic_weight(p, T, "cavity") > 0.0
+        T = ap.poissonian_statistics(float(rng.uniform(0.5, 40.0)))
+        assert ref.elastic_weight(p, T, "cavity") > 0.0
 
 
 def test_emitter_elastic_sign_flip():
     # for gamma_sigma = 0 the sign flips exactly at P = sqrt(2) g
     def esig(P):
         p = SystemParams(g=1.0, gamma_a=0.05, gamma_sigma=0.0, P_sigma=float(P))
-        return spectra.elastic_weight(p, spectra.poissonian_statistics(10.0), "emitter")
+        return ref.elastic_weight(p, ap.poissonian_statistics(10.0), "emitter")
 
     root = brentq(esig, 0.5, 3.0, xtol=1e-10)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-3)
@@ -258,9 +258,9 @@ def test_emitter_elastic_sign_flip():
 
 
 def test_lasing_elastic_weight_matches_semiclassical_delta():
-    T = spectra.poissonian_statistics(28.85)
-    sl = spectra.density_slices_from_statistics(LASING, T)
-    e_sigma = spectra.elastic_weight(LASING, T, "emitter")
+    T = ap.poissonian_statistics(28.85)
+    sl = ref.density_slices_from_statistics(LASING, T)
+    e_sigma = ref.elastic_weight(LASING, T, "emitter")
     n_sigma = sl.n_sigma
     delta_sc = spectra.semiclassical_mollow(LASING, np.array([0.0])).elastic_weight
     assert e_sigma / n_sigma == pytest.approx(delta_sc, rel=0.10)
@@ -273,7 +273,7 @@ def test_lasing_elastic_weight_matches_semiclassical_delta():
 
 def test_low_pump_doublet():
     p = SystemParams(P_sigma=0.05, **BASE)
-    T = spectra.poissonian_statistics(0.3, n_cut=30)
+    T = ap.poissonian_statistics(0.3, n_cut=30)
     w = np.linspace(-2.5, 2.5, 1001)
     res = spectra.approx_spectrum(p, T, "emitter", w)
     r0 = ref.linear_rabi(p).real
@@ -282,7 +282,7 @@ def test_low_pump_doublet():
 
 
 def test_lasing_triplet_side_positions():
-    T = spectra.poissonian_statistics(28.85)
+    T = ap.poissonian_statistics(28.85)
     w = np.linspace(-25.0, 25.0, 4001)
     res = spectra.approx_spectrum(LASING, T, "emitter", w)
     obs = ref.observed_splitting(res)
@@ -295,7 +295,7 @@ def test_incoherent_normalization_on_grid():
     # +-10 g max(1, sqrt(n_a)) window (line-sum antiderivative, no grid bias)
     p = SystemParams(g=1.0, gamma_a=0.02, gamma_sigma=0.005, P_sigma=3.0)
     n_a = ap.semiclassical(p).n_a
-    T = spectra.poissonian_statistics(n_a)
+    T = ap.poissonian_statistics(n_a)
     res = spectra.approx_spectrum(p, T, "cavity", np.array([0.0]))
     span = 10.0 * p.g * max(1.0, math.sqrt(n_a))
     assert lineshape.integrate_lines(res.lines, -span, span) == pytest.approx(
@@ -317,7 +317,7 @@ def test_exact_vs_approx_side_peaks():
 
 def test_detuning_breaks_triplet_symmetry():
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.01, P_sigma=7.0, delta=1.0)
-    T = spectra.poissonian_statistics(25.0)
+    T = ap.poissonian_statistics(25.0)
     res = spectra.approx_spectrum(p, T, "emitter", np.linspace(-25, 25, 101))
     assert ref.side_weight_visibility(res.lines, 2.0) > 0.05
     # resonance stays symmetric even with dephasing
@@ -360,10 +360,29 @@ def test_semiclassical_mollow_structure():
     assert abs(obs.peak_position - sm.meta["side_splitting"]) < sm.meta["side_fwhm"] / 2.0
 
 
+def test_exact_quasi_elastic_line_carries_the_semiclassical_delta():
+    # the exact model has no delta: the semiclassical delta of the emitter is
+    # its narrowest line, whose weight grows smoothly with the pump (measured
+    # 0.0610, 0.0807, 0.0970, 0.1232 against the delta's 0.0644, 0.0817,
+    # 0.0971, 0.1228: at most 5.3% apart, at P 3)
+    weights = []
+    for P in (3.0, 4.0, 5.0, 7.0):
+        p = SystemParams(P_sigma=P, **BASE)
+        lines = exact.spectral_lines(p, ss=exact.steady_state(p), channel="emitter")
+        narrow = min((ln for ln in lines if ln.L > 1e-3), key=lambda ln: ln.gamma)
+        delta = spectra.semiclassical_mollow(p, np.array([0.0])).elastic_weight
+        assert abs(narrow.omega) < 1e-6 and narrow.gamma < p.gamma_a
+        assert narrow.L == pytest.approx(delta, rel=0.1)
+        weights.append(narrow.L)
+    assert np.all(np.diff(weights) > 0.0)
+
+
 def test_semiclassical_mollow_cavity_line():
     w = np.linspace(-0.05, 0.05, 2001)
     res = spectra.semiclassical_mollow(LASING, w, channel="cavity")
-    assert res.elastic_weight == pytest.approx(1.0)
+    # the quasi-elastic line is a line of unit weight, rasterized into values
+    assert res.elastic_weight == 0.0
+    assert len(res.lines) == 1 and res.lines[0].L == 1
     assert res.lines[0].gamma == pytest.approx(spectra.lasing_linewidth(LASING))
     assert res.meta["gamma_L"] == pytest.approx(4.08e-3, rel=1e-2)
 
@@ -465,7 +484,7 @@ def test_unknown_channel_is_refused():
     T = ss.photon_distribution
     for call in (lambda: exact.regression_sector(p, ss, "photon"),
                  lambda: spectra.rung_decomposition(p, T, "photon"),
-                 lambda: spectra.elastic_weight(p, T, "photon"),
+                 lambda: ref.elastic_weight(p, T, "photon"),
                  lambda: spectra.semiclassical_mollow(p, np.zeros(3), channel="photon")):
         with pytest.raises(ValueError, match="unknown channel 'photon'"):
             call()
