@@ -1,9 +1,10 @@
 """Closed-form approximation ladder and regime classification.
 
 Five complementary descriptions of the pumped system: the linear (bosonic
-and one-excitation) models, the semiclassical lasing solution, the thermal
-solution, and the cothermal interpolation, plus the pump-axis regime
-classifier built on their characteristic scales.
+and one-excitation) models, the semiclassical lasing solution and the
+thermal solution, each a ``Populations`` pair (n_a, n_sigma), and the
+cothermal interpolation of a whole pump grid, plus the pump-axis regime
+classifier built on the semiclassical pump scales.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .params import SystemParams, g_eff, kappa_sigma, recurrence_coefficients
 
 
 @dataclass(frozen=True)
-class LinearModelResult:
+class Populations:
+    """Cavity and emitter populations (n_a, n_sigma) of a closed form."""
+
     n_a: float
     n_sigma: float
 
@@ -41,10 +44,10 @@ def _linear_variant(params: SystemParams, variant: str) -> tuple[float, float]:
     return n_a, n_sigma
 
 
-def linear_models(params: SystemParams) -> dict[str, LinearModelResult]:
+def linear_models(params: SystemParams) -> dict[str, Populations]:
     """Both linear closed forms, bosonic and truncated_jc, at the given pump;
     a vanishing denominator gives n_a = n_sigma = inf."""
-    return {v: LinearModelResult(*_linear_variant(params, v)) for v in ("bosonic", "truncated_jc")}
+    return {v: Populations(*_linear_variant(params, v)) for v in ("bosonic", "truncated_jc")}
 
 
 def statistics_root(params: SystemParams, g2: float | np.ndarray) -> float | np.ndarray:
@@ -70,18 +73,6 @@ def _first_moment_root(A1, b, c, g2):
         return np.where(b <= 0.0, (-b + disc) / (2.0 * a), 2.0 * c / (b + disc))
 
 
-@dataclass(frozen=True)
-class SemiclassicalResult:
-    n_a: float
-    n_sigma: float
-    F_sigma: float
-    C2: float
-    max_n_a: float
-    P_at_max: float
-    P_max: float
-    clamped: bool = False
-
-
 _WINDOW_MARGIN = 5.0  # how far "<<" reaches in the lasing validity window
 
 
@@ -105,38 +96,21 @@ def _pump_scales(params: SystemParams) -> tuple[float, float]:
     return ks / 2.0 * (1.0 - (2.0 * gs + gp) / ks), ks - 3.0 * gs - 2.0 * gp
 
 
-def semiclassical(params: SystemParams) -> SemiclassicalResult:
-    """Lasing-regime populations, feeding efficiencies and pump scales."""
+def semiclassical(params: SystemParams) -> Populations:
+    """Lasing-regime populations n_a = F_a (1 - 2 gamma_sigma / Gamma_sigma - F_sigma)
+    and n_sigma = (1 + F_sigma) / 2, with the feeding efficiencies
+    F_a = Gamma_sigma / (2 gamma_a) and F_sigma = (Gamma_sigma + gamma_phi) / kappa_sigma."""
     if params.gamma_a <= 0.0 or params.Gamma_sigma <= 0.0:
         raise ValueError("semiclassical solution needs gamma_a > 0 and Gamma_sigma > 0")
-    ks = kappa_sigma(params)
     gs_tot = params.Gamma_sigma
-    ga, gs, gp = params.gamma_a, params.gamma_sigma, params.gamma_phi
-    F_a = gs_tot / (2.0 * ga)
-    F_sigma = (gs_tot + gp) / ks
-    n_a = F_a * (1.0 - 2.0 * gs / gs_tot - F_sigma)
-    clamped = n_a < 0.0
-    P_at_max, P_max = _pump_scales(params)
-    return SemiclassicalResult(
-        n_a=max(n_a, 0.0),
-        # below threshold n_a = 0, and the rate balance gives n_sigma
-        n_sigma=params.P_sigma / gs_tot if clamped else 0.5 * (1.0 + F_sigma),
-        F_sigma=F_sigma,
-        C2=1.0 / (2.0 * ga),
-        max_n_a=ks / (8.0 * ga) * (1.0 - (4.0 * gs + 2.0 * gp) / ks),
-        P_at_max=P_at_max,
-        P_max=P_max,
-        clamped=clamped,
-    )
+    F_sigma = (gs_tot + params.gamma_phi) / kappa_sigma(params)
+    n_a = gs_tot / (2.0 * params.gamma_a) * (1.0 - 2.0 * params.gamma_sigma / gs_tot - F_sigma)
+    if n_a < 0.0:  # below threshold n_a = 0, and the rate balance gives n_sigma
+        return Populations(n_a=0.0, n_sigma=params.P_sigma / gs_tot)
+    return Populations(n_a=n_a, n_sigma=0.5 * (1.0 + F_sigma))
 
 
-@dataclass(frozen=True)
-class ThermalResult:
-    n_a: float
-    n_sigma: float
-
-
-def thermal_na(params: SystemParams) -> ThermalResult:
+def thermal_na(params: SystemParams) -> Populations:
     """Cavity population assuming a thermal field: the g2 = 2 root of
     ``statistics_root``, with n_sigma from the rate balance; at
     gamma_a = P_a = 0 the exact (nbar_a, nbar_sigma) of the lossless cavity."""
@@ -146,27 +120,16 @@ def thermal_na(params: SystemParams) -> ThermalResult:
         P, gs = params.P_sigma, params.gamma_sigma
         nbar_a = P / (gs - P) if gs > P else math.inf
         nbar_s = P / (gs + P) if gs + P > 0.0 else 0.0
-        return ThermalResult(n_a=nbar_a, n_sigma=nbar_s)
+        return Populations(n_a=nbar_a, n_sigma=nbar_s)
     if params.Gamma_sigma <= 0.0:
         raise ValueError("thermal solution needs Gamma_sigma > 0 when gamma_a > 0")
     n_a = float(statistics_root(params, 2.0))
-    return ThermalResult(n_a=n_a, n_sigma=(params.P_sigma - params.gamma_a * n_a) / params.Gamma_sigma)
+    return Populations(n_a=n_a, n_sigma=(params.P_sigma - params.gamma_a * n_a) / params.Gamma_sigma)
 
 
 # ---------------------------------------------------------------------------
 # Cothermal state
 # ---------------------------------------------------------------------------
-
-
-def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
-    """Poissonian T[n], the lasing-regime field statistics."""
-    if n_cut is None:
-        n_cut = int(n_a + 12.0 * math.sqrt(max(n_a, 1.0))) + 25
-    n = np.arange(n_cut + 1)
-    if n_a <= 0.0:
-        return np.where(n == 0, 1.0, 0.0)
-    logT = n * math.log(n_a) - n_a - np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
-    return np.exp(np.clip(logT, math.log(1e-300), 0.0))
 
 
 @dataclass(frozen=True)
@@ -209,46 +172,6 @@ class CothermalState:
             )
         return math.factorial(n) * acc
 
-    def photon_distribution(self, n_cut: int | None = None, tail: float = 1e-12) -> np.ndarray:
-        """T[n] of the displaced thermal field, evaluated stably in log space.
-
-        Only defined as a distribution for n_th >= 0; the analytic n_th < 0
-        branch falls back to the Poissonian at n_a.  Without ``n_cut`` the
-        ladder runs past the mode until T falls ``tail`` below its peak.
-        """
-        nth, nc = self.n_th, max(self.n_coh, 0.0)
-        if nth < 1e-12:  # Poissonian limit (and the analytic n_th < 0 branch)
-            return poissonian_statistics(max(self.n_a, nc), n_cut)
-        x = nc / (nth * (1.0 + nth))
-        log_base = math.log(nth / (1.0 + nth))
-        logT = [-nc / (1.0 + nth) - math.log(1.0 + nth)]
-        top = logT[0]
-        # ratio recurrence for L_{n+1}(-x)/L_n(-x); positive, no cancellation
-        r = 1.0 + x  # L_1/L_0
-        n = 0
-        while True:
-            step = log_base + math.log(r)
-            if n_cut is None:
-                # past the mode and ``tail`` below the peak
-                if step < 0.0 and logT[-1] < top + math.log(tail):
-                    break
-            elif n >= max(n_cut, 8):
-                break
-            logT.append(logT[-1] + step)
-            top = max(top, logT[-1])
-            n += 1
-            r = ((2 * n + 1 + x) - n / r) / (n + 1)
-        T = np.exp(np.clip(logT, _LOG_FLOOR, 50.0))
-        return self._trim(T, tail)
-
-    @staticmethod
-    def _trim(T: np.ndarray, tail: float) -> np.ndarray:
-        keep = np.nonzero(T > tail * T.max())[0]
-        return T[: keep[-1] + 1] if len(keep) else T[:1]
-
-
-_LOG_FLOOR = math.log(1e-300)
-
 
 # g2 nodes of the cothermal root scan
 _G2_GRID = np.linspace(0.0, 2.0, 65)
@@ -275,13 +198,20 @@ def _moment_coefficients(params: SystemParams) -> list[float]:
 
 
 def cothermal_sweep(params: SystemParams, pumps) -> list[CothermalState | NoPhysicalRootError]:
-    """``cothermal`` at each pump P_sigma of ``pumps``, all scanned at once.
+    """The cothermal field (n_a, n_coh) at each pump P_sigma of ``pumps``.
 
-    Returns per pump its state, or the ``NoPhysicalRootError`` that
-    ``cothermal`` would raise there; a zero pump gives the zero state.  The
-    rescans run on the brackets of every pump together, and a pump drops
-    out once its bracket stops shrinking, so each pump takes the passes it
-    would take alone and its result is the one-pump result.
+    With N_a[2] = g2 n_a^2 the n = 1 moment equation is the quadratic of
+    ``statistics_root``, so every admissible state lies on the curve
+    n_a = statistics_root(g2), n_coh = n_a sqrt(2 - g2), g2 in [0, 2].  On
+    it the n = 2 equation divided by n_a reads
+    C2 - B2 g2 n_a - A2 n_a^2 (9 g2 - 12 + 4 (2 - g2)^1.5), which falls
+    along g2, so it has one root: its sign change on a fixed g2 grid is
+    rescanned down to adjacent floats.  Where it is still positive at g2 = 2
+    the field would be superthermal, and the pump gets a ``NoPhysicalRootError``
+    in place of its state; a zero pump gets the zero state.  ``residual`` is
+    the root's relative residual of the n = 1, 2 equations.  The rescans run
+    on the brackets of all pumps together, and a pump drops out once its
+    bracket stops shrinking, so each pump's result is its one-pump result.
     """
     if params.gamma_a <= 0.0 or params.P_a != 0.0:
         raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
@@ -319,26 +249,6 @@ def cothermal_sweep(params: SystemParams, pumps) -> list[CothermalState | NoPhys
         state = CothermalState(n_a=na, n_coh=na * math.sqrt(2.0 - x))
         out[j] = replace(state, residual=max(_moment_residual(states[j], state, n) for n in (1, 2)))
     return out
-
-
-def cothermal(params: SystemParams) -> CothermalState:
-    """Solve the n = 1, 2 moment equations of the cothermal field for (n_a, n_coh).
-
-    With N_a[2] = g2 n_a^2 the n = 1 equation is the quadratic of
-    ``statistics_root``, so every admissible state lies on the curve
-    n_a = statistics_root(g2), n_coh = n_a sqrt(2 - g2), g2 in [0, 2].  On
-    it the n = 2 equation divided by n_a reads
-    C2 - B2 g2 n_a - A2 n_a^2 (9 g2 - 12 + 4 (2 - g2)^1.5), which falls
-    along g2, so it has one root: its sign change on a fixed g2 grid is
-    rescanned down to adjacent floats.  Where it is still positive at
-    g2 = 2 the field would be superthermal, a ``NoPhysicalRootError``.
-    ``residual`` is that root's relative residual of the n = 1, 2 equations.
-    This is the one-pump case of ``cothermal_sweep``.
-    """
-    (state,) = cothermal_sweep(params, [params.P_sigma])
-    if isinstance(state, NoPhysicalRootError):
-        raise state
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -800,8 +800,9 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
     every other midpoint between samples and at Re w_p and Re w_p +- |Im w_p|
     of every pole; the points that miss by more than 1e-9 of max S, and the
     kept poles not below the real axis, join the samples and the fit is redone.
-    Raises ``LineFitError`` when that does not end within the budget of
-    distinct solves or the weights' real parts miss one by more than 1e-6.
+    Raises ``LineFitError`` when the weights' real parts miss one by more
+    than 1e-6, and before any sampling that would take the distinct solves
+    past the budget.
 
     ``sample`` keeps every value it solves, so no point is solved twice.  At
     resonance the conjugate of the block is the block with the signs
@@ -812,11 +813,14 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
     every pole's points, with their mirrors.
     """
     solved: dict[complex, complex] = {}
+    why = "no fit checked yet"  # the last check's verdict
 
     def sample(z: np.ndarray) -> np.ndarray:
         mirrored = sec.resonant & (z.real < 0.0)
         at = np.where(mirrored, -z.conj(), z).tolist()
         new = [p for p in dict.fromkeys(at) if p not in solved]
+        if len(solved) + len(new) > _BUDGET:
+            raise LineFitError(f"line fit not validated in {len(solved)} solves (size {sec.generator.size}): {why}")
         if new:
             solved.update(zip(new, _resolvent(sec, np.array(new)).tolist()))
         F = np.array([solved[p] for p in at], dtype=complex)
@@ -843,10 +847,8 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
         bad, upper = miss > _VALID_RTOL, poles[poles.imag >= 0.0]
         if not bad.any() and not len(upper):
             break
-        if len(solved) >= _BUDGET:
-            why = (f"misses by {np.max(miss):.1e} of max S" if bad.any()
-                   else f"pole {upper[0]:.6g} not below the real axis")
-            raise LineFitError(f"line fit not validated in {len(solved)} solves (size {sec.generator.size}): {why}")
+        why = (f"misses by {np.max(miss):.1e} of max S" if bad.any()
+               else f"pole {upper[0]:.6g} not below the real axis")
         # F has no pole above the real axis: a sample at a fitted one refutes it
         new = np.setdiff1d(mirror(np.concatenate([V[bad], upper])), Z)
         Z, F = np.concatenate([Z, new]), np.concatenate([F, sample(new)])

@@ -4,8 +4,8 @@ Valid deep in strong coupling, where the photon dynamics is slow against the
 emitter and coupling dynamics: the steady density matrix follows from the
 photon statistics T[n] alone, and each ladder rung contributes four lines at
 the inner/outer Rabi frequencies, solved rung by rung from 4x4 blocks.  The
-photon statistics is pluggable (exact, Poissonian, or thermal and cothermal
-from ``approximations.CothermalState``).
+photon statistics T[n] is an argument: the commands pass the exact one, and
+the tests pass Poissonian and cothermal ones as well.
 
 Frequencies are measured from the cavity; the emitter sits at -delta.
 """
@@ -219,12 +219,16 @@ def semiclassical_mollow(
     finite width, so no weight is elastic.  Off resonance the single-rung
     substitution n = n_a is evaluated instead.  Both channels are refused at P_sigma = 0, below
     any lasing: the cavity line has no width there, and the emitter forms
-    go negative.  An emitter spectrum with any negative value is refused too.
+    go negative.  They are refused at gamma_a = 0 too, where the cavity line
+    has no width and kappa_sigma is infinite.  An emitter spectrum with any
+    negative or non-finite value is refused as well.
     """
     if channel not in ("emitter", "cavity"):
         raise ValueError(f"unknown channel {channel!r}")
     if not params.P_sigma > 0.0:
         raise ValueError(f"the semiclassical {channel} line needs P_sigma > 0, got P_sigma = {params.P_sigma}")
+    if not params.gamma_a > 0.0:
+        raise ValueError(f"the semiclassical {channel} line needs gamma_a > 0, got gamma_a = {params.gamma_a}")
     omega = np.asarray(omega, dtype=float)
     if channel == "cavity":
         gl = lasing_linewidth(params)
@@ -275,6 +279,9 @@ def semiclassical_mollow(
 
 
 def _nonnegative(res: SpectrumResult, params: SystemParams) -> SpectrumResult:
+    if not np.all(np.isfinite(res.values)):
+        raise ValueError(f"the semiclassical {res.channel} spectrum is not finite "
+                         f"(lasing_window_ok: {lasing_window_ok(params)})")
     low = float(np.min(res.values, initial=0.0))
     if low < 0.0:
         raise ValueError(f"the semiclassical {res.channel} spectrum goes negative, down to {low:.3g} "

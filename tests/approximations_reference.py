@@ -1,8 +1,10 @@
 """The approximation ladder with the closed forms only the tests read.
 
 Re-exports ``jclaser.approximations`` and adds the exact zero-pump g2, the
-low-pump slope C1 of both linear models and the pumps where the bosonic
-model diverges, so that the suite reads runtime and oracle through one name
+low-pump slope C1 of both linear models, the pumps where the bosonic model
+diverges, the one-pump cothermal root, and the Poissonian and cothermal
+photon distributions that the tests feed to the spectral engines, so that
+the suite reads runtime and oracle through one name
 (``import approximations_reference as ap``).
 """
 
@@ -11,8 +13,68 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from jclaser.approximations import *  # noqa: F403 - the runtime names, read through this module
+from jclaser.approximations import CothermalState, cothermal_sweep
+from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, g_eff, kappa_sigma
+
+_LOG_FLOOR = math.log(1e-300)
+
+
+def cothermal(params: SystemParams) -> CothermalState:
+    """The one-pump case of ``cothermal_sweep``; raises its ``NoPhysicalRootError``."""
+    (state,) = cothermal_sweep(params, [params.P_sigma])
+    if isinstance(state, NoPhysicalRootError):
+        raise state
+    return state
+
+
+def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
+    """Poissonian T[n], the lasing-regime field statistics."""
+    if n_cut is None:
+        n_cut = int(n_a + 12.0 * math.sqrt(max(n_a, 1.0))) + 25
+    n = np.arange(n_cut + 1)
+    if n_a <= 0.0:
+        return np.where(n == 0, 1.0, 0.0)
+    logT = n * math.log(n_a) - n_a - np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
+    return np.exp(np.clip(logT, _LOG_FLOOR, 0.0))
+
+
+def cothermal_distribution(state: CothermalState, n_cut: int | None = None, tail: float = 1e-12) -> np.ndarray:
+    """T[n] of the displaced thermal field ``state``, evaluated stably in log space.
+
+    Only defined as a distribution for n_th >= 0; the analytic n_th < 0
+    branch falls back to the Poissonian at n_a.  Without ``n_cut`` the
+    ladder runs past the mode until T falls ``tail`` below its peak.  The
+    rungs past the last one above ``tail`` of the peak are cut.
+    """
+    nth, nc = state.n_th, max(state.n_coh, 0.0)
+    if nth < 1e-12:  # Poissonian limit (and the analytic n_th < 0 branch)
+        return poissonian_statistics(max(state.n_a, nc), n_cut)
+    x = nc / (nth * (1.0 + nth))
+    log_base = math.log(nth / (1.0 + nth))
+    logT = [-nc / (1.0 + nth) - math.log(1.0 + nth)]
+    top = logT[0]
+    # ratio recurrence for L_{n+1}(-x)/L_n(-x); positive, no cancellation
+    r = 1.0 + x  # L_1/L_0
+    n = 0
+    while True:
+        step = log_base + math.log(r)
+        if n_cut is None:
+            # past the mode and ``tail`` below the peak
+            if step < 0.0 and logT[-1] < top + math.log(tail):
+                break
+        elif n >= max(n_cut, 8):
+            break
+        logT.append(logT[-1] + step)
+        top = max(top, logT[-1])
+        n += 1
+        r = ((2 * n + 1 + x) - n / r) / (n + 1)
+    T = np.exp(np.clip(logT, _LOG_FLOOR, 50.0))
+    keep = np.nonzero(T > tail * T.max())[0]
+    return T[: keep[-1] + 1] if len(keep) else T[:1]
 
 
 def linear_slope_C1(params: SystemParams) -> float:

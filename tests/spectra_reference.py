@@ -5,7 +5,7 @@ resonant Mollow triplet of the driven emitter, the side-peak position read
 off a spectrum grid, and the exact engine's spectrum straight from its
 banded resolvent, one solve per frequency.
 
-Re-exports ``jclaser.spectra`` and ``approximations.poissonian_statistics``,
+Re-exports ``jclaser.spectra`` and ``approximations_reference.poissonian_statistics``,
 so that the suite reads runtime and oracle through one name
 (``import spectra_reference as spectra``).
 """
@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from approximations_reference import poissonian_statistics  # noqa: F401 - read through this module
 from coherent_reference import coherent_steady_state, coherent_weight
 from jclaser import exact
 from jclaser.coherent import CoherentLines
 from jclaser.errors import JclaserError
 from jclaser.lineshape import SpectralLine, SpectrumResult
-from jclaser.approximations import poissonian_statistics  # noqa: F401 - read through this module
 from jclaser.exact import SteadyState
 from jclaser.params import LaserDriveParams, SystemParams, kappa_a
 from jclaser.spectra import *  # noqa: F403 - the runtime names, read through this module

@@ -11,7 +11,14 @@ from jclaser import exact
 from jclaser.errors import NoPhysicalRootError
 from jclaser.params import SystemParams, kappa_sigma, recurrence_coefficients
 import moment_reference as moments
-from approximations_reference import bosonic_divergence_pumps, g2_zero_pump, linear_slope_C1
+from approximations_reference import (
+    bosonic_divergence_pumps,
+    cothermal,
+    cothermal_distribution,
+    g2_zero_pump,
+    linear_slope_C1,
+    poissonian_statistics,
+)
 
 BASE = dict(g=1.0, gamma_sigma=0.00334)
 
@@ -96,10 +103,16 @@ def test_semiclassical_example_values():
     sc = ap.semiclassical(p)
     assert sc.n_a == pytest.approx(18.0, rel=1e-12)
     assert sc.n_sigma == pytest.approx(0.55, rel=1e-12)
-    assert sc.C2 == pytest.approx(5.0)
-    assert sc.P_at_max == pytest.approx(20.0)
-    assert sc.P_max == pytest.approx(40.0)
-    assert sc.max_n_a == pytest.approx(50.0)
+    # the pump of the largest n_a, P 20, and the quenching pump, P 40, are
+    # the regime edges above the lasing regime
+    b = ap.regime_boundaries(p)
+    assert b["lasing_quenching"] == pytest.approx(20.0, rel=1e-12)
+    assert b["quenching_thermal"] == pytest.approx(40.0, rel=1e-12)
+    # the largest n_a, 50, is reached at P 20
+    pumps = np.linspace(0.1, 45.0, 450)
+    n_a = [ap.semiclassical(replace(p, P_sigma=float(P))).n_a for P in pumps]
+    assert pumps[int(np.argmax(n_a))] == pytest.approx(20.0)
+    assert max(n_a) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_semiclassical_zero_at_unit_emitter_feeding():
@@ -107,9 +120,7 @@ def test_semiclassical_zero_at_unit_emitter_feeding():
     ks = 40.0
     P = ks - 0.0  # F_sigma = 1 at gamma_sigma = gamma_phi = 0
     p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.0, P_sigma=P)
-    sc = ap.semiclassical(p)
-    assert sc.F_sigma == pytest.approx(1.0)
-    assert sc.n_a == pytest.approx(0.0, abs=1e-12)
+    assert ap.semiclassical(p).n_a == pytest.approx(0.0, abs=1e-12)
 
 
 def test_semiclassical_rate_balance_below_threshold():
@@ -118,7 +129,7 @@ def test_semiclassical_rate_balance_below_threshold():
     for P in (0.0, 1e-3, 1e3):
         p = SystemParams(gamma_a=0.1, P_sigma=P, **BASE)
         sc = ap.semiclassical(p)
-        assert sc.clamped and sc.n_a == 0.0
+        assert sc.n_a == 0.0
         assert p.gamma_a * sc.n_a + p.Gamma_sigma * sc.n_sigma == pytest.approx(P, rel=1e-12, abs=1e-12)
 
 
@@ -239,14 +250,14 @@ def test_cothermal_thermal_reduction():
     # constraining n_coh = 0 reduces the first equation to the thermal
     # quadratic; the solver should find that root deep in the thermal regime
     p = SystemParams(gamma_a=0.1, P_sigma=300.0, **BASE)
-    ct = ap.cothermal(p)
+    ct = cothermal(p)
     assert ct.g2 == pytest.approx(2.0, abs=0.02)
     assert ct.n_a == pytest.approx(ap.thermal_na(p).n_a, rel=0.02)
 
 
 def test_cothermal_poissonian_limit():
     p = SystemParams(gamma_a=0.1, P_sigma=7.0, **BASE)
-    ct = ap.cothermal(p)
+    ct = cothermal(p)
     assert ct.n_th / ct.n_a < 0.01
     assert ct.g2 == pytest.approx(1.0, abs=0.01)
 
@@ -256,7 +267,7 @@ def test_cothermal_moment_identities():
     st = ap.CothermalState(n_a=3.7, n_coh=2.2)
     assert st.moment(1) == pytest.approx(3.7, rel=1e-14)
     assert st.moment(2) == pytest.approx(2.0 * 3.7**2 - 2.2**2, rel=1e-14)
-    T = st.photon_distribution(200)
+    T = cothermal_distribution(st, 200)
     n = np.arange(len(T))
     assert T.sum() == pytest.approx(1.0, abs=1e-10)
     assert float(n @ T) == pytest.approx(3.7, rel=1e-10)
@@ -269,13 +280,13 @@ def test_cothermal_distribution_default_cutoff(n_a):
     # the default cutoff keeps the thermal tail: unit sum and mean n_a, from
     # the thermal field (n_coh = 0) to the Poissonian one (n_coh = n_a)
     for n_coh in (0.0, n_a / 2.0, n_a - 1e-6, n_a):
-        T = ap.CothermalState(n_a=n_a, n_coh=n_coh).photon_distribution()
+        T = cothermal_distribution(ap.CothermalState(n_a=n_a, n_coh=n_coh))
         assert T.sum() == pytest.approx(1.0, abs=1e-10)
         assert float(np.arange(len(T)) @ T) == pytest.approx(n_a, rel=1e-9)
     # a nearly Poissonian field (n_th = 1e-6) needs no longer ladder than the
     # Poissonian one
-    T = ap.CothermalState(n_a=n_a, n_coh=n_a - 1e-6).photon_distribution()
-    assert len(T) <= len(ap.poissonian_statistics(n_a))
+    T = cothermal_distribution(ap.CothermalState(n_a=n_a, n_coh=n_a - 1e-6))
+    assert len(T) <= len(poissonian_statistics(n_a))
 
 
 def test_cothermal_tracks_exact_g2():
@@ -285,14 +296,14 @@ def test_cothermal_tracks_exact_g2():
             obs = moments.precise_observables(p, moments.solve_moments(p).n_max)
             if not obs.g2_defined:
                 continue
-            assert abs(ap.cothermal(p).g2 - obs.g2) <= 0.2
+            assert abs(cothermal(p).g2 - obs.g2) <= 0.2
 
 
 def test_cothermal_out_of_numerical_reach():
     # gamma_a = 0.01 g: the cothermal route must complete on its own
     for P in (0.1, 5.0, 50.0, 300.0):
         p = SystemParams(gamma_a=0.01, P_sigma=P, **BASE)
-        ct = ap.cothermal(p)
+        ct = cothermal(p)
         assert ct.n_a >= 0.0 and ct.n_coh >= 0.0
         assert ct.residual < 1e-9
 
@@ -314,7 +325,7 @@ COTHERMAL_PINS = [
 def test_cothermal_pinned_roots(point, pinned):
     ga, P, delta, gamma_phi = point
     p = SystemParams(gamma_a=ga, P_sigma=P, delta=delta, gamma_phi=gamma_phi, **BASE)
-    ct = ap.cothermal(p)
+    ct = cothermal(p)
     assert ct.n_a == pytest.approx(pinned[0], rel=1e-12)
     assert abs(ct.n_coh - pinned[1]) <= 1e-10 * pinned[0]
     assert ct.residual <= 1e-10
@@ -322,7 +333,7 @@ def test_cothermal_pinned_roots(point, pinned):
 
 def _cothermal_or_error(p):
     try:
-        return ap.cothermal(p)
+        return cothermal(p)
     except NoPhysicalRootError as exc:
         return type(exc)
 
@@ -358,7 +369,7 @@ def test_cothermal_refuses_a_superthermal_field():
     p = SystemParams(g=1.0, gamma_a=0.01576, gamma_sigma=1.916e-4, P_sigma=0.04793, delta=-4.9035)
     assert ap._second_moment(ap._moment_coefficients(p), 2.0) > 0.0
     with pytest.raises(NoPhysicalRootError, match="no root with g2 <= 2"):
-        ap.cothermal(p)
+        cothermal(p)
     assert exact.steady_state(p).g2 > 2.0  # the exact field is superthermal there
 
 
@@ -385,7 +396,7 @@ def test_cothermal_sweep_is_cothermal_at_each_pump(log_gamma_a, gamma_sigma, log
     pumps = [10.0**x for x in log_P]
     for P, got in zip(pumps, ap.cothermal_sweep(p, pumps), strict=True):
         try:
-            one = ap.cothermal(replace(p, P_sigma=P))
+            one = cothermal(replace(p, P_sigma=P))
         except NoPhysicalRootError as exc:
             one = exc
         assert _same_bits(got, one)
@@ -398,7 +409,7 @@ def test_cothermal_sweep_refuses_only_the_superthermal_pump():
     assert recurrence_coefficients(replace(p, P_sigma=1.0), 1)[1] < 0.0
     zero, no_g2_zero_root, superthermal = ap.cothermal_sweep(p, [0.0, 1.0, 0.04793])
     assert zero == ap.CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)
-    assert _same_bits(no_g2_zero_root, ap.cothermal(replace(p, P_sigma=1.0)))
+    assert _same_bits(no_g2_zero_root, cothermal(replace(p, P_sigma=1.0)))
     # pinned: a scan that kept the rootless g2 = 0 node would bracket [0, 1/32]
     assert no_g2_zero_root.n_a == pytest.approx(19.498806113066326, rel=1e-12)
     assert isinstance(superthermal, NoPhysicalRootError)
@@ -415,7 +426,7 @@ def test_cothermal_needs_no_other_rung(monkeypatch):
     monkeypatch.setattr(ap, "thermal_na", refuse)
     for (ga, P, delta, gamma_phi), (n_a, _) in COTHERMAL_PINS:
         p = SystemParams(gamma_a=ga, P_sigma=P, delta=delta, gamma_phi=gamma_phi, **BASE)
-        assert ap.cothermal(p).n_a == pytest.approx(n_a, rel=1e-12)
+        assert cothermal(p).n_a == pytest.approx(n_a, rel=1e-12)
 
 
 def test_mandel_q_peaks_in_quench_window():
@@ -423,11 +434,11 @@ def test_mandel_q_peaks_in_quench_window():
     pumps = np.logspace(-1, 2.3, 40)
     q = []
     for P in pumps:
-        ct = ap.cothermal(SystemParams(gamma_a=0.1, P_sigma=float(P), **BASE))
+        ct = cothermal(SystemParams(gamma_a=0.1, P_sigma=float(P), **BASE))
         q.append(ct.n_a * (ct.g2 - 1.0))
     i = int(np.argmax(q))
-    sc = ap.semiclassical(SystemParams(gamma_a=0.1, P_sigma=float(pumps[i]), **BASE))
-    assert 0.2 * sc.P_at_max <= pumps[i] <= 1.5 * sc.P_max
+    b = ap.regime_boundaries(SystemParams(gamma_a=0.1, P_sigma=float(pumps[i]), **BASE))
+    assert 0.2 * b["lasing_quenching"] <= pumps[i] <= 1.5 * b["quenching_thermal"]
     assert q[i] > q[0] and q[i] > q[-1]
 
 
@@ -476,5 +487,5 @@ def test_lossless_cavity_forms():
 
 
 def test_poissonian_statistics_of_the_vacuum():
-    T = ap.poissonian_statistics(0.0)
+    T = poissonian_statistics(0.0)
     assert len(T) == 38 and T[0] == 1.0 and not np.any(T[1:])

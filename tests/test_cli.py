@@ -552,6 +552,28 @@ def test_spectrum_semiclassical_refuses_a_negative_emitter_spectrum(tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("channel", ["cavity", "emitter"])
+def test_spectrum_semiclassical_refuses_a_lossless_cavity(tmp_path, monkeypatch, capsys, channel):
+    # at gamma_a = 0 the cavity line has no width, so S(0) would be nan, and
+    # kappa_sigma is infinite, so the resonant emitter form would be nan everywhere
+    monkeypatch.chdir(tmp_path)
+    code = run(["spectrum", "--method", "semiclassical", "--channel", channel, "--gamma-a", "0",
+                "--gamma-sigma", "0.00334", "--pump-sigma", "3", "--points", "11"])
+    assert code == 2
+    assert "needs gamma_a > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_semiclassical_refuses_a_non_finite_emitter_spectrum(tmp_path, monkeypatch, capsys):
+    # at P 1e100 the resonant form is inf / inf, so nan
+    monkeypatch.chdir(tmp_path)
+    code = run(["spectrum", "--method", "semiclassical", "--gamma-a", "0.1",
+                "--gamma-sigma", "0.00334", "--pump-sigma", "1e100", "--points", "11"])
+    assert code == 2
+    assert "spectrum is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _table(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
@@ -735,39 +757,73 @@ def test_runtime_package_carries_no_moment_oracle():
     assert not hasattr(jclaser, "UnphysicalResultError")
 
 
-def test_runtime_package_keeps_only_what_is_called():
-    # each public function and class is named in the package outside its own
-    # definition or read by the acceptance suite, and each public method and
-    # property of a package class is named in the package outside its own
-    # definition; see tests/spectra_reference.py and tests/liouvillian_oracle.py
+# Read by no command, each for its reason: SectorBlock.size names a block in
+# the refusal messages alone, and bench/tracing.py reads SectorBlock.shape.
+_UNCALLED = {"exact.SectorBlock.size", "exact.SectorBlock.shape"}
+
+
+def _package_functions() -> dict[tuple[str, int], str]:
+    """Every function, method and property defined in the package, nested ones
+    too, keyed as its code object is: by file and first line, which is the
+    first decorator's line or else the def line."""
     import ast
-    from collections import Counter
 
     import jclaser
 
-    def names(tree) -> Counter:
-        return Counter(getattr(node, "id", None) or node.attr for node in ast.walk(tree)
-                       if isinstance(node, (ast.Name, ast.Attribute)))
+    out = {}
 
-    named, defs, package, members = set(), [], Counter(), []
-    acceptance = Path(__file__).with_name("test_acceptance.py")
-    for path in [*Path(jclaser.__file__).parent.glob("*.py"), acceptance]:
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            own = isinstance(top, (ast.FunctionDef, ast.ClassDef)) and path != acceptance
-            if own and not top.name.startswith("_"):
-                defs.append(f"{path.stem}.{top.name}")
-            for node in ast.walk(top):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and not (own and name == top.name):
-                    named.add(name)
-            if isinstance(top, ast.ClassDef) and path != acceptance:
-                members += [(f"{path.stem}.{top.name}.{f.name}", f) for f in top.body
-                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
-        if path != acceptance:
-            package += names(tree)
-    assert [d for d in defs if d.split(".")[1] not in named] == []
-    assert [m for m, f in members if package[f.name] == names(f)[f.name]] == []
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{getattr(child, 'name', '')}"
+            if isinstance(child, ast.FunctionDef):
+                out[path, min([child.lineno, *(d.lineno for d in child.decorator_list)])] = name
+            walk(child, path, name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else prefix)
+
+    for path in Path(jclaser.__file__).resolve().parent.glob("*.py"):
+        walk(ast.parse(path.read_text()), str(path), path.stem)
+    return out
+
+
+def test_runtime_package_keeps_only_what_is_called(tmp_path, monkeypatch):
+    # a fresh import of the package and a minimal run of every command enter
+    # each function, method and property of the package but those of
+    # _UNCALLED; the modules imported before are restored after the run
+    import importlib
+    import sys
+
+    for name in [m for m in sys.modules if m.split(".")[0] == "jclaser"]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.chdir(tmp_path)
+    Path("steady.cfg").write_text("gamma_a = 0.1\ngamma_sigma = 0.00334\npump_sigma = 7\n")
+    rates = ["--gamma-a", "0.1", "--gamma-sigma", "0.00334"]
+    spectrum = ["spectrum", *rates, "--pump-sigma", "7", "--points", "201"]
+    commands = [
+        ["steady", "--config", "steady.cfg"],
+        ["sweep", *rates, "--sweep-points", "8", "--format", "json"],
+        ["transitions", *rates, "--sweep-min", "1", "--sweep-max", "10", "--sweep-points", "3"],
+        ["mollow-coherent", "--map-points", "4"],
+        ["regimes", *rates],
+        *([*spectrum, "--method", m, "--channel", c, "--out", f"{m}_{c}.csv"]
+          for m in ("exact", "approx", "semiclassical") for c in ("cavity", "emitter")),
+        [*spectrum, "--method", "semiclassical", "--delta", "0.5", "--out", "detuned.csv"],
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        fresh = importlib.import_module("jclaser.cli").main
+        codes = [fresh(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    entered = {(str(Path(f).resolve()), line) for f, line in entered}
+    functions = _package_functions()
+    assert set(_UNCALLED) <= set(functions.values())
+    assert sorted(name for key, name in functions.items() if key not in entered and name not in _UNCALLED) == []
 
 
 def test_record_fields_are_read():

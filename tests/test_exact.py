@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jclaser import approximations as ap
+import approximations_reference as ap
 from jclaser import exact
 from jclaser import lineshape
 from jclaser.errors import (
@@ -719,11 +719,13 @@ def test_unclosed_line_weights_refused(monkeypatch):
 def test_line_fit_refusals_are_named(monkeypatch):
     # a fit that does not validate within the sample budget, and one that
     # keeps a pole on or above the real axis, raise LineFitError (exit 3)
+    # (200 solves take the start samples, 41, and the first checks, 62, but
+    # not the second's 135)
     p = SystemParams(P_sigma=0.05, **BASE)
     ss = exact.steady_state(p, n_max=16)
-    monkeypatch.setattr(exact, "_BUDGET", 1)
+    monkeypatch.setattr(exact, "_BUDGET", 200)
     monkeypatch.setattr(exact, "_VALID_RTOL", 0.0)
-    with pytest.raises(LineFitError, match=r"^line fit not validated in \d+ solves \(size 64\): misses by "):
+    with pytest.raises(LineFitError, match=r"^line fit not validated in 103 solves \(size 64\): misses by "):
         exact.spectral_lines(p, channel="cavity", ss=ss)
     poles = exact._poles
 
@@ -735,6 +737,26 @@ def test_line_fit_refusals_are_named(monkeypatch):
     monkeypatch.setattr(exact, "_VALID_RTOL", np.inf)
     with pytest.raises(LineFitError, match=r"\(size 64\): pole .* not below the real axis$"):
         exact.spectral_lines(p, channel="cavity", ss=ss)
+
+
+def test_line_fit_budget_bounds_the_solves(monkeypatch):
+    # the budget is checked before each sampling, so the checks of a round
+    # cannot take a table past it
+    p = SystemParams(P_sigma=6.1, **BASE)
+    sec = exact.regression_sector(p, exact.steady_state(p), "emitter")
+    assert exact._line_table(sec)[1]["resolvent_solves"] > 100
+    solved = set()
+    real = exact._resolvent
+
+    def spy(sec, z):
+        solved.update(z.tolist())
+        return real(sec, z)
+
+    monkeypatch.setattr(exact, "_resolvent", spy)
+    monkeypatch.setattr(exact, "_BUDGET", 100)
+    with pytest.raises(LineFitError, match=r"^line fit not validated in \d+ solves"):
+        exact._line_table(sec)
+    assert 0 < len(solved) <= 100
 
 
 def _narrowest(lines):

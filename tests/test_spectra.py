@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jclaser import approximations as ap
+import approximations_reference as ap
 from jclaser import exact, lineshape, spectra
 from spectra_reference import NotResolvableError
 from jclaser.lineshape import SpectrumResult
@@ -152,7 +152,7 @@ def test_rung_populations_sum_to_slice_record(tuning):
     # the rung readouts sum to n_sigma (emitter) and n_a (cavity) of the
     # reconstructed record, which is what the line weights are divided by
     p = SystemParams(P_sigma=6.1, **BASE, **tuning)
-    for T in (ap.poissonian_statistics(28.0), ap.CothermalState(28.0, 14.0).photon_distribution()):
+    for T in (ap.poissonian_statistics(28.0), ap.cothermal_distribution(ap.CothermalState(28.0, 14.0))):
         sl = ref.density_slices_from_statistics(p, T)
         for channel, n_c in (("emitter", sl.n_sigma), ("cavity", sl.n_a)):
             dec = spectra.rung_decomposition(p, T, channel)
