@@ -18,7 +18,7 @@ import numpy as np
 from . import approximations as ap
 from . import coherent, exact, spectra
 from .errors import ConfigError, JclaserError
-from .lineshape import evaluate_lines
+from .lineshape import SpectrumResult
 from .output import write_csv, write_json
 from .params import LaserDriveParams, SystemParams
 
@@ -273,23 +273,8 @@ def _spectrum_result(params: SystemParams, args):
 
 
 def cmd_spectrum(args) -> int:
-    params = system_params(args)
-    res = _spectrum_result(params, args)
     out = Path(args.out)
-    cfg = config_dict(args)
-    _write_table(out, ["omega", "S"], [res.omega, res.values], cfg, args.format)
-    sidecar = out.with_suffix(".lines.json")
-    write_json(
-        sidecar,
-        {
-            "channel": res.channel,
-            "method": res.method,
-            "elastic_weight": res.elastic_weight,
-            "validity": res.meta,
-            "lines": [vars(ln) for ln in res.lines],
-        },
-        cfg,
-    )
+    sidecar = _write_spectrum(out, _spectrum_result(system_params(args), args), config_dict(args), args.format)
     print(f"wrote {out} and {sidecar}")
     return _EXIT_OK
 
@@ -314,29 +299,19 @@ def cmd_mollow_coherent(args) -> int:
         omega_L=args.omega_laser * gs, delta=args.delta, gamma_sigma=gs, gamma_phi=args.gamma_phi
     )
     omega = np.linspace(args.omega_min * gs, args.omega_max * gs, args.points)
-    cfg = config_dict(args)
-    out = Path(args.out)
-    dec = coherent.coherent_correlator_lines(drive)
-    values = evaluate_lines(list(dec.lines), omega)
-    _write_table(out, ["omega", "S"], [omega, values], cfg, args.format)
-    write_json(
-        out.with_suffix(".lines.json"),
-        {
-            "elastic_weight": dec.coherent_weight,
-            "n_sigma": dec.n_sigma,
-            "lines": [vars(ln) for ln in dec.lines],
-        },
-        cfg,
-    )
+    res = coherent.spectrum(drive, omega)
     # visibility map over (delta, gamma_phi)
     deltas = np.linspace(0.0, args.map_delta_max * gs, args.map_points)
     phis = np.linspace(0.0, args.map_phi_max * gs, args.map_points)
     d_col, f_col = np.repeat(deltas, len(phis)), np.tile(phis, len(deltas))
     V, defined = coherent.asymmetry_visibility_map(drive.omega_L, d_col, gs, f_col)
+    cfg = config_dict(args)
+    out = Path(args.out)
+    sidecar = _write_spectrum(out, res, cfg, args.format)
     vis_path = out.with_name(f"{out.stem}_visibility.{args.format}")
     names = ["delta", "gamma_phi", "visibility", "defined"]
     _write_table(vis_path, names, [d_col, f_col, V, defined], cfg, args.format)
-    print(f"wrote {out}, {out.with_suffix('.lines.json')} and {vis_path}")
+    print(f"wrote {out}, {sidecar} and {vis_path}")
     return _EXIT_OK
 
 
@@ -363,6 +338,25 @@ def cmd_regimes(args) -> int:
     )
     print(f"wrote {args.out}")
     return _EXIT_OK
+
+
+def _write_spectrum(out: Path, res: SpectrumResult, cfg, fmt) -> Path:
+    """Write the grid of ``res`` to ``out`` and its lines to the sidecar
+    ``<out>.lines.json``, whose path it returns."""
+    _write_table(out, ["omega", "S"], [res.omega, res.values], cfg, fmt)
+    sidecar = out.with_suffix(".lines.json")
+    write_json(
+        sidecar,
+        {
+            "channel": res.channel,
+            "method": res.method,
+            "elastic_weight": res.elastic_weight,
+            "validity": res.meta,
+            "lines": [vars(ln) for ln in res.lines],
+        },
+        cfg,
+    )
+    return sidecar
 
 
 def _write_table(path, names, columns, cfg, fmt) -> None:
@@ -417,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_NOCONV
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except OverflowError as exc:  # a Python float ** that numpy would have made inf
+        print(f"config error: {args.command} overflows the float range at these rates ({exc})", file=sys.stderr)
         return _EXIT_CONFIG
 
 

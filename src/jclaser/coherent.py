@@ -4,37 +4,27 @@ Everything is worked out in the frame rotating with the laser, so spectra
 are functions of ``omega - omega_L`` and the elastic peak sits at zero.
 Dephasing and detuning are included throughout.  The lines come from
 ``lineshape.decompose`` of the 3x3 regression matrix of the (sigma, sigma',
-sigma'sigma) operator set.  Steady state, matrices and drive term are array
-expressions over the broadcast drive rates (omega_L, delta, gamma_sigma,
-gamma_phi), so a map of drives is one pass and one stacked decomposition,
-and a single drive is the one-element case.
+sigma'sigma) operator set; ``spectrum`` returns them, normalised by
+n_sigma, as the ``SpectrumResult`` of the other engines.  Steady state,
+matrices and drive term are array expressions over the broadcast drive
+rates (omega_L, delta, gamma_sigma, gamma_phi), so a map of drives is one
+pass and one stacked decomposition, and a single drive is the one-element
+case.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lineshape import (
     _DEGENERACY_RTOL,
     Decomposition,
-    SpectralLine,
-    channel_population,
+    SpectrumResult,
     decompose,
-    lines_from_eigenpairs,
+    decomposition_spectrum,
     merge_degenerate,
 )
 from .params import LaserDriveParams
-
-
-@dataclass(frozen=True)
-class CoherentLines:
-    """Triplet decomposition plus the elastic (delta) weight."""
-
-    lines: tuple[SpectralLine, ...]
-    coherent_weight: float
-    n_sigma: float
 
 
 def _steady_state(om, dl, gs, gp) -> tuple[np.ndarray, np.ndarray]:
@@ -44,17 +34,25 @@ def _steady_state(om, dl, gs, gp) -> tuple[np.ndarray, np.ndarray]:
     The drive is reduced by the laser-emitter overlap, 1 / sqrt(1 + tilt^2)
     with tilt = 2 delta / width; a detuned drive on an emitter of zero width
     does not couple, and an undriven, lossless emitter is empty by convention.
+    Rates whose steady state, or its denominator, overflows to inf or nan
+    raise ``ValueError``.
     """
     width = gs + gp
-    tilt = np.where(width == 0.0, 0.0, 2.0 * dl / np.where(width == 0.0, 1.0, width))
-    om_eff = np.where(dl == 0.0, om, np.where(width == 0.0, 0.0, om / np.sqrt(1.0 + tilt**2)))
-    denom = 2.0 * om_eff**2 + (gs / 2.0) * (width / 2.0)
-    empty = denom == 0.0
-    n_sigma = np.where(empty, 0.0, om_eff**2 / np.where(empty, 1.0, denom))
-    undriven = empty | (om == 0.0)
-    coherence = np.where(
-        undriven, 0.0, 1j * (gs / 2.0) / np.where(undriven, 1.0, om) * n_sigma * (1.0 - 1j * tilt)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt = np.where(width == 0.0, 0.0, 2.0 * dl / np.where(width == 0.0, 1.0, width))
+        om_eff = np.where(dl == 0.0, om, np.where(width == 0.0, 0.0, om / np.sqrt(1.0 + tilt**2)))
+        denom = 2.0 * om_eff**2 + (gs / 2.0) * (width / 2.0)
+        empty = denom == 0.0
+        n_sigma = np.where(empty, 0.0, om_eff**2 / np.where(empty, 1.0, denom))
+        undriven = empty | (om == 0.0)
+        coherence = np.where(
+            undriven, 0.0, 1j * (gs / 2.0) / np.where(undriven, 1.0, om) * n_sigma * (1.0 - 1j * tilt)
+        )
+    bad = ~(np.isfinite(denom) & np.isfinite(n_sigma) & np.isfinite(coherence))  # an inf denom reads n_sigma 0
+    if np.any(bad):
+        om, dl, gs, gp = (float(x[np.argmax(bad)]) for x in (om, dl, gs, gp))
+        raise ValueError(f"the drive omega_L = {om!r} (delta = {dl!r}, gamma_sigma = {gs!r}, "
+                         f"gamma_phi = {gp!r}) has no finite steady state")
     return n_sigma, coherence
 
 
@@ -84,16 +82,15 @@ def _correlator_decomposition(omega_L, delta, gamma_sigma, gamma_phi) -> Decompo
     return decompose(-M, u0, np.array([1.0, 0.0, 0.0]), drive_coh[:, None] * np.array([-1.0, 1.0, 0.0]))
 
 
-def coherent_correlator_lines(drive: LaserDriveParams) -> CoherentLines:
-    """Line decomposition of <sigma'(0)sigma(tau)> at arbitrary detuning.
+def spectrum(drive: LaserDriveParams, omega: np.ndarray) -> SpectrumResult:
+    """Emitter spectrum of <sigma'(0)sigma(tau)> at arbitrary detuning, on the
+    grid ``omega`` (from the laser frequency).
 
-    Weights are normalized so that they sum to one together with the elastic
-    weight; an undriven emitter holds no population, and is refused.
+    The lines and the elastic weight sum to one, and ``meta["n_c"]`` is
+    n_sigma; an undriven emitter holds no population, and is refused.
     """
     dec = _correlator_decomposition(drive.omega_L, drive.delta, drive.gamma_sigma, drive.gamma_phi)
-    n_sigma = channel_population(dec.n_c)
-    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_sigma)
-    return CoherentLines(tuple(lines), float(dec.elastic[0].real / n_sigma), n_sigma)
+    return decomposition_spectrum(dec, "emitter", omega, "coherent")
 
 
 def asymmetry_visibility_map(omega_L, delta, gamma_sigma, gamma_phi) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,10 @@ lines with ``lines_from_eigenpairs``, giving
 
 which transforms into a sum of Lorentzians with dispersive admixtures.
 Every engine normalises its lines by the channel population n_c through
-``channel_population``, the one place an empty channel is refused.
+``channel_population``, the one place an empty channel is refused; the rung
+and coherent-drive engines both do it in ``decomposition_spectrum``, which
+turns a ``Decomposition`` into the ``SpectrumResult`` every spectral engine
+returns.
 """
 
 from __future__ import annotations
@@ -200,3 +203,25 @@ class SpectrumResult:
     lines: list[SpectralLine] = field(default_factory=list)
     method: str = ""
     meta: dict = field(default_factory=dict)
+
+
+def decomposition_spectrum(
+    dec: Decomposition, channel: str, omega: np.ndarray, method: str, floor: float = 0.0, meta: dict | None = None
+) -> SpectrumResult:
+    """The spectrum of the blocks of ``dec`` on the grid ``omega``.
+
+    Lines and elastic weight are normalised by the summed population n_c
+    (an empty channel is refused), lines with |L| + |K| below ``floor``
+    dropped, and n_c goes first into ``meta``.
+    """
+    n_c = channel_population(dec.n_c)
+    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, floor)
+    return SpectrumResult(
+        channel=channel,
+        omega=np.asarray(omega, dtype=float),
+        values=evaluate_lines(lines, omega),
+        elastic_weight=float(np.sum(dec.elastic).real / n_c),
+        lines=lines,
+        method=method,
+        meta={"n_c": n_c, **(meta or {})},
+    )

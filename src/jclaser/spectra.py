@@ -3,7 +3,8 @@
 Valid deep in strong coupling, where the photon dynamics is slow against the
 emitter and coupling dynamics: the steady density matrix follows from the
 photon statistics T[n] alone, and each ladder rung contributes four lines at
-the inner/outer Rabi frequencies, solved rung by rung from 4x4 blocks.  The
+the inner/outer Rabi frequencies, solved rung by rung from 4x4 blocks, whose
+stacked decomposition ``lineshape.decomposition_spectrum`` normalises.  The
 photon statistics T[n] is an argument: the commands pass the exact one, and
 the tests pass Poissonian and cothermal ones as well.
 
@@ -17,15 +18,7 @@ import math
 import numpy as np
 
 from .approximations import lasing_window_ok, semiclassical
-from .lineshape import (
-    Decomposition,
-    SpectralLine,
-    SpectrumResult,
-    channel_population,
-    decompose,
-    evaluate_lines,
-    lines_from_eigenpairs,
-)
+from .lineshape import Decomposition, SpectralLine, SpectrumResult, decompose, decomposition_spectrum, evaluate_lines
 from .params import SystemParams, kappa_a, kappa_sigma
 
 _TAIL = 1e-12  # rungs with both statistics weights below this (relative) are dropped
@@ -154,24 +147,7 @@ def approx_spectrum(
     """
     dec = rung_decomposition(params, T, channel)
     meta = {"validity_window": lasing_window_ok(params), "rungs": len(dec.n_c)}
-    return _rung_spectrum(dec, channel, omega, "approx", meta)
-
-
-def _rung_spectrum(
-    dec: Decomposition, channel: str, omega: np.ndarray, method: str, meta: dict
-) -> SpectrumResult:
-    """Lines of all rung blocks, normalized by their summed population (refused if it is 0)."""
-    n_c = channel_population(dec.n_c)
-    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, _LINE_FLOOR)
-    return SpectrumResult(
-        channel=channel,
-        omega=np.asarray(omega, dtype=float),
-        values=evaluate_lines(lines, omega),
-        elastic_weight=float(np.sum(dec.elastic).real / n_c),
-        lines=lines,
-        method=method,
-        meta={"n_c": n_c, **meta},
-    )
+    return decomposition_spectrum(dec, channel, omega, "approx", _LINE_FLOOR, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +180,7 @@ def approx_spectrum_single_rung(
     n = float(n_value)
     T = np.broadcast_to(1.0, (int(n) + 2,))  # a view: n may be huge
     dec = rung_decomposition(params, T, channel, rungs=np.array([n]))
-    return _rung_spectrum(dec, channel, omega, "semiclassical", {"n_value": float(n_value)})
+    return decomposition_spectrum(dec, channel, omega, "semiclassical", _LINE_FLOOR, {"n_value": float(n_value)})
 
 
 def semiclassical_mollow(
@@ -249,23 +225,25 @@ def semiclassical_mollow(
     P = params.P_sigma
     delta_w = 2.0 * P / (G + f + k) - G / k
     half = (G + f) / 2.0
-    central = (1.0 / (2.0 * math.pi)) * half / (half**2 + omega**2)
-    w2 = omega**2
-    denom = (G + f + k) * (
-        (G - 2.0 * P) ** 2 * k**2
-        + ((3.0 * G + f) ** 2 + 4.0 * (G - 2.0 * P) * k) * w2
-        + 4.0 * w2**2
-    )
-    numer = (
-        -4.0 * P**2 * k * (3.0 * G + f + k)
-        + 2.0 * P * G * (3.0 * G**2 + 4.0 * G * (f + 2.0 * k) + (f + k) * (f + 3.0 * k))
-        + 4.0 * P * k * w2
-        - (G + f + k) * (G**2 * (3.0 * G + f + 2.0 * k) + (G - f) * w2)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonnegative refuses a value that is not finite
+        central = (1.0 / (2.0 * math.pi)) * half / (half**2 + omega**2)
+        w2 = omega**2
+        denom = (G + f + k) * (
+            (G - 2.0 * P) ** 2 * k**2
+            + ((3.0 * G + f) ** 2 + 4.0 * (G - 2.0 * P) * k) * w2
+            + 4.0 * w2**2
+        )
+        numer = (
+            -4.0 * P**2 * k * (3.0 * G + f + k)
+            + 2.0 * P * G * (3.0 * G**2 + 4.0 * G * (f + 2.0 * k) + (f + k) * (f + 3.0 * k))
+            + 4.0 * P * k * w2
+            - (G + f + k) * (G**2 * (3.0 * G + f + 2.0 * k) + (G - f) * w2)
+        )
+        values = central + numer / denom / math.pi
     return _nonnegative(SpectrumResult(
         channel=channel,
         omega=omega,
-        values=central + numer / denom / math.pi,
+        values=values,
         elastic_weight=float(delta_w),
         lines=[],
         method="semiclassical",

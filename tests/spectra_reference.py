@@ -21,9 +21,8 @@ import numpy as np
 from approximations_reference import poissonian_statistics  # noqa: F401 - read through this module
 from coherent_reference import coherent_steady_state, coherent_weight
 from jclaser import exact
-from jclaser.coherent import CoherentLines
 from jclaser.errors import JclaserError
-from jclaser.lineshape import SpectralLine, SpectrumResult
+from jclaser.lineshape import SpectralLine, SpectrumResult, evaluate_lines
 from jclaser.exact import SteadyState
 from jclaser.params import LaserDriveParams, SystemParams, kappa_a
 from jclaser.spectra import *  # noqa: F403 - the runtime names, read through this module
@@ -242,8 +241,9 @@ def mollow_splitting(drive: LaserDriveParams) -> complex:
     return cmath.sqrt(complex(arg))
 
 
-def resonant_lines(drive: LaserDriveParams) -> CoherentLines:
-    """Closed-form triplet at resonance (independent check of the 3x3 route).
+def resonant_lines(drive: LaserDriveParams, omega: np.ndarray) -> SpectrumResult:
+    """Closed-form triplet at resonance on the grid ``omega`` (independent
+    check of the 3x3 route, ``coherent.spectrum``).
 
     The first bracket of the side-line weights carries an imaginary unit,
     matching both the regression-matrix eigendecomposition and the final
@@ -273,7 +273,16 @@ def resonant_lines(drive: LaserDriveParams) -> CoherentLines:
                 K=float(c.imag),
             )
         )
-    return CoherentLines(tuple(lines), coherent_weight(drive), coherent_steady_state(drive).n_sigma)
+    omega = np.asarray(omega, dtype=float)
+    return SpectrumResult(
+        channel="emitter",
+        omega=omega,
+        values=evaluate_lines(lines, omega),
+        elastic_weight=coherent_weight(drive),
+        lines=lines,
+        method="closed form",
+        meta={"n_c": coherent_steady_state(drive).n_sigma},
+    )
 
 
 def resolvent_spectrum(sec, omega: np.ndarray) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_criterion_6_coherent_mollow():
     closed, _ = coherent.mollow_spectrum_resonant(drive, w)
     numeric = coherent.spectrum_by_propagation(drive, w)
     dev = np.max(np.abs(closed - numeric)) / np.max(closed)
-    lw = coherent.coherent_correlator_lines(drive).coherent_weight
+    lw = coherent.spectrum(drive, w).elastic_weight
     ok_w = abs(lw - 1.0 / 19.0) < 1e-10
     v_axis1, _ = coherent.asymmetry_visibility(
         LaserDriveParams(omega_L=1.5 * gs, gamma_sigma=gs, delta=2.0 * gs)

@@ -132,7 +132,7 @@ def test_config_header_runs_as_config_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, named",
     [
         (["steady", "--n-max", "-1"], "--n-max"),
         (["steady", "--n-max", "0"], "--n-max"),
@@ -164,14 +164,28 @@ def test_config_header_runs_as_config_file(tmp_path):
         (["mollow-coherent", "--map-delta-max", "nan"], "--map-delta-max"),
         (["mollow-coherent", "--gamma-sigma", "10", "--map-delta-max", "1e308"], "--map-delta-max"),
         (["mollow-coherent", "--gamma-sigma", "10", "--map-phi-max", "1e308"], "--map-phi-max"),
+        # a Python float ** raises where numpy returns inf: P_sigma^2 of the cavity
+        # line width, Gamma_sigma^2 of the resonant emitter form, and the squared
+        # half width of a coherent line
+        (["spectrum", "--method", "semiclassical", "--channel", "cavity", "--gamma-a", "0.1",
+          "--gamma-sigma", "0.00334", "--pump-sigma", "1e200", "--points", "11"], "overflows the float range"),
+        (["spectrum", "--method", "semiclassical", "--channel", "emitter", "--gamma-a", "0.1",
+          "--gamma-sigma", "0.00334", "--pump-sigma", "1e200", "--points", "11"], "overflows the float range"),
+        (["mollow-coherent", "--gamma-phi", "1e300", "--map-points", "2"], "overflows the float range"),
+        # omega_L^2 overflows in the steady state, which would read inf / inf
+        (["mollow-coherent", "--omega-laser", "1e200"], "omega_L = 1e+200"),
+        # 2 omega_L^2 overflows where omega_L^2 does not: n_sigma would read 0, an empty channel
+        (["mollow-coherent", "--omega-laser", "1e154"], "omega_L = 1e+154"),
     ],
 )
-def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, flag):
+@pytest.mark.filterwarnings("error")  # an overflow is refused, not warned about
+def test_out_of_range_flags_are_refused(tmp_path, capsys, argv, named):
+    # refused before any file is written, naming the flag or what overflows
     out = tmp_path / "out.csv"
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and flag in err
-    assert not out.exists() and not out.with_suffix(".lines.json").exists()
+    assert err.startswith("config error:") and named in err
+    assert list(tmp_path.iterdir()) == []  # no output, sidecar or visibility map
 
 
 @pytest.mark.parametrize(
@@ -344,6 +358,8 @@ def test_mollow_coherent_files(tmp_path):
     assert code == 0
     sidecar = json.loads((tmp_path / "mc.lines.json").read_text())
     assert sidecar["elastic_weight"] == pytest.approx(1.0 / 19.0, rel=1e-9)
+    assert (sidecar["channel"], sidecar["method"]) == ("emitter", "coherent")
+    assert sidecar["validity"]["n_c"] == pytest.approx(9.0 / 19.0, rel=1e-12)  # n_sigma
     vis_rows = [
         l.split(",")
         for l in (tmp_path / "mc_visibility.csv").read_text().splitlines()
@@ -477,24 +493,31 @@ _LINE_TABLES = [
     # and no line table, so it has nothing to close; off resonance it is the
     # single rung's table
     ("semiclassical", "emitter", "7", ["--delta", "0.5"]),
+    # the coherently driven emitter, through the same writer
+    ("coherent", "emitter", None, ["--gamma-sigma", "1.0", "--omega-laser", "1.5", "--map-points", "2"]),
 ]
+_SIDECAR_KEYS = {"config", "channel", "method", "elastic_weight", "validity", "lines"}
 
 
 @pytest.mark.parametrize(
     "method, channel, pump, extra", _LINE_TABLES,
-    ids=[f"{m}-{c}-P{P}{'-detuned' if x else ''}" for m, c, P, x in _LINE_TABLES],
+    ids=[f"{m}-{c}-P{P}{'-detuned' if x else ''}" if P else "mollow-coherent" for m, c, P, x in _LINE_TABLES],
 )
 def test_spectrum_sidecar_closes_to_one(tmp_path, method, channel, pump, extra):
     # one closure rule for every sidecar with a line table: the lines' L and
-    # the elastic (delta) weight sum to one, so no weight is counted twice
+    # the elastic (delta) weight sum to one, so no weight is counted twice;
+    # and one writer, so every sidecar has the same keys
     out = tmp_path / "ap.csv"
-    code = run(
-        ["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", pump,
-         "--method", method, "--channel", channel, "--points", "101", *extra,
-         "--omega-min", "-20", "--omega-max", "20", "--out", str(out)]
-    )
+    if method == "coherent":
+        argv = ["mollow-coherent", *extra]
+    else:
+        argv = ["spectrum", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", pump,
+                "--method", method, "--channel", channel, *extra]
+    code = run([*argv, "--points", "101", "--omega-min", "-20", "--omega-max", "20", "--out", str(out)])
     assert code == 0
     doc = json.loads((tmp_path / "ap.lines.json").read_text())
+    assert set(doc) == _SIDECAR_KEYS
+    assert (doc["method"], doc["channel"]) == (method, channel)
     assert doc["lines"]
     total = sum(ln["L"] for ln in doc["lines"]) + doc["elastic_weight"]
     assert total == pytest.approx(1.0, abs=1e-6)
@@ -564,6 +587,7 @@ def test_spectrum_semiclassical_refuses_a_lossless_cavity(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")  # refused, not warned about
 def test_spectrum_semiclassical_refuses_a_non_finite_emitter_spectrum(tmp_path, monkeypatch, capsys):
     # at P 1e100 the resonant form is inf / inf, so nan
     monkeypatch.chdir(tmp_path)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import coherent_reference as coherent
 from jclaser.errors import EmptyChannelError
-from jclaser.lineshape import evaluate_lines
 from jclaser.params import LaserDriveParams
 import spectra_reference as ref
 
@@ -106,15 +105,15 @@ def test_coherent_weight_value():
     assert coherent.coherent_weight(d) == pytest.approx(
         abs(ss.sigma_coherence) ** 2 / ss.n_sigma, rel=1e-12
     )
-    dec = coherent.coherent_correlator_lines(d)
-    assert dec.coherent_weight == pytest.approx(1.0 / 19.0, rel=1e-10)
+    res = coherent.spectrum(d, np.array([0.0]))
+    assert res.elastic_weight == pytest.approx(1.0 / 19.0, rel=1e-10)
 
 
 def test_weight_normalization():
     for dl, gp in ((0.0, 0.0), (2.0, 1.0), (-1.3, 0.4)):
         d = LaserDriveParams(omega_L=1.5, gamma_sigma=1.0, delta=dl, gamma_phi=gp)
-        dec = coherent.coherent_correlator_lines(d)
-        total = sum(ln.L for ln in dec.lines) + dec.coherent_weight
+        res = coherent.spectrum(d, np.array([0.0]))
+        total = sum(ln.L for ln in res.lines) + res.elastic_weight
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -123,7 +122,7 @@ def test_closed_form_equals_line_sum():
     d = LaserDriveParams(omega_L=1.5, gamma_sigma=1.0)
     w = np.linspace(-20.0, 20.0, 801)
     closed, _ = coherent.mollow_spectrum_resonant(d, w)
-    from_lines = evaluate_lines(list(coherent.coherent_correlator_lines(d).lines), w)
+    from_lines = coherent.spectrum(d, w).values
     assert np.max(np.abs(closed - from_lines)) <= 1e-12 * np.max(closed)
 
 
@@ -131,8 +130,8 @@ def test_resonant_closed_form_lines_match_numeric():
     for om, gp in ((1.5, 0.0), (1.5, 0.4), (0.02, 0.0), (0.3, 2.5)):
         d = LaserDriveParams(omega_L=om, gamma_sigma=1.0, gamma_phi=gp)
         w = np.linspace(-15.0, 15.0, 501)
-        a = evaluate_lines(list(coherent.coherent_correlator_lines(d).lines), w)
-        b = evaluate_lines(list(ref.resonant_lines(d).lines), w)
+        a = coherent.spectrum(d, w).values
+        b = ref.resonant_lines(d, w).values
         assert np.max(np.abs(a - b)) <= 1e-11 * np.max(a)
 
 
@@ -154,7 +153,7 @@ def test_normalization_of_incoherent_part():
 def test_spectrum_nonnegative(om, gp, dl):
     d = LaserDriveParams(omega_L=om, gamma_sigma=1.0, gamma_phi=gp, delta=dl)
     w = np.linspace(-30.0, 30.0, 601)
-    vals = evaluate_lines(list(coherent.coherent_correlator_lines(d).lines), w)
+    vals = coherent.spectrum(d, w).values
     assert np.min(vals) >= -1e-9
 
 
@@ -188,9 +187,9 @@ def test_propagation_route_matches_closed_form():
 def test_degenerate_lines_merged_at_exceptional_point():
     gs = 1.0
     d = LaserDriveParams(omega_L=gs / 8.0, gamma_sigma=gs)  # R_L = 0 exactly
-    dec = coherent.coherent_correlator_lines(d)
-    assert len(dec.lines) <= 3
-    total = sum(ln.L for ln in dec.lines) + dec.coherent_weight
+    res = coherent.spectrum(d, np.array([0.0]))
+    assert len(res.lines) <= 3
+    total = sum(ln.L for ln in res.lines) + res.elastic_weight
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -207,7 +206,24 @@ def test_detuned_drive_without_width_does_not_couple():
 def test_undriven_emitter_has_no_spectrum():
     # n_sigma = 0 leaves nothing to normalise the lines by
     with pytest.raises(EmptyChannelError, match="^empty channel: its population n_c = 0 "):
-        coherent.coherent_correlator_lines(LaserDriveParams(omega_L=0.0, gamma_sigma=1.0))
+        coherent.spectrum(LaserDriveParams(omega_L=0.0, gamma_sigma=1.0), np.array([0.0]))
+
+
+@pytest.mark.filterwarnings("error")  # refused, not warned about
+def test_a_drive_without_a_finite_steady_state_is_refused():
+    # omega_L^2 overflows at omega_L 1e200, so n_sigma would read inf / inf
+    refusal = (r"^the drive omega_L = 1e\+200 \(delta = 0.0, gamma_sigma = 1.0, gamma_phi = 0.0\) "
+               r"has no finite steady state$")
+    with pytest.raises(ValueError, match=refusal):
+        coherent.spectrum(LaserDriveParams(omega_L=1e200, gamma_sigma=1.0), np.array([0.0]))
+    with pytest.raises(ValueError, match=refusal):
+        coherent.asymmetry_visibility_map(1e200, [0.0, 0.0], 1.0, [0.0, 1.0])  # names the first
+    # 2 omega_L^2 overflows alone: n_sigma would read 1e308 / inf = 0
+    with pytest.raises(ValueError, match=r"^the drive omega_L = 1e\+154 "):
+        coherent.spectrum(LaserDriveParams(omega_L=1e154, gamma_sigma=1.0), np.array([0.0]))
+    # a far-detuned drive whose tilt^2 overflows does not couple: finite and empty
+    V, defined = coherent.asymmetry_visibility_map(1.5, 1e200, 1.0, 0.0)
+    assert V.tolist() == [0.0] and not defined[0]
 
 
 _rate = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
@@ -257,9 +273,9 @@ def test_one_drive_is_the_one_element_map():
 
     d = LaserDriveParams(omega_L=1.5, gamma_sigma=1.0, delta=2.0, gamma_phi=1.0)
     stacked = _correlator_decomposition(1.5, [0.0, 2.0], 1.0, [0.0, 1.0])
-    lines = coherent.coherent_correlator_lines(d)
-    assert lines.n_sigma == stacked.n_c[1]
-    assert lines.coherent_weight == stacked.elastic[1].real / stacked.n_c[1]
+    res = coherent.spectrum(d, np.array([0.0]))
+    assert res.meta["n_c"] == stacked.n_c[1]
+    assert res.elastic_weight == stacked.elastic[1].real / stacked.n_c[1]
     V, defined = coherent.asymmetry_visibility_map(1.5, [0.0, 2.0], 1.0, [0.0, 1.0])
     V_one, defined_one = coherent.asymmetry_visibility_map(1.5, 2.0, 1.0, 1.0)
     assert defined.tolist() == [True, True] and defined_one.tolist() == [True]
