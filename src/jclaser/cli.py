@@ -70,8 +70,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if solves:
             p.add_argument("--pump-a", type=float, default=0.0)
             p.add_argument("--n-max", type=int, default=None, help="photon cutoff (default: auto)")
-            p.add_argument("--auto-nmax-cap", type=int, default=2048)
-            p.add_argument("--tol", type=float, default=1e-7, help="auto-cutoff relative tolerance")
+            p.add_argument("--auto-nmax-cap", type=int, default=exact.N_MAX_CAP)
+            p.add_argument("--tol", type=float, default=exact.CUTOFF_RTOL, help="auto-cutoff relative tolerance")
 
     def add_sweep(p):
         p.add_argument("--sweep-min", type=float, default=1e-4)
@@ -268,7 +268,7 @@ def _spectrum_result(params: SystemParams, args):
         return spectra.semiclassical_mollow(params, omega, channel=args.channel)
     ss = exact.steady_state(params, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol)
     if args.method == "exact":
-        return exact.spectrum(params, channel=args.channel, ss=ss, omega=omega)
+        return exact.spectrum(ss, omega, args.channel)
     return spectra.approx_spectrum(params, ss.photon_distribution, args.channel, omega)
 
 

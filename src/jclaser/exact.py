@@ -26,6 +26,10 @@ full Liouvillian):
   check against fresh solves on the real axis.  Each point is solved once,
   and at resonance (delta = 0) only those with Re z >= 0, as F(-conj z) =
   conj F(z); ``resolvent_solves`` and the budget count distinct solves.
+  The spectral functions take the ``SteadyState`` alone and read the rates
+  from ``ss.params``, so a spectrum cannot pair one set of rates with the
+  state of another; ``spectrum`` builds its record with
+  ``lineshape.line_spectrum``, the constructor of every line table's grid.
 
 A block's values change with the rates, but nothing else does: its sparsity
 pattern, the ladder amplitudes each term gathers and its band layout depend
@@ -64,14 +68,7 @@ from .errors import (
     TruncationNotConvergedError,
     ZeroPivotError,
 )
-from .lineshape import (
-    SpectralLine,
-    SpectrumResult,
-    channel_population,
-    evaluate_lines,
-    integrate_lines,
-    lines_from_eigenpairs,
-)
+from .lineshape import SpectralLine, SpectrumResult, channel_population, line_spectrum, lines_from_eigenpairs
 from .params import SystemParams
 
 
@@ -523,8 +520,12 @@ def _tail_converged(T: np.ndarray, rtol: float, tail: float) -> bool:
     return t * (N * s0 + s1) <= rtol * m1 and t * (N * (N - 1) * s0 + (2 * N - 1) * s1 + s2) <= rtol * m2
 
 
-# First photon cutoff of auto mode; each refused round doubles it.
+# First photon cutoff of auto mode; each refused round doubles it.  The cap
+# of the doubling and the tolerance of the tail test are the defaults of
+# every steady state and of the command-line flags --auto-nmax-cap and --tol.
 _N_START = 32
+N_MAX_CAP = 2048
+CUTOFF_RTOL = 1e-7
 _TAIL = 1e-12  # largest top-Fock-state population auto mode accepts
 # Block rows that one batch of a cutoff round solves together, eight blocks
 # at the first cutoff.  A batch holds ~750 bytes of work arrays per row,
@@ -537,8 +538,8 @@ def steady_state_sweep(
     params: SystemParams,
     pumps,
     n_max: int | None = None,
-    n_max_cap: int = 2048,
-    rtol: float = 1e-7,
+    n_max_cap: int = N_MAX_CAP,
+    rtol: float = CUTOFF_RTOL,
 ) -> list:
     """Steady states at each emitter pump P_sigma of ``pumps``, with the other
     rates of ``params``: per pump the ``SteadyState`` of ``steady_state``, or
@@ -594,8 +595,8 @@ def steady_state_sweep(
 def steady_state(
     params: SystemParams,
     n_max: int | None = None,
-    n_max_cap: int = 2048,
-    rtol: float = 1e-7,
+    n_max_cap: int = N_MAX_CAP,
+    rtol: float = CUTOFF_RTOL,
 ) -> SteadyState:
     """Steady state by banded LU; auto mode grows the cutoff until the
     solution's own tail shows it is wide enough.
@@ -630,8 +631,9 @@ class RegressionSector:
     resonant: bool
 
 
-def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> RegressionSector:
-    """The k = 1 sector, which holds <c'(0) c(t)> for c = a or sigma.
+def regression_sector(ss: SteadyState, channel: str) -> RegressionSector:
+    """The k = 1 sector of the rates ``ss.params``, which holds
+    <c'(0) c(t)> for c = a or sigma.
 
     Its elements are the ladder operators' matrix elements; the initial
     condition is rho c' on the sector and the readout takes Tr(c .).  An
@@ -642,7 +644,7 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     populated ladder only (occupation above 1e-12 of the peak, plus padding;
     restricting twice changes nothing), which keeps every banded solve small.
     """
-    ss = truncate_steady_state(ss, _populated_cutoff(ss.photon_distribution))
+    ss = _populated_ladder(ss)
     a, sig = _ladders(ss.space.n_max)
     if channel == "cavity":
         c = a
@@ -650,7 +652,7 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
         c = sig
     else:
         raise ValueError(f"unknown channel {channel!r}")
-    G = sector_generator(params, ss.space.n_max, 1)
+    G = sector_generator(ss.params, ss.space.n_max, 1)
     r, s = G.index.r, G.index.s
     # (rho c')_{r;s} = rho_{r;t} (c')_{t;s}, where c' takes s to t alone
     dst, amp = c
@@ -660,19 +662,17 @@ def regression_sector(params: SystemParams, ss: SteadyState, channel: str) -> Re
     u0[ok] = ss.element(r[ok], t[s[ok]]) * v[s[ok]]
     readout = np.where(dst[r] == s, amp[r], 0.0)  # readout[e] = <s| c |r>
     n_c = channel_population(np.real(np.dot(readout, u0)))
-    return RegressionSector(generator=G, u0=u0, readout=readout, n_c=n_c, resonant=params.delta == 0.0)
+    return RegressionSector(generator=G, u0=u0, readout=readout, n_c=n_c, resonant=ss.params.delta == 0.0)
 
 
-def _populated_cutoff(T: np.ndarray, rel: float = 1e-12, pad: int = 8) -> int:
-    idx = np.nonzero(T > rel * T.max())[0]
-    return int(idx[-1]) + pad if len(idx) else pad
-
-
-def truncate_steady_state(ss: SteadyState, n_eff: int) -> SteadyState:
-    """View of the steady state on a smaller photon ladder (no renorm)."""
-    if n_eff >= ss.space.n_max:
+def _populated_ladder(ss: SteadyState) -> SteadyState:
+    """View of the steady state on the rungs up to its top populated one,
+    holding over 1e-12 of the peak photon occupation, plus 8 (no renorm)."""
+    T = ss.photon_distribution
+    top = np.nonzero(T > 1e-12 * T.max())[0]
+    k = (int(top[-1]) if len(top) else 0) + 9
+    if k > ss.space.n_max:
         return ss
-    k = n_eff + 1
     return replace(ss, p0=ss.p0[:k], p1=ss.p1[:k], q_r=ss.q_r[:k], q_i=ss.q_i[:k])
 
 
@@ -860,43 +860,26 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
     return lines_from_eigenpairs(-1j * poles, 1j * res, weight_floor), fit
 
 
-def spectral_lines(
-    params: SystemParams, *, ss: SteadyState, channel: str = "cavity", weight_floor: float = 0.0
-) -> list[SpectralLine]:
+def spectral_lines(ss: SteadyState, channel: str = "cavity", weight_floor: float = 0.0) -> list[SpectralLine]:
     """Line table of the emission spectrum of one channel from the steady
     state ``ss``: the validated rational fit of ``_line_table``, weights over
     n_c, lines with |L| + |K| below ``weight_floor`` dropped.  An empty
     channel, n_c = 0, raises ``EmptyChannelError``; a fit that fails its
     checks, ``LineFitError``.
     """
-    return _line_table(regression_sector(params, ss, channel), weight_floor)[0]
+    return _line_table(regression_sector(ss, channel), weight_floor)[0]
 
 
-def spectrum(
-    params: SystemParams, *, ss: SteadyState, omega: np.ndarray, channel: str = "cavity"
-) -> SpectrumResult:
+def spectrum(ss: SteadyState, omega: np.ndarray, channel: str = "cavity") -> SpectrumResult:
     """Normalized emission spectrum of the steady state ``ss`` on the grid
-    ``omega``, evaluated from its line table (``_line_table``).  ``meta``
-    holds the fit's record, ``grid_integral``, the trapezoid integral of the
-    grid values, and ``window_weight``, the lines' weight inside [min omega,
-    max omega]; neither is refused.  ``elastic_weight`` stays 0: the model
-    has no delta line, and its coherent part is a narrow line of the table,
-    so the lines' weights alone sum to one."""
-    lines, fit = _line_table(regression_sector(params, ss, channel))
-    values = evaluate_lines(lines, omega)
+    ``omega``, from its line table (``_line_table``) by
+    ``lineshape.line_spectrum``.  ``meta`` holds the fit's record next to the
+    grid readings.  ``elastic_weight`` stays 0: the model has no delta line,
+    and its coherent part is a narrow line of the table, so the lines'
+    weights alone sum to one."""
+    lines, fit = _line_table(regression_sector(ss, channel))
     meta = {"n_max": ss.space.n_max, "n_a": ss.n_a, "n_sigma": ss.n_sigma, **fit}
-    # far from one when the grid misses a line or steps over a narrow one
-    meta["grid_integral"] = float(np.trapezoid(values, omega))
-    # below one when the window cuts the tails of broad lines
-    meta["window_weight"] = integrate_lines(lines, np.min(omega), np.max(omega))
-    return SpectrumResult(
-        channel=channel,
-        omega=np.asarray(omega, dtype=float),
-        values=values,
-        lines=lines,
-        method="exact",
-        meta=meta,
-    )
+    return line_spectrum(lines, channel, omega, "exact", meta)
 
 
 @dataclass
@@ -914,8 +897,8 @@ def transition_map(
     channel: str = "cavity",
     n_max: int | None = None,
     weight_floor: float = 1e-10,
-    n_max_cap: int = 2048,
-    rtol: float = 1e-7,
+    n_max_cap: int = N_MAX_CAP,
+    rtol: float = CUTOFF_RTOL,
 ) -> tuple[list[TransitionRow], list[tuple[float, str]]]:
     """Spectral-line table across a pump sweep (dressed-state map).
 
@@ -933,7 +916,7 @@ def transition_map(
         try:
             if isinstance(ss, JclaserError):
                 raise ss
-            lines = spectral_lines(ss.params, ss=ss, channel=channel, weight_floor=weight_floor)
+            lines = spectral_lines(ss, channel, weight_floor)
         except JclaserError as exc:
             failures.append((float(P), f"{type(exc).__name__}: {exc}"))
             continue

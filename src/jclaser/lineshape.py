@@ -15,9 +15,12 @@ lines with ``lines_from_eigenpairs``, giving
 which transforms into a sum of Lorentzians with dispersive admixtures.
 Every engine normalises its lines by the channel population n_c through
 ``channel_population``, the one place an empty channel is refused; the rung
-and coherent-drive engines both do it in ``decomposition_spectrum``, which
-turns a ``Decomposition`` into the ``SpectrumResult`` every spectral engine
-returns.
+and coherent-drive engines both do it in ``decomposition_spectrum``.  One
+constructor, ``line_spectrum``, turns any line table on a grid into the
+``SpectrumResult`` of every engine with lines (exact, rung, coherent-drive
+and the semiclassical cavity line), with the grid's two readings in its
+``meta``; the resonant semiclassical emitter, a closed-form grid without
+lines, is the one record built elsewhere.
 """
 
 from __future__ import annotations
@@ -205,6 +208,25 @@ class SpectrumResult:
     meta: dict = field(default_factory=dict)
 
 
+def line_spectrum(
+    lines: list[SpectralLine], channel: str, omega: np.ndarray, method: str, meta: dict, elastic_weight: float = 0.0
+) -> SpectrumResult:
+    """The spectrum of the line table ``lines`` on the grid ``omega``.
+
+    ``meta`` gains two readings of the grid, neither of them refused:
+    ``grid_integral``, the trapezoid integral of the values, far from the
+    lines' weight when the grid misses a line or steps over a narrow one,
+    and ``window_weight``, the lines' weight inside [min omega, max omega],
+    below their total when the window cuts the tails of broad lines.  Both
+    leave out the elastic weight, which the values never hold.
+    """
+    omega = np.asarray(omega, dtype=float)
+    values = evaluate_lines(lines, omega)
+    meta = {**meta, "grid_integral": float(np.trapezoid(values, omega)),
+            "window_weight": integrate_lines(lines, np.min(omega), np.max(omega))}
+    return SpectrumResult(channel, omega, values, elastic_weight, lines, method, meta)
+
+
 def decomposition_spectrum(
     dec: Decomposition, channel: str, omega: np.ndarray, method: str, floor: float = 0.0, meta: dict | None = None
 ) -> SpectrumResult:
@@ -216,12 +238,5 @@ def decomposition_spectrum(
     """
     n_c = channel_population(dec.n_c)
     lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, floor)
-    return SpectrumResult(
-        channel=channel,
-        omega=np.asarray(omega, dtype=float),
-        values=evaluate_lines(lines, omega),
-        elastic_weight=float(np.sum(dec.elastic).real / n_c),
-        lines=lines,
-        method=method,
-        meta={"n_c": n_c, **(meta or {})},
-    )
+    elastic = float(np.sum(dec.elastic).real / n_c)
+    return line_spectrum(lines, channel, omega, method, {"n_c": n_c, **(meta or {})}, elastic)

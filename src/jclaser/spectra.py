@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .approximations import lasing_window_ok, semiclassical
-from .lineshape import Decomposition, SpectralLine, SpectrumResult, decompose, decomposition_spectrum, evaluate_lines
+from .lineshape import Decomposition, SpectralLine, SpectrumResult, decompose, decomposition_spectrum, line_spectrum
 from .params import SystemParams, kappa_a, kappa_sigma
 
 _TAIL = 1e-12  # rungs with both statistics weights below this (relative) are dropped
@@ -209,14 +209,7 @@ def semiclassical_mollow(
     if channel == "cavity":
         gl = lasing_linewidth(params)
         line = SpectralLine(omega=0.0, gamma=gl, L=1.0, K=0.0)
-        return SpectrumResult(
-            channel=channel,
-            omega=omega,
-            values=evaluate_lines([line], omega),
-            lines=[line],
-            method="semiclassical",
-            meta={"gamma_L": gl},
-        )
+        return line_spectrum([line], channel, omega, "semiclassical", {"gamma_L": gl})
     if params.delta != 0.0:
         return _nonnegative(approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega), params)
 

