@@ -145,43 +145,15 @@ class CothermalState:
 
     n_a: float
     n_coh: float
-    residual: float = 0.0
-
-    @property
-    def n_th(self) -> float:
-        return self.n_a - self.n_coh
 
     @property
     def g2(self) -> float:
         # <a'a'aa>/n_a^2 is 0/0 in the vacuum
         return 2.0 - (self.n_coh / self.n_a) ** 2 if self.n_a > 0.0 else math.nan
 
-    def moment(self, n: int) -> float:
-        """Factorial moment N_a[n] = n! n_th^n L_n(-n_coh / n_th).
-
-        Expanded into the polynomial n! sum_k C(n,k) n_coh^k n_th^(n-k) / k!,
-        which stays valid on the analytic n_th < 0 branch.
-        """
-        acc = 0.0
-        for k in range(n + 1):
-            acc += (
-                math.comb(n, k)
-                * self.n_coh**k
-                / math.factorial(k)
-                * self.n_th ** (n - k)
-            )
-        return math.factorial(n) * acc
-
 
 # g2 nodes of the cothermal root scan
 _G2_GRID = np.linspace(0.0, 2.0, 65)
-
-
-def _moment_residual(params: SystemParams, state: CothermalState, n: int) -> float:
-    """Relative residual of C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0 at ``state``."""
-    A, B, C = recurrence_coefficients(params, n)
-    terms = (C * state.moment(n - 1), -B * state.moment(n), -A * state.moment(n + 1))
-    return abs(sum(terms)) / (sum(map(abs, terms)) + 1e-300)
 
 
 def _second_moment(coef: np.ndarray, g2):
@@ -208,15 +180,16 @@ def cothermal_sweep(params: SystemParams, pumps) -> list[CothermalState | NoPhys
     along g2, so it has one root: its sign change on a fixed g2 grid is
     rescanned down to adjacent floats.  Where it is still positive at g2 = 2
     the field would be superthermal, and the pump gets a ``NoPhysicalRootError``
-    in place of its state; a zero pump gets the zero state.  ``residual`` is
-    the root's relative residual of the n = 1, 2 equations.  The rescans run
+    in place of its state; a zero pump gets the zero state.  A state is the
+    root alone: no command writes its moment residual, which the tests'
+    reference computes.  The rescans run
     on the brackets of all pumps together, and a pump drops out once its
     bracket stops shrinking, so each pump's result is its one-pump result.
     """
     if params.gamma_a <= 0.0 or params.P_a != 0.0:
         raise ValueError("cothermal solution needs gamma_a > 0 and P_a = 0")
     states = [replace(params, P_sigma=float(P)) for P in pumps]
-    out: list = [CothermalState(n_a=0.0, n_coh=0.0, residual=0.0)] * len(states)
+    out: list = [CothermalState(n_a=0.0, n_coh=0.0)] * len(states)
     live = np.array([j for j, p in enumerate(states) if p.P_sigma != 0.0], dtype=int)
     coef = np.array([_moment_coefficients(states[j]) for j in live]).reshape(len(live), 6).T[:, :, None]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -246,8 +219,7 @@ def cothermal_sweep(params: SystemParams, pumps) -> list[CothermalState | NoPhys
         todo, lo, hi = todo[~done], g_lo[~done], g_hi[~done]
     n_a = _first_moment_root(*coef[:3, :, 0], g2)
     for j, x, na in zip(rows, g2, n_a.tolist()):
-        state = CothermalState(n_a=na, n_coh=na * math.sqrt(2.0 - x))
-        out[j] = replace(state, residual=max(_moment_residual(states[j], state, n) for n in (1, 2)))
+        out[j] = CothermalState(n_a=na, n_coh=na * math.sqrt(2.0 - x))
     return out
 
 

@@ -199,16 +199,21 @@ def _steady_rows(params: SystemParams, pumps, n_max, cap, tol) -> list[list]:
     return [_steady_row(replace(params, P_sigma=float(P)), ss, ct) for P, ss, ct in zip(pumps, states, cothermal)]
 
 
+def _failure(result) -> str:
+    """The text of a pump's result on a pump axis: '' for a record, or the
+    name and message of the ``JclaserError`` that refused the pump."""
+    return f"{type(result).__name__}: {result}" if isinstance(result, JclaserError) else ""
+
+
 def _steady_row(params: SystemParams, ss, ct) -> list:
     P = params.P_sigma
     label = ap.classify_regime(params)
     lin = ap.linear_models(params)
     nan = float("nan")
     row = [P]
-    err = ""
-    if isinstance(ss, JclaserError):
+    err = _failure(ss)
+    if err:
         row += [nan] * 4
-        err = f"{type(ss).__name__}: {ss}"
     else:
         g2 = ss.g2
         row += [ss.n_a, ss.n_sigma, g2, ss.n_a * (g2 - 1.0)]
@@ -282,14 +287,20 @@ def cmd_spectrum(args) -> int:
 def cmd_transitions(args) -> int:
     params = system_params(args)
     pumps = sweep_values(args)
-    rows, failures = exact.transition_map(
+    tables = exact.transition_map(
         params, pumps, channel=args.channel, n_max=args.n_max, n_max_cap=args.auto_nmax_cap, rtol=args.tol
     )
-    names = ["P_sigma", "omega", "L", "gamma", "K"]
-    _write_table(args.out, names, [[getattr(r, k) for r in rows] for k in names], config_dict(args), args.format)
-    for P, msg in failures:
-        print(f"pump {P}: {msg}", file=sys.stderr)
-    print(f"wrote {args.out} ({len(rows)} lines, {len(failures)} failed points)")
+    lines, failures = [], []
+    for P, table in zip(pumps, tables):
+        if isinstance(table, JclaserError):
+            failures.append(f"pump {float(P)}: {_failure(table)}")
+        else:
+            lines += [(float(P), ln) for ln in table]
+    columns = [[P for P, _ in lines], *([getattr(ln, k) for _, ln in lines] for k in ("omega", "L", "gamma", "K"))]
+    _write_table(args.out, ["P_sigma", "omega", "L", "gamma", "K"], columns, config_dict(args), args.format)
+    for msg in failures:
+        print(msg, file=sys.stderr)
+    print(f"wrote {args.out} ({len(lines)} lines, {len(failures)} failed points)")
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
 

@@ -882,15 +882,6 @@ def spectrum(ss: SteadyState, omega: np.ndarray, channel: str = "cavity") -> Spe
     return line_spectrum(lines, channel, omega, "exact", meta)
 
 
-@dataclass
-class TransitionRow:
-    P_sigma: float
-    omega: float
-    gamma: float
-    L: float
-    K: float
-
-
 def transition_map(
     params: SystemParams,
     pumps: np.ndarray,
@@ -899,26 +890,22 @@ def transition_map(
     weight_floor: float = 1e-10,
     n_max_cap: int = N_MAX_CAP,
     rtol: float = CUTOFF_RTOL,
-) -> tuple[list[TransitionRow], list[tuple[float, str]]]:
-    """Spectral-line table across a pump sweep (dressed-state map).
+) -> list[list[SpectralLine] | JclaserError]:
+    """Spectral-line tables across a pump sweep (dressed-state map).
 
-    ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state_sweep``.
-    Weights keep their sign.  A ``JclaserError`` at one pump is recorded and
-    the sweep continues; the second return value lists (pump, message)
-    failures.  Other exceptions are caller or program errors and propagate.
+    One entry per pump of ``pumps``: the line table of ``spectral_lines`` at
+    that pump, weights keeping their sign, or the ``JclaserError`` that
+    refused the pump, so that one failed pump leaves the others standing.
+    ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state_sweep``.  An
+    unknown channel raises before any solve, and other exceptions are caller
+    or program errors and propagate.
     """
     if channel not in ("cavity", "emitter"):
         raise ValueError(f"unknown channel {channel!r}")
-    rows: list[TransitionRow] = []
-    failures: list[tuple[float, str]] = []
-    pumps = np.asarray(pumps, dtype=float)
-    for P, ss in zip(pumps, steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol)):
+    out: list = []
+    for ss in steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol):
         try:
-            if isinstance(ss, JclaserError):
-                raise ss
-            lines = spectral_lines(ss, channel, weight_floor)
+            out.append(ss if isinstance(ss, JclaserError) else spectral_lines(ss, channel, weight_floor))
         except JclaserError as exc:
-            failures.append((float(P), f"{type(exc).__name__}: {exc}"))
-            continue
-        rows += [TransitionRow(float(P), ln.omega, ln.gamma, ln.L, ln.K) for ln in lines]
-    return rows, failures
+            out.append(exc)
+    return out

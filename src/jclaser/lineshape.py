@@ -8,7 +8,8 @@ The approximate (per-rung) and coherent-drive engines project on the
 eigenbasis of their small blocks with ``decompose``; the exact engine fits
 the poles of its resolvent instead (``exact.spectral_lines``), each pole
 w_p standing for lam = -i w_p.  All three turn (lam, weight) pairs into
-lines with ``lines_from_eigenpairs``, giving
+lines with ``lines_from_eigenpairs``, which merges degenerate eigenvalues
+within each block, giving
 
     <c'(0)c(t)> = readout . B + n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
 
@@ -58,30 +59,27 @@ class Decomposition:
     n_c: np.ndarray
 
 
-def decompose(
-    G: np.ndarray, u0: np.ndarray, readout: np.ndarray, inhom: np.ndarray | None = None
-) -> Decomposition:
+def decompose(G: np.ndarray, u0: np.ndarray, readout: np.ndarray, inhom: np.ndarray) -> Decomposition:
     """Project u0 - B on the eigenbasis of G, with G B = -inhom.
 
     ``G`` has shape (..., n, n) and the vectors (..., n); every leading axis
-    is a batch of independent blocks.  Refuses with
+    is a batch of independent blocks, and a block whose ``inhom`` is zero
+    has B = 0 (no elastic part).  Refuses with
     ``NonDiagonalizableError`` when the eigenbasis residual
     max |G V - V lam| / max |lam| of a block exceeds 1e-8, or when the real
     part of its weights plus its elastic part misses n_c by more than 1e-6
     of n_c: the eigenbasis is then too ill-conditioned to trust single lines.
     An eig that does not converge or a singular eigenbasis refuses the same way.
     """
-    B = np.zeros_like(u0)
-    if inhom is not None:
-        rhs = -inhom[..., None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                B = np.linalg.solve(G, rhs)[..., 0]
-            except np.linalg.LinAlgError:  # a singular block: least-squares part
-                B = (np.linalg.pinv(G) @ rhs)[..., 0]
-        # a block without drive term has no stationary part; a solve would
-        # read inf * 0 in it where a pivot of G is subnormal
-        B = np.where(np.any(inhom != 0.0, axis=-1, keepdims=True), B, 0.0)
+    rhs = -inhom[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            B = np.linalg.solve(G, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # a singular block: least-squares part
+            B = (np.linalg.pinv(G) @ rhs)[..., 0]
+    # a block without drive term has no stationary part; a solve would
+    # read inf * 0 in it where a pivot of G is subnormal
+    B = np.where(np.any(inhom != 0.0, axis=-1, keepdims=True), B, 0.0)
     try:
         lams, V = np.linalg.eig(G)
         proj = np.linalg.solve(V, (u0 - B)[..., None])[..., 0]
@@ -143,11 +141,12 @@ def lines_from_eigenpairs(
 ) -> list[SpectralLine]:
     """Lines from generator eigenvalues and normalized (L + iK) weights.
 
-    The arrays are flattened, degenerate eigenvalues merged, and lines with
-    |L| + |K| below ``floor`` dropped.  ``omega = -Im(lam)`` and
-    ``gamma = -2 Re(lam)``.
+    Degenerate eigenvalues merge within each block, along the last axis (a
+    line of one rung never merges with a line of another); the blocks are
+    then flattened in order, and lines with |L| + |K| below ``floor``
+    dropped.  ``omega = -Im(lam)`` and ``gamma = -2 Re(lam)``.
     """
-    lams, weights, keep = merge_degenerate(np.ravel(lams), np.ravel(weights))
+    lams, weights, keep = (np.ravel(a) for a in merge_degenerate(lams, weights))
     keep &= np.abs(weights.real) + np.abs(weights.imag) >= floor
     return [
         SpectralLine(omega=float(-lam.imag), gamma=float(-2.0 * lam.real), L=float(c.real), K=float(c.imag))

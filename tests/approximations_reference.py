@@ -2,8 +2,9 @@
 
 Re-exports ``jclaser.approximations`` and adds the exact zero-pump g2, the
 low-pump slope C1 of both linear models, the pumps where the bosonic model
-diverges, the one-pump cothermal root, and the Poissonian and cothermal
-photon distributions that the tests feed to the spectral engines, so that
+diverges, the one-pump cothermal root with its thermal part, factorial
+moments and moment residual, and the Poissonian and cothermal photon
+distributions that the tests feed to the spectral engines, so that
 the suite reads runtime and oracle through one name
 (``import approximations_reference as ap``).
 """
@@ -18,7 +19,7 @@ import numpy as np
 from jclaser.approximations import *  # noqa: F403 - the runtime names, read through this module
 from jclaser.approximations import CothermalState, cothermal_sweep
 from jclaser.errors import NoPhysicalRootError
-from jclaser.params import SystemParams, g_eff, kappa_sigma
+from jclaser.params import SystemParams, g_eff, kappa_sigma, recurrence_coefficients
 
 _LOG_FLOOR = math.log(1e-300)
 
@@ -29,6 +30,40 @@ def cothermal(params: SystemParams) -> CothermalState:
     if isinstance(state, NoPhysicalRootError):
         raise state
     return state
+
+
+def n_th(state: CothermalState) -> float:
+    """The thermal part n_a - n_coh of ``state``, negative on the antibunched branch."""
+    return state.n_a - state.n_coh
+
+
+def moment(state: CothermalState, n: int) -> float:
+    """Factorial moment N_a[n] = n! n_th^n L_n(-n_coh / n_th).
+
+    Expanded into the polynomial n! sum_k C(n,k) n_coh^k n_th^(n-k) / k!,
+    which stays valid on the analytic n_th < 0 branch.
+    """
+    acc = 0.0
+    for k in range(n + 1):
+        acc += (
+            math.comb(n, k)
+            * state.n_coh**k
+            / math.factorial(k)
+            * n_th(state) ** (n - k)
+        )
+    return math.factorial(n) * acc
+
+
+def _moment_residual(params: SystemParams, state: CothermalState, n: int) -> float:
+    """Relative residual of C_n N[n-1] - B_n N[n] - A_n N[n+1] = 0 at ``state``."""
+    A, B, C = recurrence_coefficients(params, n)
+    terms = (C * moment(state, n - 1), -B * moment(state, n), -A * moment(state, n + 1))
+    return abs(sum(terms)) / (sum(map(abs, terms)) + 1e-300)
+
+
+def cothermal_residual(params: SystemParams, state: CothermalState) -> float:
+    """The root's relative residual of the n = 1, 2 moment equations at ``params``."""
+    return max(_moment_residual(params, state, n) for n in (1, 2))
 
 
 def poissonian_statistics(n_a: float, n_cut: int | None = None) -> np.ndarray:
@@ -50,7 +85,7 @@ def cothermal_distribution(state: CothermalState, n_cut: int | None = None, tail
     ladder runs past the mode until T falls ``tail`` below its peak.  The
     rungs past the last one above ``tail`` of the peak are cut.
     """
-    nth, nc = state.n_th, max(state.n_coh, 0.0)
+    nth, nc = n_th(state), max(state.n_coh, 0.0)
     if nth < 1e-12:  # Poissonian limit (and the analytic n_th < 0 branch)
         return poissonian_statistics(max(state.n_a, nc), n_cut)
     x = nc / (nth * (1.0 + nth))

@@ -349,6 +349,21 @@ def test_readme_transitions_map_fits_every_pump(tmp_path, capsys, channel):
     assert len({line.split(",")[0] for line in out.read_text().splitlines()[3:]}) == 60
 
 
+def test_transitions_reports_a_refused_pump(tmp_path, capsys):
+    # the lossless cavity has no steady state at P 0.9 > gamma_sigma: that
+    # pump is named on stderr with its error, the P 0.1 table is written,
+    # and the partial map exits 4
+    out = tmp_path / "map.csv"
+    code = run(["transitions", "--gamma-a", "0", "--gamma-sigma", "0.5", "--n-max", "30", "--sweep-min", "0.1",
+                "--sweep-max", "0.9", "--sweep-points", "2", "--sweep-scale", "linear", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == ("pump 0.9: NoSteadyStateError: parameters admit no steady state "
+                            "(net gain exceeds loss)\n")
+    assert captured.out.endswith("(32 lines, 1 failed points)\n")
+    assert {line.split(",")[0] for line in out.read_text().splitlines()[3:]} == {"0.1"}
+
+
 def test_mollow_coherent_files(tmp_path):
     out = tmp_path / "mc.csv"
     code = run(
@@ -853,16 +868,22 @@ def test_runtime_package_keeps_only_what_is_called(tmp_path, monkeypatch):
     assert sorted(name for key, name in functions.items() if key not in entered and name not in _UNCALLED) == []
 
 
+# A field that no runtime code reads, with its reason: herm_defect is the
+# diagnostic of the sector solve that the tests check and no command writes yet.
+_UNREAD = {"exact.SteadyState.herm_defect"}
+
+
 def test_record_fields_are_read():
-    # each annotated field of a dataclass in the package is read as an
-    # attribute somewhere in the package, the tests or the benchmark
+    # each annotated field of a dataclass in the package but those of _UNREAD
+    # is read as an attribute in the package or the benchmark; a field that
+    # only the tests read is dead weight at run time
     import ast
 
     import jclaser
 
     root, repo = Path(jclaser.__file__).parent, Path(__file__).parents[1]
     fields, read = [], set()
-    for path in [*root.glob("*.py"), *repo.glob("tests/*.py"), *repo.glob("bench/*.py")]:
+    for path in [*root.glob("*.py"), *repo.glob("bench/*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
@@ -873,7 +894,8 @@ def test_record_fields_are_read():
                 fields += [(f"{path.stem}.{node.name}", s.target.id) for s in node.body
                            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
     assert fields
-    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
+    assert _UNREAD <= {f"{cls}.{name}" for cls, name in fields}
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read and f"{cls}.{name}" not in _UNREAD] == []
 
 
 def test_sweep_workers_match_serial(tmp_path, monkeypatch):

@@ -633,16 +633,14 @@ def test_g2_near_one_at_lasing_midpoint():
 
 def test_transition_map_structure():
     pumps = np.geomspace(0.005, 7.0, 8)
-    rows, failures = exact.transition_map(SystemParams(**BASE), pumps, weight_floor=1e-9)
-    assert not failures
-    by_pump = {}
-    for r in rows:
-        by_pump.setdefault(r.P_sigma, []).append(r)
+    tables = exact.transition_map(SystemParams(**BASE), pumps, weight_floor=1e-9)
+    assert len(tables) == len(pumps) and all(isinstance(t, list) for t in tables)
+    by_pump = dict(zip(pumps, tables))
     # linear regime: dominant doublet at +-R0
     low = sorted(by_pump[pumps[0]], key=lambda r: -abs(r.L))[:2]
     assert {round(abs(r.omega), 1) for r in low} == {1.0}
     # negative-weight lines exist somewhere in the map
-    assert any(r.L < -1e-6 for r in rows)
+    assert any(r.L < -1e-6 for t in tables for r in t)
     # deep lasing: dominant line collapses to the origin and narrows below
     # the lasing-linewidth estimate within a factor two
     top = max(by_pump[pumps[-1]], key=lambda r: abs(r.L))
@@ -654,9 +652,9 @@ def test_transition_map_structure():
 
 def test_transition_map_records_failures():
     p = SystemParams(g=1.0, gamma_a=0.0, gamma_sigma=0.5)
-    rows, failures = exact.transition_map(p, np.array([0.1, 0.9]), n_max=30)
-    assert len(failures) == 1 and failures[0][0] == 0.9
-    assert any(r.P_sigma == 0.1 for r in rows)
+    lines, failed = exact.transition_map(p, np.array([0.1, 0.9]), n_max=30)
+    assert isinstance(failed, NoSteadyStateError)
+    assert lines and all(isinstance(ln, lineshape.SpectralLine) for ln in lines)
 
 
 def test_transition_map_refuses_a_bad_channel_before_solving():
@@ -668,8 +666,8 @@ def test_transition_map_refuses_a_bad_channel_before_solving():
 
 def test_transition_map_isolates_only_named_failures(monkeypatch):
     # a program error propagates; running out of memory in the banded LU of a
-    # line table is a named SolverMemoryError and is recorded like any other
-    # failed point.  The LU fails only once the steady states are solved.
+    # line table is a named SolverMemoryError, returned in its pump's place
+    # like any other refusal.  The LU fails only once the steady states are solved.
     pumps = np.array([0.5, 1.0])
     p = SystemParams(**BASE)
     sweep = exact.steady_state_sweep
@@ -693,10 +691,9 @@ def test_transition_map_isolates_only_named_failures(monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(exact, "steady_state_sweep", failing_after_the_sweep(out_of_memory))
-    rows, failures = exact.transition_map(p, pumps, n_max=20)
-    assert not rows
-    assert [P for P, _ in failures] == [0.5, 1.0]
-    assert all(msg.startswith("SolverMemoryError: out of memory in the banded LU") for _, msg in failures)
+    tables = exact.transition_map(p, pumps, n_max=20)
+    assert len(tables) == 2 and all(isinstance(t, SolverMemoryError) for t in tables)
+    assert all(str(t).startswith("out of memory in the banded LU") for t in tables)
 
 
 def test_unclosed_line_weights_refused(monkeypatch):
@@ -710,10 +707,9 @@ def test_unclosed_line_weights_refused(monkeypatch):
     monkeypatch.setattr(exact, "channel_population", lambda n_c: real(n_c) * (1.0 + 1e-5 * (real(n_c) > 5.0)))
     with pytest.raises(LineFitError, match="^line weights miss one by 1.00e-05$"):
         exact.spectral_lines(ss, channel="cavity")
-    rows, failures = exact.transition_map(SystemParams(**BASE), np.array([1.0, 40.0]))
-    assert [P for P, _ in failures] == [40.0]
-    assert failures[0][1].startswith("LineFitError: line weights miss one by")
-    assert rows and all(r.P_sigma == 1.0 for r in rows)
+    low, high = exact.transition_map(SystemParams(**BASE), np.array([1.0, 40.0]))
+    assert isinstance(high, LineFitError) and str(high).startswith("line weights miss one by")
+    assert low and all(isinstance(ln, lineshape.SpectralLine) for ln in low)
 
 
 def test_line_fit_refusals_are_named(monkeypatch):
@@ -782,7 +778,7 @@ def test_line_table_matches_the_dense_eig(extra):
     w = np.linspace(-20.0, 20.0, 2001)
     for channel in ("cavity", "emitter"):
         sec = exact.regression_sector(ss, channel)
-        dec = lineshape.decompose(dense_block(sec.generator), sec.u0, sec.readout)
+        dec = lineshape.decompose(dense_block(sec.generator), sec.u0, sec.readout, np.zeros_like(sec.u0))
         eig = lineshape.lines_from_eigenpairs(dec.lams, dec.weights / dec.n_c)
         fit = exact.spectral_lines(ss, channel=channel)
         ref = evaluate_lines(eig, w)

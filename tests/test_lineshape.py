@@ -12,7 +12,8 @@ def _lines(dec, i=...):
 def test_single_damped_mode():
     # u(tau) = e^{(-gamma/2 - i omega) tau} u0: one line at omega, FWHM gamma
     omega, gamma = 1.7, 0.3
-    dec = decompose(np.array([[-gamma / 2.0 - 1j * omega]]), np.array([2.5]), np.array([1.0]))
+    u0 = np.array([2.5])
+    dec = decompose(np.array([[-gamma / 2.0 - 1j * omega]]), u0, np.array([1.0]), np.zeros_like(u0))
     (line,) = _lines(dec)
     assert line.omega == pytest.approx(omega, rel=1e-15)
     assert line.gamma == pytest.approx(gamma, rel=1e-15)
@@ -51,7 +52,7 @@ def test_stacked_batch_equals_single_blocks():
 def test_degenerate_pair_merges():
     G = np.diag([-0.5 - 1.0j, -0.5 - 1.0j, -2.0 + 3.0j])
     u0 = np.array([0.2, 0.3, 0.5])
-    dec = decompose(G, u0, np.ones(3))
+    dec = decompose(G, u0, np.ones(3), np.zeros_like(u0))
     lines = _lines(dec)
     assert len(lines) == 2
     merged = min(lines, key=lambda ln: ln.gamma)
@@ -69,12 +70,24 @@ def test_degenerate_chain_merges_into_one_group():
     assert lams[0] == pytest.approx(1.0 + 0.6e-9, rel=1e-15)
 
 
+def test_degenerate_lines_merge_within_a_block_only():
+    # lines 1e-10 apart, inside the 1e-9 gap: the pair of block 0 merges, but
+    # block 1's line stays apart from it, as lines of different rungs are
+    # distinct lines however close they lie
+    lam = -0.5 - 2.0j
+    lams = np.array([[lam, lam + 1e-10], [lam + 2e-10, -1.0 + 3.0j]])
+    lines = lines_from_eigenpairs(lams, np.full((2, 2), 0.25 + 0.0j))
+    assert [ln.L for ln in lines] == [0.5, 0.25, 0.25]
+    assert lines[0].omega == pytest.approx(2.0, rel=1e-15) and lines[1].omega == lines[0].omega
+    assert lines[1].gamma == pytest.approx(1.0 - 4e-10, rel=1e-12)
+
+
 def test_defective_block_refused_by_its_eigenbasis_residual():
     # the nilpotent Jordan block has one eigenvector for its double zero; its
     # residual reads ~2e8 of max |lam|, far above the 1e-8 bound
     G = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonDiagonalizableError, match="eigenbasis residual"):
-        decompose(G, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        decompose(G, np.array([1.0, 1.0]), np.array([1.0, 0.0]), np.zeros(2))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-30, 1e-20, 1e-16, 1e-12, 1e-8])
@@ -85,7 +98,7 @@ def test_near_defective_block_refused_or_closed(eps):
     G = np.array([[lam, 1.0], [eps, lam]])
     u0, readout = np.array([0.3, 1.0]), np.array([1.0, 0.0])
     try:
-        dec = decompose(G, u0, readout)
+        dec = decompose(G, u0, readout, np.zeros_like(u0))
     except NonDiagonalizableError:
         return
     lines = _lines(dec)
@@ -98,7 +111,7 @@ def test_ill_conditioned_eigenbasis_refused():
     # the weights are roundoff and miss readout . u0, so the table is refused
     G = np.array([[-1.0, 1e12], [0.0, -1.0 + 1e-3]])
     with pytest.raises(NonDiagonalizableError, match="line weights"):
-        decompose(G, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        decompose(G, np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.zeros(2))
 
 
 def test_weight_floor_uses_both_parts():
