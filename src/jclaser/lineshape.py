@@ -18,10 +18,8 @@ Every engine normalises its lines by the channel population n_c through
 ``channel_population``, the one place an empty channel is refused; the rung
 and coherent-drive engines both do it in ``decomposition_spectrum``.  One
 constructor, ``line_spectrum``, turns any line table on a grid into the
-``SpectrumResult`` of every engine with lines (exact, rung, coherent-drive
-and the semiclassical cavity line), with the grid's two readings in its
-``meta``; the resonant semiclassical emitter, a closed-form grid without
-lines, is the one record built elsewhere.
+``SpectrumResult`` of every engine (exact, rung, coherent-drive and both
+semiclassical channels), with the grid's two readings in its ``meta``.
 """
 
 from __future__ import annotations
@@ -172,18 +170,20 @@ def integrate_lines(lines: list[SpectralLine], lo: float, hi: float) -> float:
     """Exact integral of the line sum over [lo, hi] (antiderivatives).
 
     Lorentzian part: (L/pi) atan(2(w - w_p)/g_p); dispersive part:
-    -(K/2 pi) log((g_p/2)^2 + (w - w_p)^2).
+    -(K/2 pi) log((g_p/2)^2 + (w - w_p)^2).  A line of zero width counts
+    its L where it lies inside the window.  The terms add up as one running
+    total in line order, each line's Lorentzian term before its dispersive one.
     """
-    total = 0.0
-    for ln in lines:
-        half = ln.gamma / 2.0
-        if half <= 0.0:
-            total += ln.L if lo <= ln.omega <= hi else 0.0
-            continue
-        a, b = lo - ln.omega, hi - ln.omega
-        total += ln.L / np.pi * (np.arctan(b / half) - np.arctan(a / half))
-        total -= ln.K / (2.0 * np.pi) * (np.log(half**2 + b**2) - np.log(half**2 + a**2))
-    return float(total)
+    w, gamma, L, K = np.array([(ln.omega, ln.gamma, ln.L, ln.K) for ln in lines], dtype=float).reshape(-1, 4).T
+    half = gamma / 2.0
+    a, b = lo - w, hi - w
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero width takes the sharp term instead
+        lorentz = L / np.pi * (np.arctan(b / half) - np.arctan(a / half))
+        dispersive = K / (2.0 * np.pi) * (np.log(half**2 + b**2) - np.log(half**2 + a**2))
+    broad = half > 0.0
+    lorentz = np.where(broad, lorentz, np.where((lo <= w) & (w <= hi), L, 0.0))
+    terms = np.stack([lorentz, -np.where(broad, dispersive, 0.0)], axis=-1)
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 @dataclass

@@ -8,21 +8,29 @@ stacked decomposition ``lineshape.decomposition_spectrum`` normalises.  The
 photon statistics T[n] is an argument: the commands pass the exact one, and
 the tests pass Poissonian and cothermal ones as well.
 
+The semiclassical spectra replace the photon statistics by the mean-field
+laser: the emitter is ``coherent``'s pumped two-level block driven by the
+field, one route at every detuning, and the cavity a single narrow line at
+the pulled laser frequency.  Both go out through the same line-table
+constructors.
+
 Frequencies are measured from the cavity; the emitter sits at -delta.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .approximations import lasing_window_ok, semiclassical
+from .coherent import _correlator_decomposition
 from .lineshape import Decomposition, SpectralLine, SpectrumResult, decompose, decomposition_spectrum, line_spectrum
-from .params import SystemParams, kappa_a, kappa_sigma
+from .params import SystemParams, _manifold, kappa_a
 
 _TAIL = 1e-12  # rungs with both statistics weights below this (relative) are dropped
-_LINE_FLOOR = 1e-14  # rung lines with |L| + |K| below this are dropped
+_LINE_FLOOR = 1e-14  # rung and semiclassical lines with |L| + |K| below this are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +41,8 @@ _LINE_FLOOR = 1e-14  # rung lines with |L| + |K| below this are dropped
 def _rung_slices(
     params: SystemParams, n: np.ndarray, Tn: np.ndarray, Tn1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p0[n+1], p1[n] and q_i[n+1] of rung n from T[n] and T[n+1].
-
-    Vectorised over the rung index, which may be fractional (the single-rung
-    substitution reads it at n = n_a with unit statistics).
-    """
+    """p0[n+1], p1[n] and q_i[n+1] of rung n from T[n] and T[n+1],
+    vectorised over the rung index."""
     if params.P_a != 0.0:
         raise ValueError("slice reconstruction assumes P_a = 0")
     G = params.Gamma_sigma
@@ -64,26 +69,18 @@ def _tilt(params: SystemParams) -> float:
     return 2.0 * params.delta / width if width > 0.0 else 0.0
 
 
-def rung_decomposition(
-    params: SystemParams,
-    T: np.ndarray,
-    channel: str,
-    rungs: np.ndarray | None = None,
-) -> Decomposition:
+def rung_decomposition(params: SystemParams, T: np.ndarray, channel: str) -> Decomposition:
     """Eigen-decompose the per-rung correlator blocks and project them.
 
     Each rung n couples (S0[n+1], S1[n], Q[n], V[n+1]) as du/dtau = -M u + A,
     so the stacked blocks go to ``lineshape.decompose`` as G = -M with the
     inhomogeneity A, whose stationary part carries the elastic weight.  The
-    result has one block per rung.  ``rungs`` may be fractional (the
-    single-rung semiclassical substitution); T is read at their integer part,
-    and at 0 for the rung below a rung in (0, 1).
+    result has one block per populated rung.
     """
     T = np.asarray(T, dtype=float)
-    if rungs is None:
-        keep = (T[:-1] >= _TAIL * T.max()) | (T[1:] >= _TAIL * T.max())
-        rungs = np.nonzero(keep)[0].astype(float)
-    n = np.asarray(rungs, dtype=float)
+    keep = (T[:-1] >= _TAIL * T.max()) | (T[1:] >= _TAIL * T.max())
+    ni = np.nonzero(keep)[0]
+    n = ni.astype(float)
     N = len(n)
     g, G = params.g, params.Gamma_sigma
     gs, P = params.gamma_sigma, params.P_sigma
@@ -91,7 +88,6 @@ def rung_decomposition(
     sqn, sqn1 = np.sqrt(n), np.sqrt(n + 1.0)
     tilt = _tilt(params)
     xi_p, xi_m = tilt + 1j, tilt - 1j
-    ni = n.astype(int)
     T_n, T_n1 = T[ni], T[ni + 1]
     p0_n1, p1_n, qi_n1 = _rung_slices(params, n, T_n, T_n1)
     qi_n = np.where(n > 0.0, _rung_slices(params, n - 1.0, T[np.maximum(ni - 1, 0)], T_n)[2], 0.0)  # q_i[0] = 0
@@ -151,17 +147,8 @@ def approx_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Semiclassical closed forms (deep lasing)
+# Semiclassical spectra (deep lasing)
 # ---------------------------------------------------------------------------
-
-
-def incoherent_mollow_splitting(params: SystemParams) -> complex:
-    """Pump-driven Mollow half splitting (closes at both low and high pump)."""
-    G = params.Gamma_sigma
-    arg = (2.0 * params.P_sigma - G) * kappa_sigma(params) / 2.0 - (
-        (G + params.gamma_phi) / 4.0
-    ) ** 2
-    return complex(np.sqrt(arg + 0j))
 
 
 def lasing_linewidth(params: SystemParams) -> float:
@@ -169,35 +156,33 @@ def lasing_linewidth(params: SystemParams) -> float:
     return 2.0 * params.g**2 * params.gamma_a / params.P_sigma**2
 
 
-def approx_spectrum_single_rung(
-    params: SystemParams, n_value: float, channel: str, omega: np.ndarray
-) -> SpectrumResult:
-    """Continuous-rung substitution n -> n_a of the rung machinery.
-
-    In deep lasing the Poissonian statistics is sharply peaked, so the rung
-    sum collapses onto the mean rung with unit statistical weight.
-    """
-    n = float(n_value)
-    T = np.broadcast_to(1.0, (int(n) + 2,))  # a view: n may be huge
-    dec = rung_decomposition(params, T, channel, rungs=np.array([n]))
-    return decomposition_spectrum(dec, channel, omega, "semiclassical", _LINE_FLOOR, {"n_value": float(n_value)})
+def laser_frequency(params: SystemParams) -> float:
+    """Frequency of the semiclassical laser field, pulled from the cavity
+    toward the emitter: -delta gamma_a / Gamma_T[1], and +0.0, not -0.0,
+    at resonance."""
+    return (0.0 - params.delta) * params.gamma_a / _manifold(params, 1)[0]
 
 
 def semiclassical_mollow(
     params: SystemParams, omega: np.ndarray, channel: str = "emitter"
 ) -> SpectrumResult:
-    """Closed-form deep-lasing spectrum.
+    """Deep-lasing spectrum of the mean-field laser at any detuning.
 
-    Emitter at resonance: delta weight, central Lorentzian of FWHM
-    Gamma_sigma + gamma_phi, and side bands at +-Re(R_outer) with FWHM
-    (3 Gamma_sigma + gamma_phi)/2.  Cavity: quasi-elastic line of unit
-    weight and estimated width 2 g^2 gamma_a / P_sigma^2, rasterized at that
-    finite width, so no weight is elastic.  Off resonance the single-rung
-    substitution n = n_a is evaluated instead.  Both channels are refused at P_sigma = 0, below
-    any lasing: the cavity line has no width there, and the emitter forms
-    go negative.  They are refused at gamma_a = 0 too, where the cavity line
-    has no width and kappa_sigma is infinite.  An emitter spectrum with any
-    negative or non-finite value is refused as well.
+    The field oscillates at ``laser_frequency`` with n_a photons, the
+    ``approximations.semiclassical`` population.  Emitter: the pumped,
+    dephased two-level emitter driven by the classical field g sqrt(n_a) at
+    the laser-emitter detuning omega_L + delta (``coherent``'s block with the
+    pump P_sigma), shifted into the cavity frame; a Mollow triplet with a
+    delta of weight |<sigma>|^2 / n_sigma at omega_L, which ``meta`` names.
+    Below threshold n_a = 0 leaves the undriven emitter, one line of FWHM
+    Gamma_sigma + gamma_phi at -delta.  Cavity: a line of unit weight at
+    omega_L and estimated width 2 g^2 gamma_a / P_sigma^2, rasterized at that
+    finite width, so no weight is elastic.  Both channels are refused at
+    P_sigma = 0, below any lasing, where the cavity line has no width and the
+    emitter is empty; at gamma_a = 0, where the cavity line has no width and
+    kappa_sigma is infinite; and at P_a != 0, which neither the mean field
+    nor the line width carries.  An emitter spectrum with any negative or
+    non-finite value is refused as well.
     """
     if channel not in ("emitter", "cavity"):
         raise ValueError(f"unknown channel {channel!r}")
@@ -205,48 +190,21 @@ def semiclassical_mollow(
         raise ValueError(f"the semiclassical {channel} line needs P_sigma > 0, got P_sigma = {params.P_sigma}")
     if not params.gamma_a > 0.0:
         raise ValueError(f"the semiclassical {channel} line needs gamma_a > 0, got gamma_a = {params.gamma_a}")
+    if params.P_a != 0.0:
+        raise ValueError(f"the semiclassical {channel} line assumes P_a = 0, got P_a = {params.P_a}")
     omega = np.asarray(omega, dtype=float)
+    w_L = laser_frequency(params)
     if channel == "cavity":
         gl = lasing_linewidth(params)
-        line = SpectralLine(omega=0.0, gamma=gl, L=1.0, K=0.0)
+        line = SpectralLine(omega=w_L, gamma=gl, L=1.0, K=0.0)
         return line_spectrum([line], channel, omega, "semiclassical", {"gamma_L": gl})
-    if params.delta != 0.0:
-        return _nonnegative(approx_spectrum_single_rung(params, semiclassical(params).n_a, channel, omega), params)
-
-    G, f = params.Gamma_sigma, params.gamma_phi
-    k = kappa_sigma(params)
-    P = params.P_sigma
-    delta_w = 2.0 * P / (G + f + k) - G / k
-    half = (G + f) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # _nonnegative refuses a value that is not finite
-        central = (1.0 / (2.0 * math.pi)) * half / (half**2 + omega**2)
-        w2 = omega**2
-        denom = (G + f + k) * (
-            (G - 2.0 * P) ** 2 * k**2
-            + ((3.0 * G + f) ** 2 + 4.0 * (G - 2.0 * P) * k) * w2
-            + 4.0 * w2**2
-        )
-        numer = (
-            -4.0 * P**2 * k * (3.0 * G + f + k)
-            + 2.0 * P * G * (3.0 * G**2 + 4.0 * G * (f + 2.0 * k) + (f + k) * (f + 3.0 * k))
-            + 4.0 * P * k * w2
-            - (G + f + k) * (G**2 * (3.0 * G + f + 2.0 * k) + (G - f) * w2)
-        )
-        values = central + numer / denom / math.pi
-    return _nonnegative(SpectrumResult(
-        channel=channel,
-        omega=omega,
-        values=values,
-        elastic_weight=float(delta_w),
-        lines=[],
-        method="semiclassical",
-        meta={
-            "side_splitting": incoherent_mollow_splitting(params).real,
-            "side_fwhm": (3.0 * G + f) / 2.0,
-            "central_fwhm": G + f,
-            "negative_delta": delta_w < 0.0,
-        },
-    ), params)
+    n_a = semiclassical(params).n_a
+    dec = _correlator_decomposition(
+        params.g * math.sqrt(n_a), w_L + params.delta, params.gamma_sigma, params.gamma_phi, params.P_sigma
+    )
+    dec = replace(dec, lams=dec.lams - 1j * w_L)  # from the laser frame to the cavity's
+    meta = {"n_a": n_a, "omega_L": w_L}
+    return _nonnegative(decomposition_spectrum(dec, channel, omega, "semiclassical", _LINE_FLOOR, meta), params)
 
 
 def _nonnegative(res: SpectrumResult, params: SystemParams) -> SpectrumResult:

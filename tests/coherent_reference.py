@@ -4,7 +4,8 @@ Re-exports ``jclaser.coherent`` and adds the per-drive route the runtime
 replaced by array expressions (the steady state, the effective drive and the
 regression matrix of one ``LaserDriveParams``), the closed-form resonant
 Mollow spectrum with its elastic weight, the side-peak visibility of one
-drive, and a spectrum by time propagation that uses no eigendecomposition,
+drive, a spectrum by time propagation that uses no eigendecomposition, and
+the driven, pumped emitter straight from its 4x4 Liouvillian,
 so that the suite reads runtime and oracle through one name (``import
 coherent_reference as coherent``).
 """
@@ -190,3 +191,33 @@ def spectrum_by_propagation(
         phase = np.exp(1j * np.outer(w[i : i + chunk], taus))
         out[i : i + chunk] = (phase @ weighted).real
     return out / (np.pi * ss.n_sigma)
+
+
+def lindblad_emitter(om, dl, gs, gp, P, omega) -> tuple[float, float, np.ndarray]:
+    """n_sigma, the elastic weight |<sigma'>|^2 / n_sigma and the
+    normalised incoherent spectrum on ``omega`` of the two-level emitter
+    driven at omega_L = ``om`` and detuning ``dl``, with decay ``gs``, pump
+    ``P`` and dephasing ``gp``, straight from its 4x4 Liouvillian over
+    vec(rho): the steady state by one dense solve with a trace row, the
+    spectrum by one resolvent solve per frequency, with no
+    eigendecomposition.  ``omega`` must not hold 0, where the resolvent is
+    singular.
+    """
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    sp, one = sm.T, np.eye(2)
+    H = -dl * sp @ sm + om * (sm + sp)
+
+    def diss(c, rate):
+        cdc = c.conj().T @ c
+        return rate / 2.0 * (2.0 * np.kron(c, c.conj()) - np.kron(cdc, one) - np.kron(one, cdc.T))
+
+    L = 1j * (np.kron(one, H.T) - np.kron(H, one)) + diss(sm, gs) + diss(sp, P) + diss(sp @ sm, gp)
+    A = L.copy()
+    A[0] = [1.0, 0.0, 0.0, 1.0]  # trace row
+    rho = np.linalg.solve(A, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).reshape(2, 2)
+    n_sigma, coherence = rho[1, 1].real, np.trace(rho @ sp)
+    # <sigma'(0) sigma(tau)> = Tr[sigma e^{L tau} (rho sigma')], less its limit
+    # |<sigma'>|^2, integrated against e^{i omega tau}
+    u = (rho @ sp).ravel() - rho.ravel() * coherence
+    S = [(sm.T.ravel() @ np.linalg.solve(-(L + 1j * w * np.eye(4)), u)).real for w in np.asarray(omega, dtype=float)]
+    return n_sigma, abs(coherence) ** 2 / n_sigma, np.array(S) / (math.pi * n_sigma)

@@ -1,7 +1,9 @@
 """Closed forms the tests check the spectral engines against: the density
 slices rebuilt from photon statistics and the elastic-weight series, rung
 Rabi frequencies and labelled rung coefficients, peak-position families, the
-resonant Mollow triplet of the driven emitter, the side-peak position read
+resonant Mollow triplet of the driven emitter, the pump-driven Mollow
+splitting and the closed-form triplet of the resonant mean-field laser (the
+oracle of ``semiclassical_mollow``), the side-peak position read
 off a spectrum grid, and the exact engine's spectrum straight from its
 banded resolvent, one solve per frequency.
 
@@ -24,9 +26,9 @@ from jclaser import exact
 from jclaser.errors import JclaserError
 from jclaser.lineshape import SpectralLine, SpectrumResult, evaluate_lines
 from jclaser.exact import SteadyState
-from jclaser.params import LaserDriveParams, SystemParams, kappa_a
+from jclaser.params import LaserDriveParams, SystemParams, kappa_a, kappa_sigma
 from jclaser.spectra import *  # noqa: F403 - the runtime names, read through this module
-from jclaser.spectra import _rung_slices, _tilt, rung_decomposition
+from jclaser.spectra import _TAIL, _rung_slices, _tilt, rung_decomposition
 
 
 def density_slices_from_statistics(params: SystemParams, T: np.ndarray) -> SteadyState:
@@ -113,16 +115,19 @@ class CorrelatorCoefficients:
 def correlator_coefficients(
     params: SystemParams,
     T: np.ndarray,
-    n: int | float,
+    n: int,
     channel: str,
 ) -> CorrelatorCoefficients:
     """Match the rung's four eigen-lines to the +-R_inner/outer pattern.
 
     Weights are normalized by the full channel population (n_sigma or n_a of
     the slices), so they are the per-rung contributions entering the total
-    line sum.
+    line sum.  Rung ``n`` must be one that ``rung_decomposition`` keeps.
     """
-    dec = rung_decomposition(params, T, channel, rungs=np.array([n]))
+    T = np.asarray(T, dtype=float)
+    kept = np.nonzero((T[:-1] >= _TAIL * T.max()) | (T[1:] >= _TAIL * T.max()))[0]
+    (block,) = np.nonzero(kept == n)[0]
+    dec = rung_decomposition(params, T, channel)
     sl = density_slices_from_statistics(params, T)
     n_c = sl.n_sigma if channel == "emitter" else sl.n_a
     rf = rabi_frequencies(params, n)
@@ -133,8 +138,8 @@ def correlator_coefficients(
         "outer": mean + 1j * rf.outer,
         "outer_mirror": mean - 1j * rf.outer,
     }
-    lams = -dec.lams[0]  # eigenvalues of the decay matrix M, as the targets
-    coeffs = dec.weights[0] / n_c
+    lams = -dec.lams[block]  # eigenvalues of the decay matrix M, as the targets
+    coeffs = dec.weights[block] / n_c
     assigned: dict[str, complex] = {}
     free = np.ones(4, dtype=bool)
     for name, tgt in targets.items():
@@ -283,6 +288,46 @@ def resonant_lines(drive: LaserDriveParams, omega: np.ndarray) -> SpectrumResult
         method="closed form",
         meta={"n_c": coherent_steady_state(drive).n_sigma},
     )
+
+
+def incoherent_mollow_splitting(params: SystemParams) -> complex:
+    """Pump-driven Mollow half splitting (closes at both low and high pump)."""
+    G = params.Gamma_sigma
+    arg = (2.0 * params.P_sigma - G) * kappa_sigma(params) / 2.0 - (
+        (G + params.gamma_phi) / 4.0
+    ) ** 2
+    return complex(np.sqrt(arg + 0j))
+
+
+def resonant_lasing_triplet(params: SystemParams, omega: np.ndarray) -> tuple[np.ndarray, float]:
+    """Closed-form emitter spectrum of the resonant mean-field laser on the
+    grid ``omega``, and its delta weight 2P/(Gamma + phi + kappa) - Gamma/kappa
+    (independent check of ``semiclassical_mollow``).
+
+    A central Lorentzian of FWHM Gamma_sigma + gamma_phi plus a rational
+    part whose denominator is a quartic in omega^2, side bands at
+    +-Re(incoherent_mollow_splitting) of FWHM (3 Gamma_sigma + gamma_phi)/2.
+    It reads the semiclassical n_a without its clamp at threshold, so it
+    holds above threshold only.
+    """
+    if params.delta != 0.0:
+        raise ValueError("the closed-form triplet requires delta = 0")
+    G, f = params.Gamma_sigma, params.gamma_phi
+    k = kappa_sigma(params)
+    P = params.P_sigma
+    half = (G + f) / 2.0
+    w2 = np.asarray(omega, dtype=float) ** 2
+    central = (1.0 / (2.0 * math.pi)) * half / (half**2 + w2)
+    denom = (G + f + k) * (
+        (G - 2.0 * P) ** 2 * k**2 + ((3.0 * G + f) ** 2 + 4.0 * (G - 2.0 * P) * k) * w2 + 4.0 * w2**2
+    )
+    numer = (
+        -4.0 * P**2 * k * (3.0 * G + f + k)
+        + 2.0 * P * G * (3.0 * G**2 + 4.0 * G * (f + 2.0 * k) + (f + k) * (f + 3.0 * k))
+        + 4.0 * P * k * w2
+        - (G + f + k) * (G**2 * (3.0 * G + f + 2.0 * k) + (G - f) * w2)
+    )
+    return central + numer / denom / math.pi, 2.0 * P / (G + f + k) - G / k
 
 
 def resolvent_spectrum(sec, omega: np.ndarray) -> np.ndarray:

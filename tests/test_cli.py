@@ -166,12 +166,12 @@ def test_config_header_runs_as_config_file(tmp_path):
         (["mollow-coherent", "--gamma-sigma", "10", "--map-delta-max", "1e308"], "--map-delta-max"),
         (["mollow-coherent", "--gamma-sigma", "10", "--map-phi-max", "1e308"], "--map-phi-max"),
         # a Python float ** raises where numpy returns inf: P_sigma^2 of the cavity
-        # line width, Gamma_sigma^2 of the resonant emitter form, and the squared
-        # half width of a coherent line
+        # line width and the squared half width of a coherent line
         (["spectrum", "--method", "semiclassical", "--channel", "cavity", "--gamma-a", "0.1",
           "--gamma-sigma", "0.00334", "--pump-sigma", "1e200", "--points", "11"], "overflows the float range"),
+        # Gamma_sigma (Gamma_sigma + gamma_phi) overflows in the pumped emitter's steady state
         (["spectrum", "--method", "semiclassical", "--channel", "emitter", "--gamma-a", "0.1",
-          "--gamma-sigma", "0.00334", "--pump-sigma", "1e200", "--points", "11"], "overflows the float range"),
+          "--gamma-sigma", "0.00334", "--pump-sigma", "1e200", "--points", "11"], "has no finite steady state"),
         (["mollow-coherent", "--gamma-phi", "1e300", "--map-points", "2"], "overflows the float range"),
         # omega_L^2 overflows in the steady state, which would read inf / inf
         (["mollow-coherent", "--omega-laser", "1e200"], "omega_L = 1e+200"),
@@ -504,9 +504,8 @@ _LINE_TABLES = [
     *[("exact", channel, P, []) for P in ("3", "5", "7") for channel in ("cavity", "emitter")],
     *[("approx", channel, "7", []) for channel in ("cavity", "emitter")],
     ("semiclassical", "cavity", "7", []),
-    # the resonant semiclassical emitter is a closed-form grid with a delta
-    # and no line table, so it has nothing to close; off resonance it is the
-    # single rung's table
+    # the semiclassical emitter is one table at every detuning
+    ("semiclassical", "emitter", "7", []),
     ("semiclassical", "emitter", "7", ["--delta", "0.5"]),
     # the coherently driven emitter, through the same writer
     ("coherent", "emitter", None, ["--gamma-sigma", "1.0", "--omega-laser", "1.5", "--map-points", "2"]),
@@ -542,14 +541,17 @@ def test_spectrum_sidecar_closes_to_one(tmp_path, method, channel, pump, extra):
         assert isinstance(doc["validity"][key], float) and math.isfinite(doc["validity"][key]), key
 
 
-def test_spectrum_semiclassical_refuses_cavity_pump(tmp_path):
-    # off resonance the single-rung slices assume P_a = 0
-    code = run(
-        ["spectrum", "--method", "semiclassical", "--delta", "0.5", "--pump-a", "0.01",
-         "--gamma-sigma", "0.2", "--pump-sigma", "3", "--points", "11",
-         "--out", str(tmp_path / "sc.csv")]
-    )
-    assert code == 2
+def test_spectrum_semiclassical_refuses_cavity_pump(tmp_path, capsys):
+    # neither the mean field n_a nor the cavity line width carries P_a, at
+    # any detuning and on either channel
+    rates = ["--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "7"]
+    for argv in (["--delta", "0.5", "--gamma-sigma", "0.2", "--pump-sigma", "3"],
+                 ["--channel", "emitter", *rates], ["--channel", "cavity", *rates]):
+        code = run(["spectrum", "--method", "semiclassical", "--pump-a", "0.01", *argv, "--points", "11",
+                    "--out", str(tmp_path / "sc.csv")])
+        assert code == 2, argv
+        assert "P_a = 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_semiclassical_refuses_zero_emitter_broadening(tmp_path):
@@ -568,7 +570,7 @@ def test_spectrum_semiclassical_refuses_zero_emitter_broadening(tmp_path):
 )
 def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, capsys, channel):
     # the cavity line width 2 g^2 gamma_a / P_sigma^2 has no value at P_sigma = 0,
-    # and the emitter forms, resonant or on the rung n_a = 0, go negative there
+    # and the unpumped emitter under no mean field is empty
     out = tmp_path / "sc.csv"
     code = run(
         ["spectrum", "--method", "semiclassical", "--channel", *channel, "--gamma-sigma", "0.00334",
@@ -583,21 +585,29 @@ def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, cap
 @pytest.mark.parametrize("extra", [["--pump-sigma", "1e-9"], ["--pump-sigma", "0.01", "--delta", "0.5"]],
                          ids=["resonant", "detuned"])
 def test_spectrum_semiclassical_refuses_a_negative_emitter_spectrum(tmp_path, monkeypatch, capsys, extra):
-    # below the lasing window the closed forms, the resonant triplet and the
-    # single rung, go negative at a small pump: no value is written
+    # outside the lasing window, at a small pump, the pumped emitter under
+    # the mean field is still a spectrum that is never negative, so the
+    # refusal does not fire: below threshold (P 1e-9) one line of FWHM
+    # Gamma_sigma + gamma_phi at -delta with no delta weight, and just above
+    # it (P 0.01 at delta 0.5) the weak triplet
     monkeypatch.chdir(tmp_path)
     code = run(["spectrum", "--method", "semiclassical", "--channel", "emitter", "--gamma-a", "0.1",
                 "--gamma-sigma", "0.00334", "--points", "11", *extra])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "spectrum goes negative" in err and "lasing_window_ok: False" in err
-    assert list(tmp_path.iterdir()) == []
+    assert code == 0 and capsys.readouterr().err == ""
+    assert all(float(row["S"]) >= 0.0 for row in _table(tmp_path / "spectrum.csv"))
+    doc = json.loads((tmp_path / "spectrum.lines.json").read_text())
+    if "--delta" in extra:
+        assert doc["validity"]["n_a"] > 0.0 and len(doc["lines"]) == 3 and doc["elastic_weight"] > 0.0
+    else:
+        assert doc["validity"]["n_a"] == 0.0 and doc["elastic_weight"] == 0.0
+        assert [(ln["omega"], ln["L"], ln["K"]) for ln in doc["lines"]] == [(0.0, 1.0, 0.0)]
+        assert doc["lines"][0]["gamma"] == pytest.approx(0.00334 + 1e-9, rel=1e-12)
 
 
 @pytest.mark.parametrize("channel", ["cavity", "emitter"])
 def test_spectrum_semiclassical_refuses_a_lossless_cavity(tmp_path, monkeypatch, capsys, channel):
     # at gamma_a = 0 the cavity line has no width, so S(0) would be nan, and
-    # kappa_sigma is infinite, so the resonant emitter form would be nan everywhere
+    # kappa_sigma is infinite, so the mean field n_a has no value
     monkeypatch.chdir(tmp_path)
     code = run(["spectrum", "--method", "semiclassical", "--channel", channel, "--gamma-a", "0",
                 "--gamma-sigma", "0.00334", "--pump-sigma", "3", "--points", "11"])
@@ -607,12 +617,12 @@ def test_spectrum_semiclassical_refuses_a_lossless_cavity(tmp_path, monkeypatch,
 
 
 def test_spectrum_semiclassical_refuses_a_non_finite_emitter_spectrum(tmp_path, monkeypatch, capsys):
-    # at P 1e100 the resonant form is inf / inf, so nan
+    # at P 1e200 the pumped emitter's steady state is inf / inf, so nan
     monkeypatch.chdir(tmp_path)
     code = run(["spectrum", "--method", "semiclassical", "--gamma-a", "0.1",
-                "--gamma-sigma", "0.00334", "--pump-sigma", "1e100", "--points", "11"])
+                "--gamma-sigma", "0.00334", "--pump-sigma", "1e200", "--points", "11"])
     assert code == 2
-    assert "spectrum is not finite" in capsys.readouterr().err
+    assert "P_sigma = 1e+200) has no finite steady state" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

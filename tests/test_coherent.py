@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import coherent_reference as coherent
@@ -264,6 +264,31 @@ def test_array_route_matches_the_per_drive_oracle(drives):
         v, ok = coherent.asymmetry_visibility(d)
         assert defined[k] == ok
         assert abs(V[k] - v) <= 1e-10
+
+
+@given(drive=st.tuples(st.floats(0.01, 3.0), _detuning, st.floats(0.01, 2.0), _rate, _rate))
+@example(drive=(2.0, 0.0, 0.00334, 0.0, 7.0))  # the resonant mean-field laser at gamma_a 0.1, P 7
+@example(drive=(0.0, 0.5, 0.00334, 0.0, 3.0))  # undriven: the emitter below threshold
+@settings(max_examples=60, deadline=None)
+def test_pumped_block_matches_the_lindblad_oracle(drive):
+    # the pumped block (pump P as a fifth rate) against the 4x4 Liouvillian
+    # of the driven, pumped, dephased and detuned emitter: n_sigma, the
+    # elastic weight and the spectrum on a grid without omega = 0
+    from jclaser.coherent import _correlator_decomposition
+    from jclaser.lineshape import decomposition_spectrum
+
+    om, dl, gs, gp, P = drive
+    dec = _correlator_decomposition(om, dl, gs, gp, P)
+    # near an exceptional point the line weights cancel and carry their
+    # rounding; test_degenerate_lines_merged_at_exceptional_point holds that point
+    gaps = np.abs(dec.lams[0][:, None] - dec.lams[0][None, :])[np.triu_indices(3, 1)]
+    assume(om == 0.0 or np.min(gaps) >= 1e-3 * np.max(np.abs(dec.lams[0])))
+    w = np.linspace(-12.0, 12.0, 400)
+    n_sigma, elastic, S = coherent.lindblad_emitter(om, dl, gs, gp, P, w)
+    res = decomposition_spectrum(dec, "emitter", w, "coherent")
+    assert abs(res.meta["n_c"] - n_sigma) <= 1e-10 * n_sigma
+    assert abs(res.elastic_weight - elastic) <= 1e-10
+    assert np.max(np.abs(res.values - S)) <= 1e-10 * np.max(S)
 
 
 def test_one_drive_is_the_one_element_map():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jclaser.errors import NonDiagonalizableError
-from jclaser.lineshape import decompose, evaluate_lines, lines_from_eigenpairs, merge_degenerate
+from jclaser.lineshape import SpectralLine, decompose, evaluate_lines, integrate_lines, lines_from_eigenpairs, merge_degenerate
 
 
 def _lines(dec, i=...):
@@ -150,3 +150,17 @@ def test_eig_residual_in_row_blocks_is_the_full_residual(shape, kind):
     full = np.max(np.abs(G.astype(complex) @ V - V * lams[..., None, :]), axis=(-2, -1))
     assert lineshape._eig_residual(G, V, lams) == pytest.approx(full, rel=1e-13)
 
+
+
+def test_line_integral_counts_sharp_lines_inside_the_window_only():
+    # a zero-width line counts its L inside [lo, hi] (edges included) and
+    # nothing outside; a broad one is the closed form of its Lorentzian and
+    # dispersive parts, here against a fine trapezoid of the line sum
+    sharp = [SpectralLine(omega=0.5, gamma=0.0, L=0.25), SpectralLine(omega=3.0, gamma=0.0, L=0.5)]
+    assert integrate_lines(sharp, -1.0, 1.0) == 0.25
+    assert integrate_lines(sharp, 0.5, 3.0) == 0.75
+    assert integrate_lines([], -1.0, 1.0) == 0.0
+    broad = [SpectralLine(omega=0.3, gamma=0.8, L=0.6, K=0.2), SpectralLine(omega=-1.1, gamma=0.4, L=0.4, K=-0.1)]
+    w = np.linspace(-2.0, 1.5, 400_001)
+    numeric = np.trapezoid(evaluate_lines(broad, w), w)
+    assert integrate_lines(broad + sharp, -2.0, 1.5) == pytest.approx(numeric + 0.25, abs=1e-9)
