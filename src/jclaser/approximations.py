@@ -46,7 +46,10 @@ def _linear_variant(params: SystemParams, variant: str) -> tuple[float, float]:
 
 def linear_models(params: SystemParams) -> dict[str, Populations]:
     """Both linear closed forms, bosonic and truncated_jc, at the given pump;
-    a vanishing denominator gives n_a = n_sigma = inf."""
+    a vanishing denominator gives n_a = n_sigma = inf.  A cavity pump, which
+    neither form carries, raises ``ValueError``."""
+    if params.P_a != 0.0:
+        raise ValueError(f"linear models assume P_a = 0, got P_a = {params.P_a}")
     return {v: Populations(*_linear_variant(params, v)) for v in ("bosonic", "truncated_jc")}
 
 
@@ -99,9 +102,12 @@ def _pump_scales(params: SystemParams) -> tuple[float, float]:
 def semiclassical(params: SystemParams) -> Populations:
     """Lasing-regime populations n_a = F_a (1 - 2 gamma_sigma / Gamma_sigma - F_sigma)
     and n_sigma = (1 + F_sigma) / 2, with the feeding efficiencies
-    F_a = Gamma_sigma / (2 gamma_a) and F_sigma = (Gamma_sigma + gamma_phi) / kappa_sigma."""
+    F_a = Gamma_sigma / (2 gamma_a) and F_sigma = (Gamma_sigma + gamma_phi) / kappa_sigma.
+    Needs gamma_a > 0, Gamma_sigma > 0 and P_a = 0, or raises ``ValueError``."""
     if params.gamma_a <= 0.0 or params.Gamma_sigma <= 0.0:
         raise ValueError("semiclassical solution needs gamma_a > 0 and Gamma_sigma > 0")
+    if params.P_a != 0.0:
+        raise ValueError(f"semiclassical solution assumes P_a = 0, got P_a = {params.P_a}")
     gs_tot = params.Gamma_sigma
     F_sigma = (gs_tot + params.gamma_phi) / kappa_sigma(params)
     n_a = gs_tot / (2.0 * params.gamma_a) * (1.0 - 2.0 * params.gamma_sigma / gs_tot - F_sigma)
@@ -113,10 +119,11 @@ def semiclassical(params: SystemParams) -> Populations:
 def thermal_na(params: SystemParams) -> Populations:
     """Cavity population assuming a thermal field: the g2 = 2 root of
     ``statistics_root``, with n_sigma from the rate balance; at
-    gamma_a = P_a = 0 the exact (nbar_a, nbar_sigma) of the lossless cavity."""
+    gamma_a = P_a = 0 the exact (nbar_a, nbar_sigma) of the lossless cavity.
+    A cavity pump, which neither form carries, raises ``ValueError``."""
+    if params.P_a != 0.0:
+        raise ValueError(f"thermal solution expects P_a = 0, got P_a = {params.P_a}")
     if params.gamma_a == 0.0:
-        if params.P_a != 0.0:
-            raise ValueError("thermal limit form expects P_a = 0")
         P, gs = params.P_sigma, params.gamma_sigma
         nbar_a = P / (gs - P) if gs > P else math.inf
         nbar_s = P / (gs + P) if gs + P > 0.0 else 0.0

@@ -208,7 +208,6 @@ def _failure(result) -> str:
 def _steady_row(params: SystemParams, ss, ct) -> list:
     P = params.P_sigma
     label = ap.classify_regime(params)
-    lin = ap.linear_models(params)
     nan = float("nan")
     row = [P]
     err = _failure(ss)
@@ -218,17 +217,20 @@ def _steady_row(params: SystemParams, ss, ct) -> list:
         g2 = ss.g2
         row += [ss.n_a, ss.n_sigma, g2, ss.n_a * (g2 - 1.0)]
     row += [label]
-    # nan where a closed form leaves the physical range (up to roundoff); the
-    # rate balance bounds n_a by (P_a + P_sigma) / (gamma_a - P_a)
-    gain = params.gamma_a - params.P_a
-    n_top = (params.P_a + P) / gain if gain > 0.0 else math.inf
+    # nan where a closed form refuses the rates, as every one refuses a cavity
+    # pump, or leaves the physical range (up to roundoff); the rate balance
+    # bounds n_a by P_sigma / gamma_a
+    n_top = P / params.gamma_a if params.gamma_a > 0.0 else math.inf
 
     def cells(n_a: float, n_sigma: float, values: list) -> list:
         ok = -1e-12 <= n_a <= n_top * (1.0 + 1e-12) + 1e-12 and -1e-12 <= n_sigma <= 1.0 + 1e-12
         return values if ok else [nan] * len(values)
 
-    for model in (lin["bosonic"], lin["truncated_jc"]):
-        row += cells(model.n_a, model.n_sigma, [model.n_a, model.n_sigma])
+    try:
+        for model in ap.linear_models(params).values():  # bosonic, then truncated_jc
+            row += cells(model.n_a, model.n_sigma, [model.n_a, model.n_sigma])
+    except ValueError:
+        row += [nan] * 4
     try:
         sc = ap.semiclassical(params)
         row += cells(sc.n_a, sc.n_sigma, [sc.n_a, sc.n_sigma])

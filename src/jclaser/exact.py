@@ -39,13 +39,12 @@ keeps eight in an LRU cache, with every array read-only, and
 ``sector_generator`` fills the values from the rates in the arithmetic order
 of a fresh build, so a block from the cache is bit for bit a fresh one.  A
 pump sweep changes one rate, so all its solves at one cutoff share an index.
-``steady_state_sweep`` solves the steady states of a pump axis in batches
-per cutoff round, eight pumps at the first cutoff and fewer as the blocks
-grow: the pumps of a batch fill their values in one broadcast over the
-index, share one scatter into band storage and one product per refinement
-step, and are factored one by one.  Retries, the trace and the cutoff test
-stay per pump, so each state is bit for bit the one its pump gets alone;
-``steady_state`` is the one-pump batch.
+``steady_state_sweep`` is the one scheduler of k = 0 solves: a pump's next
+solve is (cutoff, pinned rung, stage), stage 0 the first solve at a cutoff,
+1 one retry at the top rung after a singular solve, 2 one re-pin at the peak
+of a solution past 1e8.  It batches a round's solves per cutoff, with one
+value fill, band scatter and refinement product per batch; stages, trace and
+cutoff test stay per pump, so a state is bit for bit its pump's alone.
 """
 
 from __future__ import annotations
@@ -425,48 +424,6 @@ def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray
     return xs, errors
 
 
-def _fixed_cutoff_states(ps: list[SystemParams], n_max: int, pins: list[int]) -> list:
-    """Steady states at cutoff ``n_max`` of rates that differ in P_sigma
-    alone and share which of them are zero, each first pinned at its rung of
-    ``pins``: a ``SteadyState`` or a ``JclaserError`` per entry of ``ps``.
-
-    A zero pivot at the pin is retried once pinned at the top rung, and a
-    solution that grows above 1e8 is solved again pinned at its peak.
-    """
-    on = tuple(bool(rate) for rate in _jump_rates(ps[0]))
-    ix = _sector_index(n_max, 0, on)
-    # a column of pumps fills one row of values per pump; without the pump
-    # one row of values stands for all
-    pumps = np.array([[p.P_sigma] for p in ps])
-    rates = [rate for rate, rate_on in zip(_jump_rates(ps[0], pumps), on) if rate_on]
-    data = _sector_values(ix, rates, ps[0].delta, ps[0].g)
-    if data.ndim == 1:
-        data = np.broadcast_to(data, (len(ps), len(ix.row)))
-    x, errors = _pinned_solves(ix, data, pins)
-
-    def again(blocks: list[int], at: list[int]) -> None:
-        if blocks:
-            x[blocks], redone = _pinned_solves(ix, data[blocks], at)
-            for i, err in zip(blocks, redone):
-                errors[i] = err
-
-    retry = [i for i, err in enumerate(errors) if isinstance(err, NoSteadyStateError)]
-    again(retry, [n_max] * len(retry))
-    far, peaks = [], []
-    T0, T1 = ix.pos[0::2, 0], ix.pos[1::2, 1]  # where |n,0> and |n,1> sit in the sector
-    for i, err in enumerate(errors):
-        if err is None:
-            T = np.abs(x[i][T0] + x[i][T1])
-            if T.max() > 1e8:  # the pin sat far below the peak: pin the peak itself
-                far.append(i)
-                peaks.append(int(np.argmax(T)))
-    again(far, peaks)
-    good = [i for i, err in enumerate(errors) if err is None]
-    for i, ss in zip(good, _steady_states_of([ps[i] for i in good], ix, x[good])):
-        errors[i] = ss
-    return errors
-
-
 def _steady_states_of(ps: list[SystemParams], ix: _SectorIndex, x: np.ndarray) -> list[SteadyState]:
     """The ``SteadyState`` of each row of k = 0 sector vectors x, divided by its trace."""
     r, s, pos, diag, coh = ix.r, ix.s, ix.pos, ix.population, ix.coherence
@@ -545,13 +502,16 @@ def steady_state_sweep(
     rates of ``params``: per pump the ``SteadyState`` of ``steady_state``, or
     the ``JclaserError`` it would raise.
 
-    Each cutoff round solves the pumps that share the cutoff and the pattern
-    of nonzero rates in batches of up to 1040 block rows (eight pumps at the
-    first cutoff of 32): a batch fills its blocks in one broadcast over the
-    cached sector index, shares the scatter into band storage and one product
-    per refinement step, and factors its pumps one by one.  Every retry, the
-    trace and the tail test are per pump, so a state does not depend on the
-    pumps solved with it.
+    The one scheduler of k = 0 solves: each pump waits as (cutoff, pinned
+    rung, stage).  Stage 0 is the first solve at a cutoff, pinned at the
+    vacuum or the previous peak; stage 1 one retry pinned at the top rung
+    after a singular solve; stage 2 one re-pin at the peak of a solution
+    past 1e8.  A re-solve joins the next round at the same cutoff, a refused
+    tail at twice it.  A round's solves go in batches of up to 1040 block
+    rows per cutoff and rate pattern (eight pumps at the first cutoff of
+    32), each filled in one broadcast over the cached index and factored
+    pump by pump.  Stages, trace and tail test are per pump, so a state
+    does not depend on the pumps solved with it.
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -561,15 +521,15 @@ def steady_state_sweep(
         raise ValueError(f"rtol must be > 0, got {rtol}")
     ps = [replace(params, P_sigma=float(P)) for P in pumps]
     out: list = [None] * len(ps)
-    todo = {}  # pump -> (cutoff, pinned rung) of its next round
+    todo = {}  # pump -> (cutoff, pinned rung, stage) of its next solve
     for i, p in enumerate(ps):
         if why := _no_steady_state(p):
             out[i] = NoSteadyStateError(why)
         else:
-            todo[i] = (min(_N_START, n_max_cap) if n_max is None else n_max, 0)
+            todo[i] = (min(_N_START, n_max_cap) if n_max is None else n_max, 0, 0)
     while todo:
         rounds: dict = {}
-        for i, (n, _) in todo.items():
+        for i, (n, _, _) in todo.items():
             rounds.setdefault((n, ps[i].P_sigma != 0.0), []).append(i)
         batches = []
         for (n, _), idx in rounds.items():
@@ -577,18 +537,37 @@ def steady_state_sweep(
             batches += [(n, idx[start : start + step]) for start in range(0, len(idx), step)]
         current, todo = todo, {}
         for n, batch in batches:
-            states = _fixed_cutoff_states([ps[i] for i in batch], n, [current[i][1] for i in batch])
-            for i, ss in zip(batch, states):
-                if n_max is not None or isinstance(ss, JclaserError):
-                    out[i] = ss
-                    continue
+            on = tuple(bool(rate) for rate in _jump_rates(ps[batch[0]]))
+            ix = _sector_index(n, 0, on)
+            # one row of values per pump, or with the pump off one for all; broadcasting every batch costs ~2%
+            pump = np.array([[ps[i].P_sigma] for i in batch])
+            rates = [rate for rate, rate_on in zip(_jump_rates(params, pump), on) if rate_on]
+            data = _sector_values(ix, rates, params.delta, params.g)
+            if data.ndim == 1:
+                data = np.broadcast_to(data, (len(batch), len(ix.row)))
+            x, errors = _pinned_solves(ix, data, [current[i][1] for i in batch])
+            T0, T1 = ix.pos[0::2, 0], ix.pos[1::2, 1]  # where |n,0> and |n,1> sit in the sector
+            done = []  # (pump, batch row) of each final solve
+            for row, (i, err) in enumerate(zip(batch, errors)):
+                stage = current[i][2]
+                if isinstance(err, NoSteadyStateError) and stage == 0:
+                    todo[i] = (n, n, 1)  # singular at its pin: pin the top rung, once
+                elif err is not None:
+                    out[i] = err
+                elif stage < 2 and (T := np.abs(x[row][T0] + x[row][T1])).max() > 1e8:
+                    todo[i] = (n, int(np.argmax(T)), 2)  # pinned far below the peak: pin the peak, once
+                else:
+                    done.append((i, row))
+            states = _steady_states_of([ps[i] for i, _ in done], ix, x[[row for _, row in done]])
+            del x  # before the next batch factors, as a sweep's peak memory is one batch
+            for (i, _), ss in zip(done, states):
                 T = ss.photon_distribution
-                if _tail_converged(T, rtol, _TAIL):
+                if n_max is not None or _tail_converged(T, rtol, _TAIL):
                     out[i] = ss
                 elif n >= n_max_cap:
                     out[i] = TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")
                 else:
-                    todo[i] = (min(2 * n, n_max_cap), int(np.argmax(T)))
+                    todo[i] = (min(2 * n, n_max_cap), int(np.argmax(T)), 0)
     return out
 
 
@@ -601,12 +580,13 @@ def steady_state(
     """Steady state by banded LU; auto mode grows the cutoff until the
     solution's own tail shows it is wide enough.
 
-    A fixed ``n_max`` is solved once with the vacuum population pinned.
-    Auto mode starts at 32 photons and accepts a solve when its top Fock
-    state holds under 1e-12 and the geometric continuation of its tail
-    adds less than ``rtol`` to n and n(n-1).  Otherwise the cutoff doubles,
-    up to and including ``n_max_cap``, pinned at the previous peak.  This is
-    the one-pump case of ``steady_state_sweep``.
+    A fixed ``n_max`` is solved with the vacuum population pinned.  Auto
+    mode starts at 32 photons and accepts a solve when its top Fock state
+    holds under 1e-12 and the geometric continuation of its tail adds less
+    than ``rtol`` to n and n(n-1).  Otherwise the cutoff doubles, up to and
+    including ``n_max_cap``, pinned at the previous peak.  At each cutoff a
+    singular solve is retried once at the top rung, and a solution past 1e8
+    once at its peak: the one-pump case of ``steady_state_sweep``.
     """
     (ss,) = steady_state_sweep(params, [params.P_sigma], n_max, n_max_cap, rtol)
     if isinstance(ss, JclaserError):

@@ -489,6 +489,15 @@ def test_lossless_cavity_forms():
         ap.thermal_na(replace(p, P_a=0.1))
 
 
+def test_closed_forms_refuse_a_cavity_pump():
+    # no closed form carries P_a, so each refuses it rather than answer as
+    # if P_a were 0
+    p = SystemParams(gamma_a=0.1, P_sigma=0.5, P_a=0.05, **BASE)
+    for form in (ap.linear_models, ap.semiclassical, ap.thermal_na):
+        with pytest.raises(ValueError, match="P_a = 0"):
+            form(p)
+
+
 def test_poissonian_statistics_of_the_vacuum():
     T = poissonian_statistics(0.0)
     assert len(T) == 38 and T[0] == 1.0 and not np.any(T[1:])

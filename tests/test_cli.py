@@ -584,7 +584,7 @@ def test_spectrum_semiclassical_refuses_a_cavity_line_without_pump(tmp_path, cap
 
 @pytest.mark.parametrize("extra", [["--pump-sigma", "1e-9"], ["--pump-sigma", "0.01", "--delta", "0.5"]],
                          ids=["resonant", "detuned"])
-def test_spectrum_semiclassical_refuses_a_negative_emitter_spectrum(tmp_path, monkeypatch, capsys, extra):
+def test_spectrum_semiclassical_emitter_is_nonnegative_at_a_small_pump(tmp_path, monkeypatch, capsys, extra):
     # outside the lasing window, at a small pump, the pumped emitter under
     # the mean field is still a spectrum that is never negative, so the
     # refusal does not fire: below threshold (P 1e-9) one line of FWHM
@@ -1014,6 +1014,26 @@ def test_steady_vacuum_blanks_unphysical_approximations(tmp_path):
                 "n_sigma_truncated_jc", "n_a_semiclassical", "n_sigma_semiclassical",
                 "n_a_thermal", "n_a_cothermal", "n_coh_cothermal"):
         assert float(row[col]) == 0.0, col
+
+
+def test_steady_closed_forms_read_nan_under_a_cavity_pump(tmp_path):
+    # a cavity pump moves the exact n_a from 2.50 to 5.95; no closed form
+    # carries it, so every closed-form cell reads nan, and the regime label,
+    # which reads no P_a, stays
+    rows = {}
+    for pump_a in ("0", "0.05"):
+        out = tmp_path / f"steady_{pump_a}.csv"
+        assert run(["steady", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "0.5",
+                    "--pump-a", pump_a, "--out", str(out)]) == 0
+        (rows[pump_a],) = _table(out)
+    closed = [c for c in rows["0"] if c.endswith(("bosonic", "truncated_jc", "semiclassical", "thermal"))]
+    assert len(closed) == 10
+    for col in ("n_a_truncated_jc", "n_a_semiclassical", "n_a_thermal", "n_a_cothermal"):
+        assert math.isfinite(float(rows["0"][col])), col
+    for col in closed:
+        assert math.isnan(float(rows["0.05"][col])), col
+    assert float(rows["0.05"]["n_a_exact"]) == pytest.approx(5.9529, rel=1e-4)
+    assert rows["0.05"]["regime"] == rows["0"]["regime"] and rows["0.05"]["error"] == ""
 
 
 def test_spectrum_sidecar_reports_the_grid_integral(tmp_path):

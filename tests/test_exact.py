@@ -262,16 +262,21 @@ def test_vacuum_cutoff_bounded():
     assert ss.n_a == 0.0 and ss.space.n_max < 64
 
 
-def _tried_cutoffs(monkeypatch) -> list:
-    """Cutoffs of the fixed solves that steady_state makes, in order."""
+def _tried_cutoffs(monkeypatch, solves: list | None = None) -> list:
+    """Cutoffs of the pinned solves that steady_state makes, one per block
+    factored, in order; ``solves`` gets (cutoff, block values, pin, error) of each."""
     tried = []
-    fixed = exact._fixed_cutoff_states
+    pinned = exact._pinned_solves
 
-    def spy(ps, n_max, *args):
-        tried.extend([n_max] * len(ps))
-        return fixed(ps, n_max, *args)
+    def spy(ix, data, pins):
+        n_max = len(ix.pos) // 2 - 1
+        tried.extend([n_max] * len(data))
+        x, errors = pinned(ix, data, pins)
+        if solves is not None:
+            solves.extend((n_max, row.tobytes(), int(pin), err) for row, pin, err in zip(data, pins, errors))
+        return x, errors
 
-    monkeypatch.setattr(exact, "_fixed_cutoff_states", spy)
+    monkeypatch.setattr(exact, "_pinned_solves", spy)
     return tried
 
 
@@ -288,15 +293,37 @@ def test_auto_cutoff_starts_at_most_at_cap(monkeypatch):
 
 
 def test_good_cavity_accepts_without_a_confirming_solve(monkeypatch):
-    # one solve per cutoff, none at twice the accepted one
+    # one first solve per cutoff, none at twice the accepted one; below 512
+    # the pin at the previous peak still grows past 1e8 and is re-pinned at the peak
     tried = _tried_cutoffs(monkeypatch)
     p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
     ss = exact.steady_state(p)
-    assert tried == [32, 64, 128, 256, 512] and ss.space.n_max == 512
+    assert tried == [32, 32, 64, 64, 128, 128, 256, 256, 512] and ss.space.n_max == 512
     assert ss.n_a == pytest.approx(343.7109077806, rel=1e-10)
     tried.clear()
     exact.steady_state(SystemParams(P_sigma=0.05, **BASE))
     assert tried == [32]
+
+
+def test_each_pump_gets_one_retry_and_one_re_pin_per_cutoff(monkeypatch):
+    # per pump and cutoff: the first solve, at most one retry at the top
+    # rung after a singular solve, and at most one re-pin at the peak
+    solves = []
+    _tried_cutoffs(monkeypatch, solves)
+    pumped = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_a=0.0095)
+    exact.steady_state_sweep(pumped, [1.0, 2.0], n_max=32)  # a zero pivot at the vacuum pin
+    exact.steady_state_sweep(SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334), [0.05, 3.0, 7.0])
+    per_pump: dict = {}  # (cutoff, block values) -> its solves, in order
+    for n_max, block, pin, err in solves:
+        per_pump.setdefault((n_max, block), []).append((pin, err))
+    seen = set()
+    for (n_max, _), seq in per_pump.items():
+        retried = isinstance(seq[0][1], NoSteadyStateError)
+        assert len(seq) <= 2 + retried
+        if retried:
+            assert seq[1][0] == n_max
+        seen.add((retried, len(seq)))
+    assert {(True, 2), (False, 1), (False, 2)} <= seen  # each stage ran
 
 
 def test_tail_estimate_is_exact_on_a_geometric_tail():
