@@ -71,8 +71,12 @@ def statistics_root(params: SystemParams, g2: float | np.ndarray) -> float | np.
 def _first_moment_root(A1, b, c, g2):
     """``statistics_root`` from its coefficients (A1, B1, C1), which may be arrays."""
     a = A1 * np.asarray(g2)
-    disc = np.sqrt(b * b + 4.0 * a * c)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        disc = np.sqrt(b * b + 4.0 * a * c)
+        if np.isinf(disc).any():
+            # b * b overflows from |b| ~ 1.3e154 on (gamma_phi ~ 1e155 /
+            # gamma_a); hypot does not, and there it is |b| to the last bit
+            disc = np.where(np.isinf(disc), np.hypot(b, 2.0 * np.sqrt(a * c)), disc)
         return np.where(b <= 0.0, (-b + disc) / (2.0 * a), 2.0 * c / (b + disc))
 
 

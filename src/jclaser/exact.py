@@ -13,7 +13,8 @@ full Liouvillian):
   4 super-diagonals), so a LAPACK banded LU solves it in O(n_max) with one
   photon-number population pinned; the result is divided by its trace.  This
   is the exact route behind every command.  The automatic cutoff is judged
-  from the solution's own tail, with no closed-form estimate.  The LU is
+  from the solution's own tail; the semiclassical photon number only
+  places a pump's first solve.  The LU is
   LAPACK's ``zgbtrf``/``zgbtrs`` from scipy's compiled ``_flapack``
   extension, the module ``scipy.linalg.lapack`` re-exports, loaded by
   ``_banded_lu`` without the ``scipy.linalg`` package.
@@ -42,7 +43,10 @@ pump sweep changes one rate, so all its solves at one cutoff share an index.
 ``steady_state_sweep`` is the one scheduler of k = 0 solves: a pump's next
 solve is (cutoff, pinned rung, stage), stage 0 the first solve at a cutoff,
 1 one retry at the top rung after a singular solve, 2 one re-pin at the peak
-of a solution past 1e8.  It batches a round's solves per cutoff, with one
+of a solution past 1e8.  In auto mode a pump starts at the rung of the
+doubling ladder and the pin that its semiclassical photon number gives
+(``_first_window``), so a lasing pump is mostly solved once.  It batches a
+round's solves per cutoff, with one
 value fill, band scatter and refinement product per batch; stages, trace and
 cutoff test stay per pump, so a state is bit for bit its pump's alone.
 """
@@ -59,6 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
+from . import approximations
 from .errors import (
     JclaserError,
     LineFitError,
@@ -477,13 +482,41 @@ def _tail_converged(T: np.ndarray, rtol: float, tail: float) -> bool:
     return t * (N * s0 + s1) <= rtol * m1 and t * (N * (N - 1) * s0 + (2 * N - 1) * s1 + s2) <= rtol * m2
 
 
-# First photon cutoff of auto mode; each refused round doubles it.  The cap
+# Lowest photon cutoff of auto mode; each refused round doubles it.  The cap
 # of the doubling and the tolerance of the tail test are the defaults of
 # every steady state and of the command-line flags --auto-nmax-cap and --tol.
 _N_START = 32
 N_MAX_CAP = 2048
 CUTOFF_RTOL = 1e-7
 _TAIL = 1e-12  # largest top-Fock-state population auto mode accepts
+
+
+def _first_window(params: SystemParams, n_max_cap: int) -> tuple[int, int]:
+    """(cutoff, pinned rung) of a pump's first auto-mode solve, placed by
+    the semiclassical photon number n.
+
+    The cutoff is the lowest rung of the doubling ladder 32, 64, ... (capped
+    at ``n_max_cap``) at or above n + sqrt(2 ln(1/_TAIL) n), where the
+    Gaussian form exp(-(N - n)^2 / 2n) of a Poissonian of mean n falls to
+    the tail test's ``_TAIL``; the pin is the rung nearest n.  Where the
+    closed form refuses the rates (P_a, gamma_a = 0 or Gamma_sigma = 0) or
+    overflows, or gives no photons, the pump starts at 32 pinned at the
+    vacuum.  The estimate only places the first solve: the solution's own
+    tail decides the cutoff it is accepted at (``steady_state_sweep``).
+    """
+    cutoff = min(_N_START, n_max_cap)
+    try:
+        n = approximations.semiclassical(params).n_a
+    except (ValueError, ArithmeticError):
+        return cutoff, 0
+    if not 0.0 < n < math.inf:
+        return cutoff, 0
+    reach = n + math.sqrt(2.0 * math.log(1.0 / _TAIL) * n)
+    while cutoff < min(reach, n_max_cap):
+        cutoff = min(2 * cutoff, n_max_cap)
+    return cutoff, min(round(n), cutoff)
+
+
 # Block rows that one batch of a cutoff round solves together, eight blocks
 # at the first cutoff.  A batch holds ~750 bytes of work arrays per row,
 # ~0.8 MB; from n_max 256 on each pump goes alone, where a fixed count of
@@ -503,11 +536,16 @@ def steady_state_sweep(
     the ``JclaserError`` it would raise.
 
     The one scheduler of k = 0 solves: each pump waits as (cutoff, pinned
-    rung, stage).  Stage 0 is the first solve at a cutoff, pinned at the
-    vacuum or the previous peak; stage 1 one retry pinned at the top rung
-    after a singular solve; stage 2 one re-pin at the peak of a solution
-    past 1e8.  A re-solve joins the next round at the same cutoff, a refused
-    tail at twice it.  A round's solves go in batches of up to 1040 block
+    rung, stage).  Stage 0 is the first solve at a cutoff, pinned where
+    ``_first_window`` places it (auto mode), at the vacuum (a fixed
+    ``n_max``) or at the previous peak; stage 1 one retry pinned at the top
+    rung after a singular solve; stage 2 one re-pin at the peak of a
+    solution past 1e8.  A re-solve joins the next round at the same cutoff,
+    a refused tail at twice it.  A pump that the estimate placed and no tail
+    has refused yet is accepted only where its solution, cut at the rung
+    below, would fail the tail test; otherwise it moves down to that rung,
+    so every cutoff accepted is the one the ladder from 32 photons reaches.
+    A round's solves go in batches of up to 1040 block
     rows per cutoff and rate pattern (eight pumps at the first cutoff of
     32), each filled in one broadcast over the cached index and factored
     pump by pump.  Stages, trace and tail test are per pump, so a state
@@ -522,11 +560,15 @@ def steady_state_sweep(
     ps = [replace(params, P_sigma=float(P)) for P in pumps]
     out: list = [None] * len(ps)
     todo = {}  # pump -> (cutoff, pinned rung, stage) of its next solve
+    placed = set()  # auto-mode pumps that no tail test has refused yet
     for i, p in enumerate(ps):
         if why := _no_steady_state(p):
             out[i] = NoSteadyStateError(why)
+        elif n_max is None:
+            todo[i] = (*_first_window(p, n_max_cap), 0)
+            placed.add(i)
         else:
-            todo[i] = (min(_N_START, n_max_cap) if n_max is None else n_max, 0, 0)
+            todo[i] = (n_max, 0, 0)
     while todo:
         rounds: dict = {}
         for i, (n, _, _) in todo.items():
@@ -560,13 +602,21 @@ def steady_state_sweep(
                     done.append((i, row))
             states = _steady_states_of([ps[i] for i, _ in done], ix, x[[row for _, row in done]])
             del x  # before the next batch factors, as a sweep's peak memory is one batch
+            # the rung of the ladder below n, or 0 at its first
+            lower = _N_START << (((n - 1) // _N_START).bit_length() - 1) if n > _N_START else 0
             for (i, _), ss in zip(done, states):
                 T = ss.photon_distribution
-                if n_max is not None or _tail_converged(T, rtol, _TAIL):
+                if n_max is not None:
                     out[i] = ss
+                elif _tail_converged(T, rtol, _TAIL):
+                    if i in placed and lower and _tail_converged(T[: lower + 1], rtol, _TAIL):
+                        todo[i] = (lower, int(np.argmax(T)), 0)  # placed too high: the rung below may hold it
+                    else:
+                        out[i] = ss
                 elif n >= n_max_cap:
                     out[i] = TruncationNotConvergedError(f"no convergence below photon cutoff {n_max_cap}")
                 else:
+                    placed.discard(i)
                     todo[i] = (min(2 * n, n_max_cap), int(np.argmax(T)), 0)
     return out
 
@@ -581,12 +631,17 @@ def steady_state(
     solution's own tail shows it is wide enough.
 
     A fixed ``n_max`` is solved with the vacuum population pinned.  Auto
-    mode starts at 32 photons and accepts a solve when its top Fock state
-    holds under 1e-12 and the geometric continuation of its tail adds less
-    than ``rtol`` to n and n(n-1).  Otherwise the cutoff doubles, up to and
-    including ``n_max_cap``, pinned at the previous peak.  At each cutoff a
-    singular solve is retried once at the top rung, and a solution past 1e8
-    once at its peak: the one-pump case of ``steady_state_sweep``.
+    mode accepts a solve when its top Fock state holds under 1e-12 and the
+    geometric continuation of its tail adds less than ``rtol`` to n and
+    n(n-1).  It starts on the ladder 32, 64, ... where the Gaussian form of
+    a Poissonian of the semiclassical photon number n falls to 1e-12,
+    pinned at rung n (at 32 photons and the vacuum where that closed form
+    does not apply), and doubles the cutoff, up to and including
+    ``n_max_cap``, pinned at the previous peak, until the tail test passes;
+    a first cutoff whose rung below would pass too moves the pump down.  At
+    each cutoff a singular solve is retried once at the top rung, and a
+    solution past 1e8 once at its peak: the one-pump case of
+    ``steady_state_sweep``.
     """
     (ss,) = steady_state_sweep(params, [params.P_sigma], n_max, n_max_cap, rtol)
     if isinstance(ss, JclaserError):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -221,6 +222,26 @@ def test_statistics_root_is_the_first_moment_curve():
         x, n = g2[1:], n_a[1:]
         scale = C1 + np.abs(B1 * n) + A1 * x * n**2
         assert np.all(np.abs(C1 - B1 * n - A1 * x * n**2) <= 1e-14 * scale)
+
+
+def test_first_moment_root_survives_an_overflowing_discriminant():
+    # gamma_phi 1e300 makes B1 ~ 2.5e298, whose square overflows: the thermal
+    # root is C1 / B1 ~ 4.0e-299 there, not 0, and no overflow warning leaks
+    # (the suite turns warnings into errors)
+    p = SystemParams(gamma_a=0.1, P_sigma=7.0, gamma_phi=1e300, **BASE)
+    A1, B1, C1 = recurrence_coefficients(p, 1)
+    assert B1 * B1 == math.inf
+    assert ap.thermal_na(p).n_a == pytest.approx(C1 / B1, rel=1e-15)
+    (state,) = ap.cothermal_sweep(p, [7.0])
+    assert 0.0 <= state.n_a < 1e-298
+    # in range the root is the plain quadratic formula, to the bit
+    for P in np.geomspace(1e-4, 1e3, 200):
+        q = SystemParams(gamma_a=0.1, P_sigma=float(P), **BASE)
+        A1, b, c = recurrence_coefficients(q, 1)
+        for g2 in (1.0, 2.0):
+            a = A1 * g2
+            disc = math.sqrt(b * b + 4.0 * a * c)
+            assert ap.statistics_root(q, g2) == ((-b + disc) / (2.0 * a) if b <= 0.0 else 2.0 * c / (b + disc))
 
 def test_thermal_limits():
     # weak pump: agrees with the linear model to first order

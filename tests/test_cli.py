@@ -644,6 +644,17 @@ def test_steady_vacuum_starts_at_small_cutoff(tmp_path):
     assert row["error"] == ""
 
 
+def test_steady_thermal_root_at_a_huge_dephasing(tmp_path):
+    # the square of B1 ~ 2.5e298 overflowed: an overflow warning leaked and
+    # the thermal column read 0, where its root is C1 / B1 ~ 4.0e-299
+    out = tmp_path / "phi.csv"
+    code = run(["steady", "--gamma-a", "0.1", "--gamma-sigma", "0.00334", "--pump-sigma", "7",
+                "--gamma-phi", "1e300", "--out", str(out)])
+    assert code == 0
+    (row,) = _table(out)
+    assert float(row["n_a_thermal"]) == pytest.approx(3.998092338798345e-299, rel=1e-12)
+
+
 @pytest.mark.parametrize("pumps", [("1.6", "1.84"), ("1.96", "3.0")])
 def test_good_cavity_sweep_matches_reference(tmp_path, pumps):
     # n_a ~ 60-200: a 40-digit ratio sweep is wrong here, the sector engine is not

@@ -171,9 +171,9 @@ def test_sector_index_is_shared_read_only_and_bounded():
 
 
 def test_sweep_builds_each_sector_index_once():
-    # the auto cutoffs of a good-cavity sweep climb 32 -> 512 at every high
-    # pump; the cache holds the whole doubling ladder to the default cap
-    # plus a k = 1 index, so no index is built twice
+    # the auto cutoffs of a good-cavity sweep span 32 -> 512 over its pumps;
+    # the cache holds the whole doubling ladder to the default cap plus a
+    # k = 1 index, so no index is built twice
     p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334)
 
     def sweep(top):
@@ -293,12 +293,12 @@ def test_auto_cutoff_starts_at_most_at_cap(monkeypatch):
 
 
 def test_good_cavity_accepts_without_a_confirming_solve(monkeypatch):
-    # one first solve per cutoff, none at twice the accepted one; below 512
-    # the pin at the previous peak still grows past 1e8 and is re-pinned at the peak
+    # the semiclassical n_a 343.7 places the first solve at 512, pinned at
+    # rung 344, and the tail test accepts it: no solve below, none at 1024
     tried = _tried_cutoffs(monkeypatch)
     p = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_sigma=7.0)
     ss = exact.steady_state(p)
-    assert tried == [32, 32, 64, 64, 128, 128, 256, 256, 512] and ss.space.n_max == 512
+    assert tried == [512] and ss.space.n_max == 512
     assert ss.n_a == pytest.approx(343.7109077806, rel=1e-10)
     tried.clear()
     exact.steady_state(SystemParams(P_sigma=0.05, **BASE))
@@ -310,20 +310,90 @@ def test_each_pump_gets_one_retry_and_one_re_pin_per_cutoff(monkeypatch):
     # rung after a singular solve, and at most one re-pin at the peak
     solves = []
     _tried_cutoffs(monkeypatch, solves)
-    pumped = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334, P_a=0.0095)
-    exact.steady_state_sweep(pumped, [1.0, 2.0], n_max=32)  # a zero pivot at the vacuum pin
-    exact.steady_state_sweep(SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334), [0.05, 3.0, 7.0])
-    per_pump: dict = {}  # (cutoff, block values) -> its solves, in order
-    for n_max, block, pin, err in solves:
-        per_pump.setdefault((n_max, block), []).append((pin, err))
-    seen = set()
-    for (n_max, _), seq in per_pump.items():
-        retried = isinstance(seq[0][1], NoSteadyStateError)
-        assert len(seq) <= 2 + retried
-        if retried:
-            assert seq[1][0] == n_max
-        seen.add((retried, len(seq)))
-    assert {(True, 2), (False, 1), (False, 2)} <= seen  # each stage ran
+
+    def stages(params, pumps, n_max=None):
+        """(retried, solves) per pump and cutoff of one sweep."""
+        solves.clear()
+        exact.steady_state_sweep(params, pumps, n_max)
+        per_pump: dict = {}  # (cutoff, block values) -> its solves, in order
+        for cutoff, block, pin, err in solves:
+            per_pump.setdefault((cutoff, block), []).append((pin, err))
+        seen = set()
+        for (cutoff, _), seq in per_pump.items():
+            retried = isinstance(seq[0][1], NoSteadyStateError)
+            assert len(seq) <= 2 + retried
+            if retried:
+                assert seq[1][0] == cutoff
+            seen.add((retried, len(seq)))
+        return seen
+
+    good = SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334)
+    # a zero pivot at the vacuum pin
+    assert stages(replace(good, P_a=0.0095), [1.0], n_max=32) == {(True, 2)}
+    # a fixed cutoff pins the vacuum, far below the lasing peaks
+    assert stages(good, [3.0, 7.0], n_max=512) == {(False, 2)}
+    # auto mode pins each lasing pump near its semiclassical peak
+    assert stages(good, [0.05, 3.0, 7.0]) == {(False, 1)}
+
+
+def test_a_first_cutoff_placed_too_high_moves_down(monkeypatch):
+    # n_a 161.9 with g2 0.9998: the semiclassical estimate places the first
+    # solve at 512, whose solution already passes the tail test cut at 256;
+    # the pump moves down, and 256 holds it, as on the ladder from 32
+    tried = _tried_cutoffs(monkeypatch)
+    p = SystemParams(g=1.0, gamma_a=0.04746076783753154, gamma_sigma=0.002480171159893364,
+                     P_sigma=20.34225576804326, gamma_phi=0.3015150477830594)
+    assert exact._first_window(p, exact.N_MAX_CAP) == (512, 162)
+    assert exact.steady_state(p).space.n_max == 256 and tried == [512, 256]
+
+
+def test_sweep_axes_factor_each_pump_about_once(monkeypatch):
+    # the 24-pump good-cavity axis and the 50-pump axis of the README sweep
+    # factored 41 and 73 blocks when every pump started at 32 photons
+    tried = _tried_cutoffs(monkeypatch)
+    exact.steady_state_sweep(SystemParams(g=1.0, gamma_a=0.01, gamma_sigma=0.00334), np.geomspace(1e-3, 1.5, 24))
+    assert len(tried) <= 25
+    tried.clear()
+    exact.steady_state_sweep(SystemParams(**BASE), np.geomspace(1e-4, 1e3, 50))
+    assert len(tried) <= 55
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma_a=st.floats(1e-3, 2.0),
+    gamma_sigma=st.floats(1e-4, 1.0),
+    P=st.floats(0.0, 30.0),
+    pump_a=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    gamma_phi=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    delta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+)
+@example(gamma_a=0.01, gamma_sigma=0.00334, P=7.0, pump_a=0.0, gamma_phi=0.0, delta=0.0)
+@example(gamma_a=0.1, gamma_sigma=0.00334, P=7.0, pump_a=0.0, gamma_phi=0.1, delta=0.5)
+# n_a ~ 15,000 passes the default cap: the estimate starts at the cap and is refused there
+@example(gamma_a=1e-3, gamma_sigma=0.00334, P=30.0, pump_a=0.0, gamma_phi=0.0, delta=0.0)
+# a cavity pump: both start at the vacuum pin, where the LU meets a zero pivot
+@example(gamma_a=0.01, gamma_sigma=0.00334, P=1.0, pump_a=0.95, gamma_phi=0.0, delta=0.0)
+# the closed form overflows at a huge detuning
+@example(gamma_a=0.1, gamma_sigma=0.00334, P=7.0, pump_a=0.0, gamma_phi=0.0, delta=1e200)
+# g2 0.9998: narrower than the Poissonian the first cutoff assumes, which lands a rung too high
+@example(gamma_a=0.04746076783753154, gamma_sigma=0.002480171159893364, P=20.34225576804326, pump_a=0.0,
+         gamma_phi=0.3015150477830594, delta=0.0)
+def test_first_window_leaves_every_answer_unchanged(gamma_a, gamma_sigma, P, pump_a, gamma_phi, delta):
+    # the semiclassical estimate only places a pump's first solve: auto
+    # mode accepts the cutoff that the ladder from 32 photons at the vacuum
+    # pin accepts, with the same n_a and g2, or refuses with the same error
+    p = SystemParams(g=1.0, gamma_a=gamma_a, gamma_sigma=gamma_sigma, P_sigma=P,
+                     P_a=pump_a * gamma_a, gamma_phi=gamma_phi, delta=delta)
+    (ss,) = exact.steady_state_sweep(p, [P])
+    with mock.patch.object(exact, "_first_window", lambda params, cap: (min(32, cap), 0)):
+        (ref,) = exact.steady_state_sweep(p, [P])
+    if not isinstance(ref, exact.SteadyState):
+        assert type(ss) is type(ref)
+        return
+    assert isinstance(ss, exact.SteadyState) and ss.space.n_max == ref.space.n_max
+    assert ss.n_a == pytest.approx(ref.n_a, rel=1e-12, abs=0.0)
+    # g2 is nan in the vacuum (0/0) on both routes
+    assert ss.g2 == pytest.approx(ref.g2, rel=1e-12, abs=0.0, nan_ok=True)
 
 
 def test_tail_estimate_is_exact_on_a_geometric_tail():
@@ -395,15 +465,6 @@ def test_non_finite_pinned_solve_retries_at_the_top():
     ref = exact.steady_state(replace(p, delta=0.0), n_max=32)
     assert float(np.trace(dense_rho(ss)).real) == pytest.approx(1.0, abs=1e-12)
     assert ss.n_a == pytest.approx(ref.n_a, rel=1e-12)
-
-def test_exact_needs_no_closed_form_guess():
-    import ast
-    from pathlib import Path
-
-    tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
-    imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
-    imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-    assert not [m for m in imported if m and "approximations" in m]
 
 
 def test_rate_balance_identity():
