@@ -100,7 +100,7 @@ def _pump_scales(params: SystemParams) -> tuple[float, float]:
     P_max; unlike n_a they need only kappa_sigma, not Gamma_sigma > 0."""
     ks = kappa_sigma(params)
     gs, gp = params.gamma_sigma, params.gamma_phi
-    return ks / 2.0 * (1.0 - (2.0 * gs + gp) / ks), ks - 3.0 * gs - 2.0 * gp
+    return (ks - 2.0 * gs - gp) / 2.0, ks - 3.0 * gs - 2.0 * gp
 
 
 def semiclassical(params: SystemParams) -> Populations:
@@ -112,8 +112,8 @@ def semiclassical(params: SystemParams) -> Populations:
         raise ValueError("semiclassical solution needs gamma_a > 0 and Gamma_sigma > 0")
     if params.P_a != 0.0:
         raise ValueError(f"semiclassical solution assumes P_a = 0, got P_a = {params.P_a}")
-    gs_tot = params.Gamma_sigma
-    F_sigma = (gs_tot + params.gamma_phi) / kappa_sigma(params)
+    gs_tot, ks = params.Gamma_sigma, kappa_sigma(params)
+    F_sigma = (gs_tot + params.gamma_phi) / ks if ks > 0.0 else math.inf  # g_eff[1]^2 may underflow to 0
     n_a = gs_tot / (2.0 * params.gamma_a) * (1.0 - 2.0 * params.gamma_sigma / gs_tot - F_sigma)
     if n_a < 0.0:  # below threshold n_a = 0, and the rate balance gives n_sigma
         return Populations(n_a=0.0, n_sigma=params.P_sigma / gs_tot)
@@ -218,16 +218,17 @@ def cothermal_sweep(params: SystemParams, pumps) -> list[CothermalState | NoPhys
     todo = np.arange(len(rows))
     # each pass rescans every open bracket on _G2_GRID.size nodes and keeps its
     # first sign change, down to adjacent floats: n_coh = n_a sqrt(2 - g2) is
-    # steep near g2 = 2
-    while len(todo):
-        g = np.linspace(lo, hi, _G2_GRID.size, axis=-1)
-        f_g = _second_moment(coef[:, todo], g)
-        i = np.argmax((f_g[:, :-1] > 0.0) != (f_g[:, 1:] > 0.0), axis=1)
-        k = np.arange(len(todo))
-        g_lo, g_hi = g[k, i], g[k, i + 1]
-        done = (g_lo == lo) & (g_hi == hi)
-        g2[todo[done]] = np.where(np.abs(f_g[k, i]) <= np.abs(f_g[k, i + 1]), lo, hi)[done]
-        todo, lo, hi = todo[~done], g_lo[~done], g_hi[~done]
+    # steep near g2 = 2; at huge pumps f overflows as in the first scan
+    with np.errstate(invalid="ignore", over="ignore"):
+        while len(todo):
+            g = np.linspace(lo, hi, _G2_GRID.size, axis=-1)
+            f_g = _second_moment(coef[:, todo], g)
+            i = np.argmax((f_g[:, :-1] > 0.0) != (f_g[:, 1:] > 0.0), axis=1)
+            k = np.arange(len(todo))
+            g_lo, g_hi = g[k, i], g[k, i + 1]
+            done = (g_lo == lo) & (g_hi == hi)
+            g2[todo[done]] = np.where(np.abs(f_g[k, i]) <= np.abs(f_g[k, i + 1]), lo, hi)[done]
+            todo, lo, hi = todo[~done], g_lo[~done], g_hi[~done]
     n_a = _first_moment_root(*coef[:3, :, 0], g2)
     for j, x, na in zip(rows, g2, n_a.tolist()):
         out[j] = CothermalState(n_a=na, n_coh=na * math.sqrt(2.0 - x))

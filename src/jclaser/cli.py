@@ -145,6 +145,12 @@ def check_ranges(args) -> None:
             raise ConfigError(f"--auto-nmax-cap must be at least 1, got {args.auto_nmax_cap}")
         if not args.tol > 0.0:
             raise ConfigError(f"--tol must be > 0, got {args.tol}")
+        if getattr(args, "method", None) == "semiclassical":  # the mean field solves no steady state
+            cutoff = (("--n-max", args.n_max, None), ("--auto-nmax-cap", args.auto_nmax_cap, exact.N_MAX_CAP),
+                      ("--tol", args.tol, exact.CUTOFF_RTOL))
+            for flag, value, default in cutoff:
+                if value != default:
+                    raise ConfigError(f"--method semiclassical solves no steady state and takes no {flag}, got {value}")
     if args.command == "mollow-coherent" and not 0.0 <= args.gamma_sigma < math.inf:
         raise ConfigError(f"--gamma-sigma must be finite and >= 0 (0 means 1), got {args.gamma_sigma}")
     if hasattr(args, "points"):  # the frequency grid of spectrum and mollow-coherent
@@ -219,11 +225,13 @@ def _steady_row(params: SystemParams, ss, ct) -> list:
     row += [label]
     # nan where a closed form refuses the rates, as every one refuses a cavity
     # pump, or leaves the physical range (up to roundoff); the rate balance
-    # bounds n_a by P_sigma / gamma_a
+    # bounds n_a by P_sigma / gamma_a; an infinite value is refused even where
+    # that bound overflows to inf (a nan one, the vacuum's g2, is no value)
     n_top = P / params.gamma_a if params.gamma_a > 0.0 else math.inf
 
     def cells(n_a: float, n_sigma: float, values: list) -> list:
         ok = -1e-12 <= n_a <= n_top * (1.0 + 1e-12) + 1e-12 and -1e-12 <= n_sigma <= 1.0 + 1e-12
+        ok = ok and math.inf not in map(abs, values)
         return values if ok else [nan] * len(values)
 
     try:

@@ -72,7 +72,7 @@ from .errors import (
     TruncationNotConvergedError,
     ZeroPivotError,
 )
-from .lineshape import SpectralLine, SpectrumResult, channel_population, line_spectrum, lines_from_eigenpairs
+from .lineshape import _CLOSURE, SpectralLine, SpectrumResult, channel_population, line_spectrum, lines_from_eigenpairs
 from .params import SystemParams
 
 
@@ -430,14 +430,13 @@ def _pinned_solves(ix: _SectorIndex, data: np.ndarray, pins) -> tuple[np.ndarray
 
 
 def _steady_states_of(ps: list[SystemParams], ix: _SectorIndex, x: np.ndarray) -> list[SteadyState]:
-    """The ``SteadyState`` of each row of k = 0 sector vectors x, divided by its trace."""
+    """The ``SteadyState`` of each row of trace-one k = 0 sector vectors x."""
     r, s, pos, diag, coh = ix.r, ix.s, ix.pos, ix.population, ix.coherence
     space = FockSpace(len(pos) // 2 - 1)
     at_pops, at_q = r[diag], r[coh] // 2
     partner = pos[s[coh], 0]  # rho_{n-1,1; n,0}, the mirror of each coherence
     states = []
     for params, xi in zip(ps, x):
-        xi /= xi[diag].sum()
         pops = np.zeros(space.dim)
         pops[at_pops] = xi[diag].real
         q = np.zeros(space.n_max + 1, dtype=complex)
@@ -589,6 +588,11 @@ def steady_state_sweep(
                 data = np.broadcast_to(data, (len(batch), len(ix.row)))
             x, errors = _pinned_solves(ix, data, [current[i][1] for i in batch])
             T0, T1 = ix.pos[0::2, 0], ix.pos[1::2, 1]  # where |n,0> and |n,1> sit in the sector
+            # each row over its own trace sum (a 2-d sum adds in another order); a
+            # trace of 0, or one too small to divide by, refuses the solve
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                unit = x / np.array([xi[ix.population].sum() for xi in x])[:, None]
+            traced = np.isfinite(unit).all(axis=1)
             done = []  # (pump, batch row) of each final solve
             for row, (i, err) in enumerate(zip(batch, errors)):
                 stage = current[i][2]
@@ -598,10 +602,12 @@ def steady_state_sweep(
                     out[i] = err
                 elif stage < 2 and (T := np.abs(x[row][T0] + x[row][T1])).max() > 1e8:
                     todo[i] = (n, int(np.argmax(T)), 2)  # pinned far below the peak: pin the peak, once
+                elif not traced[row]:
+                    out[i] = NoSteadyStateError(f"singular Liouvillian: a solution without a trace (size {len(ix.r)})")
                 else:
                     done.append((i, row))
-            states = _steady_states_of([ps[i] for i, _ in done], ix, x[[row for _, row in done]])
-            del x  # before the next batch factors, as a sweep's peak memory is one batch
+            states = _steady_states_of([ps[i] for i, _ in done], ix, unit[[row for _, row in done]])
+            del x, unit  # before the next batch factors, as a sweep's peak memory is one batch
             # the rung of the ladder below n, or 0 at its first
             lower = _N_START << (((n - 1) // _N_START).bit_length() - 1) if n > _N_START else 0
             for (i, _), ss in zip(done, states):
@@ -610,7 +616,7 @@ def steady_state_sweep(
                     out[i] = ss
                 elif _tail_converged(T, rtol, _TAIL):
                     if i in placed and lower and _tail_converged(T[: lower + 1], rtol, _TAIL):
-                        todo[i] = (lower, int(np.argmax(T)), 0)  # placed too high: the rung below may hold it
+                        todo[i] = (lower, int(np.argmax(T[: lower + 1])), 0)  # placed too high: try the rung below
                     else:
                         out[i] = ss
                 elif n >= n_max_cap:
@@ -771,7 +777,6 @@ _DOUBLET = 1e-9
 # to their distance from it; a shift of 3e3 i cost the narrow P 27 lines 1e-7.
 _SHIFT = 0.1j
 _BUDGET = 3000  # distinct resolvent solves per table; the probes take at most 2062
-_CLOSURE = 1e-6  # how far the weights' real parts may sum from one: the tests' and the gate's tolerance
 
 
 def _aaa(Z: np.ndarray, F: np.ndarray, support: list[int]) -> tuple:
@@ -826,7 +831,7 @@ def _poles(z: np.ndarray, f: np.ndarray, w: np.ndarray, scale: np.ndarray, Z: np
         poles = poles[np.abs(res) >= floor]
 
 
-def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[SpectralLine], dict]:
+def _line_table(sec: RegressionSector) -> tuple[list[SpectralLine], dict]:
     """The sector's lines, each an effective pole of S(w) (a broad band of
     eigenvalues of G shows as a few lines), and a record of their fit.
 
@@ -836,8 +841,8 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
     of every pole; the points that miss by more than 1e-9 of max S, and the
     kept poles not below the real axis, join the samples and the fit is redone.
     Raises ``LineFitError`` when the weights' real parts miss one by more
-    than 1e-6, and before any sampling that would take the distinct solves
-    past the budget.
+    than ``lineshape._CLOSURE`` (1e-6), and before any sampling that would
+    take the distinct solves past the budget.
 
     ``sample`` keeps every value it solves, so no point is solved twice.  At
     resonance the conjugate of the block is the block with the signs
@@ -892,17 +897,17 @@ def _line_table(sec: RegressionSector, weight_floor: float = 0.0) -> tuple[list[
         raise LineFitError(f"line weights miss one by {closure:.2e}")
     fit = {"resolvent_solves": len(solved), "poles": len(poles), "doublets": len(every) - len(poles),
            "fit_miss": float(np.max(miss)), "closure_miss": float(closure)}
-    return lines_from_eigenpairs(-1j * poles, 1j * res, weight_floor), fit
+    return lines_from_eigenpairs(-1j * poles, 1j * res), fit
 
 
-def spectral_lines(ss: SteadyState, channel: str = "cavity", weight_floor: float = 0.0) -> list[SpectralLine]:
+def spectral_lines(ss: SteadyState, channel: str = "cavity") -> list[SpectralLine]:
     """Line table of the emission spectrum of one channel from the steady
     state ``ss``: the validated rational fit of ``_line_table``, weights over
-    n_c, lines with |L| + |K| below ``weight_floor`` dropped.  An empty
-    channel, n_c = 0, raises ``EmptyChannelError``; a fit that fails its
-    checks, ``LineFitError``.
+    n_c, through ``lineshape.lines_from_eigenpairs`` and its one floor.  An
+    empty channel, n_c = 0, raises ``EmptyChannelError``; a fit that fails
+    its checks, ``LineFitError``.
     """
-    return _line_table(regression_sector(ss, channel), weight_floor)[0]
+    return _line_table(regression_sector(ss, channel))[0]
 
 
 def spectrum(ss: SteadyState, omega: np.ndarray, channel: str = "cavity") -> SpectrumResult:
@@ -922,14 +927,14 @@ def transition_map(
     pumps: np.ndarray,
     channel: str = "cavity",
     n_max: int | None = None,
-    weight_floor: float = 1e-10,
     n_max_cap: int = N_MAX_CAP,
     rtol: float = CUTOFF_RTOL,
 ) -> list[list[SpectralLine] | JclaserError]:
     """Spectral-line tables across a pump sweep (dressed-state map).
 
     One entry per pump of ``pumps``: the line table of ``spectral_lines`` at
-    that pump, weights keeping their sign, or the ``JclaserError`` that
+    that pump, weights keeping their sign, lines below the one floor of
+    ``lineshape.lines_from_eigenpairs`` dropped, or the ``JclaserError`` that
     refused the pump, so that one failed pump leaves the others standing.
     ``n_max``, ``n_max_cap`` and ``rtol`` go to ``steady_state_sweep``.  An
     unknown channel raises before any solve, and other exceptions are caller
@@ -940,7 +945,7 @@ def transition_map(
     out: list = []
     for ss in steady_state_sweep(params, pumps, n_max, n_max_cap=n_max_cap, rtol=rtol):
         try:
-            out.append(ss if isinstance(ss, JclaserError) else spectral_lines(ss, channel, weight_floor))
+            out.append(ss if isinstance(ss, JclaserError) else spectral_lines(ss, channel))
         except JclaserError as exc:
             out.append(exc)
     return out

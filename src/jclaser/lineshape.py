@@ -9,7 +9,7 @@ eigenbasis of their small blocks with ``decompose``; the exact engine fits
 the poles of its resolvent instead (``exact.spectral_lines``), each pole
 w_p standing for lam = -i w_p.  All three turn (lam, weight) pairs into
 lines with ``lines_from_eigenpairs``, which merges degenerate eigenvalues
-within each block, giving
+within each block and drops the lines below one floor, giving
 
     <c'(0)c(t)> = readout . B + n_c * sum_p (L_p + i K_p) exp(-i w_p t - g_p t / 2)
 
@@ -44,6 +44,8 @@ class SpectralLine:
 # Relative eigenvalue gap below which two lines merge into one (exceptional
 # points of the generator, where the eigenbasis degenerates).
 _DEGENERACY_RTOL = 1e-9
+_LINE_FLOOR = 1e-14  # every line table drops the lines with |L| + |K| below this
+_CLOSURE = 1e-6  # how far a table's weights and elastic part may sum from one (n_c), relative
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def decompose(G: np.ndarray, u0: np.ndarray, readout: np.ndarray, inhom: np.ndar
     elastic = np.sum(readout * B, axis=-1)
     total = np.sum(readout * u0, axis=-1)
     miss = np.abs((np.sum(weights, axis=-1) + elastic - total).real)
-    if not np.all(miss <= 1e-6 * np.abs(total.real)):
+    if not np.all(miss <= _CLOSURE * np.abs(total.real)):
         raise NonDiagonalizableError(
             f"line weights miss one by {np.max(miss / np.abs(total.real)):.2e}"
         )
@@ -134,18 +136,16 @@ def merge_degenerate(lams: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     return lams, weights, keep
 
 
-def lines_from_eigenpairs(
-    lams: np.ndarray, weights: np.ndarray, floor: float = 0.0
-) -> list[SpectralLine]:
+def lines_from_eigenpairs(lams: np.ndarray, weights: np.ndarray) -> list[SpectralLine]:
     """Lines from generator eigenvalues and normalized (L + iK) weights.
 
     Degenerate eigenvalues merge within each block, along the last axis (a
     line of one rung never merges with a line of another); the blocks are
-    then flattened in order, and lines with |L| + |K| below ``floor``
-    dropped.  ``omega = -Im(lam)`` and ``gamma = -2 Re(lam)``.
+    then flattened in order, and lines with |L| + |K| below ``_LINE_FLOOR``
+    (1e-14) dropped.  ``omega = -Im(lam)`` and ``gamma = -2 Re(lam)``.
     """
     lams, weights, keep = (np.ravel(a) for a in merge_degenerate(lams, weights))
-    keep &= np.abs(weights.real) + np.abs(weights.imag) >= floor
+    keep &= np.abs(weights.real) + np.abs(weights.imag) >= _LINE_FLOOR
     return [
         SpectralLine(omega=float(-lam.imag), gamma=float(-2.0 * lam.real), L=float(c.real), K=float(c.imag))
         for lam, c in zip(lams[keep], weights[keep])
@@ -227,15 +227,15 @@ def line_spectrum(
 
 
 def decomposition_spectrum(
-    dec: Decomposition, channel: str, omega: np.ndarray, method: str, floor: float = 0.0, meta: dict | None = None
+    dec: Decomposition, channel: str, omega: np.ndarray, method: str, meta: dict | None = None
 ) -> SpectrumResult:
     """The spectrum of the blocks of ``dec`` on the grid ``omega``.
 
     Lines and elastic weight are normalised by the summed population n_c
-    (an empty channel is refused), lines with |L| + |K| below ``floor``
-    dropped, and n_c goes first into ``meta``.
+    (an empty channel is refused), the lines of ``lines_from_eigenpairs``
+    keep its one floor, and n_c goes first into ``meta``.
     """
     n_c = channel_population(dec.n_c)
-    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c, floor)
+    lines = lines_from_eigenpairs(dec.lams, dec.weights / n_c)
     elastic = float(np.sum(dec.elastic).real / n_c)
     return line_spectrum(lines, channel, omega, method, {"n_c": n_c, **(meta or {})}, elastic)

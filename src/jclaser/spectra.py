@@ -30,7 +30,6 @@ from .lineshape import Decomposition, SpectralLine, SpectrumResult, decompose, d
 from .params import SystemParams, _manifold, kappa_a
 
 _TAIL = 1e-12  # rungs with both statistics weights below this (relative) are dropped
-_LINE_FLOOR = 1e-14  # rung and semiclassical lines with |L| + |K| below this are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def approx_spectrum(
     """
     dec = rung_decomposition(params, T, channel)
     meta = {"validity_window": lasing_window_ok(params), "rungs": len(dec.n_c)}
-    return decomposition_spectrum(dec, channel, omega, "approx", _LINE_FLOOR, meta)
+    return decomposition_spectrum(dec, channel, omega, "approx", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def semiclassical_mollow(
     )
     dec = replace(dec, lams=dec.lams - 1j * w_L)  # from the laser frame to the cavity's
     meta = {"n_a": n_a, "omega_L": w_L}
-    return _nonnegative(decomposition_spectrum(dec, channel, omega, "semiclassical", _LINE_FLOOR, meta), params)
+    return _nonnegative(decomposition_spectrum(dec, channel, omega, "semiclassical", meta), params)
 
 
 def _nonnegative(res: SpectrumResult, params: SystemParams) -> SpectrumResult:

@@ -229,7 +229,7 @@ def test_criterion_7_incoherent_mollow():
 
 def test_criterion_8_quantum_to_classical_map():
     pumps = np.geomspace(0.005, 7.0, 8)
-    tables = exact.transition_map(SystemParams(**BASE), pumps, weight_floor=1e-9)
+    tables = exact.transition_map(SystemParams(**BASE), pumps)
     assert all(isinstance(t, list) for t in tables)
     dom = {P: max(t, key=lambda r: abs(r.L)) for P, t in zip(pumps, tables)}
     # (i) the dominant (inner) frequency collapses to the origin

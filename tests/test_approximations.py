@@ -522,3 +522,13 @@ def test_closed_forms_refuse_a_cavity_pump():
 def test_poissonian_statistics_of_the_vacuum():
     T = poissonian_statistics(0.0)
     assert len(T) == 38 and T[0] == 1.0 and not np.any(T[1:])
+
+
+@pytest.mark.parametrize("g", [1e-170, 1e-200])
+def test_semiclassical_forms_take_an_underflowing_coupling(g):
+    # g^2 underflows, so kappa_sigma is 0 and F_sigma infinite: below threshold
+    p = SystemParams(g=g, gamma_a=0.1, gamma_sigma=0.00334, P_sigma=7.0)
+    assert kappa_sigma(p) == 0.0
+    assert ap.semiclassical(p) == ap.Populations(n_a=0.0, n_sigma=7.0 / 7.00334)
+    assert ap._pump_scales(p) == (-0.00334, -3 * 0.00334)
+    assert ap.classify_regime(p) == "Thermal"

@@ -721,7 +721,7 @@ def test_g2_near_one_at_lasing_midpoint():
 
 def test_transition_map_structure():
     pumps = np.geomspace(0.005, 7.0, 8)
-    tables = exact.transition_map(SystemParams(**BASE), pumps, weight_floor=1e-9)
+    tables = exact.transition_map(SystemParams(**BASE), pumps)
     assert len(tables) == len(pumps) and all(isinstance(t, list) for t in tables)
     by_pump = dict(zip(pumps, tables))
     # linear regime: dominant doublet at +-R0
@@ -1114,3 +1114,17 @@ def test_empty_channel_is_refused_when_its_sector_is_built():
     sec = exact.regression_sector(exact.steady_state(p, n_max=8), "emitter")
     assert sec.n_c == float(np.real(np.dot(sec.readout, sec.u0))) > 0.0
     assert np.all(np.isfinite(resolvent_spectrum(sec, np.array([0.0, 0.5]))))
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [dict(g=6.4120516865424166e268, gamma_a=2.1407941896822957e-237, P_sigma=3.367139567846553e67),
+     dict(g=7.50618008981001e287, gamma_a=19.801333636412377, gamma_sigma=6.522190083316558e-107,
+          gamma_phi=4.984539475022015e114, P_sigma=1.94509855431681e43)],
+    ids=["zero", "subnormal"],
+)
+def test_solution_without_a_trace_is_refused(rates):
+    # at such rates a pinned solve can come back with a trace of 0, or one so
+    # small that dividing by it overflows; that pump has no steady state
+    (ss,) = exact.steady_state_sweep(SystemParams(**rates), [rates["P_sigma"]])
+    assert isinstance(ss, NoSteadyStateError) and "trace" in str(ss)

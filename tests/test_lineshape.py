@@ -116,8 +116,9 @@ def test_ill_conditioned_eigenbasis_refused():
 
 def test_weight_floor_uses_both_parts():
     lams = np.array([-1.0 - 1.0j, -1.0 + 1.0j, -2.0 + 0.0j])
-    weights = np.array([1.0 + 0.0j, 3e-15 + 3e-15j, 2e-15 + 0.0j])
-    kept = lines_from_eigenpairs(lams, weights, 5e-15)
+    # the floor is 1e-14: the second line reaches it only with both parts
+    weights = np.array([1.0 + 0.0j, 6e-15 + 6e-15j, 8e-15 + 0.0j])
+    kept = lines_from_eigenpairs(lams, weights)
     assert [ln.omega for ln in kept] == [1.0, -1.0]
 
 
